@@ -15,7 +15,6 @@ from hypermap import (
     mtmf,
     sam_classify,
 )
-from hypermap.endmember import EndmemberSet
 from hypermap.synthcube import synthetic_mineral_library
 
 rs = RandomSource(11)
@@ -39,12 +38,7 @@ for i in range(lines * samples):
 cube = SpectralCube(values=values, wavelengths=library.entries[0].wavelengths,
                     bad_band_mask=np.ones(bands, dtype=bool),
                     units_tag="reflectance")
-es = EndmemberSet(k=k, mnf_means=np.zeros((k, 2)), reflectance_means=spectra,
-                  member_counts=np.ones(k, dtype=np.int64),
-                  source_pixels=[[(0, 0)] for _ in range(k)],
-                  wavelengths=cube.wavelengths)
-
-cmap = sam_classify(cube, es, max_angle=0.10)
+cmap = sam_classify(cube, spectra, max_angle=0.10)
 print("class statistics (0 = unclassified):")
 for cid, count, percent in class_statistics(cmap):
     name = "unclassified" if cid == 0 else library.names()[cid - 1]

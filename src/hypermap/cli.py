@@ -15,23 +15,16 @@ plus the stock Hyperion band-mask and gain tables. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
+import glob
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from .endmember import (
-    EndmemberSet,
-    derive_endmembers,
-    endmember_library_csv,
-    manifest_csv,
-    mnf_means_csv,
-    read_endmember_library_csv,
-    read_mnf_means_csv,
-)
+from . import __version__, artifacts
+from .endmember import derive_endmembers
 from .envi_io import (
     SpectralCube,
     parse_envi_header,
@@ -39,10 +32,10 @@ from .envi_io import (
     read_spectral_library_file,
     write_cube_file,
 )
-from .mapping import class_statistics_csv, mtmf, sam_classify
+from .mapping import mtmf, sam_classify
 from .mnf import estimate_noise_covariance, fit_mnf, forward_mnf, save_mnf_model
 from .numerics import RandomSource
-from .ppi import PpiParams, pure_pixels_csv, read_pure_pixels_csv, run_ppi, select_pure_pixels, trace_csv
+from .ppi import PpiParams, run_ppi, select_pure_pixels
 from .preprocess import (
     Roi,
     read_band_mask_csv,
@@ -54,11 +47,8 @@ from .preprocess import (
     standardize,
     subset_roi,
 )
-from .spectral_match import AnalystWeights, rank_matches, rankings_csv, resample_library
+from .spectral_match import AnalystWeights, rank_matches, resample_library
 from .synthcube import MixingScenario, generate, plant_pure_pixels, random_abundance_field
-
-STAGES = ("info", "preprocess", "mnf", "ppi", "endmembers", "match",
-          "classify", "mtmf", "synth", "report", "all")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -243,146 +233,57 @@ DEFAULT_CONFIG_NAME = "default.cfg"
 HYPERION_BAND_MASK_NAME = "hyperion_bad_bands.csv"
 HYPERION_GAINS_NAME = "hyperion_gains.csv"
 
-HYPERION_BANDS = 242
-# Stock calibrated-band keep list (1-based, inclusive) and radiance gains.
-HYPERION_KEEP_RANGES = ((8, 57), (79, 224))
-HYPERION_VNIR_GAIN = 40.0
-HYPERION_SWIR_GAIN = 80.0
-HYPERION_VNIR_LAST_BAND = 70
+# Section comment written above each group's first key, and values that
+# `init` writes in place of the dataclass default.
+_CONFIG_SECTIONS = {
+    "input_header": "inputs",
+    "roi_first_line": "spatial subset (0 extent = full scene)",
+    "reflectance_method": "reflectance retrieval",
+    "mnf_keep_k": "noise reduction",
+    "ppi_iterations": "pure pixel search",
+    "endmember_k": "endmember clustering",
+    "weight_sam": "spectral analyst weights",
+    "sam_max_angle": "mapping",
+    "synth_lines": "synthetic scene generation",
+}
+_CONFIG_HINTS = {"reflectance_method": "   ; iarr | flat_field"}
+_INIT_VALUES = {"band_mask_csv": HYPERION_BAND_MASK_NAME, "gains_csv": HYPERION_GAINS_NAME}
 
 
 def default_config_text() -> str:
     cfg = PipelineConfig()
-    lines = [
-        "; hypermap pipeline configuration (generated defaults)",
-        "",
-        "; --- inputs ---",
-        f"input_header = {cfg.input_header}",
-        f"input_image = {cfg.input_image}",
-        f"band_mask_csv = {HYPERION_BAND_MASK_NAME}",
-        f"gains_csv = {HYPERION_GAINS_NAME}",
-        f"library_csv = {cfg.library_csv}",
-        f"output_dir = {cfg.output_dir}",
-        f"seed = {cfg.seed}",
-        "",
-        "; --- spatial subset (0 extent = full scene) ---",
-        f"roi_first_line = {cfg.roi_first_line}",
-        f"roi_first_sample = {cfg.roi_first_sample}",
-        f"roi_n_lines = {cfg.roi_n_lines}",
-        f"roi_n_samples = {cfg.roi_n_samples}",
-        "",
-        "; --- reflectance retrieval ---",
-        f"reflectance_method = {cfg.reflectance_method}   ; iarr | flat_field",
-        f"flat_field_first_line = {cfg.flat_field_first_line}",
-        f"flat_field_first_sample = {cfg.flat_field_first_sample}",
-        f"flat_field_n_lines = {cfg.flat_field_n_lines}",
-        f"flat_field_n_samples = {cfg.flat_field_n_samples}",
-        f"standardize_before_mnf = {'true' if cfg.standardize_before_mnf else 'false'}",
-        "",
-        "; --- noise reduction ---",
-        f"mnf_keep_k = {cfg.mnf_keep_k}",
-        "",
-        "; --- pure pixel search ---",
-        f"ppi_iterations = {cfg.ppi_iterations}",
-        f"ppi_threshold = {cfg.ppi_threshold}",
-        f"ppi_min_count = {cfg.ppi_min_count}",
-        f"ppi_max_pixels = {cfg.ppi_max_pixels}",
-        f"ppi_workers = {cfg.ppi_workers}",
-        f"ppi_trace = {'true' if cfg.ppi_trace else 'false'}",
-        "",
-        "; --- endmember clustering ---",
-        f"endmember_k = {cfg.endmember_k}",
-        "",
-        "; --- spectral analyst weights ---",
-        f"weight_sam = {cfg.weight_sam}",
-        f"weight_sff = {cfg.weight_sff}",
-        f"weight_be = {cfg.weight_be}",
-        "",
-        "; --- mapping ---",
-        f"sam_max_angle = {cfg.sam_max_angle}",
-        "",
-        "; --- synthetic scene generation ---",
-        f"synth_lines = {cfg.synth_lines}",
-        f"synth_samples = {cfg.synth_samples}",
-        f"synth_block_size = {cfg.synth_block_size}",
-        f"synth_noise_sigma = {cfg.synth_noise_sigma}",
-        f"synth_noise_relative = {cfg.synth_noise_relative}",
-        f"synth_pure_per_endmember = {cfg.synth_pure_per_endmember}",
-        f"synth_pure_plan_csv = {cfg.synth_pure_plan_csv}",
-        f"synth_library_csv = {cfg.synth_library_csv}",
-        f"synth_panel_lines = {cfg.synth_panel_lines}",
-        f"synth_panel_level = {cfg.synth_panel_level}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def hyperion_band_mask_csv() -> str:
-    rows = ["band_index,keep"]
-    for band in range(1, HYPERION_BANDS + 1):
-        keep = any(lo <= band <= hi for lo, hi in HYPERION_KEEP_RANGES)
-        rows.append(f"{band},{1 if keep else 0}")
-    return "\n".join(rows) + "\n"
-
-
-def hyperion_gains_csv() -> str:
-    rows = ["band_index,gain"]
-    for band in range(1, HYPERION_BANDS + 1):
-        gain = HYPERION_VNIR_GAIN if band <= HYPERION_VNIR_LAST_BAND else HYPERION_SWIR_GAIN
-        rows.append(f"{band},{gain:g}")
-    return "\n".join(rows) + "\n"
+    lines = ["; hypermap pipeline configuration (generated defaults)"]
+    for f in fields(PipelineConfig):
+        if f.name == "base_dir":
+            continue
+        if f.name in _CONFIG_SECTIONS:
+            lines += ["", f"; --- {_CONFIG_SECTIONS[f.name]} ---"]
+        value = _INIT_VALUES.get(f.name, getattr(cfg, f.name))
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{f.name} = {value}{_CONFIG_HINTS.get(f.name, '')}")
+    return "\n".join(lines + [""])
 
 
 def write_default_configs(directory: str) -> list[str]:
     """Write default.cfg plus the stock Hyperion band tables; returns paths."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, text in ((DEFAULT_CONFIG_NAME, default_config_text()),
-                       (HYPERION_BAND_MASK_NAME, hyperion_band_mask_csv()),
-                       (HYPERION_GAINS_NAME, hyperion_gains_csv())):
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
-        written.append(path)
-    return written
+    paths = [os.path.join(directory, name) for name in
+             (DEFAULT_CONFIG_NAME, HYPERION_BAND_MASK_NAME, HYPERION_GAINS_NAME)]
+    artifacts.write_text(paths[0], default_config_text())
+    artifacts.write_hyperion_tables(paths[1], paths[2])
+    return paths
 
 
 # ---------------------------------------------------------------------------
-# artifacts and dependencies
-
-_STAGE_ARTIFACTS = {
-    "preprocess": ("reflectance.hdr", "reflectance.img"),
-    "mnf": ("mnf_cube.hdr", "mnf_cube.img", os.path.join("mnf_model", "forward.csv")),
-    "ppi": ("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv"),
-    "endmembers": ("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv"),
-    "match": ("match_summary.csv",),
-    "classify": ("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
-                 "class_legend.csv"),
-    "synth": ("truth_pure_pixels.csv",),
-}
+# stages
 
 
-def _require(cfg: PipelineConfig, *producers: str) -> None:
-    for producer in producers:
-        for name in _STAGE_ARTIFACTS[producer]:
-            path = cfg.artifact(name)
-            if not os.path.exists(path):
-                raise DependencyError(
-                    f"missing artifact '{name}' from stage '{producer}'; "
-                    f"run 'hypermap {producer}' first")
-
-
-def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fp:
-        return fp.read()
+def _read_cube(header_path: str, image_path: str | None = None) -> SpectralCube:
+    """Read an ENVI cube; the image defaults to the header's `.img` sibling."""
+    header = parse_envi_header(artifacts.read_text(header_path))
+    with open(image_path or header_path[:-4] + ".img", "rb") as fp:
+        raw = fp.read()
+    return read_cube(header, raw)
 
 
 def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
@@ -392,29 +293,27 @@ def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
                         units_tag=units)
 
 
-# ---------------------------------------------------------------------------
-# stages
+def _remove_previous(cfg: PipelineConfig, pattern: str) -> None:
+    """Delete a stage's per-class outputs from an earlier, wider run."""
+    for path in glob.glob(os.path.join(glob.escape(cfg.out), pattern)):
+        os.remove(path)
 
 
-def _load_input_cube(cfg: PipelineConfig) -> SpectralCube:
-    header_path = cfg.resolve(cfg.input_header)
-    image_path = cfg.resolve(cfg.input_image)
-    for path in (header_path, image_path):
-        if not os.path.exists(path):
-            raise ConfigError(f"input file {path!r} does not exist")
-    with open(header_path, "r", encoding="utf-8") as fp:
-        header = parse_envi_header(fp.read())
-    with open(image_path, "rb") as fp:
-        raw = fp.read()
-    return read_cube(header, raw)
+def _match_summary(cfg: PipelineConfig, k: int) -> dict[int, tuple[str, float]]:
+    """match_summary.csv, checked to cover exactly the k current classes."""
+    top = artifacts.read_match_summary(cfg.artifact("match_summary.csv"))
+    if sorted(top) != list(range(1, k + 1)):
+        raise DependencyError(
+            f"match_summary.csv does not list classes 1..{k} of endmembers.csv; "
+            "re-run 'hypermap match'")
+    return top
 
 
 def stage_info(cfg: PipelineConfig) -> None:
     header_path = cfg.resolve(cfg.input_header)
     if not os.path.exists(header_path):
         raise ConfigError(f"input file {header_path!r} does not exist")
-    with open(header_path, "r", encoding="utf-8") as fp:
-        header = parse_envi_header(fp.read())
+    header = parse_envi_header(artifacts.read_text(header_path))
     print(f"input: {header_path}")
     print(f"dimensions: {header.samples} x {header.lines} x {header.bands} "
           "(samples x lines x bands)")
@@ -427,13 +326,18 @@ def stage_info(cfg: PipelineConfig) -> None:
 
 
 def stage_preprocess(cfg: PipelineConfig) -> None:
-    cube = _load_input_cube(cfg)
+    header_path = cfg.resolve(cfg.input_header)
+    image_path = cfg.resolve(cfg.input_image)
+    for path in (header_path, image_path):
+        if not os.path.exists(path):
+            raise ConfigError(f"input file {path!r} does not exist")
+    cube = _read_cube(header_path, image_path)
 
     if cfg.gains_csv:
-        gains = read_gains_csv(_read_text(cfg.resolve(cfg.gains_csv)), cube.bands)
+        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), cube.bands)
         cube = scale_radiance(cube, gains)
     if cfg.band_mask_csv:
-        keep = read_band_mask_csv(_read_text(cfg.resolve(cfg.band_mask_csv)), cube.bands)
+        keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)), cube.bands)
         cube = remove_bad_bands(cube, keep)
 
     roi = None
@@ -463,18 +367,14 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
 
 
 def stage_mnf(cfg: PipelineConfig) -> None:
-    _require(cfg, "preprocess")
-    cube = _read_artifact_cube(cfg, "reflectance.hdr")
+    cube = _read_cube(cfg.artifact("reflectance.hdr"))
     if not 1 <= cfg.mnf_keep_k <= cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
     fit_input = cube
     if cfg.standardize_before_mnf:
         fit_input, means, stds = standardize(cube)
-        stats = ["band,mean,std"]
-        for i in range(means.size):
-            stats.append(f"{i + 1},{repr(float(means[i]))},{repr(float(stds[i]))}")
-        _write_text(cfg.artifact("band_stats.csv"), "\n".join(stats) + "\n")
+        artifacts.write_band_stats(cfg.artifact("band_stats.csv"), means, stds)
     noise = estimate_noise_covariance(fit_input)
     model = fit_mnf(fit_input, noise)
     mnf_cube = forward_mnf(model, fit_input)
@@ -484,17 +384,8 @@ def stage_mnf(cfg: PipelineConfig) -> None:
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")
 
 
-def _read_artifact_cube(cfg: PipelineConfig, header_name: str) -> SpectralCube:
-    with open(cfg.artifact(header_name), "r", encoding="utf-8") as fp:
-        header = parse_envi_header(fp.read())
-    with open(cfg.artifact(header_name[:-4] + ".img"), "rb") as fp:
-        raw = fp.read()
-    return read_cube(header, raw)
-
-
 def stage_ppi(cfg: PipelineConfig) -> None:
-    _require(cfg, "mnf")
-    mnf_cube = _read_artifact_cube(cfg, "mnf_cube.hdr")
+    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"))
     if not 1 <= cfg.mnf_keep_k <= mnf_cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{mnf_cube.bands} for this cube")
@@ -506,105 +397,65 @@ def stage_ppi(cfg: PipelineConfig) -> None:
                                 max_pixels=cfg.ppi_max_pixels)
     write_cube_file(_single_band_cube(image.counts), cfg.artifact("ppi_counts.hdr"),
                     data_type="int32")
-    _write_text(cfg.artifact("pure_pixels.csv"), pure_pixels_csv(image, pixels))
+    artifacts.write_pure_pixels(cfg.artifact("pure_pixels.csv"), image, pixels)
     if cfg.ppi_trace:
-        _write_text(cfg.artifact("ppi_trace.csv"), trace_csv(image))
+        artifacts.write_ppi_trace(cfg.artifact("ppi_trace.csv"), image.trace)
     nonzero = int(np.count_nonzero(image.counts))
     print(f"ppi: {nonzero} pixels counted at least once; "
           f"{len(pixels)} selected as pure candidates")
 
 
 def stage_endmembers(cfg: PipelineConfig) -> None:
-    _require(cfg, "preprocess", "mnf", "ppi")
-    corrected = _read_artifact_cube(cfg, "reflectance.hdr")
-    mnf_cube = _read_artifact_cube(cfg, "mnf_cube.hdr")
-    pixels = read_pure_pixels_csv(_read_text(cfg.artifact("pure_pixels.csv")))
+    corrected = _read_cube(cfg.artifact("reflectance.hdr"))
+    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"))
+    pixels = artifacts.read_pure_pixels(cfg.artifact("pure_pixels.csv"))
     if not pixels:
         raise ValueError("no pure pixels were selected; lower ppi_min_count")
     es = derive_endmembers(corrected, mnf_cube, pixels, k=cfg.endmember_k,
                            seed=cfg.seed, use_k_components=cfg.mnf_keep_k)
-    _write_text(cfg.artifact("endmembers.csv"), endmember_library_csv(es))
-    _write_text(cfg.artifact("endmember_manifest.csv"), manifest_csv(es))
-    _write_text(cfg.artifact("endmember_mnf_means.csv"), mnf_means_csv(es))
+    artifacts.write_endmembers(cfg.artifact("endmembers.csv"), es)
+    artifacts.write_manifest(cfg.artifact("endmember_manifest.csv"), es)
+    artifacts.write_mnf_means(cfg.artifact("endmember_mnf_means.csv"), es)
     print(f"endmembers: derived {es.k} classes from {len(pixels)} pure pixels")
 
 
-def _load_endmember_arrays(cfg: PipelineConfig):
-    names, wavelengths, spectra = read_endmember_library_csv(
-        _read_text(cfg.artifact("endmembers.csv")))
-    return names, wavelengths, spectra
-
-
 def stage_match(cfg: PipelineConfig) -> None:
-    _require(cfg, "endmembers")
     library_path = cfg.resolve(cfg.library_csv)
     if not os.path.exists(library_path):
         raise ConfigError(f"library file {library_path!r} does not exist")
     lib = read_spectral_library_file(library_path)
-    _, wavelengths, spectra = _load_endmember_arrays(cfg)
+    _, wavelengths, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
     resampled = resample_library(lib, wavelengths)
     weights = AnalystWeights(cfg.weight_sam, cfg.weight_sff, cfg.weight_be)
 
-    summary = ["class_id,top_mineral,weighted_score"]
+    _remove_previous(cfg, "match_class_*.csv")
+    tops = []
     for class_id, unknown in enumerate(spectra, start=1):
         scores = rank_matches(unknown, resampled, weights)
-        _write_text(cfg.artifact(f"match_class_{class_id}.csv"), rankings_csv(scores))
-        summary.append(f"{class_id},{scores[0].mineral_name},{scores[0].weighted:.6f}")
-    _write_text(cfg.artifact("match_summary.csv"), "\n".join(summary) + "\n")
+        artifacts.write_rankings(cfg.artifact(f"match_class_{class_id}.csv"), scores)
+        tops.append(scores[0])
+    artifacts.write_match_summary(cfg.artifact("match_summary.csv"), tops)
     print(f"match: ranked {len(resampled.entries)} library entries "
           f"against {len(spectra)} classes")
 
 
-def _read_match_summary(cfg: PipelineConfig) -> dict[int, tuple[str, float]]:
-    rows = [r for r in csv.reader(_read_text(cfg.artifact("match_summary.csv")).splitlines()) if r]
-    out: dict[int, tuple[str, float]] = {}
-    for row in rows[1:]:
-        out[int(row[0])] = (row[1], float(row[2]))
-    return out
-
-
-def _endmember_set_for_mapping(cfg: PipelineConfig):
-    """Rebuild a minimal EndmemberSet view from persisted artifacts.
-
-    Source pixel positions are not persisted, so placeholder positions
-    stand in; mapping only needs the spectra and counts.
-    """
-    _, wavelengths, spectra = _load_endmember_arrays(cfg)
-    mnf_means = read_mnf_means_csv(_read_text(cfg.artifact("endmember_mnf_means.csv")))
-    counts_rows = [r for r in csv.reader(
-        _read_text(cfg.artifact("endmember_manifest.csv")).splitlines()) if r]
-    counts = np.array([int(r[1]) for r in counts_rows[1:]], dtype=np.int64)
-    k = spectra.shape[0]
-    placeholder = [[(0, 0)] * int(c) for c in counts]
-    return EndmemberSet(k=k, mnf_means=mnf_means, reflectance_means=spectra,
-                        member_counts=counts, source_pixels=placeholder,
-                        wavelengths=wavelengths)
-
-
 def stage_classify(cfg: PipelineConfig) -> None:
-    _require(cfg, "preprocess", "endmembers", "match")
-    corrected = _read_artifact_cube(cfg, "reflectance.hdr")
-    es = _endmember_set_for_mapping(cfg)
-    cmap = sam_classify(corrected, es, max_angle=cfg.sam_max_angle)
+    corrected = _read_cube(cfg.artifact("reflectance.hdr"))
+    _, _, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
+    top = _match_summary(cfg, spectra.shape[0])
+    cmap = sam_classify(corrected, spectra, max_angle=cfg.sam_max_angle)
     write_cube_file(_single_band_cube(cmap.class_index.astype(np.float64)),
                     cfg.artifact("sam_class_map.hdr"), data_type="int32")
-    _write_text(cfg.artifact("class_statistics.csv"), class_statistics_csv(cmap))
-
-    top = _read_match_summary(cfg)
-    legend = ["class_id,matched_mineral,weighted_score"]
-    for cid in range(1, es.k + 1):
-        mineral, score = top.get(cid, ("", 0.0))
-        legend.append(f"{cid},{mineral},{score:.6f}")
-    _write_text(cfg.artifact("class_legend.csv"), "\n".join(legend) + "\n")
+    artifacts.write_class_statistics(cfg.artifact("class_statistics.csv"), cmap)
+    artifacts.write_class_legend(cfg.artifact("class_legend.csv"), top)
     classified = int(np.count_nonzero(cmap.class_index))
     print(f"classify: {classified}/{cmap.class_index.size} pixels classified "
           f"at max angle {cfg.sam_max_angle}")
 
 
 def stage_mtmf(cfg: PipelineConfig) -> None:
-    _require(cfg, "mnf", "endmembers")
-    mnf_cube = _read_artifact_cube(cfg, "mnf_cube.hdr")
-    mnf_means = read_mnf_means_csv(_read_text(cfg.artifact("endmember_mnf_means.csv")))
+    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"))
+    mnf_means = artifacts.read_mnf_means(cfg.artifact("endmember_mnf_means.csv"))
     d = mnf_means.shape[1]
     if d > mnf_cube.bands:
         raise ValueError("endmember MNF means have more components than the cube")
@@ -612,6 +463,8 @@ def stage_mtmf(cfg: PipelineConfig) -> None:
                              wavelengths=mnf_cube.wavelengths[:d],
                              bad_band_mask=mnf_cube.bad_band_mask[:d],
                              units_tag=mnf_cube.units_tag)
+    _remove_previous(cfg, "mtmf_class_*.hdr")
+    _remove_previous(cfg, "mtmf_class_*.img")
     for class_id in range(1, mnf_means.shape[0] + 1):
         result = mtmf(truncated, mnf_means[class_id - 1])
         stacked = np.stack([result.mf_score, result.infeasibility], axis=2)
@@ -619,13 +472,6 @@ def stage_mtmf(cfg: PipelineConfig) -> None:
                             bad_band_mask=np.array([True, True]), units_tag="score")
         write_cube_file(cube, cfg.artifact(f"mtmf_class_{class_id}.hdr"))
     print(f"mtmf: wrote MF/infeasibility images for {mnf_means.shape[0]} classes")
-
-
-def _read_plan_csv(text: str) -> list[tuple[int, int, int]]:
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    if not rows or rows[0][:3] != ["line", "sample", "endmember_index"]:
-        raise ValueError("expected CSV header 'line,sample,endmember_index'")
-    return [(int(r[0]), int(r[1]), int(r[2])) for r in rows[1:]]
 
 
 def stage_synth(cfg: PipelineConfig) -> None:
@@ -653,7 +499,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
     else:
         field = random_abundance_field(lines, samples, k, seed=root.spawn(0).seed)
     if cfg.synth_pure_plan_csv:
-        plan = _read_plan_csv(_read_text(cfg.resolve(cfg.synth_pure_plan_csv)))
+        plan = artifacts.read_pure_pixel_plan(cfg.resolve(cfg.synth_pure_plan_csv))
     else:
         total = k * cfg.synth_pure_per_endmember
         if total > lines * samples:
@@ -694,80 +540,81 @@ def stage_synth(cfg: PipelineConfig) -> None:
     write_cube_file(cube, header_path, cfg.resolve(cfg.input_image),
                     interleave="bil", data_type="float64")
 
-    abundance_rows = ["line,sample," + ",".join(f"a_{i + 1}" for i in range(k))]
-    for line in range(lines):
-        for sample in range(samples):
-            cells = [str(line), str(sample)]
-            cells += [repr(float(v)) for v in truth.abundances[line, sample]]
-            abundance_rows.append(",".join(cells))
-    _write_text(cfg.artifact("truth_abundances.csv"), "\n".join(abundance_rows) + "\n")
-
-    plan_rows = ["line,sample,endmember_index,endmember_name"]
-    for line, sample, idx in truth.pure_pixels:
-        plan_rows.append(f"{line},{sample},{idx},{lib.entries[idx].name}")
-    _write_text(cfg.artifact("truth_pure_pixels.csv"), "\n".join(plan_rows) + "\n")
+    artifacts.write_truth_abundances(cfg.artifact("truth_abundances.csv"), truth.abundances)
+    artifacts.write_truth_pure_pixels(cfg.artifact("truth_pure_pixels.csv"),
+                                      truth.pure_pixels, [e.name for e in lib.entries])
     print(f"synth: wrote {cube.samples} x {cube.lines} x {cube.bands} scene "
           f"with {len(plan)} pure pixels (sigma = {sigma:.6g})")
 
 
 def stage_report(cfg: PipelineConfig) -> None:
-    _require(cfg, "mnf", "ppi", "endmembers", "match", "classify")
-    top = _read_match_summary(cfg)
-    stats_rows = [r for r in csv.reader(
-        _read_text(cfg.artifact("class_statistics.csv")).splitlines()) if r]
-    stats = {int(r[0]): (int(r[1]), float(r[2])) for r in stats_rows[1:]}
-
-    report = ["class_id,top_mineral,weighted_score,pixel_count,percent"]
-    for cid in sorted(top):
-        mineral, score = top[cid]
-        count, percent = stats.get(cid, (0, 0.0))
-        report.append(f"{cid},{mineral},{score:.6f},{count},{percent:.6f}")
-    _write_text(cfg.artifact("report.csv"), "\n".join(report) + "\n")
-
-    _write_text(cfg.artifact("plot_endmember_spectra.csv"),
-                _read_text(cfg.artifact("endmembers.csv")))
-
-    counts_cube = _read_artifact_cube(cfg, "ppi_counts.hdr")
-    counts = counts_cube.values[:, :, 0].astype(np.int64)
-    values, freq = np.unique(counts, return_counts=True)
-    hist = ["count,pixels"]
-    hist += [f"{int(v)},{int(f)}" for v, f in zip(values, freq)]
-    _write_text(cfg.artifact("plot_ppi_histogram.csv"), "\n".join(hist) + "\n")
-
-    eig_rows = _read_text(os.path.join(cfg.artifact("mnf_model"), "eigenvalues.csv"))
-    eigenvalues = [float(c) for r in csv.reader(eig_rows.splitlines()) for c in r]
-    curve = ["component,eigenvalue"]
-    curve += [f"{i + 1},{repr(v)}" for i, v in enumerate(eigenvalues)]
-    _write_text(cfg.artifact("plot_eigenvalues.csv"), "\n".join(curve) + "\n")
-    print(f"report: wrote report.csv with {len(report) - 1} classes")
+    _, _, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
+    top = _match_summary(cfg, spectra.shape[0])
+    stats = artifacts.read_class_statistics(cfg.artifact("class_statistics.csv"))
+    artifacts.write_report(cfg.artifact("report.csv"), top, stats)
+    artifacts.write_text(cfg.artifact("plot_endmember_spectra.csv"),
+                         artifacts.read_text(cfg.artifact("endmembers.csv")))
+    counts_cube = _read_cube(cfg.artifact("ppi_counts.hdr"))
+    artifacts.write_ppi_histogram(cfg.artifact("plot_ppi_histogram.csv"),
+                                  counts_cube.values[:, :, 0].astype(np.int64))
+    artifacts.write_eigenvalue_curve(cfg.artifact("plot_eigenvalues.csv"),
+                                     os.path.join(cfg.artifact("mnf_model"), "eigenvalues.csv"))
+    print(f"report: wrote report.csv with {len(top)} classes")
 
 
-_PIPELINE_ORDER = ("preprocess", "mnf", "ppi", "endmembers", "match",
-                   "classify", "mtmf", "report")
+@dataclass(frozen=True)
+class Stage:
+    """A CLI stage: the stages whose artifacts it reads, and the artifacts
+    a later stage's dependency check looks for."""
 
-_STAGE_FUNCS = {
-    "info": stage_info,
-    "preprocess": stage_preprocess,
-    "mnf": stage_mnf,
-    "ppi": stage_ppi,
-    "endmembers": stage_endmembers,
-    "match": stage_match,
-    "classify": stage_classify,
-    "mtmf": stage_mtmf,
-    "synth": stage_synth,
-    "report": stage_report,
-}
+    name: str
+    run: Callable[[PipelineConfig], None]
+    needs: tuple[str, ...] = ()
+    artifacts: tuple[str, ...] = ()
+    in_all: bool = True
+
+
+# In subcommand order; `all` runs the `in_all` stages in this order.
+_STAGES = {s.name: s for s in (
+    Stage("info", stage_info, in_all=False),
+    Stage("preprocess", stage_preprocess,
+          artifacts=("reflectance.hdr", "reflectance.img")),
+    Stage("mnf", stage_mnf, needs=("preprocess",),
+          artifacts=("mnf_cube.hdr", "mnf_cube.img", os.path.join("mnf_model", "forward.csv"))),
+    Stage("ppi", stage_ppi, needs=("mnf",),
+          artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv")),
+    Stage("endmembers", stage_endmembers, needs=("preprocess", "mnf", "ppi"),
+          artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv")),
+    Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",)),
+    Stage("classify", stage_classify, needs=("preprocess", "endmembers", "match"),
+          artifacts=("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
+                     "class_legend.csv")),
+    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers")),
+    Stage("synth", stage_synth, in_all=False),
+    Stage("report", stage_report, needs=("mnf", "ppi", "endmembers", "match", "classify")),
+)}
+
+
+def _check_needs(stage: Stage, cfg: PipelineConfig) -> None:
+    for producer in stage.needs:
+        for name in _STAGES[producer].artifacts:
+            if not os.path.exists(cfg.artifact(name)):
+                raise DependencyError(
+                    f"missing artifact '{name}' from stage '{producer}'; "
+                    f"run 'hypermap {producer}' first")
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> None:
     """Run one pipeline stage (or `all`); raises on failure."""
     if stage == "all":
-        for name in _PIPELINE_ORDER:
-            _STAGE_FUNCS[name](cfg)
-        return
-    if stage not in _STAGE_FUNCS:
+        stages = [s for s in _STAGES.values() if s.in_all]
+    elif stage in _STAGES:
+        stages = [_STAGES[stage]]
+    else:
         raise ConfigError(f"unknown stage '{stage}'")
-    _STAGE_FUNCS[stage](cfg)
+    for s in stages:
+        _check_needs(s, cfg)
+        s.run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"hypermap {__version__}")
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in STAGES:
+    for stage in (*_STAGES, "all"):
         p = sub.add_parser(stage, help=f"run the '{stage}' stage")
         p.add_argument("--config", required=True, help="pipeline config file")
         p.add_argument("--seed", type=int, help="override the config seed")

@@ -9,7 +9,6 @@ with the point currently farthest from its centroid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +105,11 @@ class EndmemberSet:
     mnf_means: np.ndarray
     reflectance_means: np.ndarray
     member_counts: np.ndarray
-    source_pixels: list[list[tuple[int, int]]]
     wavelengths: np.ndarray
 
     def __post_init__(self):
         if self.mnf_means.shape[0] != self.k or self.reflectance_means.shape[0] != self.k:
             raise ValueError("per-class arrays must have k rows")
-        if int(self.member_counts.sum()) != sum(len(p) for p in self.source_pixels):
-            raise ValueError("member counts disagree with source pixel lists")
         if np.any(self.member_counts <= 0):
             raise ValueError("every class must have at least one member")
 
@@ -151,69 +147,10 @@ def derive_endmembers(corrected_cube: SpectralCube, mnf_cube: SpectralCube,
     reflectance = corrected_cube.values[lines, samples, :]
     refl_means = np.empty((k, corrected_cube.bands))
     counts = np.empty(k, dtype=np.int64)
-    members: list[list[tuple[int, int]]] = []
     for cls in range(k):
         mask = assignments == cls
         counts[cls] = int(mask.sum())
         refl_means[cls] = reflectance[mask].mean(axis=0)
-        members.append([(int(l), int(s)) for l, s in zip(lines[mask], samples[mask])])
 
     return EndmemberSet(k=k, mnf_means=centroids, reflectance_means=refl_means,
-                        member_counts=counts, source_pixels=members,
-                        wavelengths=corrected_cube.wavelengths.copy())
-
-
-# ---------------------------------------------------------------------------
-# CSV interfaces: spectral-library layout for the reflectance means (columns
-# `class_<id>`), a plain manifest, and the MNF centroids for MTMF targets.
-
-
-def endmember_library_csv(es: EndmemberSet) -> str:
-    """Reflectance means in spectral-library CSV layout.
-
-    Written directly (not through SpectrumRecord) because scene-derived
-    relative reflectance can exceed the laboratory range check.
-    """
-    header = ["wavelength_nm"] + [f"class_{cid}" for cid in es.class_ids()]
-    rows = [",".join(header)]
-    for i, wl in enumerate(es.wavelengths):
-        cells = [repr(float(wl))] + [repr(float(es.reflectance_means[c, i]))
-                                     for c in range(es.k)]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-def read_endmember_library_csv(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Read back (names, wavelengths, spectra-by-row) without range checks."""
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    if not rows or rows[0][0] != "wavelength_nm":
-        raise ValueError("expected spectral-library CSV layout")
-    names = [c.strip() for c in rows[0][1:]]
-    data = np.array([[float(c) for c in r] for r in rows[1:]])
-    return names, data[:, 0], data[:, 1:].T
-
-
-def manifest_csv(es: EndmemberSet) -> str:
-    """CSV manifest: class_id,member_count."""
-    rows = ["class_id,member_count"]
-    for cid, count in zip(es.class_ids(), es.member_counts):
-        rows.append(f"{cid},{int(count)}")
-    return "\n".join(rows) + "\n"
-
-
-def mnf_means_csv(es: EndmemberSet) -> str:
-    """CSV of MNF-space class centroids: class_id,comp_1,...,comp_d."""
-    d = es.mnf_means.shape[1]
-    rows = ["class_id," + ",".join(f"comp_{i + 1}" for i in range(d))]
-    for cid in es.class_ids():
-        cells = [str(cid)] + [repr(float(v)) for v in es.mnf_means[cid - 1]]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-def read_mnf_means_csv(text: str) -> np.ndarray:
-    """Read back the MNF centroid matrix (classes in id order)."""
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    if not rows or rows[0][0] != "class_id":
-        raise ValueError("expected CSV header 'class_id,comp_1,...'")
-    return np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+                        member_counts=counts, wavelengths=corrected_cube.wavelengths.copy())

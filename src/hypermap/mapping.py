@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endmember import EndmemberSet
 from .envi_io import SpectralCube
 from .numerics import symmetric_eig
 
@@ -50,15 +49,15 @@ class MtmfResult:
     infeasibility: np.ndarray
 
 
-def sam_classify(cube: SpectralCube, endmembers: EndmemberSet,
-                 max_angle: float = 0.10) -> ClassMap:
-    """Assign each pixel to the endmember with the smallest spectral angle.
+def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassMap:
+    """Assign each pixel to the spectrum (row of the (k, bands) `spectra`
+    matrix) with the smallest spectral angle.
 
     Pixels whose best angle exceeds `max_angle` stay unclassified (0);
     exact ties go to the lowest class id. Zero-norm pixels get angle
     pi/2 to every class and therefore stay unclassified.
     """
-    spectra = endmembers.reflectance_means
+    spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.shape[1] != cube.bands:
         raise ValueError(
             f"endmember spectra have {spectra.shape[1]} bands, cube has {cube.bands}")
@@ -78,62 +77,34 @@ def sam_classify(cube: SpectralCube, endmembers: EndmemberSet,
     best_angle = angles[np.arange(x.shape[0]), best]
     assigned = np.where(best_angle <= max_angle, best + 1, 0).astype(np.int32)
 
+    k = spectra.shape[0]
     shape = (cube.lines, cube.samples)
     return ClassMap(class_index=assigned.reshape(shape),
-                    rule_angles=angles.reshape(shape + (endmembers.k,)),
-                    max_angle=max_angle, n_classes=endmembers.k)
+                    rule_angles=angles.reshape(shape + (k,)),
+                    max_angle=max_angle, n_classes=k)
 
 
-def _background_stats(cube: SpectralCube):
-    x = cube.pixels()
+def _whitened(mnf_cube: SpectralCube, target_mnf):
+    """Project pixels and target into the background-whitened space.
+
+    The background mean mu and covariance S come from the cube itself; S
+    is whitened through its eigendecomposition with a small ridge.
+    Returns (p, t_hat, alpha, mf): whitened pixels minus mu, the unit
+    whitened target direction, each pixel's coordinate along it, and the
+    matched-filter score alpha / |whitened target|.
+    """
+    target = np.asarray(target_mnf, dtype=np.float64)
+    if target.shape != (mnf_cube.bands,):
+        raise ValueError(
+            f"target has {target.size} components, cube has {mnf_cube.bands}")
+    x = mnf_cube.pixels()
     mu = x.mean(axis=0)
     centered = x - mu
     cov = centered.T @ centered / max(x.shape[0] - 1, 1)
-    b = cube.bands
+    b = mnf_cube.bands
     vals, vecs = symmetric_eig(cov + np.eye(b) * (_RIDGE * np.trace(cov) / b))
     if vals[-1] <= 0.0:
         raise ValueError("background covariance is singular beyond repair")
-    return x, mu, vals, vecs
-
-
-def matched_filter(mnf_cube: SpectralCube, target_mnf) -> np.ndarray:
-    """Matched-filter score image: 0 at the scene mean, 1 at the target.
-
-    MF(x) = (x - mu)^T S^-1 (t - mu) / ((t - mu)^T S^-1 (t - mu)) with mu
-    and S estimated from the cube itself; S is inverted through its
-    eigendecomposition with a small ridge.
-    """
-    target = np.asarray(target_mnf, dtype=np.float64)
-    if target.shape != (mnf_cube.bands,):
-        raise ValueError(
-            f"target has {target.size} components, cube has {mnf_cube.bands}")
-    x, mu, vals, vecs = _background_stats(mnf_cube)
-    d = target - mu
-    w = vecs @ ((vecs.T @ d) / vals)
-    denom = float(d @ w)
-    if denom <= 0.0:
-        raise ValueError("target coincides with the scene mean")
-    scores = (x - mu) @ w / denom
-    return scores.reshape(mnf_cube.lines, mnf_cube.samples)
-
-
-def mtmf(mnf_cube: SpectralCube, target_mnf) -> MtmfResult:
-    """Matched filter plus mixture-tuned infeasibility.
-
-    In background-whitened space each pixel splits into a component along
-    the unit target direction and an orthogonal residual r. The expected
-    residual std shrinks linearly from 1 (background) to 0.01 (target) as
-    the MF score goes 0 to 1, and infeasibility is |r| in units of that
-    std: infeasibility = |r| / (std(mf) * sqrt(b - 1)).
-    """
-    target = np.asarray(target_mnf, dtype=np.float64)
-    if target.shape != (mnf_cube.bands,):
-        raise ValueError(
-            f"target has {target.size} components, cube has {mnf_cube.bands}")
-    b = mnf_cube.bands
-    if b < 2:
-        raise ValueError("MTMF needs at least 2 components")
-    x, mu, vals, vecs = _background_stats(mnf_cube)
 
     inv_sqrt = 1.0 / np.sqrt(vals)
     whiten = inv_sqrt[:, None] * vecs.T
@@ -145,7 +116,33 @@ def mtmf(mnf_cube: SpectralCube, target_mnf) -> MtmfResult:
 
     p = (x - mu) @ whiten.T
     alpha = p @ t_hat
-    mf = alpha / t_norm
+    return p, t_hat, alpha, alpha / t_norm
+
+
+def matched_filter(mnf_cube: SpectralCube, target_mnf) -> np.ndarray:
+    """Matched-filter score image: 0 at the scene mean, 1 at the target.
+
+    MF(x) = (x - mu)^T S^-1 (t - mu) / ((t - mu)^T S^-1 (t - mu)) with mu
+    and S estimated from the cube itself; this is the MF score of
+    :func:`mtmf`.
+    """
+    _, _, _, mf = _whitened(mnf_cube, target_mnf)
+    return mf.reshape(mnf_cube.lines, mnf_cube.samples)
+
+
+def mtmf(mnf_cube: SpectralCube, target_mnf) -> MtmfResult:
+    """Matched filter plus mixture-tuned infeasibility.
+
+    In background-whitened space each pixel splits into a component along
+    the unit target direction and an orthogonal residual r. The expected
+    residual std shrinks linearly from 1 (background) to 0.01 (target) as
+    the MF score goes 0 to 1, and infeasibility is |r| in units of that
+    std: infeasibility = |r| / (std(mf) * sqrt(b - 1)).
+    """
+    b = mnf_cube.bands
+    if b < 2:
+        raise ValueError("MTMF needs at least 2 components")
+    p, t_hat, alpha, mf = _whitened(mnf_cube, target_mnf)
     residual = p - alpha[:, None] * t_hat[None, :]
     r_norm = np.linalg.norm(residual, axis=1)
 
@@ -165,11 +162,3 @@ def class_statistics(class_map: ClassMap) -> list[tuple[int, int, float]]:
         count = int(np.count_nonzero(class_map.class_index == cid))
         rows.append((cid, count, 100.0 * count / total))
     return rows
-
-
-def class_statistics_csv(class_map: ClassMap) -> str:
-    """CSV of :func:`class_statistics`: class_id,pixel_count,percent."""
-    rows = ["class_id,pixel_count,percent"]
-    for cid, count, percent in class_statistics(class_map):
-        rows.append(f"{cid},{count},{percent:.6f}")
-    return "\n".join(rows) + "\n"

@@ -8,7 +8,6 @@ count; workers only change how the iteration range is partitioned.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -139,29 +138,3 @@ def select_pure_pixels(ppi: PpiImage, min_count: int = 1,
     order = np.lexsort((sample_idx, line_idx, -flat[keep]))
     chosen = keep[order][:max_pixels]
     return [(int(i // samples), int(i % samples)) for i in chosen]
-
-
-def pure_pixels_csv(ppi: PpiImage, pixels: list[tuple[int, int]]) -> str:
-    """CSV of selected pure pixels: line,sample,count."""
-    lines = ["line,sample,count"]
-    for line, sample in pixels:
-        lines.append(f"{line},{sample},{int(ppi.counts[line, sample])}")
-    return "\n".join(lines) + "\n"
-
-
-def read_pure_pixels_csv(text: str) -> list[tuple[int, int]]:
-    """Read back a pure-pixel CSV written by :func:`pure_pixels_csv`."""
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    if not rows or rows[0][:2] != ["line", "sample"]:
-        raise ValueError("expected CSV header 'line,sample,count'")
-    return [(int(r[0]), int(r[1])) for r in rows[1:]]
-
-
-def trace_csv(ppi: PpiImage) -> str:
-    """CSV of the cumulative pure-pixel total per iteration."""
-    if ppi.trace is None:
-        raise ValueError("PPI image carries no trace; rerun with trace=True")
-    lines = ["iteration,cumulative_pure_pixels"]
-    for i, v in enumerate(ppi.trace, start=1):
-        lines.append(f"{i},{v}")
-    return "\n".join(lines) + "\n"

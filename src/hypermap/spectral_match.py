@@ -201,12 +201,3 @@ def rank_matches(unknown, lib: SpectralLibrary,
                                  sff_score=s_sff, be_score=s_be, weighted=weighted))
     scores.sort(key=lambda m: (-m.weighted, m.mineral_name))
     return scores
-
-
-def rankings_csv(scores: list[MatchScore]) -> str:
-    """Ranked output CSV: rank,mineral,sam,sff,be,weighted."""
-    rows = ["rank,mineral,sam,sff,be,weighted"]
-    for rank, m in enumerate(scores, start=1):
-        rows.append(f"{rank},{m.mineral_name},{m.sam_score:.6f},"
-                    f"{m.sff_score:.6f},{m.be_score:.6f},{m.weighted:.6f}")
-    return "\n".join(rows) + "\n"

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import write_scenario_config, write_scenario_inputs
 from hypermap import cli
-from hypermap.endmember import read_endmember_library_csv
+from hypermap.artifacts import read_endmembers
 from hypermap.envi_io import (
     DATA_TYPE_CODES,
     SpectralCube,
@@ -72,8 +72,7 @@ def test_criterion_1_end_to_end_recovery(pipeline_run, scene_endmember_library):
 
 def test_criterion_2_endmember_fidelity(pipeline_run, scene_endmember_library):
     work, _ = pipeline_run
-    names, _, spectra = read_endmember_library_csv(
-        (work / "out" / "endmembers.csv").read_text())
+    names, _, spectra = read_endmembers(work / "out" / "endmembers.csv")
     worst = 0.0
     for entry in scene_endmember_library.entries:
         best = min(sam_angle(mean, entry.reflectance) for mean in spectra)

@@ -2,6 +2,7 @@
 determinism, and staged-vs-all equivalence."""
 
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -75,6 +76,18 @@ class TestInit:
         mask_text = (tmp_path / "hyperion_bad_bands.csv").read_text()
         assert mask_text.count("\n") == 243  # header + 242 bands
 
+    def test_default_config_round_trips(self, tmp_path):
+        assert run(["init", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "default.cfg"
+        expected = cli.PipelineConfig(base_dir=str(tmp_path),
+                                      band_mask_csv="hyperion_bad_bands.csv",
+                                      gains_csv="hyperion_gains.csv")
+        assert cli.load_config(str(path)) == expected
+        keys = [line.split("=", 1)[0].strip() for line in path.read_text().splitlines()
+                if line and not line.startswith(";")]
+        assert sorted(keys) == sorted(f.name for f in fields(cli.PipelineConfig)
+                                      if f.name != "base_dir")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
@@ -115,6 +128,37 @@ class TestStages:
         img = scenario_dir / "scene.img"
         img.write_bytes(img.read_bytes()[:-8])
         assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+
+    def test_malformed_artifact_row_is_data_error(self, scenario_dir, capsys):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf", "ppi"):
+            assert run([stage, "--config", cfg]) == 0
+        (scenario_dir / "out" / "pure_pixels.csv").write_text("line,sample,count\n5\n")
+        assert run(["endmembers", "--config", cfg]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "pure_pixels.csv" in err and "row 2" in err
+
+    def test_resume_with_fewer_classes_refuses_stale_matches(self, scenario_dir, capsys):
+        cfg_path = scenario_dir / "pipeline.cfg"
+        cfg = str(cfg_path)
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace("endmember_k = 5", "endmember_k = 4"))
+        assert run(["synth", "--config", cfg]) == 0
+        assert run(["all", "--config", cfg]) == 0
+        cfg_path.write_text(text.replace("endmember_k = 5", "endmember_k = 3"))
+        assert run(["endmembers", "--config", cfg]) == 0
+        capsys.readouterr()
+        for stage in ("classify", "report"):
+            assert run([stage, "--config", cfg]) == cli.EXIT_DEPENDENCY
+            assert "re-run 'hypermap match'" in capsys.readouterr().err
+        for stage in ("match", "mtmf", "classify", "report"):
+            assert run([stage, "--config", cfg]) == 0
+        out = scenario_dir / "out"
+        assert sorted(p.name for p in out.glob("match_class_*")) == \
+            ["match_class_1.csv", "match_class_2.csv", "match_class_3.csv"]
+        assert sorted(p.name for p in out.glob("mtmf_class_*")) == \
+            [f"mtmf_class_{i}.{ext}" for i in (1, 2, 3) for ext in ("hdr", "img")]
+        assert len((out / "report.csv").read_text().splitlines()) == 1 + 3
 
     def test_full_pipeline_and_artifacts(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")

@@ -117,7 +117,6 @@ class TestDeriveEndmembers:
         expected = {tuple(row) for row in endmembers}
         assert recovered == expected
         assert sorted(es.member_counts.tolist()) == [3, 3, 3]
-        assert sum(len(p) for p in es.source_pixels) == 9
 
     def test_k_exceeding_distinct_pixels(self):
         corrected, mnf_cube, pixels, _ = self.planted_scene()

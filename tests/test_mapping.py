@@ -4,12 +4,11 @@ matched-filter calibration, MTMF infeasibility ordering, and statistics."""
 import numpy as np
 import pytest
 
-from hypermap.endmember import EndmemberSet
+from hypermap.artifacts import write_class_statistics
 from hypermap.envi_io import SpectralCube
 from hypermap.mapping import (
     ClassMap,
     class_statistics,
-    class_statistics_csv,
     matched_filter,
     mtmf,
     sam_classify,
@@ -26,13 +25,7 @@ def make_cube(values, units="reflectance"):
 
 
 def endmember_set(spectra):
-    spectra = np.asarray(spectra, dtype=np.float64)
-    k, bands = spectra.shape
-    return EndmemberSet(k=k, mnf_means=np.zeros((k, 2)),
-                        reflectance_means=spectra,
-                        member_counts=np.ones(k, dtype=np.int64),
-                        source_pixels=[[(0, 0)] for _ in range(k)],
-                        wavelengths=np.arange(1.0, bands + 1))
+    return np.asarray(spectra, dtype=np.float64)
 
 
 class TestSamClassify:
@@ -247,9 +240,10 @@ class TestClassStatistics:
         assert rows[1] == (1, 0, 0.0)
         assert rows[2] == (2, 0, 0.0)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         cmap = self.make_map(np.array([[1, 0], [2, 2]]), k=2)
-        text = class_statistics_csv(cmap)
+        write_class_statistics(tmp_path / "stats.csv", cmap)
+        text = (tmp_path / "stats.csv").read_text()
         lines = text.strip().splitlines()
         assert lines[0] == "class_id,pixel_count,percent"
         assert len(lines) == 4
