@@ -71,6 +71,11 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     after each processed chunk. With `trace=True` the returned image also
     carries, per iteration, the cumulative number of distinct pixels
     counted at least once.
+
+    Each pixel's projection onto each skewer is computed once, in one
+    matrix product per chunk of skewers. The trace is computed once at
+    the end from each pixel's first touched iteration, not by a pass
+    over the pixels per iteration.
     """
     if params is None:
         params = PpiParams()
@@ -92,12 +97,17 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
         hi = proj >= (proj.max(axis=0) - params.threshold)
         lo = proj <= (proj.min(axis=0) + params.threshold)
         counts = hi.sum(axis=1, dtype=np.int64) + lo.sum(axis=1, dtype=np.int64)
-        touched = (hi | lo) if trace else None
-        return counts, touched
+        first = None
+        if trace:
+            # Each pixel's first touched iteration in this chunk; n_iter
+            # stands for "not touched".
+            touched = hi | lo
+            first = np.where(touched.any(axis=1),
+                             start + touched.argmax(axis=1), n_iter)
+        return counts, first
 
     totals = np.zeros(n_pixels, dtype=np.int64)
-    trace_values: list[int] = []
-    seen = np.zeros(n_pixels, dtype=bool) if trace else None
+    first_touched = np.full(n_pixels, n_iter, dtype=np.int64) if trace else None
     done = 0
 
     if n_workers == 1:
@@ -108,21 +118,23 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
 
     # Chunk boundaries are fixed, so accumulating in submission order makes
     # the output independent of scheduling.
-    for (start, stop), (counts, touched) in zip(chunks, results):
+    for (_, stop), (counts, first) in zip(chunks, results):
         totals += counts
         if trace:
-            for j in range(stop - start):
-                seen |= touched[:, j]
-                trace_values.append(int(seen.sum()))
+            np.minimum(first_touched, first, out=first_touched)
         done = stop
         if progress is not None:
             progress(done)
     if n_workers > 1:
         pool.shutdown()
 
+    trace_values = None
+    if trace:
+        # Pixels first touched at iteration j join the distinct count there.
+        new_per_iteration = np.bincount(first_touched, minlength=n_iter + 1)[:n_iter]
+        trace_values = np.cumsum(new_per_iteration).tolist()
     image = totals.reshape(mnf_cube.lines, mnf_cube.samples)
-    return PpiImage(counts=image, params=params,
-                    trace=trace_values if trace else None)
+    return PpiImage(counts=image, params=params, trace=trace_values)
 
 
 def select_pure_pixels(ppi: PpiImage, min_count: int = 1,

@@ -9,6 +9,7 @@ scores are invariant under positive scaling of the unknown.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,46 @@ def continuum_remove(wavelengths, values) -> np.ndarray:
     return np.minimum(out, 1.0)
 
 
+# One entry per distinct (wavelengths, values) pair. The match stage scores
+# every class against one library, so a process meets each library entry
+# once and each class's unknown once per distinct usable-band mask; 4096
+# holds a library of a few thousand entries plus its unknowns. At 242
+# bands an entry (two key byte strings and the result) is about 6 KB, so
+# a full memo stays near 25 MB.
+_CONTINUUM_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CONTINUUM_MEMO_SIZE)
+def _continuum_memo(x_shape, x_bytes, y_shape, y_bytes):
+    x = np.frombuffer(x_bytes).reshape(x_shape)
+    y = np.frombuffer(y_bytes).reshape(y_shape)
+    try:
+        # Looked up as a module global at call time, so a wrapper installed
+        # on `continuum_remove` sees every hull actually computed.
+        out = continuum_remove(x, y)
+    except ValueError as err:
+        # The message stands for "cannot remove": a spectrum that fails
+        # fails once, and each caller raises a fresh error from it.
+        return str(err)
+    out.flags.writeable = False
+    return out
+
+
+def _removed_continuum(wavelengths, values) -> np.ndarray:
+    """`continuum_remove` computed once per distinct input in a process.
+
+    The key is the float64 bytes of both arguments, so an array changed
+    in place is a new key and never returns a stale result. The returned
+    array is shared between callers and read-only.
+    """
+    x = np.asarray(wavelengths, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    out = _continuum_memo(x.shape, x.tobytes(), y.shape, y.tobytes())
+    if isinstance(out, str):
+        raise ValueError(out)
+    return out
+
+
 def sff_score(wavelengths, unknown, reference) -> tuple[float, float, float]:
     """Spectral feature fit of continuum-removed absorption depths.
 
@@ -135,8 +176,8 @@ def sff_score(wavelengths, unknown, reference) -> tuple[float, float, float]:
     depth, bounded to [0, 1]. A reference with no absorption features
     (flat after continuum removal) is an error.
     """
-    u_cr = continuum_remove(wavelengths, unknown)
-    r_cr = continuum_remove(wavelengths, reference)
+    u_cr = _removed_continuum(wavelengths, unknown)
+    r_cr = _removed_continuum(wavelengths, reference)
     du = 1.0 - u_cr
     dr = 1.0 - r_cr
     denom = float(np.dot(dr, dr))
@@ -174,6 +215,12 @@ def rank_matches(unknown, lib: SpectralLibrary,
     fit cannot score (featureless reference, or a non-positive unknown
     that cannot be continuum-removed) get an SFF component of 0. Ties in
     the weighted score break by name.
+
+    Continuum removal, the costly step of the feature fit, runs once per
+    distinct spectrum in a process rather than once per pair: each library
+    entry's continuum is computed on its first ranking and reused for every
+    later unknown, and an unknown's continuum is reused across entries that
+    share its usable bands. The per-pair scores are unchanged.
     """
     if weights is None:
         weights = AnalystWeights()

@@ -43,20 +43,35 @@ def naive_skewer(parent_seed, iteration, k):
     return [v / norm for v in g]
 
 
-def naive_ppi_counts(pixels, seed, n_iterations, threshold):
-    """Loop-based PPI reimplementation used as the oracle."""
+def naive_extremes(pixels, seed, n_iterations, threshold):
+    """Per skewer, the pixels within `threshold` of the maximum and of the
+    minimum projection, replayed one skewer at a time."""
     n, k = pixels.shape
-    counts = [0] * n
     for it in range(n_iterations):
         direction = naive_skewer(seed, it, k)
         proj = [sum(pixels[i, j] * direction[j] for j in range(k)) for i in range(n)]
         hi, lo = max(proj), min(proj)
-        for i in range(n):
-            if proj[i] >= hi - threshold:
-                counts[i] += 1
-            if proj[i] <= lo + threshold:
-                counts[i] += 1
+        yield ([i for i in range(n) if proj[i] >= hi - threshold],
+               [i for i in range(n) if proj[i] <= lo + threshold])
+
+
+def naive_ppi_counts(pixels, seed, n_iterations, threshold):
+    """Loop-based PPI reimplementation used as the oracle."""
+    counts = [0] * pixels.shape[0]
+    for hi, lo in naive_extremes(pixels, seed, n_iterations, threshold):
+        for i in hi + lo:
+            counts[i] += 1
     return np.array(counts, dtype=np.int64)
+
+
+def naive_ppi_trace(pixels, seed, n_iterations, threshold):
+    """Distinct pixels counted so far, after each skewer."""
+    seen = set()
+    trace = []
+    for hi, lo in naive_extremes(pixels, seed, n_iterations, threshold):
+        seen.update(hi, lo)
+        trace.append(len(seen))
+    return trace
 
 
 def simplex_cube(seed=2):
@@ -149,6 +164,18 @@ class TestRunPpi:
         assert len(image.trace) == 100
         assert image.trace == sorted(image.trace)
         assert image.trace[-1] == int(np.count_nonzero(image.counts))
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_trace_across_chunks_matches_naive_oracle(self, n_workers):
+        # 600 skewers span three 256-skewer chunks, and on this cloud the
+        # second and the third chunk each touch a pixel for the first time.
+        values = np.random.default_rng(17).normal(size=(6, 6, 4))
+        params = PpiParams(n_iterations=600, threshold=0.05, seed=23)
+        image = run_ppi(make_mnf_cube(values), params, n_workers=n_workers,
+                        trace=True)
+        oracle = naive_ppi_trace(values.reshape(-1, 4), 23, 600, 0.05)
+        assert oracle[255] < oracle[511] < oracle[-1]
+        assert image.trace == oracle
 
 
 class TestSelectPurePixels:

@@ -5,6 +5,7 @@ least squares, and the combined ranking."""
 import numpy as np
 import pytest
 
+from hypermap import spectral_match
 from hypermap.envi_io import SpectralLibrary, SpectrumRecord
 from hypermap.spectral_match import (
     AnalystWeights,
@@ -36,6 +37,16 @@ def brute_force_upper_hull(x, y):
 
 def lib_of(records):
     return SpectralLibrary(entries=records)
+
+
+def dip_library(centers=(700.0, 950.0, 1200.0)):
+    """One Gaussian absorption per entry on a shared 24-band grid."""
+    wl = np.linspace(500.0, 1500.0, 24)
+    records = []
+    for i, center in enumerate(centers):
+        dip = 0.5 * np.exp(-0.5 * ((wl - center) / 50.0) ** 2)
+        records.append(SpectrumRecord(f"min_{i}", wl, 0.8 * (1.0 - dip)))
+    return resample_library(lib_of(records), wl)
 
 
 class TestResample:
@@ -189,12 +200,7 @@ class TestBinaryEncoding:
 
 class TestRankMatches:
     def library(self):
-        wl = np.linspace(500.0, 1500.0, 24)
-        records = []
-        for i, center in enumerate((700.0, 950.0, 1200.0)):
-            dip = 0.5 * np.exp(-0.5 * ((wl - center) / 50.0) ** 2)
-            records.append(SpectrumRecord(f"min_{i}", wl, 0.8 * (1.0 - dip)))
-        return resample_library(lib_of(records), wl)
+        return dip_library()
 
     def test_self_match_is_rank_one_with_full_score(self):
         lib = self.library()
@@ -235,3 +241,74 @@ class TestRankMatches:
             AnalystWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             AnalystWeights(-1.0, 1.0, 1.0)
+
+
+class TestContinuumMemo:
+    """rank_matches takes its continua from a per-process memo."""
+
+    def library(self):
+        return dip_library(centers=(650.0, 800.0, 950.0, 1100.0, 1250.0))
+
+    def unknowns(self, lib):
+        spectra = [e.reflectance for e in lib.entries]
+        return [0.7 * spectra[0] + 0.3 * spectra[1],
+                0.5 * spectra[2] + 0.5 * spectra[4],
+                1.3 * spectra[3]]
+
+    @pytest.fixture
+    def hull_calls(self, monkeypatch):
+        """Counts the hulls computed through the module global."""
+        spectral_match._continuum_memo.cache_clear()
+        calls = []
+        original = spectral_match.continuum_remove
+
+        def counting(wavelengths, values):
+            calls.append(1)
+            return original(wavelengths, values)
+
+        monkeypatch.setattr(spectral_match, "continuum_remove", counting)
+        yield calls
+        spectral_match._continuum_memo.cache_clear()
+
+    def test_hull_runs_once_per_distinct_spectrum(self, hull_calls):
+        lib = self.library()
+        unknowns = self.unknowns(lib)
+        # a copy of the first unknown is the same spectrum, not a new one
+        for unknown in unknowns + [unknowns[0].copy()]:
+            rank_matches(unknown, lib)
+        assert len(hull_calls) == len(lib.entries) + len(unknowns)
+
+    def test_rankings_equal_uncached(self):
+        lib = self.library()
+        unknowns = self.unknowns(lib)
+        for unknown in unknowns:
+            rank_matches(unknown, lib)
+        cached = [rank_matches(unknown, lib) for unknown in unknowns]
+        fresh = []
+        for unknown in unknowns:
+            spectral_match._continuum_memo.cache_clear()
+            fresh.append(rank_matches(unknown, lib))
+        assert cached == fresh
+
+    def test_entry_changed_in_place_is_rescored(self):
+        lib = self.library()
+        unknown = lib.entries[1].reflectance.copy()
+        before = {m.mineral_name: m for m in rank_matches(unknown, lib)}
+        lib.entries[0].reflectance[:] = unknown
+        after = {m.mineral_name: m for m in rank_matches(unknown, lib)}
+        assert before["min_0"].sff_score < 1.0
+        assert after["min_0"].sff_score == 1.0
+
+    def test_non_positive_unknown_fails_once_and_scores_zero(self, hull_calls):
+        lib = self.library()
+        classes = []
+        for i, rec in enumerate(lib.entries):
+            unknown = rec.reflectance.copy()
+            unknown[3 + i] = 0.0
+            classes.append(unknown)
+        for _ in range(2):
+            for unknown in classes:
+                scores = rank_matches(unknown, lib)
+                assert [m.sff_score for m in scores] == [0.0] * len(lib.entries)
+        # the unknown fails before any reference is needed
+        assert len(hull_calls) == len(classes)
