@@ -17,23 +17,7 @@ from hypermap import cli, write_spectral_library_file
 from hypermap.spectral_match import resample_library
 from hypermap.synthcube import synthetic_mineral_library
 
-work = Path(tempfile.mkdtemp(prefix="hypermap_demo_"))
-print(f"working in {work}\n")
-
-# a 20-mineral matching library; the first 4 act as scene endmembers
-library = synthetic_mineral_library(20, seed=42)
-write_spectral_library_file(library, work / "library.csv")
-
-scene_wavelengths = np.linspace(450.0, 2450.0, 60)
-scene_lib = resample_library(library, scene_wavelengths)
-rows = ["wavelength_nm," + ",".join(e.name for e in scene_lib.entries[:4])]
-for i, wl in enumerate(scene_wavelengths):
-    cells = [repr(float(wl))] + [repr(float(e.reflectance[i]))
-                                 for e in scene_lib.entries[:4]]
-    rows.append(",".join(cells))
-(work / "scene_endmembers.csv").write_text("\n".join(rows) + "\n")
-
-(work / "pipeline.cfg").write_text("""\
+PIPELINE_CFG = """\
 input_header = scene.hdr
 input_image = scene.img
 library_csv = library.csv
@@ -58,21 +42,40 @@ synth_pure_per_endmember = 5
 synth_library_csv = scene_endmembers.csv
 synth_panel_lines = 4
 synth_panel_level = 1.0
-""")
+"""
 
-cfg = str(work / "pipeline.cfg")
-assert cli.main(["synth", "--config", cfg]) == 0
-assert cli.main(["all", "--config", cfg]) == 0
+with tempfile.TemporaryDirectory(prefix="hypermap_demo_") as tmp:
+    work = Path(tmp)
+    print(f"working in {work}\n")
 
-print("\nfinal report (class -> top-ranked mineral):")
-with open(work / "out" / "report.csv") as fp:
-    for row in csv.DictReader(fp):
-        print(f"  class {row['class_id']}: {row['top_mineral']} "
-              f"(weighted {float(row['weighted_score']):.2f}, "
-              f"{row['pixel_count']} pixels, {float(row['percent']):.1f}%)")
+    # a 20-mineral matching library; the first 4 act as scene endmembers
+    library = synthetic_mineral_library(20, seed=42)
+    write_spectral_library_file(library, work / "library.csv")
 
-planted = {e.name for e in scene_lib.entries[:4]}
-with open(work / "out" / "report.csv") as fp:
-    matched = {row["top_mineral"] for row in csv.DictReader(fp)}
-print(f"\nplanted minerals recovered: {sorted(planted)}")
-print(f"all recovered: {planted <= matched}")
+    scene_wavelengths = np.linspace(450.0, 2450.0, 60)
+    scene_lib = resample_library(library, scene_wavelengths)
+    rows = ["wavelength_nm," + ",".join(e.name for e in scene_lib.entries[:4])]
+    for i, wl in enumerate(scene_wavelengths):
+        cells = [repr(float(wl))] + [repr(float(e.reflectance[i]))
+                                     for e in scene_lib.entries[:4]]
+        rows.append(",".join(cells))
+    (work / "scene_endmembers.csv").write_text("\n".join(rows) + "\n")
+
+    (work / "pipeline.cfg").write_text(PIPELINE_CFG)
+
+    cfg = str(work / "pipeline.cfg")
+    assert cli.main(["synth", "--config", cfg]) == 0
+    assert cli.main(["all", "--config", cfg]) == 0
+
+    print("\nfinal report (class -> top-ranked mineral):")
+    with open(work / "out" / "report.csv") as fp:
+        for row in csv.DictReader(fp):
+            print(f"  class {row['class_id']}: {row['top_mineral']} "
+                  f"(weighted {float(row['weighted_score']):.2f}, "
+                  f"{row['pixel_count']} pixels, {float(row['percent']):.1f}%)")
+
+    planted = {e.name for e in scene_lib.entries[:4]}
+    with open(work / "out" / "report.csv") as fp:
+        matched = {row["top_mineral"] for row in csv.DictReader(fp)}
+    print(f"\nplanted minerals recovered: {sorted(planted)}")
+    print(f"all recovered: {planted <= matched}")

@@ -479,22 +479,21 @@ def read_spectral_library(text: str, source_tag: str = "") -> SpectralLibrary:
         raise ValueError("duplicate spectrum names in library header")
 
     n_cols = len(head)
-    wavelengths = []
-    columns = [[] for _ in names]
+    # One float64 table, one row per wavelength, filled in a single pass:
+    # each row is checked for width, then every cell goes through float().
+    table = np.empty((len(rows) - 1, n_cols), dtype=np.float64)
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n_cols:
             raise ValueError(f"library row {i} has {len(row)} cells, expected {n_cols}")
         try:
-            wavelengths.append(float(row[0]))
-            for j, cell in enumerate(row[1:]):
-                columns[j].append(float(cell))
+            table[i - 2] = np.fromiter(map(float, row), dtype=np.float64, count=n_cols)
         except ValueError as exc:
             raise ValueError(f"library row {i}: unparseable number") from exc
-    wl = np.asarray(wavelengths, dtype=np.float64)
+    wl = table[:, 0].copy()
     if np.any(np.diff(wl) <= 0):
         raise ValueError("library wavelengths must be strictly increasing")
-    entries = [SpectrumRecord(name=name, wavelengths=wl,
-                              reflectance=np.asarray(col, dtype=np.float64))
+    columns = np.ascontiguousarray(table[:, 1:].T)
+    entries = [SpectrumRecord(name=name, wavelengths=wl, reflectance=col)
                for name, col in zip(names, columns)]
     return SpectralLibrary(entries=entries, source_tag=source_tag)
 

@@ -66,105 +66,121 @@ def resample_library(lib: SpectralLibrary, target_wavelengths) -> SpectralLibrar
     return SpectralLibrary(entries=entries, source_tag=lib.source_tag)
 
 
+def _dots(a, b) -> np.ndarray:
+    # Dot products along the last axis. Every dot product in this module
+    # goes through here, so for identical spectra u.u, r.r and u.r come
+    # from one reduction and their angle is exactly 0.
+    return np.add.reduce(a * b, axis=-1)
+
+
+def _angles(unknown: np.ndarray, refs: np.ndarray, ref_sq) -> np.ndarray:
+    """Spectral angles between `unknown` (b,) and each row of `refs` (n, b)
+    whose squared norms are `ref_sq`."""
+    if unknown.size < 2:
+        raise ValueError("spectra must be equal-length vectors with >= 2 bands")
+    uu = _dots(unknown, unknown)
+    if uu == 0.0 or np.any(ref_sq == 0.0):
+        raise ValueError("cannot take the angle of a zero spectrum")
+    # sqrt(uu * rr) keeps cos == 1.0 exact for identical inputs
+    cos = np.clip(_dots(refs, unknown) / np.sqrt(uu * ref_sq), -1.0, 1.0)
+    return np.arccos(cos)
+
+
 def sam_angle(a, b) -> float:
     """Spectral angle between two spectra in radians, [0, pi]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
+    if a.shape != b.shape or a.ndim != 1:
         raise ValueError("spectra must be equal-length vectors with >= 2 bands")
-    aa = float(np.dot(a, a))
-    bb = float(np.dot(b, b))
-    if aa == 0.0 or bb == 0.0:
-        raise ValueError("cannot take the angle of a zero spectrum")
-    # sqrt(aa * bb) keeps cos == 1.0 exact for identical inputs
-    cos = np.clip(np.dot(a, b) / np.sqrt(aa * bb), -1.0, 1.0)
-    return float(np.arccos(cos))
+    return float(_angles(a, b[np.newaxis], _dots(b, b))[0])
+
+
+def _sam_scores(angles):
+    return np.clip(1.0 - angles / _HALF_PI, 0.0, 1.0)
 
 
 def sam_score_from_angle(angle: float) -> float:
     """Map an angle to a [0, 1] score: 1 at 0 rad, 0 at >= pi/2."""
-    return float(np.clip(1.0 - angle / _HALF_PI, 0.0, 1.0))
+    return float(_sam_scores(angle))
 
 
-def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
-    # Monotone chain over points in wavelength order. Collinear points stay
-    # on the hull so bands lying on the continuum divide out to exactly 1.
-    hull: list[int] = []
-    for i in range(x.size):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
-            if cross > 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
+def _upper_hull_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Monotone chain over points in wavelength order, every row of `y`
+    # advancing together: `stack[r, :top[r]]` is row r's hull so far, and
+    # the first two points always start it. Collinear points stay on the
+    # hull so bands lying on the continuum divide out to exactly 1.
+    n, b = y.shape
+    stack = np.empty((n, b), dtype=np.intp)
+    stack[:, :2] = (0, 1)
+    top = np.full(n, 2, dtype=np.intp)
+    rows = np.arange(n)
+    for i in range(2, b):
+        live, t = rows, top
+        while live.size:
+            o = stack[live, t - 2]
+            a = stack[live, t - 1]
+            yo = y[live, o]
+            cross = (x[a] - x[o]) * (y[live, i] - yo) - (y[live, a] - yo) * (x[i] - x[o])
+            pop = cross > 0
+            live, t = live[pop], t[pop] - 1
+            top[live] = t
+            live, t = live[t >= 2], t[t >= 2]
+        stack[rows, top] = i
+        top += 1
+    on_hull = np.zeros((n, b), dtype=bool)
+    kept = np.arange(b) < top[:, np.newaxis]
+    on_hull[np.nonzero(kept)[0], stack[kept]] = True
+    return on_hull
 
 
 def continuum_remove(wavelengths, values) -> np.ndarray:
     """Divide a spectrum by its upper convex hull over (wavelength, value).
 
-    The first and last bands always sit on the hull, so the output is in
-    (0, 1] with exact 1.0 at hull vertices.
+    `values` is one spectrum of shape (b,) or a stack of spectra of shape
+    (n, b) on the shared `wavelengths`; each row is removed on its own and
+    equals, bit for bit, the result of removing it alone. The first and
+    last bands always sit on the hull, so the output is in (0, 1] with
+    exact 1.0 at hull vertices.
     """
     x = np.asarray(wavelengths, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+    if x.ndim != 1 or x.size < 2 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise ValueError("need equal-length wavelength/value vectors with >= 2 bands")
     if np.any(np.diff(x) <= 0):
         raise ValueError("wavelengths must be strictly increasing for continuum removal")
     if np.any(y <= 0):
         raise ValueError("continuum removal requires positive values")
 
-    hull = _upper_hull_indices(x, y)
-    out = np.empty_like(y)
-    for a, b in zip(hull[:-1], hull[1:]):
-        slope = (y[b] - y[a]) / (x[b] - x[a])
-        out[a:b] = y[a:b] / (y[a] + slope * (x[a:b] - x[a]))
-        out[a] = 1.0
-    out[hull[-1]] = 1.0
-    return np.minimum(out, 1.0)
+    rows = np.atleast_2d(y)
+    on_hull = _upper_hull_mask(x, rows)
+    # each band j off the hull lies on the chord between the hull vertices
+    # a < j < b around it
+    bands = np.arange(x.size)
+    a_of = np.maximum.accumulate(np.where(on_hull, bands, 0), axis=1)
+    b_of = np.minimum.accumulate(np.where(on_hull, bands, x.size)[:, ::-1], axis=1)[:, ::-1]
+    r, j = np.nonzero(~on_hull)
+    a, b = a_of[r, j], b_of[r, j]
+    slope = (rows[r, b] - rows[r, a]) / (x[b] - x[a])
+    out = np.ones_like(rows)
+    out[r, j] = rows[r, j] / (rows[r, a] + slope * (x[j] - x[a]))
+    out = np.minimum(out, 1.0)
+    return out if y.ndim == 2 else out[0]
 
 
-# One entry per distinct (wavelengths, values) pair. The match stage scores
-# every class against one library, so a process meets each library entry
-# once and each class's unknown once per distinct usable-band mask; 4096
-# holds a library of a few thousand entries plus its unknowns. At 242
-# bands an entry (two key byte strings and the result) is about 6 KB, so
-# a full memo stays near 25 MB.
-_CONTINUUM_MEMO_SIZE = 4096
+def _depth_stats(depths: np.ndarray):
+    """Least-squares denominators and mean absorption depths of reference
+    depths `1 - continuum_removed`, along the last axis."""
+    return _dots(depths, depths), depths.mean(axis=-1)
 
 
-@functools.lru_cache(maxsize=_CONTINUUM_MEMO_SIZE)
-def _continuum_memo(x_shape, x_bytes, y_shape, y_bytes):
-    x = np.frombuffer(x_bytes).reshape(x_shape)
-    y = np.frombuffer(y_bytes).reshape(y_shape)
-    try:
-        # Looked up as a module global at call time, so a wrapper installed
-        # on `continuum_remove` sees every hull actually computed.
-        out = continuum_remove(x, y)
-    except ValueError as err:
-        # The message stands for "cannot remove": a spectrum that fails
-        # fails once, and each caller raises a fresh error from it.
-        return str(err)
-    out.flags.writeable = False
-    return out
-
-
-def _removed_continuum(wavelengths, values) -> np.ndarray:
-    """`continuum_remove` computed once per distinct input in a process.
-
-    The key is the float64 bytes of both arguments, so an array changed
-    in place is a new key and never returns a stale result. The returned
-    array is shared between callers and read-only.
-    """
-    x = np.asarray(wavelengths, dtype=np.float64)
-    y = np.asarray(values, dtype=np.float64)
-    out = _continuum_memo(x.shape, x.tobytes(), y.shape, y.tobytes())
-    if isinstance(out, str):
-        raise ValueError(out)
-    return out
+def _sff_scores(du: np.ndarray, depths: np.ndarray, depth_sq, mean_depth):
+    """Feature fit of unknown depths `du` (g,) against each row of
+    `depths` (n, g), none of them featureless. Returns (score, scale, rms)."""
+    scale = _dots(depths, du) / depth_sq
+    residual = du - scale[:, np.newaxis] * depths
+    rms = np.sqrt(np.mean(residual**2, axis=-1))
+    score = np.clip(scale, 0.0, 1.0) * (1.0 - rms / mean_depth)
+    return np.clip(score, 0.0, 1.0), scale, rms
 
 
 def sff_score(wavelengths, unknown, reference) -> tuple[float, float, float]:
@@ -176,25 +192,24 @@ def sff_score(wavelengths, unknown, reference) -> tuple[float, float, float]:
     depth, bounded to [0, 1]. A reference with no absorption features
     (flat after continuum removal) is an error.
     """
-    u_cr = _removed_continuum(wavelengths, unknown)
-    r_cr = _removed_continuum(wavelengths, reference)
-    du = 1.0 - u_cr
-    dr = 1.0 - r_cr
-    denom = float(np.dot(dr, dr))
-    if denom == 0.0:
+    du = 1.0 - continuum_remove(wavelengths, unknown)
+    dr = 1.0 - continuum_remove(wavelengths, reference)
+    depth_sq, mean_depth = _depth_stats(dr)
+    if depth_sq == 0.0:
         raise ValueError("reference spectrum is featureless after continuum removal")
-    scale = float(np.dot(du, dr)) / denom
-    residual = du - scale * dr
-    rms = float(np.sqrt(np.mean(residual**2)))
-    mean_depth = float(dr.mean())
-    score = np.clip(scale, 0.0, 1.0) * (1.0 - rms / mean_depth)
-    return float(np.clip(score, 0.0, 1.0)), scale, rms
+    score, scale, rms = _sff_scores(du, dr[np.newaxis], depth_sq, mean_depth)
+    return float(score[0]), float(scale[0]), float(rms[0])
 
 
 def binary_encode(values) -> np.ndarray:
-    """Threshold a spectrum at its mean into bits."""
+    """Threshold a spectrum at its mean into bits; each row of a stack at
+    its own mean."""
     v = np.asarray(values, dtype=np.float64)
-    return v > v.mean()
+    return v > v.mean(axis=-1, keepdims=True)
+
+
+def _be_scores(bits: np.ndarray, ref_bits: np.ndarray):
+    return np.mean(ref_bits == bits, axis=-1)
 
 
 def be_score(a, b) -> float:
@@ -203,7 +218,70 @@ def be_score(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("spectra must have equal length")
-    return float(np.mean(binary_encode(a) == binary_encode(b)))
+    return float(_be_scores(binary_encode(a), binary_encode(b)))
+
+
+@dataclass(frozen=True)
+class _EntryGroup:
+    """Library entries sharing one wavelength grid and usable mask, with
+    everything the three scores need from the library side."""
+
+    index: np.ndarray        # positions of the entries in the library
+    usable: np.ndarray       # (b,) bands the entries are scored on
+    wavelengths: np.ndarray  # (g,) usable wavelengths
+    reflectance: np.ndarray  # (n, g)
+    sq_norm: np.ndarray      # (n,)
+    bits: np.ndarray         # (n, g) binary encodings
+    fit: np.ndarray          # rows the feature fit can score
+    depths: np.ndarray       # (fit.size, g) 1 - continuum-removed
+    depth_sq: np.ndarray     # (fit.size,)
+    mean_depth: np.ndarray   # (fit.size,)
+
+
+def _entry_group(index, wavelengths, usable, reflectance) -> _EntryGroup:
+    x = wavelengths[usable]
+    # C order makes every row reduction below one pairwise sum per row, as
+    # for a spectrum on its own; a column selection can come back strided,
+    # and numpy then sums each row in another order.
+    r = np.ascontiguousarray(reflectance[:, usable])
+    # Only rows positive on every usable band can be continuum-removed.
+    fit = np.flatnonzero(~np.any(r <= 0, axis=1))
+    depths = np.empty((0, x.size))
+    if fit.size:
+        try:
+            # Looked up as a module global at call time, so a wrapper
+            # installed on `continuum_remove` sees every hull computed.
+            depths = 1.0 - continuum_remove(x, r[fit])
+        except ValueError:  # too few bands or not increasing: no feature fit
+            fit = fit[:0]
+    depth_sq, mean_depth = _depth_stats(depths)
+    featured = depth_sq != 0.0
+    return _EntryGroup(index=index, usable=usable, wavelengths=x, reflectance=r,
+                       sq_norm=_dots(r, r), bits=binary_encode(r), fit=fit[featured],
+                       depths=depths[featured], depth_sq=depth_sq[featured],
+                       mean_depth=mean_depth[featured])
+
+
+# The match stage scores every class against one library, so one slot
+# would do; a few more let tests and demos alternate libraries. A
+# 500-entry, 242-band library holds about 4 MB here (key bytes included).
+_LIBRARY_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_LIBRARY_MEMO_SIZE)
+def _library_groups(n_bands, wavelength_bytes, usable_bytes, reflectance_bytes):
+    """The library side of every score, computed once per distinct library
+    in a process. The key is the bytes of the entries' wavelengths, usable
+    masks and reflectance, so an entry changed in place is a new key."""
+    wavelengths = np.frombuffer(wavelength_bytes).reshape(-1, n_bands)
+    usable = np.frombuffer(usable_bytes, dtype=bool).reshape(-1, n_bands)
+    reflectance = np.frombuffer(reflectance_bytes).reshape(-1, n_bands)
+    members: dict[tuple[bytes, bytes], list[int]] = {}
+    for i in range(wavelengths.shape[0]):
+        members.setdefault((wavelengths[i].tobytes(), usable[i].tobytes()), []).append(i)
+    return tuple(_entry_group(np.array(index), wavelengths[index[0]], usable[index[0]],
+                              reflectance[index])
+                 for index in members.values())
 
 
 def rank_matches(unknown, lib: SpectralLibrary,
@@ -216,35 +294,45 @@ def rank_matches(unknown, lib: SpectralLibrary,
     that cannot be continuum-removed) get an SFF component of 0. Ties in
     the weighted score break by name.
 
-    Continuum removal, the costly step of the feature fit, runs once per
-    distinct spectrum in a process rather than once per pair: each library
-    entry's continuum is computed on its first ranking and reused for every
-    later unknown, and an unknown's continuum is reused across entries that
-    share its usable bands. The per-pair scores are unchanged.
+    The library side (each entry's continuum removal, binary encoding,
+    norms and feature depths) is computed once per distinct library in a
+    process, for entries grouped by usable-band mask. The unknown is then
+    scored against each group as array operations, with its continuum
+    removed once per group. The per-pair formulas are those of
+    `sam_angle`, `sff_score` and `be_score`.
     """
     if weights is None:
         weights = AnalystWeights()
     if not lib.entries:
         raise ValueError("cannot rank against an empty library")
     unknown = np.asarray(unknown, dtype=np.float64)
-    scores = []
     for rec in lib.entries:
         if unknown.shape != rec.wavelengths.shape:
             raise ValueError(
                 f"unknown has {unknown.size} bands but library entry "
                 f"{rec.name!r} has {rec.wavelengths.size}")
-        usable = rec.usable if rec.usable is not None else np.ones(rec.wavelengths.size, bool)
-        wl = rec.wavelengths[usable]
-        u = unknown[usable]
-        r = rec.reflectance[usable]
-        s_sam = sam_score_from_angle(sam_angle(u, r))
-        try:
-            s_sff, _, _ = sff_score(wl, u, r)
-        except ValueError:
-            s_sff = 0.0
-        s_be = be_score(u, r)
-        weighted = weights.w_sam * s_sam + weights.w_sff * s_sff + weights.w_be * s_be
-        scores.append(MatchScore(mineral_name=rec.name, sam_score=s_sam,
-                                 sff_score=s_sff, be_score=s_be, weighted=weighted))
+    all_bands = np.ones(unknown.size, dtype=bool)
+    groups = _library_groups(
+        unknown.size,
+        np.stack([rec.wavelengths for rec in lib.entries], dtype=np.float64).tobytes(),
+        np.stack([all_bands if rec.usable is None else rec.usable for rec in lib.entries],
+                 dtype=bool).tobytes(),
+        np.stack([rec.reflectance for rec in lib.entries], dtype=np.float64).tobytes())
+
+    n = len(lib.entries)
+    sam, sff, be = np.empty(n), np.zeros(n), np.empty(n)
+    for group in groups:
+        u = unknown[group.usable]
+        sam[group.index] = _sam_scores(_angles(u, group.reflectance, group.sq_norm))
+        be[group.index] = _be_scores(binary_encode(u), group.bits)
+        if group.fit.size and not np.any(u <= 0):
+            du = 1.0 - continuum_remove(group.wavelengths, u)
+            sff[group.index[group.fit]] = _sff_scores(
+                du, group.depths, group.depth_sq, group.mean_depth)[0]
+    weighted = weights.w_sam * sam + weights.w_sff * sff + weights.w_be * be
+    scores = [MatchScore(mineral_name=rec.name, sam_score=s_sam, sff_score=s_sff,
+                         be_score=s_be, weighted=w)
+              for rec, s_sam, s_sff, s_be, w in zip(
+                  lib.entries, sam.tolist(), sff.tolist(), be.tolist(), weighted.tolist())]
     scores.sort(key=lambda m: (-m.weighted, m.mineral_name))
     return scores

@@ -21,3 +21,4 @@ def test_demo_exits_zero(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert sorted(p.name for p in tmp_path.glob("hypermap_demo_*")) == []

@@ -243,6 +243,23 @@ class TestSpectralLibrary:
     def test_ragged_rows(self):
         with pytest.raises(ValueError, match="row 3"):
             read_spectral_library("wavelength_nm,a\n500,0.2\n600,0.3,0.4\n")
+        # rows count from the header as row 1, blank lines not counted
+        with pytest.raises(ValueError, match="library row 4 has 2 cells, expected 3"):
+            read_spectral_library("wavelength_nm,a,b\n500,0.2,0.3\n\n600,0.3,0.4\n700,0.5\n")
+
+    def test_unparseable_cell_names_its_row(self):
+        with pytest.raises(ValueError, match="library row 3: unparseable number"):
+            read_spectral_library("wavelength_nm,a,b\n500,0.2,0.3\n600,0.3,x\n700,0.5,0.1\n")
+        with pytest.raises(ValueError, match="library row 2: unparseable number"):
+            read_spectral_library("wavelength_nm,a\n,0.2\n600,0.3\n")
+
+    def test_cells_parse_as_float(self):
+        cells = ["0.1", " 0.25 ", "3e-1", "1_0e-2", "0.30000000000000004", "1.4999999999999999"]
+        text = "wavelength_nm,a\n" + "".join(
+            f"{500 + 10 * i},{cell}\n" for i, cell in enumerate(cells))
+        lib = read_spectral_library(text)
+        assert lib.entries[0].reflectance.tolist() == [float(c) for c in cells]
+        assert lib.entries[0].wavelengths.tolist() == [500.0 + 10 * i for i in range(6)]
 
     def test_round_trip(self):
         text = "wavelength_nm,a,b\n500.0,0.25,0.5\n600.0,0.3,0.6\n"

@@ -1,6 +1,6 @@
 """Spectral matching tests: resampling, angle metrics, continuum removal
 against a brute-force chord oracle, feature fitting against closed-form
-least squares, and the combined ranking."""
+least squares, and the combined ranking against a per-pair oracle."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from hypermap.spectral_match import (
     sam_score_from_angle,
     sff_score,
 )
+from hypermap.synthcube import synthetic_mineral_library
 
 
 def brute_force_upper_hull(x, y):
@@ -140,6 +141,29 @@ class TestContinuumRemoval:
             assert np.all(out <= 1.0 + 1e-12)
             assert out[0] == 1.0 and out[-1] == 1.0
 
+    def test_stack_equals_rows_removed_alone(self):
+        rng = np.random.default_rng(15)
+        wl = np.sort(rng.uniform(400.0, 2500.0, size=17))
+        rows = rng.uniform(0.1, 1.0, size=(40, 17))
+        # exact collinear runs and plateaus exercise the kept-collinear rule
+        rows[0] = np.linspace(0.2, 0.6, 17)
+        rows[1] = 0.5
+        rows[2, 4:9] = 0.95
+        out = continuum_remove(wl, rows)
+        assert out.shape == rows.shape
+        alone = np.stack([continuum_remove(wl, row) for row in rows])
+        assert out.tobytes() == alone.tobytes()
+        for row, removed in zip(rows, out):
+            hull = brute_force_upper_hull(wl, row)
+            assert np.max(np.abs(removed - row / hull)) < 1e-12
+        assert continuum_remove(wl, rows[:0]).shape == (0, 17)
+
+    def test_stack_messages(self):
+        with pytest.raises(ValueError, match="positive"):
+            continuum_remove([500.0, 600.0], [[0.5, 0.4], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="equal-length"):
+            continuum_remove([500.0, 600.0], [[0.5, 0.4, 0.3]])
+
 
 class TestSff:
     def wl(self):
@@ -243,8 +267,152 @@ class TestRankMatches:
             AnalystWeights(-1.0, 1.0, 1.0)
 
 
+def oracle_continuum(wavelengths, values):
+    if np.any(values <= 0):
+        raise ValueError("continuum removal requires positive values")
+    return values / brute_force_upper_hull(wavelengths, values)
+
+
+def oracle_rank(unknown, lib, weights=AnalystWeights()):
+    """The per-pair scorer: SAM, SFF and BE of one (unknown, entry) pair at
+    a time, with np.dot products and chord-oracle continua."""
+    unknown = np.asarray(unknown, dtype=np.float64)
+    scores = []
+    for rec in lib.entries:
+        usable = rec.usable if rec.usable is not None else np.ones(unknown.size, bool)
+        wl, u, r = rec.wavelengths[usable], unknown[usable], rec.reflectance[usable]
+        uu, rr = float(np.dot(u, u)), float(np.dot(r, r))
+        if uu == 0.0 or rr == 0.0:
+            raise ValueError("cannot take the angle of a zero spectrum")
+        angle = np.arccos(np.clip(np.dot(u, r) / np.sqrt(uu * rr), -1.0, 1.0))
+        s_sam = float(np.clip(1.0 - angle / (np.pi / 2), 0.0, 1.0))
+        try:
+            du = 1.0 - oracle_continuum(wl, u)
+            dr = 1.0 - oracle_continuum(wl, r)
+            denom = float(np.dot(dr, dr))
+            if denom == 0.0:
+                raise ValueError("featureless")
+            scale = float(np.dot(du, dr)) / denom
+            rms = float(np.sqrt(np.mean((du - scale * dr) ** 2)))
+            fit = np.clip(scale, 0.0, 1.0) * (1.0 - rms / float(dr.mean()))
+            s_sff = float(np.clip(fit, 0.0, 1.0))
+        except ValueError:
+            s_sff = 0.0
+        s_be = float(np.mean((u > u.mean()) == (r > r.mean())))
+        weighted = weights.w_sam * s_sam + weights.w_sff * s_sff + weights.w_be * s_be
+        scores.append((rec.name, s_sam, s_sff, s_be, weighted))
+    scores.sort(key=lambda m: (-m[4], m[0]))
+    return scores
+
+
+def printed_cells(scores):
+    """The cells `write_rankings` prints, in rank order."""
+    return [(name,) + tuple(f"{v:.6f}" for v in values) for name, *values in scores]
+
+
+def as_tuples(scores):
+    return [(m.mineral_name, m.sam_score, m.sff_score, m.be_score, m.weighted)
+            for m in scores]
+
+
+def mixed_library():
+    """Entries on three source ranges, so the resampled library has three
+    usable masks, plus a featureless and a non-positive entry."""
+    grid = np.linspace(500.0, 1500.0, 24)
+    wide = np.linspace(450.0, 1550.0, 40)
+    short = np.linspace(450.0, 1200.0, 30)
+    late = np.linspace(800.0, 1550.0, 30)
+    records = []
+    for i, (wl, center) in enumerate([(wide, 700.0), (wide, 1000.0), (short, 900.0),
+                                      (short, 650.0), (late, 1300.0), (late, 1000.0)]):
+        dip = 0.45 * np.exp(-0.5 * ((wl - center) / 60.0) ** 2)
+        tilt = 0.1 * (wl - wl[0]) / (wl[-1] - wl[0])
+        records.append(SpectrumRecord(f"min_{i}", wl, (0.6 + tilt) * (1.0 - dip)))
+    records.append(SpectrumRecord("flat", wide, np.full(wide.size, 0.5)))
+    dark = 0.4 * (1.0 - 0.3 * np.exp(-0.5 * ((wide - 1100.0) / 80.0) ** 2))
+    dark[10:14] = 0.0
+    records.append(SpectrumRecord("dark_band", wide, dark))
+    return resample_library(lib_of(records), grid)
+
+
+def long_grid_library():
+    """40 seeded laboratory-style spectra on 196 bands, where sums of many
+    products are rounded differently by different summation orders."""
+    grid = np.linspace(450.0, 2450.0, 196)
+    return resample_library(synthetic_mineral_library(40, seed=3), grid)
+
+
+class TestRankMatchesOracle:
+    """rank_matches scores whole groups of entries at once; the per-pair
+    oracle must give the same order and the same printed cells."""
+
+    def unknowns(self, lib):
+        spectra = [np.where(e.usable, e.reflectance, 0.5) for e in lib.entries]
+        return [0.7 * spectra[0] + 0.3 * spectra[2],
+                0.5 * spectra[1] + 0.5 * spectra[4],
+                1.2 * spectra[3],
+                spectra[5]]
+
+    def test_masks_differ(self):
+        lib = mixed_library()
+        masks = {e.usable.tobytes() for e in lib.entries}
+        assert len(masks) == 3
+        assert not all(e.usable.all() for e in lib.entries)
+
+    @pytest.mark.parametrize("weights", [AnalystWeights(), AnalystWeights(2.0, 0.5, 1.0),
+                                         AnalystWeights(0.0, 1.0, 0.0)])
+    def test_matches_per_pair_oracle(self, weights):
+        lib = mixed_library()
+        for unknown in self.unknowns(lib):
+            got = as_tuples(rank_matches(unknown, lib, weights))
+            want = oracle_rank(unknown, lib, weights)
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert printed_cells(got) == printed_cells(want)
+            assert np.allclose([g[1:] for g in got], [w[1:] for w in want],
+                               rtol=0.0, atol=1e-9)
+
+    def test_featureless_and_non_positive_entries_score_no_fit(self):
+        lib = mixed_library()
+        for unknown in self.unknowns(lib):
+            by_name = {m.mineral_name: m for m in rank_matches(unknown, lib)}
+            assert by_name["flat"].sff_score == 0.0
+            assert by_name["dark_band"].sff_score == 0.0
+            assert by_name["dark_band"].sam_score > 0.0
+
+    def test_non_positive_unknown_scores_no_fit(self):
+        lib = mixed_library()
+        unknown = self.unknowns(lib)[0].copy()
+        unknown[10] = 0.0
+        got = as_tuples(rank_matches(unknown, lib))
+        assert [g[2] for g in got] == [0.0] * len(lib.entries)
+        assert printed_cells(got) == printed_cells(oracle_rank(unknown, lib))
+
+    def test_zero_unknown_raises_as_before(self):
+        lib = mixed_library()
+        with pytest.raises(ValueError, match="cannot take the angle of a zero spectrum"):
+            rank_matches(np.zeros(24), lib)
+        with pytest.raises(ValueError, match="cannot take the angle of a zero spectrum"):
+            oracle_rank(np.zeros(24), lib)
+
+    def test_band_count_mismatch_message(self):
+        with pytest.raises(ValueError, match="unknown has 23 bands but library entry 'min_0'"):
+            rank_matches(np.ones(23), mixed_library())
+
+    @pytest.mark.parametrize("lib", [mixed_library(), long_grid_library()],
+                             ids=["mixed", "long_grid"])
+    def test_self_match_is_exact(self, lib):
+        for rec in lib.entries:
+            if rec.name in ("flat", "dark_band"):
+                continue
+            unknown = np.where(rec.usable, rec.reflectance, 0.5)
+            top = rank_matches(unknown, lib)[0]
+            assert top.mineral_name == rec.name
+            assert (top.sam_score, top.sff_score, top.be_score) == (1.0, 1.0, 1.0)
+
+
 class TestContinuumMemo:
-    """rank_matches takes its continua from a per-process memo."""
+    """rank_matches takes the library side of every score from a
+    per-process memo and removes each unknown's continuum once."""
 
     def library(self):
         return dip_library(centers=(650.0, 800.0, 950.0, 1100.0, 1250.0))
@@ -256,27 +424,39 @@ class TestContinuumMemo:
                 1.3 * spectra[3]]
 
     @pytest.fixture
-    def hull_calls(self, monkeypatch):
-        """Counts the hulls computed through the module global."""
-        spectral_match._continuum_memo.cache_clear()
-        calls = []
+    def hull_rows(self, monkeypatch):
+        """Counts the hull rows computed through the module global: a
+        stack of n spectra adds n."""
+        spectral_match._library_groups.cache_clear()
+        rows = []
         original = spectral_match.continuum_remove
 
         def counting(wavelengths, values):
-            calls.append(1)
+            rows.append(np.atleast_2d(values).shape[0])
             return original(wavelengths, values)
 
         monkeypatch.setattr(spectral_match, "continuum_remove", counting)
-        yield calls
-        spectral_match._continuum_memo.cache_clear()
+        yield rows
+        spectral_match._library_groups.cache_clear()
 
-    def test_hull_runs_once_per_distinct_spectrum(self, hull_calls):
+    def test_library_rows_once_and_each_unknown_once(self, hull_rows):
         lib = self.library()
         unknowns = self.unknowns(lib)
-        # a copy of the first unknown is the same spectrum, not a new one
-        for unknown in unknowns + [unknowns[0].copy()]:
+        rank_matches(unknowns[0], lib)
+        # one stacked call for the library, one for the unknown
+        assert hull_rows == [len(lib.entries), 1]
+        for unknown in unknowns[1:] + [unknowns[0].copy()]:
             rank_matches(unknown, lib)
-        assert len(hull_calls) == len(lib.entries) + len(unknowns)
+        assert sum(hull_rows) == len(lib.entries) + len(unknowns) + 1
+
+    def test_library_rows_once_per_mask_group(self, hull_rows):
+        lib = mixed_library()
+        unknown = np.where(lib.entries[0].usable, lib.entries[0].reflectance, 0.5)
+        for _ in range(3):
+            rank_matches(unknown, lib)
+        # 7 positive entries over 3 masks, and each group's unknown once per
+        # ranking; the non-positive entry is never passed to the hull
+        assert sum(hull_rows) == 7 + 3 * 3
 
     def test_rankings_equal_uncached(self):
         lib = self.library()
@@ -286,7 +466,7 @@ class TestContinuumMemo:
         cached = [rank_matches(unknown, lib) for unknown in unknowns]
         fresh = []
         for unknown in unknowns:
-            spectral_match._continuum_memo.cache_clear()
+            spectral_match._library_groups.cache_clear()
             fresh.append(rank_matches(unknown, lib))
         assert cached == fresh
 
@@ -299,7 +479,7 @@ class TestContinuumMemo:
         assert before["min_0"].sff_score < 1.0
         assert after["min_0"].sff_score == 1.0
 
-    def test_non_positive_unknown_fails_once_and_scores_zero(self, hull_calls):
+    def test_non_positive_unknown_scores_zero_without_a_hull(self, hull_rows):
         lib = self.library()
         classes = []
         for i, rec in enumerate(lib.entries):
@@ -310,5 +490,5 @@ class TestContinuumMemo:
             for unknown in classes:
                 scores = rank_matches(unknown, lib)
                 assert [m.sff_score for m in scores] == [0.0] * len(lib.entries)
-        # the unknown fails before any reference is needed
-        assert len(hull_calls) == len(classes)
+        # only the library's rows, once; no unknown reaches the hull
+        assert hull_rows == [len(lib.entries)]
