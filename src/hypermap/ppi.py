@@ -16,7 +16,7 @@ import numpy as np
 from .envi_io import SpectralCube
 from .numerics import spawned_gaussians
 
-_CHUNK = 256
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,15 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     carries, per iteration, the cumulative number of distinct pixels
     counted at least once.
 
-    Each pixel's projection onto each skewer is computed once, in one
-    matrix product per chunk of skewers. The trace is computed once at
-    the end from each pixel's first touched iteration, not by a pass
-    over the pixels per iteration.
+    Per chunk of skewers, one matrix product gives a `(skewers, pixels)`
+    block of projections, so each skewer's maximum and minimum are taken
+    along a contiguous row. The hits (pixels within the threshold of
+    either end) are a small share of the block: they are listed as flat
+    indices of the high and of the low mask and counted per pixel with
+    `bincount`, so a pixel within the threshold of both ends is listed,
+    and counted, twice. The trace is computed once at the end from each
+    pixel's first touched iteration, which `minimum.at` takes from the
+    same lists.
     """
     if params is None:
         params = PpiParams()
@@ -93,44 +98,33 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     def process(bounds):
         start, stop = bounds
         dirs = _skewer_directions(params.seed, start, stop, k)
-        proj = pixels @ dirs.T
-        hi = proj >= (proj.max(axis=0) - params.threshold)
-        lo = proj <= (proj.min(axis=0) + params.threshold)
-        counts = hi.sum(axis=1, dtype=np.int64) + lo.sum(axis=1, dtype=np.int64)
-        first = None
-        if trace:
-            # Each pixel's first touched iteration in this chunk; n_iter
-            # stands for "not touched".
-            touched = hi | lo
-            first = np.where(touched.any(axis=1),
-                             start + touched.argmax(axis=1), n_iter)
-        return counts, first
+        proj = dirs @ pixels.T
+        hi = proj >= (proj.max(axis=1) - params.threshold)[:, None]
+        lo = proj <= (proj.min(axis=1) + params.threshold)[:, None]
+        hits = np.concatenate((np.flatnonzero(hi), np.flatnonzero(lo)))
+        # (skewer within the chunk, pixel) of every hit
+        return np.divmod(hits, n_pixels)
 
     totals = np.zeros(n_pixels, dtype=np.int64)
     first_touched = np.full(n_pixels, n_iter, dtype=np.int64) if trace else None
-    done = 0
 
-    if n_workers == 1:
-        results = map(process, chunks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-        results = pool.map(process, chunks)
-
-    # Chunk boundaries are fixed, so accumulating in submission order makes
-    # the output independent of scheduling.
-    for (_, stop), (counts, first) in zip(chunks, results):
-        totals += counts
-        if trace:
-            np.minimum(first_touched, first, out=first_touched)
-        done = stop
-        if progress is not None:
-            progress(done)
-    if n_workers > 1:
-        pool.shutdown()
+    # The pool starts no thread until it is given work, so the serial path
+    # runs in the calling thread.
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        results = pool.map(process, chunks) if n_workers > 1 else map(process, chunks)
+        # Chunk boundaries are fixed, so accumulating in submission order
+        # makes the output independent of scheduling.
+        for (start, stop), (skewer, pixel) in zip(chunks, results):
+            totals += np.bincount(pixel, minlength=n_pixels)
+            if trace:
+                np.minimum.at(first_touched, pixel, start + skewer)
+            if progress is not None:
+                progress(stop)
 
     trace_values = None
     if trace:
-        # Pixels first touched at iteration j join the distinct count there.
+        # Pixels first touched at iteration j join the distinct count there;
+        # n_iter stands for "never touched".
         new_per_iteration = np.bincount(first_touched, minlength=n_iter + 1)[:n_iter]
         trace_values = np.cumsum(new_per_iteration).tolist()
     image = totals.reshape(mnf_cube.lines, mnf_cube.samples)

@@ -2,10 +2,12 @@
 scheduling determinism, and threshold behavior."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from hypermap import ppi
 from hypermap.envi_io import SpectralCube
 from hypermap.ppi import PpiImage, PpiParams, run_ppi, select_pure_pixels
 from test_numerics import reference_splitmix64_stream
@@ -130,13 +132,33 @@ class TestRunPpi:
         assert np.all(hi.counts >= lo.counts)
 
     def test_worker_count_does_not_change_counts(self):
+        # A last chunk shorter than the others, and counts and trace alike.
         rng = np.random.default_rng(13)
         cube = make_mnf_cube(rng.normal(size=(16, 16, 6)))
-        params = PpiParams(n_iterations=1000, threshold=2.5, seed=21)
-        serial = run_ppi(cube, params, n_workers=1)
-        parallel = run_ppi(cube, params, n_workers=8)
-        assert np.array_equal(serial.counts, parallel.counts)
-        assert serial.counts.tobytes() == parallel.counts.tobytes()
+        params = PpiParams(n_iterations=15 * ppi._CHUNK + 7, threshold=2.5, seed=21)
+        serial = run_ppi(cube, params, n_workers=1, trace=True)
+        for n_workers in (3, 8):
+            parallel = run_ppi(cube, params, n_workers=n_workers, trace=True)
+            assert np.array_equal(serial.counts, parallel.counts)
+            assert serial.counts.tobytes() == parallel.counts.tobytes()
+            assert serial.trace == parallel.trace
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_failing_chunk_raises_and_stops_workers(self, monkeypatch, n_workers):
+        draw = ppi._skewer_directions
+
+        def fail_second_chunk(seed, start, stop, k):
+            if start == ppi._CHUNK:
+                raise RuntimeError("degenerate zero-length skewer draw")
+            return draw(seed, start, stop, k)
+
+        monkeypatch.setattr(ppi, "_skewer_directions", fail_second_chunk)
+        cube, _ = simplex_cube()
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="degenerate"):
+            run_ppi(cube, PpiParams(n_iterations=4 * ppi._CHUNK, seed=1),
+                    n_workers=n_workers)
+        assert [t for t in threading.enumerate() if t not in before] == []
 
     def test_use_k_components_bounds(self):
         cube, _ = simplex_cube()
@@ -167,15 +189,32 @@ class TestRunPpi:
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_trace_across_chunks_matches_naive_oracle(self, n_workers):
-        # 600 skewers span three 256-skewer chunks, and on this cloud the
-        # second and the third chunk each touch a pixel for the first time.
-        values = np.random.default_rng(17).normal(size=(6, 6, 4))
-        params = PpiParams(n_iterations=600, threshold=0.05, seed=23)
+        # Two full chunks and a short third one. Every pixel of this cloud
+        # lies on the unit sphere, so each is extreme for some skewers, and
+        # the second and the third chunk each touch a pixel for the first
+        # time.
+        values = np.random.default_rng(17).normal(size=(8, 8, 4))
+        values /= np.linalg.norm(values, axis=2, keepdims=True)
+        n_iterations = 2 * ppi._CHUNK + ppi._CHUNK // 2
+        params = PpiParams(n_iterations=n_iterations, threshold=0.02, seed=23)
         image = run_ppi(make_mnf_cube(values), params, n_workers=n_workers,
                         trace=True)
-        oracle = naive_ppi_trace(values.reshape(-1, 4), 23, 600, 0.05)
-        assert oracle[255] < oracle[511] < oracle[-1]
+        oracle = naive_ppi_trace(values.reshape(-1, 4), 23, n_iterations, 0.02)
+        assert oracle[ppi._CHUNK - 1] < oracle[2 * ppi._CHUNK - 1] < oracle[-1]
         assert image.trace == oracle
+
+    def test_pixel_near_both_ends_counts_twice(self):
+        # On a tight cloud with a wide threshold, some skewers find a pixel
+        # within the threshold of both the maximum and the minimum.
+        values = np.random.default_rng(31).normal(size=(4, 4, 3))
+        pixels = values.reshape(-1, 3)
+        params = PpiParams(n_iterations=100, threshold=1.5, seed=7)
+        assert any(set(hi) & set(lo)
+                   for hi, lo in naive_extremes(pixels, 7, 100, 1.5))
+        image = run_ppi(make_mnf_cube(values), params, trace=True)
+        assert np.array_equal(image.counts.ravel(),
+                              naive_ppi_counts(pixels, 7, 100, 1.5))
+        assert image.trace == naive_ppi_trace(pixels, 7, 100, 1.5)
 
 
 class TestSelectPurePixels:
