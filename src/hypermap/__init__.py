@@ -17,7 +17,6 @@ from .envi_io import (
     SpectrumRecord,
     parse_envi_header,
     read_cube,
-    read_cube_file,
     read_spectral_library,
     read_spectral_library_file,
     serialize_envi_header,
@@ -98,7 +97,6 @@ __all__ = [
     "random_abundance_field",
     "rank_matches",
     "read_cube",
-    "read_cube_file",
     "read_spectral_library",
     "read_spectral_library_file",
     "reflectance_flat_field",

@@ -465,9 +465,10 @@ def stage_mtmf(cfg: PipelineConfig) -> None:
                              units_tag=mnf_cube.units_tag)
     _remove_previous(cfg, "mtmf_class_*.hdr")
     _remove_previous(cfg, "mtmf_class_*.img")
+    result = mtmf(truncated, mnf_means)
     for class_id in range(1, mnf_means.shape[0] + 1):
-        result = mtmf(truncated, mnf_means[class_id - 1])
-        stacked = np.stack([result.mf_score, result.infeasibility], axis=2)
+        stacked = np.stack([result.mf_score[class_id - 1],
+                            result.infeasibility[class_id - 1]], axis=2)
         cube = SpectralCube(values=stacked, wavelengths=np.array([1.0, 2.0]),
                             bad_band_mask=np.array([True, True]), units_tag="score")
         write_cube_file(cube, cfg.artifact(f"mtmf_class_{class_id}.hdr"))
@@ -535,9 +536,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
                             bad_band_mask=cube.bad_band_mask,
                             units_tag=cube.units_tag)
 
-    header_path = cfg.resolve(cfg.input_header)
-    os.makedirs(os.path.dirname(header_path) or ".", exist_ok=True)
-    write_cube_file(cube, header_path, cfg.resolve(cfg.input_image),
+    write_cube_file(cube, cfg.resolve(cfg.input_header), cfg.resolve(cfg.input_image),
                     interleave="bil", data_type="float64")
 
     artifacts.write_truth_abundances(cfg.artifact("truth_abundances.csv"), truth.abundances)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,14 +390,10 @@ _INT_RANGES = {
 }
 
 
-def write_cube(cube: SpectralCube, interleave: str = "bsq",
-               data_type: str = "float64",
-               byte_order: str = "little") -> tuple[str, bytes]:
-    """Serialize a cube to (header text, payload bytes).
-
-    Raises ValueError if an integer data type is requested for values
-    outside its representable range.
-    """
+def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
+                 byte_order: str) -> tuple[str, np.ndarray]:
+    """Header text and the payload as a C-contiguous array in the file's
+    dtype, byte order and interleave; conversion and reordering share one copy."""
     interleave = interleave.lower()
     if interleave not in INTERLEAVES:
         raise ValueError(f"unknown interleave {interleave!r}")
@@ -419,7 +416,7 @@ def write_cube(cube: SpectralCube, interleave: str = "bsq",
         arranged = values.transpose(0, 2, 1)
     else:
         arranged = values
-    payload = np.ascontiguousarray(arranged).astype(dtype).tobytes()
+    payload = np.ascontiguousarray(arranged, dtype=dtype)
 
     header = EnviHeader(
         samples=cube.samples, lines=cube.lines, bands=cube.bands,
@@ -430,31 +427,34 @@ def write_cube(cube: SpectralCube, interleave: str = "bsq",
     return serialize_envi_header(header), payload
 
 
-def read_cube_file(header_path, image_path=None) -> SpectralCube:
-    """Read a cube from a .hdr/.img file pair."""
-    header_path = str(header_path)
-    if image_path is None:
-        stem = header_path[:-4] if header_path.endswith(".hdr") else header_path
-        image_path = stem + ".img"
-    with open(header_path, "r", encoding="utf-8") as fp:
-        header = parse_envi_header(fp.read())
-    with open(str(image_path), "rb") as fp:
-        raw = fp.read()
-    return read_cube(header, raw)
+def write_cube(cube: SpectralCube, interleave: str = "bsq",
+               data_type: str = "float64",
+               byte_order: str = "little") -> tuple[str, bytes]:
+    """Serialize a cube to (header text, payload bytes).
+
+    Raises ValueError if an integer data type is requested for values
+    outside its representable range.
+    """
+    header_text, payload = _encode_cube(cube, interleave, data_type, byte_order)
+    return header_text, payload.tobytes()
 
 
 def write_cube_file(cube: SpectralCube, header_path, image_path=None,
                     interleave: str = "bsq", data_type: str = "float64") -> None:
-    """Write a cube as a .hdr/.img file pair."""
+    """Write a cube as a .hdr/.img file pair, creating missing parent
+    directories. The payload goes out from its array's buffer, with no
+    bytes copy; the files hold exactly what :func:`write_cube` returns."""
     header_path = str(header_path)
     if image_path is None:
         stem = header_path[:-4] if header_path.endswith(".hdr") else header_path
         image_path = stem + ".img"
-    header_text, payload = write_cube(cube, interleave=interleave, data_type=data_type)
+    header_text, payload = _encode_cube(cube, interleave, data_type, "little")
+    for path in (header_path, image_path):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(header_path, "w", encoding="utf-8") as fp:
         fp.write(header_text)
-    with open(str(image_path), "wb") as fp:
-        fp.write(payload)
+    with open(image_path, "wb") as fp:
+        fp.write(payload.data)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 infeasibility, and class statistics.
 
 The matched filter is scene-adaptive: background mean and covariance are
-estimated from the cube being scored, giving 0 at the background mean
-and 1 at the target by construction. MTMF adds an infeasibility score
-that grows with the component of a pixel orthogonal (in whitened space)
-to the background-to-target line.
+fitted once per call from the cube being scored and shared by every
+target, giving 0 at the background mean and 1 at the target by
+construction. MTMF adds an infeasibility score that grows with the
+component of a pixel orthogonal (in whitened space) to the
+background-to-target line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envi_io import SpectralCube
-from .numerics import symmetric_eig
+from .numerics import mean_and_covariance, symmetric_eig
 
 _RIDGE = 1e-10
 
@@ -26,10 +27,9 @@ _TARGET_RESIDUAL_STD = 0.01
 
 @dataclass
 class ClassMap:
-    """Per-pixel class assignment (0 = unclassified) and rule angles."""
+    """Per-pixel class assignment (0 = unclassified)."""
 
     class_index: np.ndarray
-    rule_angles: np.ndarray
     max_angle: float
     n_classes: int
 
@@ -37,13 +37,12 @@ class ClassMap:
         self.class_index = np.asarray(self.class_index, dtype=np.int32)
         if self.class_index.ndim != 2:
             raise ValueError("class_index must be 2-D")
-        if self.rule_angles.shape != self.class_index.shape + (self.n_classes,):
-            raise ValueError("rule_angles must be (lines, samples, n_classes)")
 
 
 @dataclass
 class MtmfResult:
-    """Matched-filter score and infeasibility per pixel."""
+    """Matched-filter score and infeasibility per pixel, one image per
+    target: shape ``targets.shape[:-1] + (lines, samples)``."""
 
     mf_score: np.ndarray
     infeasibility: np.ndarray
@@ -76,31 +75,22 @@ def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassM
     best = np.argmin(angles, axis=1)
     best_angle = angles[np.arange(x.shape[0]), best]
     assigned = np.where(best_angle <= max_angle, best + 1, 0).astype(np.int32)
-
-    k = spectra.shape[0]
-    shape = (cube.lines, cube.samples)
-    return ClassMap(class_index=assigned.reshape(shape),
-                    rule_angles=angles.reshape(shape + (k,)),
-                    max_angle=max_angle, n_classes=k)
+    return ClassMap(class_index=assigned.reshape(cube.lines, cube.samples),
+                    max_angle=max_angle, n_classes=spectra.shape[0])
 
 
-def _whitened(mnf_cube: SpectralCube, target_mnf):
-    """Project pixels and target into the background-whitened space.
+def _background_scores(mnf_cube: SpectralCube, targets: np.ndarray):
+    """Fit the scene background once, then score each row of `targets`.
 
     The background mean mu and covariance S come from the cube itself; S
-    is whitened through its eigendecomposition with a small ridge.
-    Returns (p, t_hat, alpha, mf): whitened pixels minus mu, the unit
-    whitened target direction, each pixel's coordinate along it, and the
-    matched-filter score alpha / |whitened target|.
+    is whitened through its eigendecomposition with a small ridge. Yields
+    (p, t_hat, alpha, mf) per target: the whitened pixels minus mu (one
+    array shared by every target), the unit whitened target direction,
+    each pixel's coordinate along it, and the matched-filter score
+    alpha / |whitened target|.
     """
-    target = np.asarray(target_mnf, dtype=np.float64)
-    if target.shape != (mnf_cube.bands,):
-        raise ValueError(
-            f"target has {target.size} components, cube has {mnf_cube.bands}")
     x = mnf_cube.pixels()
-    mu = x.mean(axis=0)
-    centered = x - mu
-    cov = centered.T @ centered / max(x.shape[0] - 1, 1)
+    mu, cov = mean_and_covariance(x)
     b = mnf_cube.bands
     vals, vecs = symmetric_eig(cov + np.eye(b) * (_RIDGE * np.trace(cov) / b))
     if vals[-1] <= 0.0:
@@ -108,30 +98,35 @@ def _whitened(mnf_cube: SpectralCube, target_mnf):
 
     inv_sqrt = 1.0 / np.sqrt(vals)
     whiten = inv_sqrt[:, None] * vecs.T
-    tw = whiten @ (target - mu)
-    t_norm = float(np.linalg.norm(tw))
-    if t_norm == 0.0:
-        raise ValueError("target coincides with the scene mean")
-    t_hat = tw / t_norm
-
     p = (x - mu) @ whiten.T
-    alpha = p @ t_hat
-    return p, t_hat, alpha, alpha / t_norm
+    for target in targets:
+        tw = whiten @ (target - mu)
+        t_norm = float(np.linalg.norm(tw))
+        if t_norm == 0.0:
+            raise ValueError("target coincides with the scene mean")
+        t_hat = tw / t_norm
+        alpha = p @ t_hat
+        yield p, t_hat, alpha, alpha / t_norm
 
 
 def matched_filter(mnf_cube: SpectralCube, target_mnf) -> np.ndarray:
     """Matched-filter score image: 0 at the scene mean, 1 at the target.
 
     MF(x) = (x - mu)^T S^-1 (t - mu) / ((t - mu)^T S^-1 (t - mu)) with mu
-    and S estimated from the cube itself; this is the MF score of
-    :func:`mtmf`.
+    and S estimated from the cube itself: the `mf_score` of :func:`mtmf`
+    from the same fit, but also defined for a one-component cube.
     """
-    _, _, _, mf = _whitened(mnf_cube, target_mnf)
+    target = np.asarray(target_mnf, dtype=np.float64)
+    if target.shape != (mnf_cube.bands,):
+        raise ValueError(
+            f"target has {target.size} components, cube has {mnf_cube.bands}")
+    (_, _, _, mf), = _background_scores(mnf_cube, target[None])
     return mf.reshape(mnf_cube.lines, mnf_cube.samples)
 
 
-def mtmf(mnf_cube: SpectralCube, target_mnf) -> MtmfResult:
-    """Matched filter plus mixture-tuned infeasibility.
+def mtmf(mnf_cube: SpectralCube, targets) -> MtmfResult:
+    """Matched filter plus mixture-tuned infeasibility for one target (b,)
+    or each row of a (k, b) matrix, all from one background fit.
 
     In background-whitened space each pixel splits into a component along
     the unit target direction and an orthogonal residual r. The expected
@@ -142,16 +137,21 @@ def mtmf(mnf_cube: SpectralCube, target_mnf) -> MtmfResult:
     b = mnf_cube.bands
     if b < 2:
         raise ValueError("MTMF needs at least 2 components")
-    p, t_hat, alpha, mf = _whitened(mnf_cube, target_mnf)
-    residual = p - alpha[:, None] * t_hat[None, :]
-    r_norm = np.linalg.norm(residual, axis=1)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim not in (1, 2) or targets.shape[-1] != b:
+        raise ValueError(f"targets have shape {targets.shape}, cube has {b} components")
+    mf_rows, infeasibility_rows = [], []
+    for p, t_hat, alpha, mf in _background_scores(mnf_cube, targets.reshape(-1, b)):
+        # The explicit residual, not sqrt(|p|^2 - alpha^2), which cancels
+        # to ~1e-8 for pixels on the background-to-target line.
+        r_norm = np.linalg.norm(p - alpha[:, None] * t_hat[None, :], axis=1)
+        sigma = 1.0 + (np.clip(mf, 0.0, 1.0)) * (_TARGET_RESIDUAL_STD - 1.0)
+        mf_rows.append(mf)
+        infeasibility_rows.append(r_norm / (sigma * np.sqrt(b - 1.0)))
 
-    sigma = 1.0 + (np.clip(mf, 0.0, 1.0)) * (_TARGET_RESIDUAL_STD - 1.0)
-    infeasibility = r_norm / (sigma * np.sqrt(b - 1.0))
-
-    shape = (mnf_cube.lines, mnf_cube.samples)
-    return MtmfResult(mf_score=mf.reshape(shape),
-                      infeasibility=infeasibility.reshape(shape))
+    shape = targets.shape[:-1] + (mnf_cube.lines, mnf_cube.samples)
+    return MtmfResult(mf_score=np.reshape(mf_rows, shape),
+                      infeasibility=np.reshape(infeasibility_rows, shape))
 
 
 def class_statistics(class_map: ClassMap) -> list[tuple[int, int, float]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envi_io import SpectralCube
-from .numerics import check_symmetric, symmetric_eig
+from .numerics import check_symmetric, mean_and_covariance, symmetric_eig
 
 _RIDGE = 1e-10
 
@@ -67,10 +67,7 @@ def estimate_noise_covariance(cube: SpectralCube) -> NoiseEstimate:
     if cube.samples < 2:
         raise ValueError("noise estimation needs at least 2 samples per line")
     diffs = (cube.values[:, :-1, :] - cube.values[:, 1:, :]) / np.sqrt(2.0)
-    d = diffs.reshape(-1, cube.bands)
-    centered = d - d.mean(axis=0)
-    denom = max(d.shape[0] - 1, 1)
-    cov = centered.T @ centered / denom
+    _, cov = mean_and_covariance(diffs.reshape(-1, cube.bands))
     return NoiseEstimate(cov=cov)
 
 
@@ -92,10 +89,7 @@ def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
     if noise_cov.shape != (b, b):
         raise ValueError(f"noise covariance is {noise_cov.shape}, cube has {b} bands")
 
-    flat = cube.pixels()
-    band_mean = flat.mean(axis=0)
-    centered = flat - band_mean
-    data_cov = centered.T @ centered / max(flat.shape[0] - 1, 1)
+    band_mean, data_cov = mean_and_covariance(cube.pixels())
 
     ridge = _RIDGE * np.trace(noise_cov) / b
     regularized = noise_cov + np.eye(b) * ridge

@@ -1,4 +1,4 @@
-"""Deterministic numerical kernels: symmetric eigendecomposition and seeded RNG.
+"""Deterministic numerical kernels: covariance, eigendecomposition, seeded RNG.
 
 Every stochastic stage of the pipeline (PPI skewers, k-means seeding,
 synthetic scenes) draws from :class:`RandomSource`, a splitmix64 stream.
@@ -122,6 +122,14 @@ def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.nda
     u1 = np.maximum(u[:, 0::2], _MIN_UNIFORM)
     u2 = u[:, 1::2]
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and n-1 sample covariance of the rows of `x` (n, b): the
+    one owner of the noise, MNF data and MTMF background covariances."""
+    mu = x.mean(axis=0)
+    centered = x - mu
+    return mu, centered.T @ centered / max(x.shape[0] - 1, 1)
 
 
 def check_symmetric(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -223,6 +223,13 @@ class TestStages:
         second = (scenario_dir / "out" / "pure_pixels.csv").read_text()
         assert first != second
 
+    def test_stage_creates_fresh_output_directory(self, scenario_dir):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        assert run(["synth", "--config", cfg]) == 0
+        fresh = scenario_dir / "new" / "sub"
+        assert run(["preprocess", "--config", cfg, "--out", str(fresh)]) == 0
+        assert (fresh / "reflectance.img").exists()
+
     def test_out_override(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")
         alt = scenario_dir / "alt_out"

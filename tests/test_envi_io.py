@@ -2,6 +2,7 @@
 index-arithmetic oracle, round trips, and the library CSV format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypermap.envi_io import (
     read_spectral_library,
     serialize_envi_header,
     write_cube,
+    write_cube_file,
     write_spectral_library,
 )
 
@@ -223,6 +225,40 @@ class TestWriteCube:
             text, raw = write_cube(cube, interleave, dtype)
             back = read_cube(parse_envi_header(text), raw)
             assert np.array_equal(back.values, values)
+
+
+class TestWriteCubeFile:
+    def test_files_hold_write_cube_output(self, tmp_path):
+        rng = np.random.default_rng(15)
+        values = rng.integers(0, 200, size=(3, 4, 5)).astype(np.float64)
+        cube = make_cube(values, units="reflectance")
+        for interleave in ("bsq", "bil", "bip"):
+            for dtype in DATA_TYPE_CODES:
+                header_path = tmp_path / f"{interleave}_{dtype}.hdr"
+                write_cube_file(cube, header_path, interleave=interleave, data_type=dtype)
+                text, payload = write_cube(cube, interleave, dtype)
+                assert header_path.read_text(encoding="utf-8") == text
+                assert header_path.with_suffix(".img").read_bytes() == payload
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_write_makes_at_most_one_payload_copy(self, tmp_path, interleave):
+        cube = make_cube(np.random.default_rng(16).normal(size=(64, 64, 64)))
+        payload = cube.values.nbytes
+        tracemalloc.start()
+        try:
+            write_cube_file(cube, tmp_path / "cube.hdr", interleave=interleave)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One reordered copy plus the header text and file buffers (~9 KB);
+        # building a bytes object as well would double it.
+        assert peak <= 1.01 * payload
+
+    def test_creates_missing_directories(self, tmp_path):
+        header_path = tmp_path / "new" / "sub" / "cube.hdr"
+        image_path = tmp_path / "other" / "cube.img"
+        write_cube_file(make_cube(np.ones((1, 2, 3))), header_path, image_path)
+        assert header_path.exists() and image_path.exists()
 
 
 class TestSpectralLibrary:

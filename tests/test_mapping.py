@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypermap.artifacts import write_class_statistics
+from hypermap import mapping
 from hypermap.envi_io import SpectralCube
 from hypermap.mapping import (
     ClassMap,
@@ -13,7 +14,7 @@ from hypermap.mapping import (
     mtmf,
     sam_classify,
 )
-from hypermap.numerics import RandomSource
+from hypermap.numerics import RandomSource, symmetric_eig
 from hypermap.spectral_match import sam_angle
 
 
@@ -39,8 +40,8 @@ class TestSamClassify:
         values = spectra[np.array([[0, 1], [2, 0]])]
         cmap = sam_classify(make_cube(values), endmember_set(spectra))
         assert cmap.class_index.tolist() == [[1, 2], [3, 1]]
-        picked = np.take_along_axis(
-            cmap.rule_angles, (cmap.class_index[:, :, None] - 1), axis=2)
+        picked = [sam_angle(values[line, sample], spectra[cls - 1])
+                  for (line, sample), cls in np.ndenumerate(cmap.class_index)]
         assert np.max(picked) < 1e-7
 
     def test_far_pixel_unclassified(self):
@@ -91,8 +92,8 @@ class TestSamClassify:
         for line in range(5):
             for sample in range(5):
                 cls = cmap.class_index[line, sample]
-                angles = cmap.rule_angles[line, sample]
-                assert angles[cls - 1] == angles.min()
+                angles = [sam_angle(values[line, sample], s) for s in spectra]
+                assert angles[cls - 1] == min(angles)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="bands"):
@@ -212,15 +213,46 @@ class TestMtmf:
         target = cube.pixels()[9].copy()
         direct = matched_filter(cube, target)
         combined = mtmf(cube, target)
-        assert np.allclose(direct, combined.mf_score, atol=1e-9)
+        assert direct.tobytes() == combined.mf_score.tobytes()
+
+    def test_one_target_keeps_image_shape(self):
+        cube = background_cube(seed=137, lines=7, samples=5)
+        result = mtmf(cube, cube.pixels()[2])
+        assert result.mf_score.shape == (7, 5)
+        assert result.infeasibility.shape == (7, 5)
+
+    def test_target_matrix_equals_single_target_calls(self):
+        cube = background_cube(seed=139, lines=9, samples=11)
+        targets = cube.pixels()[[4, 17, 33, 60, 98]]
+        result = mtmf(cube, targets)
+        assert result.mf_score.shape == (5, 9, 11)
+        assert result.infeasibility.shape == (5, 9, 11)
+        for i, target in enumerate(targets):
+            single = mtmf(cube, target)
+            assert result.mf_score[i].tobytes() == single.mf_score.tobytes()
+            assert result.infeasibility[i].tobytes() == single.infeasibility.tobytes()
+
+    def test_background_fitted_once_for_all_targets(self, monkeypatch):
+        calls = []
+
+        def counting_eig(m, *args, **kwargs):
+            calls.append(m.shape)
+            return symmetric_eig(m, *args, **kwargs)
+
+        monkeypatch.setattr(mapping, "symmetric_eig", counting_eig)
+        cube = background_cube(seed=149)
+        mtmf(cube, cube.pixels()[[1, 2, 3, 5, 8]])
+        assert calls == [(cube.bands, cube.bands)]
+
+    def test_target_with_wrong_width_rejected(self):
+        cube = background_cube(seed=151)
+        with pytest.raises(ValueError, match="components"):
+            mtmf(cube, np.ones((2, cube.bands + 1)))
 
 
 class TestClassStatistics:
     def make_map(self, class_index, k):
-        class_index = np.asarray(class_index, dtype=np.int32)
-        angles = np.zeros(class_index.shape + (k,))
-        return ClassMap(class_index=class_index, rule_angles=angles,
-                        max_angle=0.1, n_classes=k)
+        return ClassMap(class_index=class_index, max_angle=0.1, n_classes=k)
 
     def test_single_class(self):
         cmap = self.make_map(np.ones((4, 5), dtype=int), k=1)
