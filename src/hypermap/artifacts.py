@@ -1,22 +1,30 @@
 """On-disk formats of the pipeline's CSV and text artifacts.
 
 Tables are written by :func:`write_table` and read back by
-:func:`read_table`, which checks the header and every row's width. The
-ENVI cubes, MNF model bundle, spectral libraries and band tables keep
-their own formats in `envi_io`, `mnf` and `preprocess`.
+:func:`read_table`, which checks the header and every row's width; the
+MNF model bundle's headerless float matrices use :func:`write_matrix`
+and :func:`read_matrix`. Both write one line at a time. The ENVI cubes,
+spectral libraries and band tables keep their own formats in `envi_io`
+and `preprocess`.
+
+This module imports no pipeline stage module, so every stage can use it
+without paying for the others' imports.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .endmember import EndmemberSet
-from .mapping import ClassMap, class_statistics
-from .ppi import PpiImage
-from .spectral_match import MatchScore
+if TYPE_CHECKING:
+    from .endmember import EndmemberSet
+    from .mapping import ClassMap
+    from .ppi import PpiImage
+    from .spectral_match import MatchScore
 
 HYPERION_BANDS = 242
 # Stock calibrated-band keep list (1-based, inclusive) and radiance gains.
@@ -28,11 +36,17 @@ HYPERION_VNIR_LAST_BAND = 70
 
 def write_text(path, text: str) -> None:
     """Write `text` to `path`, creating the parent directory."""
+    _write_lines(path, (text,), end="")
+
+
+def _write_lines(path, lines, end: str = "\n") -> None:
+    """Write each of `lines` followed by `end`, creating the parent directory."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
+        for line in lines:
+            fp.write(line + end)
 
 
 def read_text(path) -> str:
@@ -42,8 +56,7 @@ def read_text(path) -> str:
 
 def write_table(path, header, rows) -> None:
     """Write a header and rows of formatted cells as comma-joined lines."""
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, (",".join(row) for row in itertools.chain((header,), rows)))
 
 
 def read_table(path, header) -> list[list[str]]:
@@ -63,8 +76,20 @@ def read_table(path, header) -> list[list[str]]:
     return [row for _, row in rows]
 
 
+def write_matrix(path, m) -> None:
+    """A float matrix as headerless CSV rows; a vector is written as one row."""
+    _write_lines(path, (",".join(_floats(row)) for row in np.atleast_2d(m)))
+
+
+def read_matrix(path) -> np.ndarray:
+    """A matrix written by :func:`write_matrix`, blank rows skipped."""
+    rows = csv.reader(read_text(path).splitlines())
+    return np.array([[float(c) for c in row] for row in rows if row], dtype=np.float64)
+
+
 def _floats(values) -> list[str]:
-    return [repr(float(v)) for v in values]
+    """Shortest round-tripping text of each float (`repr`)."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def _float_matrix(rows, width: int) -> np.ndarray:
@@ -77,8 +102,8 @@ def _float_matrix(rows, width: int) -> np.ndarray:
 
 def write_band_stats(path, means, stds) -> None:
     write_table(path, ["band", "mean", "std"],
-                ([str(i + 1), repr(float(m)), repr(float(s))]
-                 for i, (m, s) in enumerate(zip(means, stds))))
+                ([str(i + 1), m, s]
+                 for i, (m, s) in enumerate(zip(_floats(means), _floats(stds)))))
 
 
 def write_pure_pixels(path, ppi: PpiImage, pixels: list[tuple[int, int]]) -> None:
@@ -156,6 +181,8 @@ def read_match_summary(path) -> dict[int, tuple[str, float]]:
 
 
 def write_class_statistics(path, class_map: ClassMap) -> None:
+    from .mapping import class_statistics
+
     write_table(path, ["class_id", "pixel_count", "percent"],
                 ([str(cid), str(count), f"{percent:.6f}"]
                  for cid, count, percent in class_statistics(class_map)))
@@ -191,18 +218,18 @@ def write_ppi_histogram(path, counts: np.ndarray) -> None:
 
 def write_eigenvalue_curve(path, eigenvalues_path) -> None:
     """Plot table of the MNF bundle's eigenvalues (one CSV row)."""
-    eigenvalues = [float(c) for row in csv.reader(read_text(eigenvalues_path).splitlines())
-                   for c in row]
+    eigenvalues = _floats(read_matrix(eigenvalues_path).ravel())
     write_table(path, ["component", "eigenvalue"],
-                ([str(i + 1), repr(v)] for i, v in enumerate(eigenvalues)))
+                ([str(i + 1), v] for i, v in enumerate(eigenvalues)))
 
 
 def write_truth_abundances(path, abundances: np.ndarray) -> None:
     """Per-pixel ground-truth abundances of a (lines, samples, k) field."""
     lines, samples, k = abundances.shape
     write_table(path, ["line", "sample"] + [f"a_{i + 1}" for i in range(k)],
-                ([str(line), str(sample)] + _floats(abundances[line, sample])
-                 for line in range(lines) for sample in range(samples)))
+                ([str(line), str(sample)] + _floats(row)
+                 for (line, sample), row in zip(np.ndindex(lines, samples),
+                                                abundances.reshape(-1, k))))
 
 
 def write_truth_pure_pixels(path, plan, names: list[str]) -> None:

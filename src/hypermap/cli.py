@@ -15,7 +15,9 @@ plus the stock Hyperion band-mask and gain tables. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
+import importlib
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -24,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, artifacts
-from .endmember import derive_endmembers
 from .envi_io import (
     SpectralCube,
     parse_envi_header,
@@ -32,23 +33,40 @@ from .envi_io import (
     read_spectral_library_file,
     write_cube_file,
 )
-from .mapping import mtmf, sam_classify
-from .mnf import estimate_noise_covariance, fit_mnf, forward_mnf, save_mnf_model
-from .numerics import RandomSource
-from .ppi import PpiParams, run_ppi, select_pure_pixels
-from .preprocess import (
-    Roi,
-    read_band_mask_csv,
-    read_gains_csv,
-    reflectance_flat_field,
-    reflectance_iarr,
-    remove_bad_bands,
-    scale_radiance,
-    standardize,
-    subset_roi,
-)
-from .spectral_match import AnalystWeights, rank_matches, resample_library
-from .synthcube import MixingScenario, generate, plant_pure_pixels, random_abundance_field
+
+# Library names the stage code calls through this module's globals, by
+# the module that defines them. `run_stage` binds a stage's `modules`
+# just before running it, so a stage process imports only what it uses;
+# other access goes through the module `__getattr__`. A name that is
+# already bound (a test double or a timing wrapper) is kept.
+_STAGE_NAMES = {
+    "endmember": ("derive_endmembers",),
+    "mapping": ("mtmf", "sam_classify"),
+    "mnf": ("estimate_noise_covariance", "fit_mnf", "forward_mnf", "save_mnf_model"),
+    "numerics": ("RandomSource",),
+    "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
+    "preprocess": ("Roi", "read_band_mask_csv", "read_gains_csv", "reflectance_flat_field",
+                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "standardize",
+                   "subset_roi"),
+    "spectral_match": ("AnalystWeights", "rank_matches", "resample_library"),
+    "synthcube": ("MixingScenario", "generate", "plant_pure_pixels",
+                  "random_abundance_field"),
+}
+_NAME_MODULE = {name: module for module, names in _STAGE_NAMES.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _STAGE_NAMES[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if name not in _NAME_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_NAME_MODULE[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,12 +296,40 @@ def write_default_configs(directory: str) -> list[str]:
 # stages
 
 
-def _read_cube(header_path: str, image_path: str | None = None) -> SpectralCube:
-    """Read an ENVI cube; the image defaults to the header's `.img` sibling."""
+def _read_cube(header_path: str, image_path: str | None = None,
+               bands: int | None = None) -> SpectralCube:
+    """Read an ENVI cube; the image defaults to the header's `.img` sibling.
+
+    With `bands` below the header's band count, only the first `bands`
+    bands are returned, with the wavelength and bad-band lists cut to
+    match. A BSQ image stores them as a byte prefix, so only that prefix
+    is read (and checked for finite values) once the file's size has
+    been checked against the whole cube; other interleaves are read whole.
+    """
     header = parse_envi_header(artifacts.read_text(header_path))
-    with open(image_path or header_path[:-4] + ".img", "rb") as fp:
-        raw = fp.read()
-    return read_cube(header, raw)
+    image_path = image_path or header_path[:-4] + ".img"
+    size = -1
+    if bands is not None and bands < header.bands and header.interleave == "bsq":
+        plane = header.samples * header.lines * header.numpy_dtype.itemsize
+        expected = header.header_offset + header.bands * plane
+        actual = os.path.getsize(image_path)
+        if actual != expected:
+            raise ValueError(f"payload size mismatch: got {actual} bytes, expected {expected}")
+        header = dataclasses.replace(
+            header, bands=bands,
+            wavelengths=header.wavelengths and header.wavelengths[:bands],
+            fwhm=header.fwhm and header.fwhm[:bands],
+            bad_band_multiplier=header.bad_band_multiplier and
+            header.bad_band_multiplier[:bands])
+        size = header.header_offset + bands * plane
+    with open(image_path, "rb") as fp:
+        raw = fp.read(size)
+    cube = read_cube(header, raw)
+    if bands is not None and bands < cube.bands:
+        cube = cube.copy_with(values=cube.values[:, :, :bands],
+                              wavelengths=cube.wavelengths[:bands],
+                              bad_band_mask=cube.bad_band_mask[:bands])
+    return cube
 
 
 def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
@@ -385,7 +431,7 @@ def stage_mnf(cfg: PipelineConfig) -> None:
 
 
 def stage_ppi(cfg: PipelineConfig) -> None:
-    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"))
+    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"), bands=cfg.mnf_keep_k)
     if not 1 <= cfg.mnf_keep_k <= mnf_cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{mnf_cube.bands} for this cube")
@@ -407,7 +453,7 @@ def stage_ppi(cfg: PipelineConfig) -> None:
 
 def stage_endmembers(cfg: PipelineConfig) -> None:
     corrected = _read_cube(cfg.artifact("reflectance.hdr"))
-    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"))
+    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"), bands=cfg.mnf_keep_k)
     pixels = artifacts.read_pure_pixels(cfg.artifact("pure_pixels.csv"))
     if not pixels:
         raise ValueError("no pure pixels were selected; lower ppi_min_count")
@@ -454,18 +500,14 @@ def stage_classify(cfg: PipelineConfig) -> None:
 
 
 def stage_mtmf(cfg: PipelineConfig) -> None:
-    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"))
     mnf_means = artifacts.read_mnf_means(cfg.artifact("endmember_mnf_means.csv"))
     d = mnf_means.shape[1]
+    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"), bands=d)
     if d > mnf_cube.bands:
         raise ValueError("endmember MNF means have more components than the cube")
-    truncated = SpectralCube(values=mnf_cube.values[:, :, :d],
-                             wavelengths=mnf_cube.wavelengths[:d],
-                             bad_band_mask=mnf_cube.bad_band_mask[:d],
-                             units_tag=mnf_cube.units_tag)
     _remove_previous(cfg, "mtmf_class_*.hdr")
     _remove_previous(cfg, "mtmf_class_*.img")
-    result = mtmf(truncated, mnf_means)
+    result = mtmf(mnf_cube, mnf_means)
     for class_id in range(1, mnf_means.shape[0] + 1):
         stacked = np.stack([result.mf_score[class_id - 1],
                             result.infeasibility[class_id - 1]], axis=2)
@@ -563,13 +605,15 @@ def stage_report(cfg: PipelineConfig) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    """A CLI stage: the stages whose artifacts it reads, and the artifacts
-    a later stage's dependency check looks for."""
+    """A CLI stage: the stages whose artifacts it reads, the artifacts a
+    later stage's dependency check looks for, and the library modules
+    (keys of `_STAGE_NAMES`) whose names it calls."""
 
     name: str
     run: Callable[[PipelineConfig], None]
     needs: tuple[str, ...] = ()
     artifacts: tuple[str, ...] = ()
+    modules: tuple[str, ...] = ()
     in_all: bool = True
 
 
@@ -577,19 +621,22 @@ class Stage:
 _STAGES = {s.name: s for s in (
     Stage("info", stage_info, in_all=False),
     Stage("preprocess", stage_preprocess,
-          artifacts=("reflectance.hdr", "reflectance.img")),
+          artifacts=("reflectance.hdr", "reflectance.img"), modules=("preprocess",)),
     Stage("mnf", stage_mnf, needs=("preprocess",),
-          artifacts=("mnf_cube.hdr", "mnf_cube.img", os.path.join("mnf_model", "forward.csv"))),
+          artifacts=("mnf_cube.hdr", "mnf_cube.img", os.path.join("mnf_model", "forward.csv")),
+          modules=("mnf", "preprocess")),
     Stage("ppi", stage_ppi, needs=("mnf",),
-          artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv")),
+          artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv"), modules=("ppi",)),
     Stage("endmembers", stage_endmembers, needs=("preprocess", "mnf", "ppi"),
-          artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv")),
-    Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",)),
+          artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv"),
+          modules=("endmember",)),
+    Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",),
+          modules=("spectral_match",)),
     Stage("classify", stage_classify, needs=("preprocess", "endmembers", "match"),
           artifacts=("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
-                     "class_legend.csv")),
-    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers")),
-    Stage("synth", stage_synth, in_all=False),
+                     "class_legend.csv"), modules=("mapping",)),
+    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers"), modules=("mapping",)),
+    Stage("synth", stage_synth, in_all=False, modules=("numerics", "synthcube")),
     Stage("report", stage_report, needs=("mnf", "ppi", "endmembers", "match", "classify")),
 )}
 
@@ -613,6 +660,8 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
         raise ConfigError(f"unknown stage '{stage}'")
     for s in stages:
         _check_needs(s, cfg)
+        for module in s.modules:
+            _bind(module)
         s.run(cfg)
 
 

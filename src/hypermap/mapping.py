@@ -30,7 +30,6 @@ class ClassMap:
     """Per-pixel class assignment (0 = unclassified)."""
 
     class_index: np.ndarray
-    max_angle: float
     n_classes: int
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassM
     best_angle = angles[np.arange(x.shape[0]), best]
     assigned = np.where(best_angle <= max_angle, best + 1, 0).astype(np.int32)
     return ClassMap(class_index=assigned.reshape(cube.lines, cube.samples),
-                    max_angle=max_angle, n_classes=spectra.shape[0])
+                    n_classes=spectra.shape[0])
 
 
 def _background_scores(mnf_cube: SpectralCube, targets: np.ndarray):

@@ -9,12 +9,12 @@ a fixed PPI threshold meaningful in sigma-like units.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .envi_io import SpectralCube
 from .numerics import check_symmetric, mean_and_covariance, symmetric_eig
 
@@ -147,54 +147,38 @@ def inverse_mnf(model: MnfModel, mnf_cube: SpectralCube, keep_k: int) -> Spectra
 # ---------------------------------------------------------------------------
 # CSV bundle persistence (pipeline restarts)
 
-
-def _write_matrix_csv(path: str, m: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        for row in np.atleast_2d(m):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _read_matrix_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fp:
-        rows = [[float(c) for c in row] for row in csv.reader(fp) if row]
-    return np.asarray(rows, dtype=np.float64)
+# Bundle file -> MnfModel field; each is a headerless float matrix, and a
+# vector is one row.
+_BUNDLE = (("mean.csv", "band_mean"), ("eigenvalues.csv", "eigenvalues"),
+           ("forward.csv", "forward"), ("inverse.csv", "inverse"),
+           ("noise_cov.csv", "noise_cov"), ("data_cov.csv", "data_cov"),
+           ("wavelengths.csv", "source_wavelengths"))
+_VECTORS = ("band_mean", "eigenvalues", "source_wavelengths")
+_META_HEADER = ["key", "value"]
 
 
 def save_mnf_model(model: MnfModel, directory) -> None:
     """Write the model as a CSV bundle under `directory`."""
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
-    _write_matrix_csv(os.path.join(directory, "mean.csv"), model.band_mean)
-    _write_matrix_csv(os.path.join(directory, "eigenvalues.csv"), model.eigenvalues)
-    _write_matrix_csv(os.path.join(directory, "forward.csv"), model.forward)
-    _write_matrix_csv(os.path.join(directory, "inverse.csv"), model.inverse)
-    _write_matrix_csv(os.path.join(directory, "noise_cov.csv"), model.noise_cov)
-    _write_matrix_csv(os.path.join(directory, "data_cov.csv"), model.data_cov)
-    if model.source_wavelengths is not None:
-        _write_matrix_csv(os.path.join(directory, "wavelengths.csv"),
-                          model.source_wavelengths)
-    with open(os.path.join(directory, "meta.csv"), "w", encoding="utf-8") as fp:
-        fp.write("key,value\nsource_units_tag,%s\n" % model.source_units_tag)
+    for name, attr in _BUNDLE:
+        if getattr(model, attr) is not None:
+            artifacts.write_matrix(os.path.join(directory, name), getattr(model, attr))
+    artifacts.write_table(os.path.join(directory, "meta.csv"), _META_HEADER,
+                          [["source_units_tag", model.source_units_tag]])
 
 
 def load_mnf_model(directory) -> MnfModel:
     """Read back a CSV bundle written by :func:`save_mnf_model`."""
     directory = str(directory)
-    units = "reflectance"
+    fields = {}
+    for name, attr in _BUNDLE:
+        path = os.path.join(directory, name)
+        if attr != "source_wavelengths" or os.path.exists(path):
+            m = artifacts.read_matrix(path)
+            fields[attr] = m.ravel() if attr in _VECTORS else m
     meta_path = os.path.join(directory, "meta.csv")
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fp:
-            for row in csv.reader(fp):
-                if row and row[0] == "source_units_tag":
-                    units = row[1]
-    wl_path = os.path.join(directory, "wavelengths.csv")
-    wavelengths = _read_matrix_csv(wl_path).ravel() if os.path.exists(wl_path) else None
-    return MnfModel(
-        band_mean=_read_matrix_csv(os.path.join(directory, "mean.csv")).ravel(),
-        noise_cov=_read_matrix_csv(os.path.join(directory, "noise_cov.csv")),
-        data_cov=_read_matrix_csv(os.path.join(directory, "data_cov.csv")),
-        eigenvalues=_read_matrix_csv(os.path.join(directory, "eigenvalues.csv")).ravel(),
-        forward=_read_matrix_csv(os.path.join(directory, "forward.csv")),
-        inverse=_read_matrix_csv(os.path.join(directory, "inverse.csv")),
-        source_units_tag=units, source_wavelengths=wavelengths)
+        meta = dict(artifacts.read_table(meta_path, _META_HEADER)[1:])
+        fields["source_units_tag"] = meta.get("source_units_tag", "reflectance")
+    return MnfModel(**fields)

@@ -24,6 +24,10 @@ _MIX2_U64 = np.uint64(_MIX2)
 _U64_SCALE = 2.0 ** -64
 _MIN_UNIFORM = 2.0 ** -64
 
+# Uniforms drawn per step of `uniforms` and `gaussians` (two per Gaussian):
+# the stream's temporaries stay ~1 MB however many draws are asked for.
+_DRAW_BLOCK = 1 << 16
+
 
 def splitmix64(value: int) -> int:
     """One splitmix64 step: add the golden gamma to `value` and mix.
@@ -39,10 +43,14 @@ def splitmix64(value: int) -> int:
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 output function over uint64 state values."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1_U64
-    z = (z ^ (z >> np.uint64(27))) * _MIX2_U64
-    return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 output function, applied in place to the
+    uint64 state values `z`, which it returns."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1_U64
+    z ^= z >> np.uint64(27)
+    z *= _MIX2_U64
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class RandomSource:
@@ -69,8 +77,9 @@ class RandomSource:
         of :meth:`next_raw`."""
         if n < 0:
             raise ValueError("block size must be non-negative")
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + idx * _GAMMA_U64
+        states = np.arange(1, n + 1, dtype=np.uint64)
+        states *= _GAMMA_U64
+        states += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
         return _mix_u64(states)
 
@@ -80,19 +89,29 @@ class RandomSource:
 
     def uniforms(self, n: int) -> np.ndarray:
         """`n` uniform draws in [0, 1), consuming the same stream positions
-        as repeated :meth:`next_uniform` calls."""
-        return self.raw_block(n).astype(np.float64) * _U64_SCALE
+        as repeated :meth:`next_uniform` calls; drawn `_DRAW_BLOCK` at a
+        time into the result."""
+        out = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _DRAW_BLOCK):
+            block = out[start:start + _DRAW_BLOCK]
+            np.multiply(self.raw_block(block.size), _U64_SCALE, out=block)
+        return out
 
     def gaussians(self, n: int) -> np.ndarray:
         """`n` standard-normal draws via Box-Muller, two uniforms per draw.
 
         Only the cosine branch is kept so each output maps to a fixed pair
-        of stream positions.
+        of stream positions. Drawn `_DRAW_BLOCK // 2` at a time into the
+        result.
         """
-        u = self.uniforms(2 * n)
-        u1 = np.maximum(u[0::2], _MIN_UNIFORM)
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        out = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _DRAW_BLOCK // 2):
+            block = out[start:start + _DRAW_BLOCK // 2]
+            u = self.uniforms(2 * block.size)
+            u1 = np.maximum(u[0::2], _MIN_UNIFORM)
+            u2 = u[1::2]
+            block[:] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return out
 
     def next_gaussian(self) -> float:
         """Single standard-normal draw (consumes two uniforms)."""

@@ -2,12 +2,19 @@
 determinism, and staged-vs-all equivalence."""
 
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_scenario_config, write_scenario_inputs
-from hypermap import cli
+from hypermap import cli, envi_io
+from hypermap.envi_io import SpectralCube, parse_envi_header, serialize_envi_header, write_cube
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(args):
@@ -235,3 +242,150 @@ class TestStages:
         alt = scenario_dir / "alt_out"
         assert run(["synth", "--config", cfg, "--out", str(alt)]) == 0
         assert (alt / "truth_pure_pixels.csv").exists()
+
+
+def run_fresh(args, cwd, code=None):
+    """Run `python -m hypermap.cli <args>` (or `python -c code <args>`) in a
+    new interpreter, so only what that process imports is bound."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    head = ["-m", "hypermap.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestFreshProcesses:
+    """Each stage binds its own library names when it runs; in-process
+    tests would hide a missing binding behind earlier imports."""
+
+    def test_each_stage_in_its_own_process_equals_all(self, tmp_path, mineral_library,
+                                                     scene_endmember_library):
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        for d in (a_dir, b_dir):
+            d.mkdir()
+            write_scenario_inputs(d, mineral_library, scene_endmember_library)
+            write_scenario_config(d, ppi_iterations=400, ppi_trace=True)
+        assert run(["synth", "--config", str(a_dir / "pipeline.cfg")]) == 0
+        assert run(["all", "--config", str(a_dir / "pipeline.cfg")]) == 0
+        stages = ["synth"] + [s.name for s in cli._STAGES.values() if s.in_all]
+        for stage in stages:
+            proc = run_fresh([stage, "--config", "pipeline.cfg"], cwd=b_dir)
+            assert proc.returncode == 0, stage + proc.stderr
+        tree_a, tree_b = read_tree(a_dir), read_tree(b_dir)
+        assert tree_a.keys() == tree_b.keys()
+        for name in tree_a:
+            assert tree_a[name] == tree_b[name], name
+
+    def test_report_imports_no_other_stage_module(self, scenario_dir):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        assert run(["synth", "--config", cfg]) == 0
+        assert run(["all", "--config", cfg]) == 0
+        code = ("import sys\nfrom hypermap import cli\nrc = cli.main(sys.argv[1:])\n"
+                "print(' '.join(sorted(sys.modules)))\nsys.exit(rc)\n")
+        proc = run_fresh(["report", "--config", cfg], cwd=scenario_dir, code=code)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "hypermap.cli" in loaded
+        for name in ("ppi", "mnf", "spectral_match", "synthcube", "endmember"):
+            assert f"hypermap.{name}" not in loaded, name
+
+    def test_binding_keeps_a_name_replaced_before_the_stage_runs(self, scenario_dir):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf"):
+            assert run([stage, "--config", cfg]) == 0
+        code = ("import sys\nfrom hypermap import cli, ppi\ncalls = []\n"
+                "def wrapper(*a, **k):\n    calls.append(1)\n    return ppi.run_ppi(*a, **k)\n"
+                "cli.run_ppi = wrapper\nrc = cli.main(sys.argv[1:])\n"
+                "print(len(calls))\nsys.exit(rc)\n")
+        proc = run_fresh(["ppi", "--config", cfg], cwd=scenario_dir, code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"
+
+    def test_package_root_resolves_every_public_name(self):
+        import hypermap
+
+        for name in hypermap.__all__:
+            assert getattr(hypermap, name) is not None, name
+        assert sorted(hypermap._EXPORTS) == sorted(hypermap.__all__)
+        with pytest.raises(AttributeError):
+            hypermap.no_such_name
+
+
+def write_test_cube(path, interleave, bands=5):
+    """A 3 x 4 cube with a header wavelength, fwhm and bad-band list."""
+    values = np.arange(3 * 4 * bands, dtype=np.float64).reshape(3, 4, bands) / 7.0
+    header_text, payload = write_cube(SpectralCube(
+        values=values, wavelengths=np.linspace(500.0, 900.0, bands),
+        bad_band_mask=np.arange(bands) % 2 == 0, units_tag="mnf_component"),
+        interleave=interleave)
+    header = parse_envi_header(header_text)
+    header.fwhm = [10.0 + i for i in range(bands)]
+    (path / "cube.hdr").write_text(serialize_envi_header(header))
+    (path / "cube.img").write_bytes(payload)
+    return str(path / "cube.hdr")
+
+
+class TestBandPrefixRead:
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_first_bands_equal_full_read(self, tmp_path, interleave, monkeypatch):
+        hdr = write_test_cube(tmp_path, interleave)
+        full = cli._read_cube(hdr)
+        read_sizes = []
+
+        def recording_read_cube(header, raw):
+            read_sizes.append(len(raw))
+            return envi_io.read_cube(header, raw)
+
+        monkeypatch.setattr(cli, "read_cube", recording_read_cube)
+        for k in (1, 3, 5):
+            part = cli._read_cube(hdr, bands=k)
+            assert part.values.tobytes() == full.values[:, :, :k].tobytes()
+            assert part.wavelengths.tobytes() == full.wavelengths[:k].tobytes()
+            assert part.bad_band_mask.tolist() == full.bad_band_mask[:k].tolist()
+            assert part.units_tag == full.units_tag
+        # BSQ reads only the first k bands' bytes; the others read the file.
+        plane = 3 * 4 * 8
+        whole = os.path.getsize(tmp_path / "cube.img")
+        if interleave == "bsq":
+            assert read_sizes == [plane, 3 * plane, whole]
+        else:
+            assert read_sizes == [whole] * 3
+
+    def test_prefix_header_cuts_band_lists(self, tmp_path, monkeypatch):
+        hdr = write_test_cube(tmp_path, "bsq")
+        headers = []
+
+        def recording_read_cube(header, raw):
+            headers.append(header)
+            return envi_io.read_cube(header, raw)
+
+        monkeypatch.setattr(cli, "read_cube", recording_read_cube)
+        cli._read_cube(hdr, bands=2)
+        assert headers[0].bands == 2
+        assert headers[0].wavelengths == [500.0, 600.0]
+        assert headers[0].fwhm == [10.0, 11.0]
+        assert headers[0].bad_band_multiplier == [1, 0]
+
+    @pytest.mark.parametrize("stage", ["ppi", "mtmf"])
+    def test_truncated_mnf_cube_is_data_error(self, scenario_dir, capsys, stage):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for s in ("synth", "preprocess", "mnf", "ppi", "endmembers"):
+            assert run([s, "--config", cfg]) == 0
+        img = scenario_dir / "out" / "mnf_cube.img"
+        img.write_bytes(img.read_bytes()[:-8])
+        capsys.readouterr()
+        assert run([stage, "--config", cfg]) == cli.EXIT_DATA
+        assert "payload size mismatch" in capsys.readouterr().err
+
+    def test_keep_k_above_band_count_is_config_error(self, scenario_dir, capsys):
+        cfg_path = scenario_dir / "pipeline.cfg"
+        cfg = str(cfg_path)
+        for s in ("synth", "preprocess", "mnf"):
+            assert run([s, "--config", cfg]) == 0
+        bands = parse_envi_header((scenario_dir / "out" / "mnf_cube.hdr").read_text()).bands
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "mnf_keep_k = 8", f"mnf_keep_k = {bands + 1}"))
+        capsys.readouterr()
+        assert run(["ppi", "--config", cfg]) == cli.EXIT_CONFIG
+        assert f"config key 'mnf_keep_k': must be in 1..{bands} for this cube" in \
+            capsys.readouterr().err

@@ -252,7 +252,7 @@ class TestMtmf:
 
 class TestClassStatistics:
     def make_map(self, class_index, k):
-        return ClassMap(class_index=class_index, max_angle=0.1, n_classes=k)
+        return ClassMap(class_index=class_index, n_classes=k)
 
     def test_single_class(self):
         cmap = self.make_map(np.ones((4, 5), dtype=int), k=1)

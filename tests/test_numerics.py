@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypermap import numerics
 from hypermap.numerics import RandomSource, spawned_gaussians, splitmix64, symmetric_eig
 
 MASK = (1 << 64) - 1
@@ -118,6 +119,40 @@ class TestGaussian:
         block = a.gaussians(4)
         scalars = [b.next_gaussian() for _ in range(4)]
         assert list(block) == scalars
+
+
+def unblocked_uniforms(seed, start, n):
+    """Uniforms at stream positions start+1..start+n in one array pass."""
+    steps = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z = np.uint64(seed) + steps * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return z.astype(np.float64) * 2.0 ** -64
+
+
+class TestDrawBlocks:
+    """`uniforms` and `gaussians` draw in blocks of `_DRAW_BLOCK` uniforms;
+    the result and the stream position must not show the seams."""
+
+    SIZES = (numerics._DRAW_BLOCK - 1, numerics._DRAW_BLOCK, 2 * numerics._DRAW_BLOCK + 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_uniforms_equal_unblocked_formula(self, n):
+        rs = RandomSource(99)
+        u = rs.uniforms(n)
+        assert u.tobytes() == unblocked_uniforms(99, 0, n).tobytes()
+        assert rs.next_raw() == reference_splitmix64_stream(99, n + 1)[-1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gaussians_equal_unblocked_formula(self, n):
+        rs = RandomSource(5)
+        g = rs.gaussians(n)
+        u = unblocked_uniforms(5, 0, 2 * n)
+        expected = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0 ** -64))) * \
+            np.cos(2.0 * np.pi * u[1::2])
+        assert g.tobytes() == expected.tobytes()
+        assert rs.next_uniform() == unblocked_uniforms(5, 2 * n, 1)[0]
 
 
 class TestSymmetricEig:
