@@ -38,11 +38,14 @@ from .envi_io import (
 # the module that defines them. `run_stage` binds a stage's `modules`
 # just before running it, so a stage process imports only what it uses;
 # other access goes through the module `__getattr__`. A name that is
-# already bound (a test double or a timing wrapper) is kept.
+# already bound (a test double or a timing wrapper) is kept. No stage
+# calls `fit_mnf` or `forward_mnf`; they stay resolvable here because
+# `perfbench/traced_stage.py` wraps them.
 _STAGE_NAMES = {
     "endmember": ("derive_endmembers",),
     "mapping": ("mtmf", "sam_classify"),
-    "mnf": ("estimate_noise_covariance", "fit_mnf", "forward_mnf", "save_mnf_model"),
+    "mnf": ("estimate_noise_covariance", "fit_forward_in_place", "fit_mnf", "forward_mnf",
+            "save_mnf_model"),
     "numerics": ("RandomSource",),
     "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
     "preprocess": ("Roi", "read_band_mask_csv", "read_gains_csv", "reflectance_flat_field",
@@ -305,6 +308,8 @@ def _read_cube(header_path: str, image_path: str | None = None,
     match. A BSQ image stores them as a byte prefix, so only that prefix
     is read (and checked for finite values) once the file's size has
     been checked against the whole cube; other interleaves are read whole.
+    The bytes go into one writable buffer, which a little-endian float64
+    image is decoded in place from.
     """
     header = parse_envi_header(artifacts.read_text(header_path))
     image_path = image_path or header_path[:-4] + ".img"
@@ -323,7 +328,9 @@ def _read_cube(header_path: str, image_path: str | None = None,
             header.bad_band_multiplier[:bands])
         size = header.header_offset + bands * plane
     with open(image_path, "rb") as fp:
-        raw = fp.read(size)
+        raw = bytearray(os.fstat(fp.fileno()).st_size if size < 0 else size)
+        # A file that ends early leaves a short buffer: a size mismatch below.
+        del raw[fp.readinto(raw):]
     cube = read_cube(header, raw)
     if bands is not None and bands < cube.bands:
         cube = cube.copy_with(values=cube.values[:, :, :bands],
@@ -379,12 +386,18 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
             raise ConfigError(f"input file {path!r} does not exist")
     cube = _read_cube(header_path, image_path)
 
+    # Mask first, then divide the kept bands by their gains: the same
+    # values as scaling every band, with a smaller cube to divide. The
+    # whole gains table is checked before any band is dropped.
+    gains = None
     if cfg.gains_csv:
         gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), cube.bands)
-        cube = scale_radiance(cube, gains)
     if cfg.band_mask_csv:
         keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)), cube.bands)
         cube = remove_bad_bands(cube, keep)
+        gains = None if gains is None else gains[keep]
+    if gains is not None:
+        cube = scale_radiance(cube, gains)
 
     roi = None
     if cfg.roi_n_lines > 0 or cfg.roi_n_samples > 0:
@@ -417,13 +430,12 @@ def stage_mnf(cfg: PipelineConfig) -> None:
     if not 1 <= cfg.mnf_keep_k <= cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
-    fit_input = cube
     if cfg.standardize_before_mnf:
-        fit_input, means, stds = standardize(cube)
+        cube, means, stds = standardize(cube)
         artifacts.write_band_stats(cfg.artifact("band_stats.csv"), means, stds)
-    noise = estimate_noise_covariance(fit_input)
-    model = fit_mnf(fit_input, noise)
-    mnf_cube = forward_mnf(model, fit_input)
+    noise = estimate_noise_covariance(cube)
+    model, mnf_cube = fit_forward_in_place(cube, noise)
+    del cube  # centred in place; only the components are written
     save_mnf_model(model, cfg.artifact("mnf_model"))
     write_cube_file(mnf_cube, cfg.artifact("mnf_cube.hdr"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
@@ -559,7 +571,8 @@ def stage_synth(cfg: PipelineConfig) -> None:
     sigma = cfg.synth_noise_sigma
     if cfg.synth_noise_relative > 0:
         clean = field.reshape(-1, k) @ endmembers
-        sigma = cfg.synth_noise_relative * float(np.mean(np.abs(clean)))
+        sigma = cfg.synth_noise_relative * float(np.mean(np.abs(clean, out=clean)))
+        del clean  # `generate` mixes the cube again
     scenario = MixingScenario(endmembers=endmembers, wavelengths=wavelengths,
                               abundance_field=field, noise_sigma=sigma,
                               pure_pixel_plan=plan, seed=root.spawn(1).seed)

@@ -144,13 +144,14 @@ def derive_endmembers(corrected_cube: SpectralCube, mnf_cube: SpectralCube,
 
     assignments, centroids, _ = kmeans(vectors, k, seed=seed)
 
-    reflectance = corrected_cube.values[lines, samples, :]
+    # Gather one class's spectra at a time, in pure-pixel order, so only
+    # that class's rows are held.
     refl_means = np.empty((k, corrected_cube.bands))
     counts = np.empty(k, dtype=np.int64)
     for cls in range(k):
         mask = assignments == cls
         counts[cls] = int(mask.sum())
-        refl_means[cls] = reflectance[mask].mean(axis=0)
+        refl_means[cls] = corrected_cube.values[lines[mask], samples[mask], :].mean(axis=0)
 
     return EndmemberSet(k=k, mnf_means=centroids, reflectance_means=refl_means,
                         member_counts=counts, wavelengths=corrected_cube.wavelengths.copy())

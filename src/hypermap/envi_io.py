@@ -86,6 +86,19 @@ class EnviHeader:
         return base.newbyteorder("<" if self.byte_order == "little" else ">")
 
 
+# Elements per block of the finite-value check: its bool temporary stays
+# ~32 KB however large the cube.
+_FINITE_BLOCK_ELEMENTS = 1 << 15
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()``, checked a few planes at a time along
+    the axis that is outermost in memory, so the bool temporary stays small."""
+    outer = np.moveaxis(values, int(np.argmax(np.abs(values.strides))), 0)
+    step = max(1, _FINITE_BLOCK_ELEMENTS * len(outer) // max(1, outer.size))
+    return all(np.isfinite(outer[i:i + step]).all() for i in range(0, len(outer), step))
+
+
 @dataclass
 class SpectralCube:
     """A (lines, samples, bands) float64 grid with per-band wavelengths."""
@@ -107,7 +120,7 @@ class SpectralCube:
             raise ValueError("bad_band_mask length must equal band count")
         if self.units_tag not in UNITS_TAGS:
             raise ValueError(f"unknown units tag {self.units_tag!r}")
-        if not np.isfinite(self.values).all():
+        if not _all_finite(self.values):
             raise ValueError("cube contains non-finite values")
 
     @property
@@ -340,11 +353,15 @@ def serialize_envi_header(header: EnviHeader) -> str:
 # cube payload I/O
 
 
-def read_cube(header: EnviHeader, raw: bytes) -> SpectralCube:
+def read_cube(header: EnviHeader, raw) -> SpectralCube:
     """Decode a raw payload into the canonical (line, sample, band) order.
 
     The payload length must be exactly header_offset plus the cube size;
-    integer payloads are promoted to float64.
+    integer and big-endian payloads are converted to little-endian float64.
+    A little-endian float64 payload in a writable buffer (a `bytearray`)
+    is decoded in place: the cube's values are a view of `raw`, in the
+    file's interleave order. From read-only `bytes` the values are copied,
+    in the same memory order.
     """
     header.validate()
     n_values = header.samples * header.lines * header.bands
@@ -362,9 +379,7 @@ def read_cube(header: EnviHeader, raw: bytes) -> SpectralCube:
         values = values.transpose(0, 2, 1)
     else:  # bip
         values = flat.reshape(header.lines, header.samples, header.bands)
-    values = values.astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError("payload contains non-finite values")
+    values = values.astype(np.float64, copy=not flat.flags.writeable)
 
     if header.wavelengths is not None:
         wavelengths = np.asarray(header.wavelengths, dtype=np.float64)
@@ -391,9 +406,10 @@ _INT_RANGES = {
 
 
 def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
-                 byte_order: str) -> tuple[str, np.ndarray]:
-    """Header text and the payload as a C-contiguous array in the file's
-    dtype, byte order and interleave; conversion and reordering share one copy."""
+                 byte_order: str) -> tuple[str, np.ndarray, np.dtype]:
+    """Header text, the values as a view in the file's interleave order
+    (outermost axis first) and the file's dtype. Integer types are
+    range-checked here; rounding is left to the caller."""
     interleave = interleave.lower()
     if interleave not in INTERLEAVES:
         raise ValueError(f"unknown interleave {interleave!r}")
@@ -407,7 +423,6 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
         if vmin < lo or vmax > hi:
             raise ValueError(
                 f"values [{vmin:g}, {vmax:g}] outside {data_type} range [{lo}, {hi}]")
-        values = np.rint(values)
 
     dtype = np.dtype(data_type).newbyteorder("<" if byte_order == "little" else ">")
     if interleave == "bsq":
@@ -416,7 +431,6 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
         arranged = values.transpose(0, 2, 1)
     else:
         arranged = values
-    payload = np.ascontiguousarray(arranged, dtype=dtype)
 
     header = EnviHeader(
         samples=cube.samples, lines=cube.lines, bands=cube.bands,
@@ -424,7 +438,15 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
         header_offset=0, wavelengths=list(cube.wavelengths),
         bad_band_multiplier=[int(v) for v in cube.bad_band_mask],
         extra={_UNITS_KEY: cube.units_tag})
-    return serialize_envi_header(header), payload
+    return serialize_envi_header(header), arranged, dtype
+
+
+def _as_payload(arranged: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """`arranged` as a C-contiguous array of `dtype`, rounded first for
+    integer types; a view when no conversion or reordering is needed."""
+    if dtype.kind in "iu":
+        arranged = np.rint(arranged)
+    return np.ascontiguousarray(arranged, dtype=dtype)
 
 
 def write_cube(cube: SpectralCube, interleave: str = "bsq",
@@ -435,26 +457,29 @@ def write_cube(cube: SpectralCube, interleave: str = "bsq",
     Raises ValueError if an integer data type is requested for values
     outside its representable range.
     """
-    header_text, payload = _encode_cube(cube, interleave, data_type, byte_order)
-    return header_text, payload.tobytes()
+    header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, byte_order)
+    return header_text, _as_payload(arranged, dtype).tobytes()
 
 
 def write_cube_file(cube: SpectralCube, header_path, image_path=None,
                     interleave: str = "bsq", data_type: str = "float64") -> None:
     """Write a cube as a .hdr/.img file pair, creating missing parent
-    directories. The payload goes out from its array's buffer, with no
-    bytes copy; the files hold exactly what :func:`write_cube` returns."""
+    directories. The payload goes out one plane of the interleave at a
+    time (a band for BSQ, a line for BIL and BIP), so at most one plane
+    is converted or reordered at once; the files hold exactly what
+    :func:`write_cube` returns."""
     header_path = str(header_path)
     if image_path is None:
         stem = header_path[:-4] if header_path.endswith(".hdr") else header_path
         image_path = stem + ".img"
-    header_text, payload = _encode_cube(cube, interleave, data_type, "little")
+    header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, "little")
     for path in (header_path, image_path):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(header_path, "w", encoding="utf-8") as fp:
         fp.write(header_text)
     with open(image_path, "wb") as fp:
-        fp.write(payload.data)
+        for plane in arranged:
+            fp.write(_as_payload(plane, dtype).data)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envi_io import SpectralCube
-from .numerics import mean_and_covariance, symmetric_eig
+from .numerics import centre_and_covariance, symmetric_eig
 
 _RIDGE = 1e-10
 
 # Residual std shrinks linearly from 1 at the background to this at the
 # target when scaling MTMF infeasibility.
 _TARGET_RESIDUAL_STD = 0.01
+
+# Elements per block of rows in the SAM pixel norms (~1 MB temporaries).
+_NORM_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -62,7 +65,13 @@ def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassM
     if max_angle < 0:
         raise ValueError("max_angle must be non-negative")
     x = cube.pixels()
-    xn = np.linalg.norm(x, axis=1)
+    # Row norms a block of rows at a time, with no pixels-sized square:
+    # each row is summed in the same order as one call over every row.
+    xn = np.empty(x.shape[0])
+    step = max(1, _NORM_BLOCK_ELEMENTS // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        rows = x[start:start + step]
+        np.sqrt(np.add.reduce(rows * rows, axis=1), out=xn[start:start + step])
     en = np.linalg.norm(spectra, axis=1)
     if np.any(en == 0.0):
         raise ValueError("endmember spectra must be nonzero")
@@ -88,8 +97,9 @@ def _background_scores(mnf_cube: SpectralCube, targets: np.ndarray):
     each pixel's coordinate along it, and the matched-filter score
     alpha / |whitened target|.
     """
-    x = mnf_cube.pixels()
-    mu, cov = mean_and_covariance(x)
+    # Centre one copy of the pixels, in their memory order, and reuse it.
+    centred = mnf_cube.pixels().copy(order="K")
+    mu, cov = centre_and_covariance(centred)
     b = mnf_cube.bands
     vals, vecs = symmetric_eig(cov + np.eye(b) * (_RIDGE * np.trace(cov) / b))
     if vals[-1] <= 0.0:
@@ -97,7 +107,8 @@ def _background_scores(mnf_cube: SpectralCube, targets: np.ndarray):
 
     inv_sqrt = 1.0 / np.sqrt(vals)
     whiten = inv_sqrt[:, None] * vecs.T
-    p = (x - mu) @ whiten.T
+    p = centred @ whiten.T
+    del centred
     for target in targets:
         tw = whiten @ (target - mu)
         t_norm = float(np.linalg.norm(tw))

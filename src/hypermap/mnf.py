@@ -16,7 +16,7 @@ import numpy as np
 
 from . import artifacts
 from .envi_io import SpectralCube
-from .numerics import check_symmetric, mean_and_covariance, symmetric_eig
+from .numerics import centre_and_covariance, check_symmetric, symmetric_eig
 
 _RIDGE = 1e-10
 
@@ -62,34 +62,26 @@ def estimate_noise_covariance(cube: SpectralCube) -> NoiseEstimate:
 
     d(line, s) = (x(line, s) - x(line, s+1)) / sqrt(2); the covariance of
     these difference vectors estimates the per-band noise covariance when
-    the underlying signal varies slowly along a line.
+    the underlying signal varies slowly along a line. The differences are
+    the only cube-sized array made: they are scaled and centred in place.
     """
     if cube.samples < 2:
         raise ValueError("noise estimation needs at least 2 samples per line")
-    diffs = (cube.values[:, :-1, :] - cube.values[:, 1:, :]) / np.sqrt(2.0)
-    _, cov = mean_and_covariance(diffs.reshape(-1, cube.bands))
+    diffs = np.subtract(cube.values[:, :-1, :], cube.values[:, 1:, :])
+    diffs /= np.sqrt(2.0)
+    _, cov = centre_and_covariance(diffs.reshape(-1, cube.bands))
     return NoiseEstimate(cov=cov)
 
 
-def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
-    """Fit the MNF model: noise whitening followed by a variance rotation.
-
-    Steps:
-      1. Ridge-regularize the noise covariance (1e-10 * trace / b on the
-         diagonal) and eigendecompose it.
-      2. Whiten: W = diag(1/sqrt(ln)) @ Un^T, so W N W^T = I.
-      3. Eigendecompose the whitened data covariance W D W^T = V L V^T.
-      4. forward = V^T W; inverse = Un @ diag(sqrt(ln)) @ V.
-
-    Eigenvalues are the whitened-data eigenvalues, descending; values near
-    1 indicate noise-only components.
-    """
+def _fit_centring(pixels: np.ndarray, noise: NoiseEstimate, cube: SpectralCube) -> MnfModel:
+    """The MNF fit from the (n, b) `pixels` of `cube`, which it centres in
+    place; :func:`fit_mnf` documents the steps."""
     b = cube.bands
     noise_cov = check_symmetric(noise.cov)
     if noise_cov.shape != (b, b):
         raise ValueError(f"noise covariance is {noise_cov.shape}, cube has {b} bands")
 
-    band_mean, data_cov = mean_and_covariance(cube.pixels())
+    band_mean, data_cov = centre_and_covariance(pixels)
 
     ridge = _RIDGE * np.trace(noise_cov) / b
     regularized = noise_cov + np.eye(b) * ridge
@@ -113,17 +105,47 @@ def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
                     source_wavelengths=cube.wavelengths.copy())
 
 
+def _project_centred(model: MnfModel, centred: np.ndarray, cube: SpectralCube) -> SpectralCube:
+    """MNF components of the centred (n, b) pixels of `cube`."""
+    components = centred @ model.forward.T
+    return SpectralCube(values=components.reshape(cube.lines, cube.samples, model.bands),
+                        wavelengths=np.arange(1, model.bands + 1, dtype=np.float64),
+                        bad_band_mask=np.ones(model.bands, dtype=bool),
+                        units_tag="mnf_component")
+
+
+def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
+    """Fit the MNF model: noise whitening followed by a variance rotation.
+
+    Steps:
+      1. Ridge-regularize the noise covariance (1e-10 * trace / b on the
+         diagonal) and eigendecompose it.
+      2. Whiten: W = diag(1/sqrt(ln)) @ Un^T, so W N W^T = I.
+      3. Eigendecompose the whitened data covariance W D W^T = V L V^T.
+      4. forward = V^T W; inverse = Un @ diag(sqrt(ln)) @ V.
+
+    Eigenvalues are the whitened-data eigenvalues, descending; values near
+    1 indicate noise-only components. The cube is not modified.
+    """
+    return _fit_centring(cube.pixels().copy(order="K"), noise, cube)
+
+
 def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
     """Project a cube into MNF component space, descending eigenvalue order."""
     if cube.bands != model.bands:
         raise ValueError(f"cube has {cube.bands} bands, model expects {model.bands}")
-    flat = cube.pixels() - model.band_mean
-    components = flat @ model.forward.T
-    values = components.reshape(cube.lines, cube.samples, model.bands)
-    return SpectralCube(values=values,
-                        wavelengths=np.arange(1, model.bands + 1, dtype=np.float64),
-                        bad_band_mask=np.ones(model.bands, dtype=bool),
-                        units_tag="mnf_component")
+    return _project_centred(model, cube.pixels() - model.band_mean, cube)
+
+
+def fit_forward_in_place(cube: SpectralCube,
+                         noise: NoiseEstimate) -> tuple[MnfModel, SpectralCube]:
+    """:func:`fit_mnf` then :func:`forward_mnf` on the same cube, with the
+    same bytes, from one centred array: the cube's pixels are centred in
+    place (its values are left centred when `pixels()` is a view), so the
+    components are the only other cube-sized array."""
+    pixels = cube.pixels()
+    model = _fit_centring(pixels, noise, cube)
+    return model, _project_centred(model, pixels, cube)
 
 
 def inverse_mnf(model: MnfModel, mnf_cube: SpectralCube, keep_k: int) -> SpectralCube:

@@ -143,12 +143,14 @@ def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.nda
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and n-1 sample covariance of the rows of `x` (n, b): the
-    one owner of the noise, MNF data and MTMF background covariances."""
+def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and n-1 sample covariance of the rows of `x` (n, b),
+    centring `x` in place: the one owner of the noise, MNF data and MTMF
+    background covariances. A caller that keeps using the centred rows
+    needs no second copy of them."""
     mu = x.mean(axis=0)
-    centered = x - mu
-    return mu, centered.T @ centered / max(x.shape[0] - 1, 1)
+    x -= mu
+    return mu, x.T @ x / max(x.shape[0] - 1, 1)
 
 
 def check_symmetric(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -112,7 +112,8 @@ def standardize(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarra
     means = flat.mean(axis=0)
     stds = flat.std(axis=0)
     stds = np.where(stds == 0.0, 1.0, stds)
-    values = (cube.values - means) / stds
+    values = cube.values - means
+    values /= stds
     return cube.copy_with(values=values), means, stds
 
 
@@ -148,5 +149,8 @@ def read_band_mask_csv(text: str, n_bands: int) -> np.ndarray:
 
 
 def read_gains_csv(text: str, n_bands: int) -> np.ndarray:
-    """Parse a `band_index,gain` CSV into per-band divisors."""
-    return _read_band_csv(text, n_bands, "gain")
+    """Parse a `band_index,gain` CSV into per-band divisors, all positive."""
+    gains = _read_band_csv(text, n_bands, "gain")
+    if np.any(gains <= 0):
+        raise ValueError("gains must all be positive")
+    return gains

@@ -16,6 +16,11 @@ from .numerics import RandomSource
 
 _SUM_TOL = 1e-12
 
+# Noise draws per block in `generate` (~1 MB at a time): a multiple of the
+# Gaussian block of `RandomSource.gaussians`, so every draw is computed in
+# the same block as when the whole cube's noise is drawn in one call.
+_NOISE_BLOCK = 1 << 17
+
 
 @dataclass
 class MixingScenario:
@@ -153,9 +158,16 @@ def generate(scenario: MixingScenario) -> tuple[SpectralCube, GroundTruth]:
     values = a.reshape(-1, scenario.k) @ scenario.endmembers
     values = values.reshape(scenario.lines, scenario.samples, -1)
     if scenario.noise_sigma > 0:
+        # Scaled and added in place, a block of draws at a time: the same
+        # stream positions and the same bits as `values + sigma * g` over
+        # the whole cube, with no cube-sized noise array.
         rs = RandomSource(scenario.seed)
-        g = rs.gaussians(values.size).reshape(values.shape)
-        values = values + scenario.noise_sigma * g
+        flat = values.reshape(-1)
+        for start in range(0, flat.size, _NOISE_BLOCK):
+            block = flat[start:start + _NOISE_BLOCK]
+            g = rs.gaussians(block.size)
+            g *= scenario.noise_sigma
+            block += g
     cube = SpectralCube(values=values, wavelengths=scenario.wavelengths.copy(),
                         bad_band_mask=np.ones(values.shape[2], dtype=bool),
                         units_tag="radiance")

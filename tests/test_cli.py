@@ -4,6 +4,7 @@ determinism, and staged-vs-all equivalence."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -389,3 +390,116 @@ class TestBandPrefixRead:
         assert run(["ppi", "--config", cfg]) == cli.EXIT_CONFIG
         assert f"config key 'mnf_keep_k': must be in 1..{bands} for this cube" in \
             capsys.readouterr().err
+
+
+def write_radiance_scene(path, mask, gains):
+    """A 6 x 7 x 5 BIL radiance scene plus `band_index,keep` and
+    `band_index,gain` tables (one row per list entry) and a config."""
+    values = 1.0 + np.arange(6 * 7 * 5, dtype=np.float64).reshape(6, 7, 5) % 11
+    header_text, payload = write_cube(SpectralCube(
+        values=values, wavelengths=np.linspace(500.0, 900.0, 5),
+        bad_band_mask=np.ones(5, dtype=bool)), interleave="bil")
+    (path / "scene.hdr").write_text(header_text)
+    (path / "scene.img").write_bytes(payload)
+    (path / "mask.csv").write_text(
+        "band_index,keep\n" + "".join(f"{i},{k}\n" for i, k in enumerate(mask, 1)))
+    (path / "gains.csv").write_text(
+        "band_index,gain\n" + "".join(f"{i},{g}\n" for i, g in enumerate(gains, 1)))
+    cfg = path / "p.cfg"
+    cfg.write_text("input_header = scene.hdr\ninput_image = scene.img\noutput_dir = out\n"
+                   "band_mask_csv = mask.csv\ngains_csv = gains.csv\n")
+    return str(cfg)
+
+
+class TestPreprocessInputs:
+    def test_mask_then_gains_equals_gains_then_mask(self, tmp_path):
+        from hypermap import preprocess
+
+        mask, gains = [1, 0, 1, 1, 0], [40.0, 3.0, 80.0, 7.0, 0.5]
+        cfg = write_radiance_scene(tmp_path, mask, gains)
+        assert run(["preprocess", "--config", cfg]) == 0
+        cube = cli._read_cube(str(tmp_path / "scene.hdr"))
+        expected = preprocess.reflectance_iarr(preprocess.remove_bad_bands(
+            preprocess.scale_radiance(cube, gains), np.array(mask, dtype=bool)))
+        _, payload = write_cube(expected)
+        assert (tmp_path / "out" / "reflectance.img").read_bytes() == payload
+
+    def test_non_positive_gain_on_dropped_band_is_data_error(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 1], [40.0, 0.0, 80.0, 7.0, 0.5])
+        assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+        assert "gains must all be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "reflectance.img").exists()
+
+    @pytest.mark.parametrize("gains, message", [
+        ([40.0, 3.0, 80.0, 7.0], "band 5 missing from CSV"),
+        ([40.0, 3.0, 80.0, 7.0, 0.5, 2.0], "band index 6 outside 1..5"),
+    ])
+    def test_wrong_length_gains_table_is_data_error(self, tmp_path, capsys, gains, message):
+        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 0], gains)
+        assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_scene_is_data_error(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [1] * 5, [1.0] * 5)
+        payload = bytearray((tmp_path / "scene.img").read_bytes())
+        payload[80:88] = np.array([np.nan]).tobytes()
+        (tmp_path / "scene.img").write_bytes(payload)
+        assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestMnfStage:
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_components_equal_public_fit_and_forward(self, tmp_path, standardize):
+        from hypermap import mnf, preprocess
+
+        values = np.random.default_rng(9).normal(size=(12, 10, 6)) + np.linspace(1.0, 6.0, 6)
+        envi_io.write_cube_file(SpectralCube(
+            values=values, wavelengths=np.arange(1.0, 7.0), bad_band_mask=np.ones(6, dtype=bool),
+            units_tag="reflectance"), tmp_path / "out" / "reflectance.hdr")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("output_dir = out\nmnf_keep_k = 3\n"
+                       f"standardize_before_mnf = {str(standardize).lower()}\n")
+        assert run(["mnf", "--config", str(cfg)]) == 0
+
+        cube = cli._read_cube(str(tmp_path / "out" / "reflectance.hdr"))
+        if standardize:
+            cube, _, _ = preprocess.standardize(cube)
+        model = mnf.fit_mnf(cube, mnf.estimate_noise_covariance(cube))
+        _, payload = write_cube(mnf.forward_mnf(model, cube))
+        assert (tmp_path / "out" / "mnf_cube.img").read_bytes() == payload
+        assert (tmp_path / "out" / "band_stats.csv").exists() == standardize
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageMemory:
+    CUBE = (64, 64, 64)
+
+    def write_cube_file(self, path, units):
+        values = np.random.default_rng(8).normal(size=self.CUBE)
+        envi_io.write_cube_file(SpectralCube(
+            values=values, wavelengths=np.arange(1.0, 65.0),
+            bad_band_mask=np.ones(64, dtype=bool), units_tag=units), path)
+        return values.nbytes
+
+    def test_read_holds_one_payload(self, tmp_path):
+        payload = self.write_cube_file(tmp_path / "cube.hdr", "reflectance")
+        assert traced_peak(cli._read_cube, str(tmp_path / "cube.hdr")) <= 1.05 * payload
+
+    def test_mnf_stage_holds_at_most_two_cubes(self, tmp_path):
+        cube_bytes = self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance")
+        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n")
+        cfg = cli.load_config(str(tmp_path / "p.cfg"))
+        cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
+        # The cube and its differences, then the centred cube and its
+        # components; a third cube-sized array would reach 3x.
+        assert traced_peak(cli.run_stage, "mnf", cfg) <= 2.2 * cube_bytes

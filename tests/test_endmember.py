@@ -154,3 +154,18 @@ class TestDeriveEndmembers:
         for spectrum in endmembers:
             best = min(sam_angle(mean, spectrum) for mean in es.reflectance_means)
             assert best < 0.05
+
+    def test_class_means_equal_masked_gather(self):
+        rng = np.random.default_rng(23)
+        # Band planes outermost in memory, as a BSQ read gives.
+        refl = rng.uniform(0.1, 0.9, size=(30, 9, 7)).transpose(1, 2, 0)
+        mnf = rng.normal(size=(9, 7, 3))
+        pixels = [(int(i) // 7, int(i) % 7) for i in rng.permutation(63)[:40]]
+        es = derive_endmembers(make_cube(refl), make_cube(mnf, units="mnf_component"),
+                               pixels, k=4, seed=3)
+        lines, samples = np.array(pixels).T
+        assignments, _, _ = kmeans(mnf[lines, samples], 4, seed=3)
+        gathered = refl[lines, samples, :]
+        for cls in range(4):
+            expected = gathered[assignments == cls].mean(axis=0)
+            assert es.reflectance_means[cls].tobytes() == expected.tobytes()

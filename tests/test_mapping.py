@@ -95,6 +95,16 @@ class TestSamClassify:
                 angles = [sam_angle(values[line, sample], s) for s in spectra]
                 assert angles[cls - 1] == min(angles)
 
+    def test_norm_blocks_do_not_change_the_map(self, monkeypatch):
+        rs = RandomSource(61)
+        cube = make_cube(rs.uniforms(17 * 13 * 8).reshape(17, 13, 8))
+        spectra = cube.pixels()[[3, 50, 120]]
+        whole = sam_classify(cube, spectra, max_angle=0.2)
+        monkeypatch.setattr(mapping, "_NORM_BLOCK_ELEMENTS", 5 * cube.bands)
+        blocked = sam_classify(cube, spectra, max_angle=0.2)
+        assert blocked.class_index.tobytes() == whole.class_index.tobytes()
+        assert np.count_nonzero(whole.class_index) > 0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="bands"):
             sam_classify(make_cube(np.ones((2, 2, 5))),

@@ -7,6 +7,7 @@ import pytest
 from hypermap.envi_io import SpectralCube
 from hypermap.mnf import (
     estimate_noise_covariance,
+    fit_forward_in_place,
     fit_mnf,
     forward_mnf,
     inverse_mnf,
@@ -81,6 +82,28 @@ class TestFitMnf:
         noise = estimate_noise_covariance(cube)
         with pytest.raises(ValueError, match="singular"):
             fit_mnf(cube, noise)
+
+
+class TestFitForwardInPlace:
+    # (line, sample, band) order, and band planes outermost as a BSQ read gives.
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 0)])
+    def test_same_bytes_as_fit_then_forward(self, axes):
+        rs = RandomSource(23)
+        base = rs.gaussians(30 * 20 * 10).reshape(30, 20, 10) + np.linspace(0.0, 9.0, 10)
+        base = np.ascontiguousarray(base.transpose(np.argsort(axes)))
+        cube = make_cube(base.transpose(axes))
+        before = cube.values.copy()
+        noise = estimate_noise_covariance(cube)
+        model = fit_mnf(cube, noise)
+        components = forward_mnf(model, cube)
+        assert cube.values.tobytes() == before.tobytes()
+
+        model2, components2 = fit_forward_in_place(cube, noise)
+        for name in ("band_mean", "noise_cov", "data_cov", "eigenvalues", "forward",
+                     "inverse", "source_wavelengths"):
+            assert getattr(model2, name).tobytes() == getattr(model, name).tobytes(), name
+        assert components2.values.tobytes() == components.values.tobytes()
+        assert components2.units_tag == "mnf_component"
 
 
 class TestForwardInverse:

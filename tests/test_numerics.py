@@ -200,3 +200,16 @@ class TestSymmetricEig:
         values, vectors = symmetric_eig(m)
         rebuilt = vectors @ np.diag(values) @ vectors.T
         assert np.max(np.abs(rebuilt - m)) <= 1e-8 * np.abs(m).max()
+
+
+class TestCovariance:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_centring_in_place_equals_centred_copy(self, order):
+        x = np.asarray(np.random.default_rng(3).normal(size=(500, 7)) + 4.0, order=order)
+        mean = x.mean(axis=0)
+        centred = x - mean
+        mu, cov = numerics.centre_and_covariance(x)
+        assert mu.tobytes() == mean.tobytes()
+        assert cov.tobytes() == (centred.T @ centred / 499).tobytes()
+        assert x.tobytes() == centred.tobytes()
+        assert x.flags.f_contiguous == (order == "F")

@@ -163,6 +163,14 @@ class TestStandardize:
         assert np.max(np.abs(flat.mean(axis=0))) < 1e-10
         assert np.max(np.abs(flat.std(axis=0) - 1.0)) < 1e-10
 
+    def test_bits_equal_formula_and_input_kept(self):
+        values = np.random.default_rng(9).uniform(1.0, 9.0, size=(7, 5, 4))
+        values[:, :, 2] = 3.0
+        cube = make_cube(values.copy())
+        out, means, stds = standardize(cube)
+        assert out.values.tobytes() == ((values - means) / stds).tobytes()
+        assert cube.values.tobytes() == values.tobytes()
+
     def test_needs_two_pixels(self):
         with pytest.raises(ValueError, match="2 pixels"):
             standardize(make_cube(np.ones((1, 1, 2))))

@@ -4,6 +4,8 @@ determinism."""
 import numpy as np
 import pytest
 
+from hypermap import synthcube
+from hypermap.numerics import RandomSource
 from hypermap.synthcube import (
     MixingScenario,
     generate,
@@ -49,6 +51,20 @@ class TestGenerate:
         cube1, _ = generate(MixingScenario(**args))
         cube2, _ = generate(MixingScenario(**args))
         assert np.array_equal(cube1.values, cube2.values)
+
+    def test_noise_equals_whole_cube_formula(self):
+        # More draws than one noise block, so the seam is crossed.
+        rng = np.random.default_rng(4)
+        endmembers = rng.uniform(0.1, 0.9, size=(3, 300))
+        wl = np.linspace(400.0, 2500.0, 300)
+        field = random_abundance_field(24, 24, 3, seed=12)
+        assert field.size // 3 * 300 > synthcube._NOISE_BLOCK
+        cube, _ = generate(MixingScenario(endmembers=endmembers, wavelengths=wl,
+                                          abundance_field=field, noise_sigma=0.03,
+                                          seed=21))
+        clean = (field.reshape(-1, 3) @ endmembers).reshape(24, 24, 300)
+        g = RandomSource(21).gaussians(clean.size).reshape(clean.shape)
+        assert cube.values.tobytes() == (clean + 0.03 * g).tobytes()
 
     def test_bad_abundances_rejected(self):
         endmembers, wl = simple_endmembers()
