@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import glob
 import importlib
+import itertools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import __version__, artifacts
 from .envi_io import (
+    BLOCK_BYTES,
     SpectralCube,
     parse_envi_header,
     read_cube,
@@ -39,12 +41,12 @@ from .envi_io import (
 # just before running it, so a stage process imports only what it uses;
 # other access goes through the module `__getattr__`. A name that is
 # already bound (a test double or a timing wrapper) is kept. No stage
-# calls `fit_mnf` or `forward_mnf`; they stay resolvable here because
-# `perfbench/traced_stage.py` wraps them.
+# calls `fit_mnf`, `forward_mnf` or `remove_bad_bands`; they stay
+# resolvable here because `perfbench/traced_stage.py` wraps them.
 _STAGE_NAMES = {
     "endmember": ("derive_endmembers",),
     "mapping": ("mtmf", "sam_classify"),
-    "mnf": ("estimate_noise_covariance", "fit_forward_in_place", "fit_mnf", "forward_mnf",
+    "mnf": ("estimate_noise_covariance", "fit_forward_to_file", "fit_mnf", "forward_mnf",
             "save_mnf_model"),
     "numerics": ("RandomSource",),
     "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
@@ -299,44 +301,94 @@ def write_default_configs(directory: str) -> list[str]:
 # stages
 
 
-def _read_cube(header_path: str, image_path: str | None = None,
-               bands: int | None = None) -> SpectralCube:
+def _read_cube(header_path: str, image_path: str | None = None, bands=None) -> SpectralCube:
     """Read an ENVI cube; the image defaults to the header's `.img` sibling.
 
-    With `bands` below the header's band count, only the first `bands`
-    bands are returned, with the wavelength and bad-band lists cut to
-    match. A BSQ image stores them as a byte prefix, so only that prefix
-    is read (and checked for finite values) once the file's size has
-    been checked against the whole cube; other interleaves are read whole.
-    The bytes go into one writable buffer, which a little-endian float64
-    image is decoded in place from.
+    `bands` selects the bands returned: None for all of them, an int n for
+    the first n, or a boolean keep mask over the header's bands. The
+    wavelength, fwhm and bad-band lists are cut to match. A whole read
+    keeps the file's interleave as its memory order. The bytes go into one
+    uint8 array, which `read_cube` decodes a little-endian float64 image
+    in place from (an empty array, unlike a `bytearray`, is not zeroed
+    before the read fills it). A selection is read into one
+    band-major buffer of the kept bands (the order `values[:, :, keep]`
+    gives), once the file's size has been checked against the whole cube:
+    a BSQ image reads only the kept planes, a BIL or BIP image is read a
+    block of lines at a time and its kept bands gathered. Every band read
+    is checked for non-finite values, so a dropped BSQ band is not.
     """
     header = parse_envi_header(artifacts.read_text(header_path))
     image_path = image_path or header_path[:-4] + ".img"
-    size = -1
-    if bands is not None and bands < header.bands and header.interleave == "bsq":
-        plane = header.samples * header.lines * header.numpy_dtype.itemsize
-        expected = header.header_offset + header.bands * plane
-        actual = os.path.getsize(image_path)
-        if actual != expected:
-            raise ValueError(f"payload size mismatch: got {actual} bytes, expected {expected}")
-        header = dataclasses.replace(
-            header, bands=bands,
-            wavelengths=header.wavelengths and header.wavelengths[:bands],
-            fwhm=header.fwhm and header.fwhm[:bands],
-            bad_band_multiplier=header.bad_band_multiplier and
-            header.bad_band_multiplier[:bands])
-        size = header.header_offset + bands * plane
+    if isinstance(bands, (int, np.integer)):
+        bands = None if bands >= header.bands else [i < bands for i in range(header.bands)]
+    if bands is None:
+        with open(image_path, "rb") as fp:
+            raw = np.empty(os.fstat(fp.fileno()).st_size, dtype=np.uint8)
+            # A file that ends early leaves a short buffer: a size mismatch below.
+            raw = raw[:fp.readinto(raw)]
+        return read_cube(header, raw)
+
+    keep = [bool(k) for k in bands]
+    if len(keep) != header.bands:
+        raise ValueError(f"band mask length {len(keep)} != cube bands {header.bands}")
+    if not any(keep):
+        raise ValueError("band mask removes every band")
+    itemsize = header.numpy_dtype.itemsize
+    plane = header.lines * header.samples * itemsize
+    expected = header.header_offset + header.bands * plane
+    actual = os.path.getsize(image_path)
+    if actual != expected:
+        raise ValueError(f"payload size mismatch: got {actual} bytes, expected {expected}")
+    # Runs of consecutive kept and dropped bands: (first, stop, kept).
+    runs, first = [], 0
+    for kept, group in itertools.groupby(keep):
+        runs.append((first, first + len(list(group)), kept))
+        first = runs[-1][1]
+    raw = np.empty(sum(keep) * plane, dtype=np.uint8)
     with open(image_path, "rb") as fp:
-        raw = bytearray(os.fstat(fp.fileno()).st_size if size < 0 else size)
-        # A file that ends early leaves a short buffer: a size mismatch below.
-        del raw[fp.readinto(raw):]
-    cube = read_cube(header, raw)
-    if bands is not None and bands < cube.bands:
-        cube = cube.copy_with(values=cube.values[:, :, :bands],
-                              wavelengths=cube.wavelengths[:bands],
-                              bad_band_mask=cube.bad_band_mask[:bands])
-    return cube
+        if header.interleave == "bsq":
+            at = 0
+            for first, stop, kept in runs:
+                if kept:
+                    fp.seek(header.header_offset + first * plane)
+                    fp.readinto(raw[at:at + (stop - first) * plane])
+                    at += (stop - first) * plane
+        else:
+            _gather_lines(fp, header, runs, raw.view(header.numpy_dtype)
+                          .reshape(-1, header.lines, header.samples))
+
+    def cut(values):
+        return values and [v for v, k in zip(values, keep) if k]
+
+    return read_cube(dataclasses.replace(
+        header, bands=sum(keep), interleave="bsq", header_offset=0,
+        wavelengths=cut(header.wavelengths), fwhm=cut(header.fwhm),
+        bad_band_multiplier=cut(header.bad_band_multiplier)), raw)
+
+
+def _gather_lines(fp, header, runs, out: np.ndarray) -> None:
+    """Read a BIL or BIP payload from `fp` a block of lines at a time into
+    the band planes `out` (kept bands, lines, samples), checking the
+    dropped bands of each block for non-finite values."""
+    line = header.bands * header.samples
+    step = max(1, BLOCK_BYTES // (line * header.numpy_dtype.itemsize))
+    buf = np.empty(step * line, dtype=header.numpy_dtype)
+    fp.seek(header.header_offset)
+    for l0 in range(0, header.lines, step):
+        n = min(step, header.lines - l0)
+        block = buf[:n * line]
+        fp.readinto(block)
+        if header.interleave == "bil":
+            block = block.reshape(n, header.bands, header.samples).transpose(1, 0, 2)
+        else:
+            block = block.reshape(n, header.samples, header.bands).transpose(2, 0, 1)
+        j = 0
+        for first, stop, kept in runs:
+            if kept:
+                out[j:j + stop - first, l0:l0 + n] = block[first:stop]
+                j += stop - first
+            elif not np.isfinite(block[first:stop]).all():
+                raise ValueError("cube contains non-finite values")
 
 
 def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
@@ -384,20 +436,18 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
     for path in (header_path, image_path):
         if not os.path.exists(path):
             raise ConfigError(f"input file {path!r} does not exist")
-    cube = _read_cube(header_path, image_path)
-
-    # Mask first, then divide the kept bands by their gains: the same
-    # values as scaling every band, with a smaller cube to divide. The
-    # whole gains table is checked before any band is dropped.
-    gains = None
+    # Only the kept bands are read, then divided by their gains in place:
+    # the same values as scaling every band and then masking. The whole
+    # gains table is checked before any band is dropped.
+    n_bands = parse_envi_header(artifacts.read_text(header_path)).bands
+    gains = keep = None
     if cfg.gains_csv:
-        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), cube.bands)
+        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), n_bands)
     if cfg.band_mask_csv:
-        keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)), cube.bands)
-        cube = remove_bad_bands(cube, keep)
-        gains = None if gains is None else gains[keep]
+        keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)), n_bands)
+    cube = _read_cube(header_path, image_path, bands=keep)
     if gains is not None:
-        cube = scale_radiance(cube, gains)
+        cube = scale_radiance(cube, gains if keep is None else gains[keep], overwrite=True)
 
     roi = None
     if cfg.roi_n_lines > 0 or cfg.roi_n_samples > 0:
@@ -412,13 +462,13 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
         # on the full extent first and crop afterwards.
         field = Roi(cfg.flat_field_first_line, cfg.flat_field_first_sample,
                     cfg.flat_field_n_lines, cfg.flat_field_n_samples)
-        cube = reflectance_flat_field(cube, field)
+        cube = reflectance_flat_field(cube, field, overwrite=True)
         if roi is not None:
             cube = subset_roi(cube, roi)
     else:
         if roi is not None:
             cube = subset_roi(cube, roi)
-        cube = reflectance_iarr(cube)
+        cube = reflectance_iarr(cube, overwrite=True)
 
     write_cube_file(cube, cfg.artifact("reflectance.hdr"))
     print(f"preprocess: wrote reflectance cube "
@@ -426,18 +476,23 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
 
 
 def stage_mnf(cfg: PipelineConfig) -> None:
-    cube = _read_cube(cfg.artifact("reflectance.hdr"))
+    path = cfg.artifact("reflectance.hdr")
+    cube = _read_cube(path)
     if not 1 <= cfg.mnf_keep_k <= cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
     if cfg.standardize_before_mnf:
-        cube, means, stds = standardize(cube)
+        cube, means, stds = standardize(cube, overwrite=True)
         artifacts.write_band_stats(cfg.artifact("band_stats.csv"), means, stds)
-    noise = estimate_noise_covariance(cube)
-    model, mnf_cube = fit_forward_in_place(cube, noise)
-    del cube  # centred in place; only the components are written
+    # The shift differences overwrite the cube, which is then read (and
+    # standardised) again once its buffer is free: one cube at a time.
+    noise = estimate_noise_covariance(cube, overwrite=True)
+    del cube
+    cube = _read_cube(path)
+    if cfg.standardize_before_mnf:
+        cube = standardize(cube, overwrite=True)[0]
+    model = fit_forward_to_file(cube, noise, cfg.artifact("mnf_cube.hdr"))
     save_mnf_model(model, cfg.artifact("mnf_model"))
-    write_cube_file(mnf_cube, cfg.artifact("mnf_cube.hdr"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")
 

@@ -90,6 +90,11 @@ class EnviHeader:
 # ~32 KB however large the cube.
 _FINITE_BLOCK_ELEMENTS = 1 << 15
 
+# Bytes of one block of a pass over a cube a few lines or bands at a time
+# (reading kept bands, the scene mean, standard deviations): what such a
+# pass holds beyond the cube itself, whatever the cube's size.
+BLOCK_BYTES = 1 << 22
+
 
 def _all_finite(values: np.ndarray) -> bool:
     """``np.isfinite(values).all()``, checked a few planes at a time along
@@ -358,10 +363,10 @@ def read_cube(header: EnviHeader, raw) -> SpectralCube:
 
     The payload length must be exactly header_offset plus the cube size;
     integer and big-endian payloads are converted to little-endian float64.
-    A little-endian float64 payload in a writable buffer (a `bytearray`)
-    is decoded in place: the cube's values are a view of `raw`, in the
-    file's interleave order. From read-only `bytes` the values are copied,
-    in the same memory order.
+    A little-endian float64 payload in a writable buffer (a `bytearray` or
+    a uint8 array) is decoded in place: the cube's values are a view of
+    `raw`, in the file's interleave order. From read-only `bytes` the
+    values are copied, in the same memory order.
     """
     header.validate()
     n_values = header.samples * header.lines * header.bands
@@ -432,13 +437,19 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
     else:
         arranged = values
 
-    header = EnviHeader(
-        samples=cube.samples, lines=cube.lines, bands=cube.bands,
+    header = _header_text(cube.lines, cube.samples, cube.wavelengths, cube.bad_band_mask,
+                          cube.units_tag, interleave, data_type, byte_order)
+    return header, arranged, dtype
+
+
+def _header_text(lines: int, samples: int, wavelengths, bad_band_mask, units_tag: str,
+                 interleave: str, data_type: str, byte_order: str) -> str:
+    return serialize_envi_header(EnviHeader(
+        samples=samples, lines=lines, bands=len(wavelengths),
         interleave=interleave, data_type=data_type, byte_order=byte_order,
-        header_offset=0, wavelengths=list(cube.wavelengths),
-        bad_band_multiplier=[int(v) for v in cube.bad_band_mask],
-        extra={_UNITS_KEY: cube.units_tag})
-    return serialize_envi_header(header), arranged, dtype
+        header_offset=0, wavelengths=list(wavelengths),
+        bad_band_multiplier=[int(v) for v in bad_band_mask],
+        extra={_UNITS_KEY: units_tag}))
 
 
 def _as_payload(arranged: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -468,18 +479,39 @@ def write_cube_file(cube: SpectralCube, header_path, image_path=None,
     time (a band for BSQ, a line for BIL and BIP), so at most one plane
     is converted or reordered at once; the files hold exactly what
     :func:`write_cube` returns."""
+    header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, "little")
+    _write_pair(header_path, image_path, header_text, arranged, dtype)
+
+
+def write_bsq_blocks(blocks, header_path, lines: int, samples: int,
+                     wavelengths, units_tag: str) -> None:
+    """Write a float64 BSQ .hdr/.img pair whose bands arrive as `blocks`:
+    C-contiguous `(k, lines*samples)` float64 arrays of band planes, in
+    band order. Each block is written as the iterator yields it, so only
+    one is held at a time. The files are what :func:`write_cube_file`
+    writes for the same values, wavelengths and units with every band
+    marked good."""
+    header_text = _header_text(lines, samples, wavelengths, np.ones(len(wavelengths), dtype=bool),
+                               units_tag, "bsq", "float64", "little")
+    _write_pair(header_path, None, header_text, blocks, np.dtype("<f8"))
+
+
+def _write_pair(header_path, image_path, header_text: str, planes, dtype: np.dtype) -> None:
+    """Write the header text, then each of `planes` as `dtype` in turn,
+    creating missing parent directories; the image defaults to the
+    header's `.img` sibling."""
     header_path = str(header_path)
     if image_path is None:
         stem = header_path[:-4] if header_path.endswith(".hdr") else header_path
         image_path = stem + ".img"
-    header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, "little")
     for path in (header_path, image_path):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(header_path, "w", encoding="utf-8") as fp:
         fp.write(header_text)
     with open(image_path, "wb") as fp:
-        for plane in arranged:
+        for plane in planes:
             fp.write(_as_payload(plane, dtype).data)
+            del plane  # a generator's next plane is not made while this one is held
 
 
 # ---------------------------------------------------------------------------

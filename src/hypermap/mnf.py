@@ -15,10 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .envi_io import SpectralCube
+from .envi_io import SpectralCube, write_bsq_blocks
 from .numerics import centre_and_covariance, check_symmetric, symmetric_eig
 
 _RIDGE = 1e-10
+
+# Components per block of the projection. Each block's product reads the
+# whole centred cube once, so thin blocks make it bound by memory traffic:
+# on a 256 x 1024 x 196 cube, blocks of 16 took 1.35 s and blocks of 32
+# 0.87 s, against 0.94 s for one whole-cube product.
+_BLOCK_COMPONENTS = 32
 
 
 @dataclass
@@ -57,19 +63,35 @@ class MnfModel:
         return self.band_mean.size
 
 
-def estimate_noise_covariance(cube: SpectralCube) -> NoiseEstimate:
+def estimate_noise_covariance(cube: SpectralCube, *, overwrite: bool = False) -> NoiseEstimate:
     """Estimate noise from horizontal neighbor differences.
 
     d(line, s) = (x(line, s) - x(line, s+1)) / sqrt(2); the covariance of
     these difference vectors estimates the per-band noise covariance when
-    the underlying signal varies slowly along a line. The differences are
-    the only cube-sized array made: they are scaled and centred in place.
+    the underlying signal varies slowly along a line.
+
+    The differences are computed a band plane at a time into a band-major
+    array, each plane's `lines * (samples - 1)` values packed after the
+    last, and are centred there in place. That array is a copy of the
+    cube's band planes or, with `overwrite=True` and planes that are
+    already contiguous (a BSQ read), the cube's own values, which are
+    then left holding the differences.
     """
     if cube.samples < 2:
         raise ValueError("noise estimation needs at least 2 samples per line")
-    diffs = np.subtract(cube.values[:, :-1, :], cube.values[:, 1:, :])
-    diffs /= np.sqrt(2.0)
-    _, cov = centre_and_covariance(diffs.reshape(-1, cube.bands))
+    planes = cube.values.transpose(2, 0, 1)
+    if not (overwrite and planes.flags.c_contiguous):
+        planes = planes.copy()
+    n = cube.lines * (cube.samples - 1)
+    packed = planes.reshape(-1)
+    diff = np.empty((cube.lines, cube.samples - 1))
+    # Plane j is read into `diff` before it is packed, over the part of the
+    # buffer that holds planes up to j and no later one.
+    for j, plane in enumerate(planes):
+        np.subtract(plane[:, :-1], plane[:, 1:], out=diff)
+        diff /= np.sqrt(2.0)
+        packed[j * n:(j + 1) * n] = diff.reshape(-1)
+    _, cov = centre_and_covariance(packed[:cube.bands * n].reshape(cube.bands, n).T)
     return NoiseEstimate(cov=cov)
 
 
@@ -105,13 +127,16 @@ def _fit_centring(pixels: np.ndarray, noise: NoiseEstimate, cube: SpectralCube) 
                     source_wavelengths=cube.wavelengths.copy())
 
 
-def _project_centred(model: MnfModel, centred: np.ndarray, cube: SpectralCube) -> SpectralCube:
-    """MNF components of the centred (n, b) pixels of `cube`."""
-    components = centred @ model.forward.T
-    return SpectralCube(values=components.reshape(cube.lines, cube.samples, model.bands),
-                        wavelengths=np.arange(1, model.bands + 1, dtype=np.float64),
-                        bad_band_mask=np.ones(model.bands, dtype=bool),
-                        units_tag="mnf_component")
+def _component_blocks(model: MnfModel, centred: np.ndarray):
+    """MNF components of the centred (n, b) pixels, `forward @ centred.T`
+    computed a block of components at a time: C-contiguous (k, n) arrays,
+    in component order, whose rows are band planes of the component cube."""
+    for j0 in range(0, model.bands, _BLOCK_COMPONENTS):
+        yield model.forward[j0:j0 + _BLOCK_COMPONENTS] @ centred.T
+
+
+def _component_wavelengths(bands: int) -> np.ndarray:
+    return np.arange(1, bands + 1, dtype=np.float64)
 
 
 def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
@@ -134,18 +159,29 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
     """Project a cube into MNF component space, descending eigenvalue order."""
     if cube.bands != model.bands:
         raise ValueError(f"cube has {cube.bands} bands, model expects {model.bands}")
-    return _project_centred(model, cube.pixels() - model.band_mean, cube)
+    planes = np.empty((model.bands, cube.lines * cube.samples))
+    j0 = 0
+    for block in _component_blocks(model, cube.pixels() - model.band_mean):
+        planes[j0:j0 + len(block)] = block
+        j0 += len(block)
+    return SpectralCube(values=planes.reshape(-1, cube.lines, cube.samples).transpose(1, 2, 0),
+                        wavelengths=_component_wavelengths(model.bands),
+                        bad_band_mask=np.ones(model.bands, dtype=bool),
+                        units_tag="mnf_component")
 
 
-def fit_forward_in_place(cube: SpectralCube,
-                         noise: NoiseEstimate) -> tuple[MnfModel, SpectralCube]:
-    """:func:`fit_mnf` then :func:`forward_mnf` on the same cube, with the
-    same bytes, from one centred array: the cube's pixels are centred in
-    place (its values are left centred when `pixels()` is a view), so the
-    components are the only other cube-sized array."""
+def fit_forward_to_file(cube: SpectralCube, noise: NoiseEstimate, header_path) -> MnfModel:
+    """:func:`fit_mnf` then :func:`forward_mnf` on the same cube, writing
+    the components as a float64 BSQ cube at `header_path` with the bytes
+    `write_cube_file` gives that result. The cube's pixels are centred in
+    place (its values are left centred when `pixels()` is a view) and the
+    components are written a block of bands at a time as they are
+    computed, so one block is the only other array of their size."""
     pixels = cube.pixels()
     model = _fit_centring(pixels, noise, cube)
-    return model, _project_centred(model, pixels, cube)
+    write_bsq_blocks(_component_blocks(model, pixels), header_path, cube.lines, cube.samples,
+                     _component_wavelengths(model.bands), "mnf_component")
+    return model
 
 
 def inverse_mnf(model: MnfModel, mnf_cube: SpectralCube, keep_k: int) -> SpectralCube:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envi_io import SpectralCube
+from .envi_io import BLOCK_BYTES, SpectralCube
 
 _MEAN_EPS = 1e-12
 
@@ -63,7 +63,13 @@ def subset_roi(cube: SpectralCube, roi: Roi) -> SpectralCube:
     return cube.copy_with(values=block.copy())
 
 
-def scale_radiance(cube: SpectralCube, gains) -> SpectralCube:
+# The functions below that return a new cube compute it in a new array,
+# or with `overwrite=True` in the cube's own values, which are then the
+# result's: a stage that owns its cube keeps a single cube-sized array.
+# Either way the values have the same bits and memory order.
+
+
+def scale_radiance(cube: SpectralCube, gains, *, overwrite: bool = False) -> SpectralCube:
     """Divide each band by its gain (Hyperion-style radiance scaling)."""
     if cube.units_tag != "radiance":
         raise ValueError(f"expected a radiance cube, got {cube.units_tag!r}")
@@ -72,21 +78,44 @@ def scale_radiance(cube: SpectralCube, gains) -> SpectralCube:
         raise ValueError(f"gains length {gains.size} != cube bands {cube.bands}")
     if np.any(gains <= 0):
         raise ValueError("gains must all be positive")
-    return cube.copy_with(values=cube.values / gains)
+    out = cube.values if overwrite else None
+    return cube.copy_with(values=np.divide(cube.values, gains, out=out))
 
 
-def reflectance_iarr(cube: SpectralCube) -> SpectralCube:
+def _pixel_mean(values: np.ndarray) -> np.ndarray:
+    """`values.reshape(-1, bands).mean(axis=0)`, to the bit, without the
+    cube-sized copy that reshape makes when the pixels are not a view.
+    NumPy sums the rows of that C-ordered copy one after another, so the
+    copy is made a block of lines at a time, behind a first row that holds
+    the running total, and each block's sum starts from it."""
+    lines, samples, bands = values.shape
+    if lines == 1 or samples == 1 or values.strides[0] == samples * values.strides[1]:
+        # Lines step over whole rows of samples (BSQ and BIP reads, not BIL).
+        return values.reshape(-1, bands).mean(axis=0)
+    step = max(1, BLOCK_BYTES // (8 * samples * bands))
+    rows = np.zeros((1 + step * samples, bands))
+    for l0 in range(0, lines, step):
+        block = values[l0:l0 + step]
+        end = 1 + block.shape[0] * samples
+        rows[1:end].reshape(block.shape)[...] = block
+        rows[0] = rows[:end].sum(axis=0)
+    return rows[0] / (lines * samples)
+
+
+def reflectance_iarr(cube: SpectralCube, *, overwrite: bool = False) -> SpectralCube:
     """Internal average relative reflectance: divide every pixel spectrum
     by the scene-mean spectrum."""
     if cube.units_tag != "radiance":
         raise ValueError(f"expected a radiance cube, got {cube.units_tag!r}")
-    mean = cube.pixels().mean(axis=0)
+    mean = _pixel_mean(cube.values)
     if np.any(np.abs(mean) < _MEAN_EPS):
         raise ValueError("scene-mean spectrum has a near-zero band; cannot normalize")
-    return cube.copy_with(values=cube.values / mean, units_tag="reflectance")
+    out = cube.values if overwrite else None
+    return cube.copy_with(values=np.divide(cube.values, mean, out=out), units_tag="reflectance")
 
 
-def reflectance_flat_field(cube: SpectralCube, field_roi: Roi) -> SpectralCube:
+def reflectance_flat_field(cube: SpectralCube, field_roi: Roi, *,
+                           overwrite: bool = False) -> SpectralCube:
     """Flat-field reflectance: divide every pixel spectrum by the mean
     spectrum of the given region (e.g. a spectrally flat calibration area)."""
     if cube.units_tag != "radiance":
@@ -97,10 +126,23 @@ def reflectance_flat_field(cube: SpectralCube, field_roi: Roi) -> SpectralCube:
     mean = block.reshape(-1, cube.bands).mean(axis=0)
     if np.any(np.abs(mean) < _MEAN_EPS):
         raise ValueError("flat-field mean spectrum has a near-zero band; cannot normalize")
-    return cube.copy_with(values=cube.values / mean, units_tag="reflectance")
+    out = cube.values if overwrite else None
+    return cube.copy_with(values=np.divide(cube.values, mean, out=out), units_tag="reflectance")
 
 
-def standardize(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
+def _column_std(flat: np.ndarray) -> np.ndarray:
+    """`flat.std(axis=0)`, to the bit, a block of columns at a time so the
+    temporary stays near BLOCK_BYTES. Blocks are at least two columns
+    wide: NumPy sums one column of a C-ordered (n, b) array pairwise, but
+    two or more row after row, as it sums the whole array."""
+    n, b = flat.shape
+    count = max(1, b // max(2, BLOCK_BYTES // (8 * n)))
+    edges = [b * i // count for i in range(count + 1)]
+    return np.concatenate([flat[:, e0:e1].std(axis=0) for e0, e1 in zip(edges, edges[1:])])
+
+
+def standardize(cube: SpectralCube, *,
+                overwrite: bool = False) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
     """Shift each band to mean 0 and scale to standard deviation 1.
 
     Constant bands map to 0 with their std recorded as 1 so the transform
@@ -110,9 +152,9 @@ def standardize(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarra
     if flat.shape[0] < 2:
         raise ValueError("standardize needs at least 2 pixels")
     means = flat.mean(axis=0)
-    stds = flat.std(axis=0)
+    stds = _column_std(flat)
     stds = np.where(stds == 0.0, 1.0, stds)
-    values = cube.values - means
+    values = np.subtract(cube.values, means, out=cube.values if overwrite else None)
     values /= stds
     return cube.copy_with(values=values), means, stds
 

@@ -344,13 +344,10 @@ class TestBandPrefixRead:
             assert part.wavelengths.tobytes() == full.wavelengths[:k].tobytes()
             assert part.bad_band_mask.tolist() == full.bad_band_mask[:k].tolist()
             assert part.units_tag == full.units_tag
-        # BSQ reads only the first k bands' bytes; the others read the file.
+        # Only the first k bands' bytes are decoded, whatever the interleave.
         plane = 3 * 4 * 8
         whole = os.path.getsize(tmp_path / "cube.img")
-        if interleave == "bsq":
-            assert read_sizes == [plane, 3 * plane, whole]
-        else:
-            assert read_sizes == [whole] * 3
+        assert read_sizes == [plane, 3 * plane, whole]
 
     def test_prefix_header_cuts_band_lists(self, tmp_path, monkeypatch):
         hdr = write_test_cube(tmp_path, "bsq")
@@ -366,6 +363,34 @@ class TestBandPrefixRead:
         assert headers[0].wavelengths == [500.0, 600.0]
         assert headers[0].fwhm == [10.0, 11.0]
         assert headers[0].bad_band_multiplier == [1, 0]
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("data_type, byte_order", [
+        ("float64", "little"), ("int16", "little"), ("float32", "big")])
+    @pytest.mark.parametrize("keep", [[1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 1]])
+    def test_selected_bands_equal_whole_read_then_mask(self, tmp_path, interleave, data_type,
+                                                       byte_order, keep):
+        from hypermap import preprocess
+
+        values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
+        header_text, payload = write_cube(SpectralCube(
+            values=values, wavelengths=np.linspace(500.0, 900.0, 7),
+            bad_band_mask=np.arange(7) % 3 != 0), interleave=interleave,
+            data_type=data_type, byte_order=byte_order)
+        header = parse_envi_header(header_text)
+        header.fwhm = [10.0 + i for i in range(7)]
+        header.header_offset = 24
+        (tmp_path / "cube.hdr").write_text(serialize_envi_header(header))
+        (tmp_path / "cube.img").write_bytes(bytes(range(24)) + payload)
+        keep = np.array(keep, dtype=bool)
+
+        part = cli._read_cube(str(tmp_path / "cube.hdr"), bands=keep)
+        expected = preprocess.remove_bad_bands(cli._read_cube(str(tmp_path / "cube.hdr")), keep)
+        assert part.values.tobytes() == expected.values.tobytes()
+        assert part.values.strides == expected.values.strides  # band-major
+        assert part.wavelengths.tobytes() == expected.wavelengths.tobytes()
+        assert part.bad_band_mask.tolist() == expected.bad_band_mask.tolist()
+        assert part.units_tag == expected.units_tag
 
     @pytest.mark.parametrize("stage", ["ppi", "mtmf"])
     def test_truncated_mnf_cube_is_data_error(self, scenario_dir, capsys, stage):
@@ -448,6 +473,29 @@ class TestPreprocessInputs:
         assert "non-finite" in capsys.readouterr().err
 
 
+    def test_non_finite_value_in_dropped_band_is_data_error(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 1], [1.0] * 5)
+        payload = bytearray((tmp_path / "scene.img").read_bytes())
+        # BIL: line 4, band 2 (dropped), sample 3.
+        at = ((4 * 5 + 1) * 7 + 3) * 8
+        payload[at:at + 8] = np.array([np.inf]).tobytes()
+        (tmp_path / "scene.img").write_bytes(payload)
+        assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_truncated_scene_is_data_error(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 0], [1.0] * 5)
+        img = tmp_path / "scene.img"
+        img.write_bytes(img.read_bytes()[:-8])
+        assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+        assert "payload size mismatch" in capsys.readouterr().err
+
+    def test_mask_removing_every_band_is_data_error(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [0] * 5, [1.0] * 5)
+        assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
+        assert "band mask removes every band" in capsys.readouterr().err
+
+
 class TestMnfStage:
     @pytest.mark.parametrize("standardize", [False, True])
     def test_components_equal_public_fit_and_forward(self, tmp_path, standardize):
@@ -483,23 +531,50 @@ def traced_peak(fn, *args):
 
 class TestStageMemory:
     CUBE = (64, 64, 64)
+    # Large enough that a block (BLOCK_BYTES of lines or band columns, 32
+    # MNF components) is an eighth of the cube.
+    LARGE = (128, 128, 256)
 
-    def write_cube_file(self, path, units):
-        values = np.random.default_rng(8).normal(size=self.CUBE)
+    def write_cube_file(self, path, units, shape=CUBE, interleave="bsq"):
+        values = np.random.default_rng(8).normal(size=shape) + 4.0
         envi_io.write_cube_file(SpectralCube(
-            values=values, wavelengths=np.arange(1.0, 65.0),
-            bad_band_mask=np.ones(64, dtype=bool), units_tag=units), path)
+            values=values, wavelengths=np.arange(1.0, shape[2] + 1),
+            bad_band_mask=np.ones(shape[2], dtype=bool), units_tag=units), path,
+            interleave=interleave)
         return values.nbytes
 
     def test_read_holds_one_payload(self, tmp_path):
         payload = self.write_cube_file(tmp_path / "cube.hdr", "reflectance")
         assert traced_peak(cli._read_cube, str(tmp_path / "cube.hdr")) <= 1.05 * payload
 
-    def test_mnf_stage_holds_at_most_two_cubes(self, tmp_path):
-        cube_bytes = self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance")
-        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n")
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_mnf_stage_holds_one_cube(self, tmp_path, standardize):
+        cube_bytes = self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance",
+                                          self.LARGE)
+        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n"
+                                        f"standardize_before_mnf = {str(standardize).lower()}\n")
         cfg = cli.load_config(str(tmp_path / "p.cfg"))
         cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
-        # The cube and its differences, then the centred cube and its
-        # components; a third cube-sized array would reach 3x.
-        assert traced_peak(cli.run_stage, "mnf", cfg) <= 2.2 * cube_bytes
+        # The cube, its differences written over it, then the cube read
+        # again and its components written a block at a time, beside the
+        # model's few (bands x bands) matrices; a second cube would reach 2x.
+        budget = cube_bytes + envi_io.BLOCK_BYTES + 8 * 8 * self.LARGE[2] ** 2
+        assert traced_peak(cli.run_stage, "mnf", cfg) <= budget
+
+    def test_preprocess_stage_holds_one_cube(self, tmp_path):
+        shape = self.LARGE[:2] + (320,)
+        self.write_cube_file(tmp_path / "scene.hdr", "radiance", shape, interleave="bil")
+        keep = np.arange(320) % 5 != 2
+        (tmp_path / "mask.csv").write_text(
+            "band_index,keep\n" + "".join(f"{i},{int(k)}\n" for i, k in enumerate(keep, 1)))
+        (tmp_path / "gains.csv").write_text(
+            "band_index,gain\n" + "".join(f"{i},{1.0 + i / 320}\n" for i in range(1, 321)))
+        (tmp_path / "p.cfg").write_text(
+            "input_header = scene.hdr\ninput_image = scene.img\noutput_dir = out\n"
+            "band_mask_csv = mask.csv\ngains_csv = gains.csv\n")
+        cfg = cli.load_config(str(tmp_path / "p.cfg"))
+        cli.run_stage("preprocess", cfg)
+        # The kept bands of the 320-band scene, divided in place.
+        kept_bytes = 8 * shape[0] * shape[1] * int(keep.sum())
+        budget = kept_bytes + envi_io.BLOCK_BYTES + (1 << 20)
+        assert traced_peak(cli.run_stage, "preprocess", cfg) <= budget

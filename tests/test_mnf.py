@@ -4,10 +4,11 @@ eigenproblem on constructed scenes, and transform round trips."""
 import numpy as np
 import pytest
 
-from hypermap.envi_io import SpectralCube
+from hypermap import mnf
+from hypermap.envi_io import SpectralCube, write_cube
 from hypermap.mnf import (
     estimate_noise_covariance,
-    fit_forward_in_place,
+    fit_forward_to_file,
     fit_mnf,
     forward_mnf,
     inverse_mnf,
@@ -44,6 +45,33 @@ class TestNoiseEstimate:
         cube = make_cube(np.ones((4, 1, 3)))
         with pytest.raises(ValueError, match="2 samples"):
             estimate_noise_covariance(cube)
+
+
+class TestNoiseBuffer:
+    """The differences packed band plane by band plane into one buffer
+    give the covariance of the whole-cube differences to the bit."""
+
+    def test_band_major_cube_bits_equal_formula(self):
+        planes = np.cumsum(RandomSource(7).gaussians(5 * 9 * 8).reshape(5, 9, 8), axis=2)
+        cube = make_cube(planes.transpose(1, 2, 0))
+        diffs = np.subtract(cube.values[:, :-1, :], cube.values[:, 1:, :]) / np.sqrt(2.0)
+        flat = diffs.reshape(-1, 5)
+        centred = flat - flat.mean(axis=0)
+        expected = centred.T @ centred / (flat.shape[0] - 1)
+        assert estimate_noise_covariance(cube).cov.tobytes() == expected.tobytes()
+
+    # Pixel-major, and band planes outermost as a BSQ read gives.
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1)])
+    def test_overwrite_gives_same_bits(self, axes):
+        base = RandomSource(11).gaussians(9 * 8 * 5).reshape(9, 8, 5)
+        values = np.ascontiguousarray(base.transpose(axes)).transpose(np.argsort(axes))
+        cube = make_cube(values.copy(order="K"))
+        kept = estimate_noise_covariance(cube)
+        assert cube.values.tobytes() == values.tobytes()
+        own = estimate_noise_covariance(cube, overwrite=True)
+        assert own.cov.tobytes() == kept.cov.tobytes()
+        # Only band planes that are already contiguous are overwritten.
+        assert (cube.values.tobytes() == values.tobytes()) == (axes == (0, 1, 2))
 
 
 class TestFitMnf:
@@ -85,9 +113,11 @@ class TestFitMnf:
 
 
 class TestFitForwardInPlace:
+    """`fit_forward_to_file`, which centres the cube in place."""
+
     # (line, sample, band) order, and band planes outermost as a BSQ read gives.
     @pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 0)])
-    def test_same_bytes_as_fit_then_forward(self, axes):
+    def test_same_bytes_as_fit_then_forward(self, axes, tmp_path):
         rs = RandomSource(23)
         base = rs.gaussians(30 * 20 * 10).reshape(30, 20, 10) + np.linspace(0.0, 9.0, 10)
         base = np.ascontiguousarray(base.transpose(np.argsort(axes)))
@@ -98,12 +128,22 @@ class TestFitForwardInPlace:
         components = forward_mnf(model, cube)
         assert cube.values.tobytes() == before.tobytes()
 
-        model2, components2 = fit_forward_in_place(cube, noise)
+        model2 = fit_forward_to_file(cube, noise, tmp_path / "mnf.hdr")
         for name in ("band_mean", "noise_cov", "data_cov", "eigenvalues", "forward",
                      "inverse", "source_wavelengths"):
             assert getattr(model2, name).tobytes() == getattr(model, name).tobytes(), name
-        assert components2.values.tobytes() == components.values.tobytes()
-        assert components2.units_tag == "mnf_component"
+        header, payload = write_cube(components)
+        assert (tmp_path / "mnf.img").read_bytes() == payload
+        assert (tmp_path / "mnf.hdr").read_text() == header
+
+    def test_blocks_of_components_equal_one_product(self, monkeypatch):
+        # Blocks of 3 components leave a partial block of 1 of 10.
+        monkeypatch.setattr(mnf, "_BLOCK_COMPONENTS", 3)
+        cube = noise_cube(71, 30, 20, 10)
+        model = fit_mnf(cube, estimate_noise_covariance(cube))
+        whole = (cube.pixels() - model.band_mean) @ model.forward.T
+        blocked = forward_mnf(model, cube).pixels()
+        assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 class TestForwardInverse:

@@ -4,6 +4,7 @@ retrieval and standardization."""
 import numpy as np
 import pytest
 
+from hypermap import preprocess
 from hypermap.envi_io import SpectralCube
 from hypermap.preprocess import (
     Roi,
@@ -174,6 +175,59 @@ class TestStandardize:
     def test_needs_two_pixels(self):
         with pytest.raises(ValueError, match="2 pixels"):
             standardize(make_cube(np.ones((1, 1, 2))))
+
+
+# (line, sample, band) order, band planes outermost (BSQ, or masked bands),
+# and lines outermost with bands inside them (BIL, whose pixels are no view).
+LAYOUTS = [(0, 1, 2), (2, 0, 1), (0, 2, 1)]
+
+
+def laid_out(values, axes):
+    """`values` with the same (line, sample, band) indexing, stored with
+    the `axes` of that order outermost first."""
+    return np.ascontiguousarray(values.transpose(axes)).transpose(np.argsort(axes))
+
+
+class TestBlockedPasses:
+    """The block-wise mean and standard deviation have the bits of the
+    whole-array formulas, and `overwrite=True` gives the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # A few lines or columns per block, so every pass takes several.
+        monkeypatch.setattr(preprocess, "BLOCK_BYTES", 3 * 8 * 11 * 6)
+
+    @pytest.mark.parametrize("axes", LAYOUTS)
+    def test_iarr_bits_equal_formula(self, axes):
+        values = laid_out(np.random.default_rng(3).uniform(1.0, 9.0, size=(13, 11, 6)), axes)
+        out = reflectance_iarr(make_cube(values))
+        expected = values / values.reshape(-1, 6).mean(axis=0)
+        assert out.values.tobytes() == expected.tobytes()
+        assert out.values.strides == expected.strides
+
+    @pytest.mark.parametrize("axes", LAYOUTS)
+    def test_standardize_bits_equal_formula(self, axes):
+        values = laid_out(np.random.default_rng(4).uniform(1.0, 9.0, size=(13, 11, 7)), axes)
+        flat = values.reshape(-1, 7)
+        out, means, stds = standardize(make_cube(values))
+        assert stds.tobytes() == flat.std(axis=0).tobytes()
+        assert out.values.tobytes() == ((values - flat.mean(axis=0)) / stds).tobytes()
+
+    @pytest.mark.parametrize("axes", LAYOUTS)
+    def test_overwrite_gives_same_bits_in_the_cube(self, axes):
+        values = laid_out(np.random.default_rng(5).uniform(1.0, 9.0, size=(13, 11, 6)), axes)
+        field = Roi(2, 3, 4, 5)
+        steps = [lambda c, **kw: scale_radiance(c, np.arange(1.0, 7.0), **kw),
+                 lambda c, **kw: reflectance_iarr(c, **kw),
+                 lambda c, **kw: reflectance_flat_field(c, field, **kw),
+                 lambda c, **kw: standardize(c, **kw)[0]]
+        for step in steps:
+            cube = make_cube(values.copy(order="K"))
+            kept = step(cube)
+            assert cube.values.tobytes() == values.tobytes()
+            own = step(cube, overwrite=True)
+            assert own.values is cube.values
+            assert own.values.tobytes() == kept.values.tobytes()
 
 
 class TestBandCsv:
