@@ -29,7 +29,9 @@ import numpy as np
 from . import __version__, artifacts
 from .envi_io import (
     BLOCK_BYTES,
+    EnviHeader,
     SpectralCube,
+    check_keep_mask,
     parse_envi_header,
     read_cube,
     read_spectral_library_file,
@@ -40,19 +42,22 @@ from .envi_io import (
 # the module that defines them. `run_stage` binds a stage's `modules`
 # just before running it, so a stage process imports only what it uses;
 # other access goes through the module `__getattr__`. A name that is
-# already bound (a test double or a timing wrapper) is kept. No stage
-# calls `fit_mnf`, `forward_mnf` or `remove_bad_bands`; they stay
-# resolvable here because `perfbench/traced_stage.py` wraps them.
+# already bound (a test double or a timing wrapper) is kept. `preprocess`
+# and `mnf` call the private in-place cores of the public steps, on the
+# cube they own. No stage calls `estimate_noise_covariance`, `fit_mnf`,
+# `forward_mnf`, `reflectance_iarr`, `remove_bad_bands` or
+# `scale_radiance`; they stay resolvable here because
+# `perfbench/traced_stage.py` wraps them.
 _STAGE_NAMES = {
     "endmember": ("derive_endmembers",),
     "mapping": ("mtmf", "sam_classify"),
-    "mnf": ("estimate_noise_covariance", "fit_forward_to_file", "fit_mnf", "forward_mnf",
-            "save_mnf_model"),
+    "mnf": ("_noise_from_planes", "estimate_noise_covariance", "fit_forward_to_file",
+            "fit_mnf", "forward_mnf", "save_mnf_model"),
     "numerics": ("RandomSource",),
     "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
-    "preprocess": ("Roi", "read_band_mask_csv", "read_gains_csv", "reflectance_flat_field",
-                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "standardize",
-                   "subset_roi"),
+    "preprocess": ("Roi", "_flat_field_in_place", "_iarr_in_place", "_scale_in_place",
+                   "_standardize_in_place", "read_band_mask_csv", "read_gains_csv",
+                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "subset_roi"),
     "spectral_match": ("AnalystWeights", "rank_matches", "resample_library"),
     "synthcube": ("MixingScenario", "generate", "plant_pure_pixels",
                   "random_abundance_field"),
@@ -301,26 +306,33 @@ def write_default_configs(directory: str) -> list[str]:
 # stages
 
 
-def _read_cube(header_path: str, image_path: str | None = None, bands=None) -> SpectralCube:
+def _read_cube(header_path: str, image_path: str | None = None, bands=None,
+               header: EnviHeader | None = None) -> SpectralCube:
     """Read an ENVI cube; the image defaults to the header's `.img` sibling.
 
+    `header` is the parsed header file, when the caller has it already.
     `bands` selects the bands returned: None for all of them, an int n for
     the first n, or a boolean keep mask over the header's bands. The
-    wavelength, fwhm and bad-band lists are cut to match. A whole read
-    keeps the file's interleave as its memory order. The bytes go into one
-    uint8 array, which `read_cube` decodes a little-endian float64 image
-    in place from (an empty array, unlike a `bytearray`, is not zeroed
-    before the read fills it). A selection is read into one
-    band-major buffer of the kept bands (the order `values[:, :, keep]`
-    gives), once the file's size has been checked against the whole cube:
-    a BSQ image reads only the kept planes, a BIL or BIP image is read a
-    block of lines at a time and its kept bands gathered. Every band read
-    is checked for non-finite values, so a dropped BSQ band is not.
+    wavelength, fwhm and bad-band lists are cut to match; a header without
+    wavelengths gives the kept bands their 1-based band numbers, as a
+    whole read does. A whole read keeps the file's interleave as its
+    memory order. The bytes go into one uint8 array, which `read_cube`
+    decodes a little-endian float64 image in place from (an empty array,
+    unlike a `bytearray`, is not zeroed before the read fills it). A
+    selection is read into one band-major buffer of the kept bands (the
+    order `values[:, :, keep]` gives), once the file's size has been
+    checked against the whole cube: a BSQ image reads the kept planes into
+    it, a BIL or BIP image is read a block of lines at a time and its kept
+    bands gathered. A mask's dropped bands are read a block at a time and
+    checked for non-finite values, so every band is checked as in a whole
+    read; a BSQ band count reads only its first n planes.
     """
-    header = parse_envi_header(artifacts.read_text(header_path))
+    if header is None:
+        header = parse_envi_header(artifacts.read_text(header_path))
     image_path = image_path or header_path[:-4] + ".img"
-    if isinstance(bands, (int, np.integer)):
-        bands = None if bands >= header.bands else [i < bands for i in range(header.bands)]
+    prefix = isinstance(bands, (int, np.integer))
+    if prefix and bands >= header.bands:
+        bands = None
     if bands is None:
         with open(image_path, "rb") as fp:
             raw = np.empty(os.fstat(fp.fileno()).st_size, dtype=np.uint8)
@@ -328,13 +340,8 @@ def _read_cube(header_path: str, image_path: str | None = None, bands=None) -> S
             raw = raw[:fp.readinto(raw)]
         return read_cube(header, raw)
 
-    keep = [bool(k) for k in bands]
-    if len(keep) != header.bands:
-        raise ValueError(f"band mask length {len(keep)} != cube bands {header.bands}")
-    if not any(keep):
-        raise ValueError("band mask removes every band")
-    itemsize = header.numpy_dtype.itemsize
-    plane = header.lines * header.samples * itemsize
+    keep = check_keep_mask(np.arange(header.bands) < bands if prefix else bands, header.bands)
+    plane = header.lines * header.samples * header.numpy_dtype.itemsize
     expected = header.header_offset + header.bands * plane
     actual = os.path.getsize(image_path)
     if actual != expected:
@@ -344,15 +351,10 @@ def _read_cube(header_path: str, image_path: str | None = None, bands=None) -> S
     for kept, group in itertools.groupby(keep):
         runs.append((first, first + len(list(group)), kept))
         first = runs[-1][1]
-    raw = np.empty(sum(keep) * plane, dtype=np.uint8)
+    raw = np.empty(int(keep.sum()) * plane, dtype=np.uint8)
     with open(image_path, "rb") as fp:
         if header.interleave == "bsq":
-            at = 0
-            for first, stop, kept in runs:
-                if kept:
-                    fp.seek(header.header_offset + first * plane)
-                    fp.readinto(raw[at:at + (stop - first) * plane])
-                    at += (stop - first) * plane
+            _read_planes(fp, header, runs[:1] if prefix else runs, raw)
         else:
             _gather_lines(fp, header, runs, raw.view(header.numpy_dtype)
                           .reshape(-1, header.lines, header.samples))
@@ -361,9 +363,33 @@ def _read_cube(header_path: str, image_path: str | None = None, bands=None) -> S
         return values and [v for v, k in zip(values, keep) if k]
 
     return read_cube(dataclasses.replace(
-        header, bands=sum(keep), interleave="bsq", header_offset=0,
-        wavelengths=cut(header.wavelengths), fwhm=cut(header.fwhm),
-        bad_band_multiplier=cut(header.bad_band_multiplier)), raw)
+        header, bands=int(keep.sum()), interleave="bsq", header_offset=0,
+        wavelengths=cut(header.wavelengths or list(range(1, header.bands + 1))),
+        fwhm=cut(header.fwhm), bad_band_multiplier=cut(header.bad_band_multiplier)), raw)
+
+
+def _read_planes(fp, header, runs, raw: np.ndarray) -> None:
+    """Read the kept runs of a BSQ payload from `fp` into `raw`, one after
+    another, and the dropped runs a block of planes at a time into one
+    buffer, checking them for non-finite values."""
+    plane = header.lines * header.samples
+    step = max(1, BLOCK_BYTES // (plane * header.numpy_dtype.itemsize))
+    # A prefix read has no dropped run, so it needs no block buffer.
+    buf = np.empty(0 if all(kept for _, _, kept in runs) else step * plane,
+                   dtype=header.numpy_dtype)
+    at = 0
+    fp.seek(header.header_offset)
+    for first, stop, kept in runs:
+        if kept:
+            n = (stop - first) * plane * header.numpy_dtype.itemsize
+            fp.readinto(raw[at:at + n])
+            at += n
+            continue
+        for b0 in range(first, stop, step):
+            block = buf[:min(step, stop - b0) * plane]
+            fp.readinto(block)
+            if not np.isfinite(block).all():
+                raise ValueError("cube contains non-finite values")
 
 
 def _gather_lines(fp, header, runs, out: np.ndarray) -> None:
@@ -439,15 +465,16 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
     # Only the kept bands are read, then divided by their gains in place:
     # the same values as scaling every band and then masking. The whole
     # gains table is checked before any band is dropped.
-    n_bands = parse_envi_header(artifacts.read_text(header_path)).bands
+    header = parse_envi_header(artifacts.read_text(header_path))
     gains = keep = None
     if cfg.gains_csv:
-        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), n_bands)
+        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), header.bands)
     if cfg.band_mask_csv:
-        keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)), n_bands)
-    cube = _read_cube(header_path, image_path, bands=keep)
+        keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)),
+                                  header.bands)
+    cube = _read_cube(header_path, image_path, bands=keep, header=header)
     if gains is not None:
-        cube = scale_radiance(cube, gains if keep is None else gains[keep], overwrite=True)
+        cube = _scale_in_place(cube, gains if keep is None else gains[keep])
 
     roi = None
     if cfg.roi_n_lines > 0 or cfg.roi_n_samples > 0:
@@ -462,13 +489,13 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
         # on the full extent first and crop afterwards.
         field = Roi(cfg.flat_field_first_line, cfg.flat_field_first_sample,
                     cfg.flat_field_n_lines, cfg.flat_field_n_samples)
-        cube = reflectance_flat_field(cube, field, overwrite=True)
+        cube = _flat_field_in_place(cube, field)
         if roi is not None:
             cube = subset_roi(cube, roi)
     else:
         if roi is not None:
             cube = subset_roi(cube, roi)
-        cube = reflectance_iarr(cube, overwrite=True)
+        cube = _iarr_in_place(cube)
 
     write_cube_file(cube, cfg.artifact("reflectance.hdr"))
     print(f"preprocess: wrote reflectance cube "
@@ -482,15 +509,16 @@ def stage_mnf(cfg: PipelineConfig) -> None:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
     if cfg.standardize_before_mnf:
-        cube, means, stds = standardize(cube, overwrite=True)
+        cube, means, stds = _standardize_in_place(cube)
         artifacts.write_band_stats(cfg.artifact("band_stats.csv"), means, stds)
-    # The shift differences overwrite the cube, which is then read (and
-    # standardised) again once its buffer is free: one cube at a time.
-    noise = estimate_noise_covariance(cube, overwrite=True)
+    # The shift differences overwrite the cube's band planes (contiguous in
+    # the BSQ file `preprocess` writes, so no copy is made); the cube is
+    # then read (and standardised) again into the freed buffer.
+    noise = _noise_from_planes(np.ascontiguousarray(cube.values.transpose(2, 0, 1)))
     del cube
     cube = _read_cube(path)
     if cfg.standardize_before_mnf:
-        cube = standardize(cube, overwrite=True)[0]
+        cube = _standardize_in_place(cube)[0]
     model = fit_forward_to_file(cube, noise, cfg.artifact("mnf_cube.hdr"))
     save_mnf_model(model, cfg.artifact("mnf_model"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "

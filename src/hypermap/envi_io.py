@@ -96,6 +96,16 @@ _FINITE_BLOCK_ELEMENTS = 1 << 15
 BLOCK_BYTES = 1 << 22
 
 
+def check_keep_mask(keep, bands: int) -> np.ndarray:
+    """`keep` as a boolean mask over `bands` bands, checked to keep one."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (bands,):
+        raise ValueError(f"band mask length {keep.size} != cube bands {bands}")
+    if not keep.any():
+        raise ValueError("band mask removes every band")
+    return keep
+
+
 def _all_finite(values: np.ndarray) -> bool:
     """``np.isfinite(values).all()``, checked a few planes at a time along
     the axis that is outermost in memory, so the bool temporary stays small."""

@@ -63,35 +63,38 @@ class MnfModel:
         return self.band_mean.size
 
 
-def estimate_noise_covariance(cube: SpectralCube, *, overwrite: bool = False) -> NoiseEstimate:
+def estimate_noise_covariance(cube: SpectralCube) -> NoiseEstimate:
     """Estimate noise from horizontal neighbor differences.
 
     d(line, s) = (x(line, s) - x(line, s+1)) / sqrt(2); the covariance of
     these difference vectors estimates the per-band noise covariance when
-    the underlying signal varies slowly along a line.
-
-    The differences are computed a band plane at a time into a band-major
-    array, each plane's `lines * (samples - 1)` values packed after the
-    last, and are centred there in place. That array is a copy of the
-    cube's band planes or, with `overwrite=True` and planes that are
-    already contiguous (a BSQ read), the cube's own values, which are
-    then left holding the differences.
+    the underlying signal varies slowly along a line. The cube is not
+    modified.
     """
-    if cube.samples < 2:
+    return _noise_from_planes(cube.values.transpose(2, 0, 1).copy())
+
+
+def _noise_from_planes(planes: np.ndarray) -> NoiseEstimate:
+    """:func:`estimate_noise_covariance` from the cube's C-contiguous
+    (bands, lines, samples) band planes, which it overwrites.
+
+    The differences are computed a band plane at a time and packed into
+    `planes` itself, each plane's `lines * (samples - 1)` values after the
+    last, then centred there in place.
+    """
+    bands, lines, samples = planes.shape
+    if samples < 2:
         raise ValueError("noise estimation needs at least 2 samples per line")
-    planes = cube.values.transpose(2, 0, 1)
-    if not (overwrite and planes.flags.c_contiguous):
-        planes = planes.copy()
-    n = cube.lines * (cube.samples - 1)
+    n = lines * (samples - 1)
     packed = planes.reshape(-1)
-    diff = np.empty((cube.lines, cube.samples - 1))
+    diff = np.empty((lines, samples - 1))
     # Plane j is read into `diff` before it is packed, over the part of the
     # buffer that holds planes up to j and no later one.
     for j, plane in enumerate(planes):
         np.subtract(plane[:, :-1], plane[:, 1:], out=diff)
         diff /= np.sqrt(2.0)
         packed[j * n:(j + 1) * n] = diff.reshape(-1)
-    _, cov = centre_and_covariance(packed[:cube.bands * n].reshape(cube.bands, n).T)
+    _, cov = centre_and_covariance(packed[:bands * n].reshape(bands, n).T)
     return NoiseEstimate(cov=cov)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envi_io import BLOCK_BYTES, SpectralCube
+from .envi_io import BLOCK_BYTES, SpectralCube, check_keep_mask
 
 _MEAN_EPS = 1e-12
 
@@ -44,11 +44,7 @@ class Roi:
 
 def remove_bad_bands(cube: SpectralCube, keep) -> SpectralCube:
     """Keep only the bands flagged true in `keep` (length = cube bands)."""
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != (cube.bands,):
-        raise ValueError(f"band mask length {keep.size} != cube bands {cube.bands}")
-    if not keep.any():
-        raise ValueError("band mask removes every band")
+    keep = check_keep_mask(keep, cube.bands)
     return SpectralCube(values=cube.values[:, :, keep],
                         wavelengths=cube.wavelengths[keep],
                         bad_band_mask=cube.bad_band_mask[keep],
@@ -63,14 +59,23 @@ def subset_roi(cube: SpectralCube, roi: Roi) -> SpectralCube:
     return cube.copy_with(values=block.copy())
 
 
-# The functions below that return a new cube compute it in a new array,
-# or with `overwrite=True` in the cube's own values, which are then the
-# result's: a stage that owns its cube keeps a single cube-sized array.
-# Either way the values have the same bits and memory order.
+# Each step below that returns a new cube has a private core that works
+# in the cube's own values, which are then the result's: a stage that
+# owns its cube calls the core and keeps a single cube-sized array. The
+# public function runs the same core on a copy, so both give the same
+# bits and memory order.
 
 
-def scale_radiance(cube: SpectralCube, gains, *, overwrite: bool = False) -> SpectralCube:
+def _own_copy(cube: SpectralCube) -> SpectralCube:
+    return cube.copy_with(values=cube.values.copy(order="K"))
+
+
+def scale_radiance(cube: SpectralCube, gains) -> SpectralCube:
     """Divide each band by its gain (Hyperion-style radiance scaling)."""
+    return _scale_in_place(_own_copy(cube), gains)
+
+
+def _scale_in_place(cube: SpectralCube, gains) -> SpectralCube:
     if cube.units_tag != "radiance":
         raise ValueError(f"expected a radiance cube, got {cube.units_tag!r}")
     gains = np.asarray(gains, dtype=np.float64)
@@ -78,8 +83,8 @@ def scale_radiance(cube: SpectralCube, gains, *, overwrite: bool = False) -> Spe
         raise ValueError(f"gains length {gains.size} != cube bands {cube.bands}")
     if np.any(gains <= 0):
         raise ValueError("gains must all be positive")
-    out = cube.values if overwrite else None
-    return cube.copy_with(values=np.divide(cube.values, gains, out=out))
+    cube.values /= gains
+    return cube.copy_with(values=cube.values)
 
 
 def _pixel_mean(values: np.ndarray) -> np.ndarray:
@@ -102,32 +107,38 @@ def _pixel_mean(values: np.ndarray) -> np.ndarray:
     return rows[0] / (lines * samples)
 
 
-def reflectance_iarr(cube: SpectralCube, *, overwrite: bool = False) -> SpectralCube:
+def _divide_by_mean(cube: SpectralCube, mean: np.ndarray, what: str) -> SpectralCube:
+    if np.any(np.abs(mean) < _MEAN_EPS):
+        raise ValueError(f"{what} spectrum has a near-zero band; cannot normalize")
+    cube.values /= mean
+    return cube.copy_with(values=cube.values, units_tag="reflectance")
+
+
+def reflectance_iarr(cube: SpectralCube) -> SpectralCube:
     """Internal average relative reflectance: divide every pixel spectrum
     by the scene-mean spectrum."""
+    return _iarr_in_place(_own_copy(cube))
+
+
+def _iarr_in_place(cube: SpectralCube) -> SpectralCube:
     if cube.units_tag != "radiance":
         raise ValueError(f"expected a radiance cube, got {cube.units_tag!r}")
-    mean = _pixel_mean(cube.values)
-    if np.any(np.abs(mean) < _MEAN_EPS):
-        raise ValueError("scene-mean spectrum has a near-zero band; cannot normalize")
-    out = cube.values if overwrite else None
-    return cube.copy_with(values=np.divide(cube.values, mean, out=out), units_tag="reflectance")
+    return _divide_by_mean(cube, _pixel_mean(cube.values), "scene-mean")
 
 
-def reflectance_flat_field(cube: SpectralCube, field_roi: Roi, *,
-                           overwrite: bool = False) -> SpectralCube:
+def reflectance_flat_field(cube: SpectralCube, field_roi: Roi) -> SpectralCube:
     """Flat-field reflectance: divide every pixel spectrum by the mean
     spectrum of the given region (e.g. a spectrally flat calibration area)."""
+    return _flat_field_in_place(_own_copy(cube), field_roi)
+
+
+def _flat_field_in_place(cube: SpectralCube, field_roi: Roi) -> SpectralCube:
     if cube.units_tag != "radiance":
         raise ValueError(f"expected a radiance cube, got {cube.units_tag!r}")
     field_roi.check_within(cube.lines, cube.samples)
     block = cube.values[field_roi.first_line:field_roi.first_line + field_roi.n_lines,
                         field_roi.first_sample:field_roi.first_sample + field_roi.n_samples, :]
-    mean = block.reshape(-1, cube.bands).mean(axis=0)
-    if np.any(np.abs(mean) < _MEAN_EPS):
-        raise ValueError("flat-field mean spectrum has a near-zero band; cannot normalize")
-    out = cube.values if overwrite else None
-    return cube.copy_with(values=np.divide(cube.values, mean, out=out), units_tag="reflectance")
+    return _divide_by_mean(cube, block.reshape(-1, cube.bands).mean(axis=0), "flat-field mean")
 
 
 def _column_std(flat: np.ndarray) -> np.ndarray:
@@ -141,22 +152,25 @@ def _column_std(flat: np.ndarray) -> np.ndarray:
     return np.concatenate([flat[:, e0:e1].std(axis=0) for e0, e1 in zip(edges, edges[1:])])
 
 
-def standardize(cube: SpectralCube, *,
-                overwrite: bool = False) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
+def standardize(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
     """Shift each band to mean 0 and scale to standard deviation 1.
 
     Constant bands map to 0 with their std recorded as 1 so the transform
     stays invertible. Returns (cube, band means, band stds).
     """
+    return _standardize_in_place(_own_copy(cube))
+
+
+def _standardize_in_place(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
     flat = cube.pixels()
     if flat.shape[0] < 2:
         raise ValueError("standardize needs at least 2 pixels")
     means = flat.mean(axis=0)
     stds = _column_std(flat)
     stds = np.where(stds == 0.0, 1.0, stds)
-    values = np.subtract(cube.values, means, out=cube.values if overwrite else None)
-    values /= stds
-    return cube.copy_with(values=values), means, stds
+    cube.values -= means
+    cube.values /= stds
+    return cube.copy_with(values=cube.values), means, stds
 
 
 # ---------------------------------------------------------------------------

@@ -368,8 +368,9 @@ class TestBandPrefixRead:
     @pytest.mark.parametrize("data_type, byte_order", [
         ("float64", "little"), ("int16", "little"), ("float32", "big")])
     @pytest.mark.parametrize("keep", [[1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 1]])
+    @pytest.mark.parametrize("with_wavelengths", [True, False])
     def test_selected_bands_equal_whole_read_then_mask(self, tmp_path, interleave, data_type,
-                                                       byte_order, keep):
+                                                       byte_order, keep, with_wavelengths):
         from hypermap import preprocess
 
         values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
@@ -380,6 +381,9 @@ class TestBandPrefixRead:
         header = parse_envi_header(header_text)
         header.fwhm = [10.0 + i for i in range(7)]
         header.header_offset = 24
+        if not with_wavelengths:
+            # The bands are numbered 1..7, and the kept ones keep their numbers.
+            header.wavelengths = header.fwhm = None
         (tmp_path / "cube.hdr").write_text(serialize_envi_header(header))
         (tmp_path / "cube.img").write_bytes(bytes(range(24)) + payload)
         keep = np.array(keep, dtype=bool)
@@ -417,13 +421,13 @@ class TestBandPrefixRead:
             capsys.readouterr().err
 
 
-def write_radiance_scene(path, mask, gains):
-    """A 6 x 7 x 5 BIL radiance scene plus `band_index,keep` and
-    `band_index,gain` tables (one row per list entry) and a config."""
+def write_radiance_scene(path, mask, gains, interleave="bil"):
+    """A 6 x 7 x 5 radiance scene (BIL by default) plus `band_index,keep`
+    and `band_index,gain` tables (one row per list entry) and a config."""
     values = 1.0 + np.arange(6 * 7 * 5, dtype=np.float64).reshape(6, 7, 5) % 11
     header_text, payload = write_cube(SpectralCube(
         values=values, wavelengths=np.linspace(500.0, 900.0, 5),
-        bad_band_mask=np.ones(5, dtype=bool)), interleave="bil")
+        bad_band_mask=np.ones(5, dtype=bool)), interleave=interleave)
     (path / "scene.hdr").write_text(header_text)
     (path / "scene.img").write_bytes(payload)
     (path / "mask.csv").write_text(
@@ -473,18 +477,22 @@ class TestPreprocessInputs:
         assert "non-finite" in capsys.readouterr().err
 
 
-    def test_non_finite_value_in_dropped_band_is_data_error(self, tmp_path, capsys):
-        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 1], [1.0] * 5)
+    # Line 4, band 2 (dropped), sample 3 of the 6 x 7 x 5 scene.
+    @pytest.mark.parametrize("interleave, index", [
+        ("bsq", (1 * 6 + 4) * 7 + 3), ("bil", (4 * 5 + 1) * 7 + 3), ("bip", (4 * 7 + 3) * 5 + 1)])
+    @pytest.mark.parametrize("mask", [[1, 0, 1, 1, 1], [1, 0, 0, 0, 1]])
+    def test_non_finite_value_in_dropped_band_is_data_error(self, tmp_path, capsys,
+                                                             interleave, index, mask):
+        cfg = write_radiance_scene(tmp_path, mask, [1.0] * 5, interleave)
         payload = bytearray((tmp_path / "scene.img").read_bytes())
-        # BIL: line 4, band 2 (dropped), sample 3.
-        at = ((4 * 5 + 1) * 7 + 3) * 8
-        payload[at:at + 8] = np.array([np.inf]).tobytes()
+        payload[index * 8:index * 8 + 8] = np.array([np.inf]).tobytes()
         (tmp_path / "scene.img").write_bytes(payload)
         assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
 
-    def test_truncated_scene_is_data_error(self, tmp_path, capsys):
-        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 0], [1.0] * 5)
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_truncated_scene_is_data_error(self, tmp_path, capsys, interleave):
+        cfg = write_radiance_scene(tmp_path, [1, 0, 1, 1, 0], [1.0] * 5, interleave)
         img = tmp_path / "scene.img"
         img.write_bytes(img.read_bytes()[:-8])
         assert run(["preprocess", "--config", cfg]) == cli.EXIT_DATA
@@ -561,9 +569,10 @@ class TestStageMemory:
         budget = cube_bytes + envi_io.BLOCK_BYTES + 8 * 8 * self.LARGE[2] ** 2
         assert traced_peak(cli.run_stage, "mnf", cfg) <= budget
 
-    def test_preprocess_stage_holds_one_cube(self, tmp_path):
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_preprocess_stage_holds_one_cube(self, tmp_path, interleave):
         shape = self.LARGE[:2] + (320,)
-        self.write_cube_file(tmp_path / "scene.hdr", "radiance", shape, interleave="bil")
+        self.write_cube_file(tmp_path / "scene.hdr", "radiance", shape, interleave=interleave)
         keep = np.arange(320) % 5 != 2
         (tmp_path / "mask.csv").write_text(
             "band_index,keep\n" + "".join(f"{i},{int(k)}\n" for i, k in enumerate(keep, 1)))

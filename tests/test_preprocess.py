@@ -190,7 +190,7 @@ def laid_out(values, axes):
 
 class TestBlockedPasses:
     """The block-wise mean and standard deviation have the bits of the
-    whole-array formulas, and `overwrite=True` gives the same bits."""
+    whole-array formulas, and the in-place cores give the same bits."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -214,20 +214,25 @@ class TestBlockedPasses:
         assert out.values.tobytes() == ((values - flat.mean(axis=0)) / stds).tobytes()
 
     @pytest.mark.parametrize("axes", LAYOUTS)
-    def test_overwrite_gives_same_bits_in_the_cube(self, axes):
+    def test_in_place_core_gives_same_bits_in_the_cube(self, axes):
         values = laid_out(np.random.default_rng(5).uniform(1.0, 9.0, size=(13, 11, 6)), axes)
         field = Roi(2, 3, 4, 5)
-        steps = [lambda c, **kw: scale_radiance(c, np.arange(1.0, 7.0), **kw),
-                 lambda c, **kw: reflectance_iarr(c, **kw),
-                 lambda c, **kw: reflectance_flat_field(c, field, **kw),
-                 lambda c, **kw: standardize(c, **kw)[0]]
-        for step in steps:
+        gains = np.arange(1.0, 7.0)
+        steps = [(lambda c: scale_radiance(c, gains),
+                  lambda c: preprocess._scale_in_place(c, gains)),
+                 (reflectance_iarr, preprocess._iarr_in_place),
+                 (lambda c: reflectance_flat_field(c, field),
+                  lambda c: preprocess._flat_field_in_place(c, field)),
+                 (lambda c: standardize(c)[0],
+                  lambda c: preprocess._standardize_in_place(c)[0])]
+        for public, core in steps:
             cube = make_cube(values.copy(order="K"))
-            kept = step(cube)
+            kept = public(cube)
             assert cube.values.tobytes() == values.tobytes()
-            own = step(cube, overwrite=True)
+            own = core(cube)
             assert own.values is cube.values
             assert own.values.tobytes() == kept.values.tobytes()
+            assert own.values.strides == kept.values.strides
 
 
 class TestBandCsv:
