@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "endmember": ("EndmemberSet", "derive_endmembers", "kmeans"),
     "envi_io": ("EnviHeader", "SpectralCube", "SpectralLibrary", "SpectrumRecord",
-                "parse_envi_header", "read_cube", "read_spectral_library",
+                "parse_envi_header", "read_cube", "read_payload", "read_spectral_library",
                 "read_spectral_library_file", "serialize_envi_header", "write_cube",
                 "write_cube_file", "write_spectral_library",
                 "write_spectral_library_file"),
@@ -85,6 +85,7 @@ __all__ = [
     "random_abundance_field",
     "rank_matches",
     "read_cube",
+    "read_payload",
     "read_spectral_library",
     "read_spectral_library_file",
     "reflectance_flat_field",

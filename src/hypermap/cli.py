@@ -15,10 +15,8 @@ plus the stock Hyperion band-mask and gain tables. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import importlib
-import itertools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -28,12 +26,10 @@ import numpy as np
 
 from . import __version__, artifacts
 from .envi_io import (
-    BLOCK_BYTES,
-    EnviHeader,
     SpectralCube,
-    check_keep_mask,
     parse_envi_header,
     read_cube,
+    read_payload,
     read_spectral_library_file,
     write_cube_file,
 )
@@ -164,19 +160,16 @@ class PipelineConfig:
         return os.path.join(self.out, name)
 
 
+# Counts that must be >= 1. Every other int or float key must be >= 0
+# (`synth_panel_level` > 0), and every float key finite.
 _POSITIVE_INT = {"mnf_keep_k", "ppi_iterations", "ppi_min_count", "ppi_max_pixels",
                  "ppi_workers", "endmember_k", "synth_lines", "synth_samples",
                  "synth_block_size", "synth_pure_per_endmember"}
-_NON_NEGATIVE_INT = {"roi_first_line", "roi_first_sample", "roi_n_lines",
-                     "roi_n_samples", "flat_field_first_line", "flat_field_first_sample",
-                     "flat_field_n_lines", "flat_field_n_samples", "seed",
-                     "synth_panel_lines"}
-_NON_NEGATIVE_FLOAT = {"ppi_threshold", "weight_sam", "weight_sff", "weight_be",
-                       "sam_max_angle", "synth_noise_sigma", "synth_noise_relative"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; `;` starts a comment; keys lowercased."""
+    """Parse `key = value` lines; `;` starts a comment; keys lowercased.
+    A key given more than once takes its last value."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -224,15 +217,16 @@ def config_from_text(text: str, base_dir: str = ".") -> PipelineConfig:
 
 
 def _validate_config(cfg: PipelineConfig) -> None:
-    for key in _POSITIVE_INT:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"config key '{key}': must be an integer >= 1")
-    for key in _NON_NEGATIVE_INT:
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"config key '{key}': must be an integer >= 0")
-    for key in _NON_NEGATIVE_FLOAT:
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"config key '{key}': must be a number >= 0")
+    # In declaration order, so that of several bad keys the same one is named.
+    numbers = [f for f in fields(PipelineConfig) if f.type in ("int", "float")]
+    for f in numbers:
+        if f.name in _POSITIVE_INT and getattr(cfg, f.name) < 1:
+            raise ConfigError(f"config key '{f.name}': must be an integer >= 1")
+    for kind, noun in (("int", "an integer"), ("float", "a number")):
+        for f in numbers:
+            if f.type == kind and f.name not in _POSITIVE_INT | {"synth_panel_level"} \
+                    and getattr(cfg, f.name) < 0:
+                raise ConfigError(f"config key '{f.name}': must be {noun} >= 0")
     if cfg.reflectance_method not in ("iarr", "flat_field"):
         raise ConfigError(
             "config key 'reflectance_method': must be 'iarr' or 'flat_field'")
@@ -246,6 +240,9 @@ def _validate_config(cfg: PipelineConfig) -> None:
             "when reflectance_method = flat_field")
     if cfg.synth_panel_level <= 0:
         raise ConfigError("config key 'synth_panel_level': must be > 0")
+    for f in numbers:
+        if f.type == "float" and not np.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"config key '{f.name}': must be a finite number")
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -306,115 +303,9 @@ def write_default_configs(directory: str) -> list[str]:
 # stages
 
 
-def _read_cube(header_path: str, image_path: str | None = None, bands=None,
-               header: EnviHeader | None = None) -> SpectralCube:
-    """Read an ENVI cube; the image defaults to the header's `.img` sibling.
-
-    `header` is the parsed header file, when the caller has it already.
-    `bands` selects the bands returned: None for all of them, an int n for
-    the first n, or a boolean keep mask over the header's bands. The
-    wavelength, fwhm and bad-band lists are cut to match; a header without
-    wavelengths gives the kept bands their 1-based band numbers, as a
-    whole read does. A whole read keeps the file's interleave as its
-    memory order. The bytes go into one uint8 array, which `read_cube`
-    decodes a little-endian float64 image in place from (an empty array,
-    unlike a `bytearray`, is not zeroed before the read fills it). A
-    selection is read into one band-major buffer of the kept bands (the
-    order `values[:, :, keep]` gives), once the file's size has been
-    checked against the whole cube: a BSQ image reads the kept planes into
-    it, a BIL or BIP image is read a block of lines at a time and its kept
-    bands gathered. A mask's dropped bands are read a block at a time and
-    checked for non-finite values, so every band is checked as in a whole
-    read; a BSQ band count reads only its first n planes.
-    """
-    if header is None:
-        header = parse_envi_header(artifacts.read_text(header_path))
-    image_path = image_path or header_path[:-4] + ".img"
-    prefix = isinstance(bands, (int, np.integer))
-    if prefix and bands >= header.bands:
-        bands = None
-    if bands is None:
-        with open(image_path, "rb") as fp:
-            raw = np.empty(os.fstat(fp.fileno()).st_size, dtype=np.uint8)
-            # A file that ends early leaves a short buffer: a size mismatch below.
-            raw = raw[:fp.readinto(raw)]
-        return read_cube(header, raw)
-
-    keep = check_keep_mask(np.arange(header.bands) < bands if prefix else bands, header.bands)
-    plane = header.lines * header.samples * header.numpy_dtype.itemsize
-    expected = header.header_offset + header.bands * plane
-    actual = os.path.getsize(image_path)
-    if actual != expected:
-        raise ValueError(f"payload size mismatch: got {actual} bytes, expected {expected}")
-    # Runs of consecutive kept and dropped bands: (first, stop, kept).
-    runs, first = [], 0
-    for kept, group in itertools.groupby(keep):
-        runs.append((first, first + len(list(group)), kept))
-        first = runs[-1][1]
-    raw = np.empty(int(keep.sum()) * plane, dtype=np.uint8)
-    with open(image_path, "rb") as fp:
-        if header.interleave == "bsq":
-            _read_planes(fp, header, runs[:1] if prefix else runs, raw)
-        else:
-            _gather_lines(fp, header, runs, raw.view(header.numpy_dtype)
-                          .reshape(-1, header.lines, header.samples))
-
-    def cut(values):
-        return values and [v for v, k in zip(values, keep) if k]
-
-    return read_cube(dataclasses.replace(
-        header, bands=int(keep.sum()), interleave="bsq", header_offset=0,
-        wavelengths=cut(header.wavelengths or list(range(1, header.bands + 1))),
-        fwhm=cut(header.fwhm), bad_band_multiplier=cut(header.bad_band_multiplier)), raw)
-
-
-def _read_planes(fp, header, runs, raw: np.ndarray) -> None:
-    """Read the kept runs of a BSQ payload from `fp` into `raw`, one after
-    another, and the dropped runs a block of planes at a time into one
-    buffer, checking them for non-finite values."""
-    plane = header.lines * header.samples
-    step = max(1, BLOCK_BYTES // (plane * header.numpy_dtype.itemsize))
-    # A prefix read has no dropped run, so it needs no block buffer.
-    buf = np.empty(0 if all(kept for _, _, kept in runs) else step * plane,
-                   dtype=header.numpy_dtype)
-    at = 0
-    fp.seek(header.header_offset)
-    for first, stop, kept in runs:
-        if kept:
-            n = (stop - first) * plane * header.numpy_dtype.itemsize
-            fp.readinto(raw[at:at + n])
-            at += n
-            continue
-        for b0 in range(first, stop, step):
-            block = buf[:min(step, stop - b0) * plane]
-            fp.readinto(block)
-            if not np.isfinite(block).all():
-                raise ValueError("cube contains non-finite values")
-
-
-def _gather_lines(fp, header, runs, out: np.ndarray) -> None:
-    """Read a BIL or BIP payload from `fp` a block of lines at a time into
-    the band planes `out` (kept bands, lines, samples), checking the
-    dropped bands of each block for non-finite values."""
-    line = header.bands * header.samples
-    step = max(1, BLOCK_BYTES // (line * header.numpy_dtype.itemsize))
-    buf = np.empty(step * line, dtype=header.numpy_dtype)
-    fp.seek(header.header_offset)
-    for l0 in range(0, header.lines, step):
-        n = min(step, header.lines - l0)
-        block = buf[:n * line]
-        fp.readinto(block)
-        if header.interleave == "bil":
-            block = block.reshape(n, header.bands, header.samples).transpose(1, 0, 2)
-        else:
-            block = block.reshape(n, header.samples, header.bands).transpose(2, 0, 1)
-        j = 0
-        for first, stop, kept in runs:
-            if kept:
-                out[j:j + stop - first, l0:l0 + n] = block[first:stop]
-                j += stop - first
-            elif not np.isfinite(block[first:stop]).all():
-                raise ValueError("cube contains non-finite values")
+def _read_cube(header_path, image_path=None, bands=None, header=None) -> SpectralCube:
+    """`envi_io.read_payload` decoded by this module's `read_cube`."""
+    return read_cube(*read_payload(header_path, image_path, bands, header))
 
 
 def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
@@ -719,7 +610,8 @@ _STAGES = {s.name: s for s in (
     Stage("preprocess", stage_preprocess,
           artifacts=("reflectance.hdr", "reflectance.img"), modules=("preprocess",)),
     Stage("mnf", stage_mnf, needs=("preprocess",),
-          artifacts=("mnf_cube.hdr", "mnf_cube.img", os.path.join("mnf_model", "forward.csv")),
+          artifacts=("mnf_cube.hdr", "mnf_cube.img", *(os.path.join("mnf_model", name)
+                     for name in ("forward.csv", "eigenvalues.csv"))),
           modules=("mnf", "preprocess")),
     Stage("ppi", stage_ppi, needs=("mnf",),
           artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv"), modules=("ppi",)),

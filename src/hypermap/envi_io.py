@@ -2,7 +2,8 @@
 
 Cubes are held internally as float64 arrays indexed (line, sample, band)
 no matter which interleave the file used; all interleave handling lives
-here. Header parsing is whitespace-tolerant and case-insensitive, and
+here, as does reading a file's payload, whole or a selection of bands.
+Header parsing is whitespace-tolerant and case-insensitive, and
 unrecognized keys are preserved verbatim so a parse -> serialize round
 trip loses nothing.
 """
@@ -12,11 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-INTERLEAVES = ("bsq", "bil", "bip")
+# The axes of the canonical (line, sample, band) order that each
+# interleave stores outermost first: a payload is `values.transpose(axes)`.
+_FILE_AXES = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
+INTERLEAVES = tuple(_FILE_AXES)
 
 UNITS_TAGS = ("radiance", "reflectance", "mnf_component", "score")
 
@@ -379,21 +383,11 @@ def read_cube(header: EnviHeader, raw) -> SpectralCube:
     values are copied, in the same memory order.
     """
     header.validate()
-    n_values = header.samples * header.lines * header.bands
-    expected = header.header_offset + n_values * header.numpy_dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(
-            f"payload size mismatch: got {len(raw)} bytes, expected {expected}")
-    flat = np.frombuffer(raw, dtype=header.numpy_dtype, count=n_values,
+    _check_payload_size(header, len(raw))
+    flat = np.frombuffer(raw, dtype=header.numpy_dtype,
+                         count=header.samples * header.lines * header.bands,
                          offset=header.header_offset)
-    if header.interleave == "bsq":
-        values = flat.reshape(header.bands, header.lines, header.samples)
-        values = values.transpose(1, 2, 0)
-    elif header.interleave == "bil":
-        values = flat.reshape(header.lines, header.bands, header.samples)
-        values = values.transpose(0, 2, 1)
-    else:  # bip
-        values = flat.reshape(header.lines, header.samples, header.bands)
+    values = _canonical(flat, header.interleave, (header.lines, header.samples, header.bands))
     values = values.astype(np.float64, copy=not flat.flags.writeable)
 
     if header.wavelengths is not None:
@@ -409,6 +403,125 @@ def read_cube(header: EnviHeader, raw) -> SpectralCube:
         units = "radiance"
     return SpectralCube(values=values, wavelengths=wavelengths,
                         bad_band_mask=mask, units_tag=units)
+
+
+def _canonical(flat: np.ndarray, interleave: str, dims) -> np.ndarray:
+    """The (line, sample, band) view of `flat`, a payload of `dims`
+    (lines, samples, bands) values in `interleave` order."""
+    axes = _FILE_AXES[interleave]
+    return flat.reshape([dims[a] for a in axes]).transpose(np.argsort(axes))
+
+
+def _check_payload_size(header: EnviHeader, size: int) -> None:
+    expected = (header.header_offset + header.samples * header.lines * header.bands
+                * header.numpy_dtype.itemsize)
+    if size != expected:
+        raise ValueError(f"payload size mismatch: got {size} bytes, expected {expected}")
+
+
+def _image_path(header_path, image_path=None) -> str:
+    """`image_path`, or by default the header's `.img` sibling."""
+    stem = str(header_path)[:-4] if str(header_path).endswith(".hdr") else str(header_path)
+    return stem + ".img" if image_path is None else str(image_path)
+
+
+def read_payload(header_path, image_path=None, bands=None,
+                 header: EnviHeader | None = None) -> tuple[EnviHeader, np.ndarray]:
+    """Read an ENVI image, or some of its bands, as `(header, raw)` for
+    :func:`read_cube`. The image defaults to the header's `.img` sibling;
+    `header` is the parsed header file, when the caller has it already.
+
+    `bands` is None for every band, an int n for the first n, or a boolean
+    keep mask. A whole read returns the header and the file's bytes, in
+    one uint8 array that `read_cube` decodes a little-endian float64
+    image in place from (an empty array, unlike a `bytearray`, is not
+    zeroed before the read fills it). A selection returns a BSQ header
+    with its band lists cut (a header without wavelengths keeps the
+    original 1-based band numbers) and the kept bands band-major, as
+    `values[:, :, keep]` orders them, once the file's size is checked
+    against the whole cube. BSQ reads the kept planes; BIL and BIP gather
+    them a block of lines at a time. Dropped bands are read a block at a
+    time and checked for non-finite values, as a whole read checks them;
+    a band count reads only a BSQ image's first n planes.
+    """
+    if header is None:
+        with open(header_path, "r", encoding="utf-8") as fp:
+            header = parse_envi_header(fp.read())
+    image_path = _image_path(header_path, image_path)
+    prefix = isinstance(bands, (int, np.integer))
+    if bands is None or prefix and bands >= header.bands:
+        with open(image_path, "rb") as fp:
+            raw = np.empty(os.fstat(fp.fileno()).st_size, dtype=np.uint8)
+            # A file that ends early leaves a short buffer: a size mismatch in read_cube.
+            return header, raw[:fp.readinto(raw)]
+
+    keep = check_keep_mask(np.arange(header.bands) < bands if prefix else bands, header.bands)
+    _check_payload_size(header, os.path.getsize(image_path))
+    # Runs of consecutive kept and dropped bands: (first, stop, kept).
+    edges = [0, *(np.flatnonzero(np.diff(keep)) + 1).tolist(), header.bands]
+    runs = [(first, stop, bool(keep[first])) for first, stop in zip(edges, edges[1:])]
+    raw = np.empty(int(keep.sum()) * header.lines * header.samples
+                   * header.numpy_dtype.itemsize, dtype=np.uint8)
+    with open(image_path, "rb") as fp:
+        fp.seek(header.header_offset)
+        if header.interleave == "bsq":
+            _read_planes(fp, header, runs[:1] if prefix else runs, raw)
+        else:
+            _gather_lines(fp, header, runs, raw.view(header.numpy_dtype)
+                          .reshape(-1, header.lines, header.samples))
+
+    def cut(values):
+        return values and [v for v, k in zip(values, keep) if k]
+
+    return replace(
+        header, bands=int(keep.sum()), interleave="bsq", header_offset=0,
+        wavelengths=cut(header.wavelengths or list(range(1, header.bands + 1))),
+        fwhm=cut(header.fwhm), bad_band_multiplier=cut(header.bad_band_multiplier)), raw
+
+
+def _read_planes(fp, header: EnviHeader, runs, raw: np.ndarray) -> None:
+    """Read the kept runs of a BSQ payload from `fp` into `raw`, one after
+    another, and the dropped runs a block of planes at a time into one
+    buffer, checking them for non-finite values."""
+    plane = header.lines * header.samples
+    step = max(1, BLOCK_BYTES // (plane * header.numpy_dtype.itemsize))
+    # A prefix read has no dropped run, so it needs no block buffer.
+    buf = np.empty(0 if all(kept for _, _, kept in runs) else step * plane,
+                   dtype=header.numpy_dtype)
+    at = 0
+    for first, stop, kept in runs:
+        if kept:
+            n = (stop - first) * plane * header.numpy_dtype.itemsize
+            fp.readinto(raw[at:at + n])
+            at += n
+            continue
+        for b0 in range(first, stop, step):
+            block = buf[:min(step, stop - b0) * plane]
+            fp.readinto(block)
+            if not np.isfinite(block).all():
+                raise ValueError("cube contains non-finite values")
+
+
+def _gather_lines(fp, header: EnviHeader, runs, out: np.ndarray) -> None:
+    """Read a BIL or BIP payload from `fp` a block of lines at a time into
+    the band planes `out` (kept bands, lines, samples), checking the
+    dropped bands of each block for non-finite values."""
+    line = header.bands * header.samples
+    step = max(1, BLOCK_BYTES // (line * header.numpy_dtype.itemsize))
+    buf = np.empty(step * line, dtype=header.numpy_dtype)
+    for l0 in range(0, header.lines, step):
+        n = min(step, header.lines - l0)
+        block = buf[:n * line]
+        fp.readinto(block)
+        block = _canonical(block, header.interleave,
+                           (n, header.samples, header.bands)).transpose(2, 0, 1)
+        j = 0
+        for first, stop, kept in runs:
+            if kept:
+                out[j:j + stop - first, l0:l0 + n] = block[first:stop]
+                j += stop - first
+            elif not np.isfinite(block[first:stop]).all():
+                raise ValueError("cube contains non-finite values")
 
 
 _INT_RANGES = {
@@ -440,12 +553,7 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
                 f"values [{vmin:g}, {vmax:g}] outside {data_type} range [{lo}, {hi}]")
 
     dtype = np.dtype(data_type).newbyteorder("<" if byte_order == "little" else ">")
-    if interleave == "bsq":
-        arranged = values.transpose(2, 0, 1)
-    elif interleave == "bil":
-        arranged = values.transpose(0, 2, 1)
-    else:
-        arranged = values
+    arranged = values.transpose(_FILE_AXES[interleave])
 
     header = _header_text(cube.lines, cube.samples, cube.wavelengths, cube.bad_band_mask,
                           cube.units_tag, interleave, data_type, byte_order)
@@ -510,10 +618,7 @@ def _write_pair(header_path, image_path, header_text: str, planes, dtype: np.dty
     """Write the header text, then each of `planes` as `dtype` in turn,
     creating missing parent directories; the image defaults to the
     header's `.img` sibling."""
-    header_path = str(header_path)
-    if image_path is None:
-        stem = header_path[:-4] if header_path.endswith(".hdr") else header_path
-        image_path = stem + ".img"
+    header_path, image_path = str(header_path), _image_path(header_path, image_path)
     for path in (header_path, image_path):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(header_path, "w", encoding="utf-8") as fp:

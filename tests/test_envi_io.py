@@ -13,6 +13,7 @@ from hypermap.envi_io import (
     SpectralCube,
     parse_envi_header,
     read_cube,
+    read_payload,
     read_spectral_library,
     serialize_envi_header,
     write_cube,
@@ -157,6 +158,50 @@ class TestReadCube:
         raw = b"xyz" + struct.pack("<d", 2.5)
         cube = read_cube(header, raw)
         assert cube.values[0, 0, 0] == 2.5
+
+
+class TestReadPayload:
+    def test_whole_read_returns_header_and_file_bytes(self, tmp_path):
+        header_text, payload = write_cube(make_cube(np.ones((2, 3, 4))), "bil")
+        (tmp_path / "cube.hdr").write_text(header_text)
+        (tmp_path / "cube.img").write_bytes(payload)
+        for bands in (None, 4, 9):
+            header, raw = read_payload(tmp_path / "cube.hdr", bands=bands)
+            assert header == parse_envi_header(header_text)
+            assert raw.dtype == np.uint8 and raw.tobytes() == payload
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("data_type, byte_order", [
+        ("float64", "little"), ("int16", "little"), ("float32", "big")])
+    @pytest.mark.parametrize("keep", [[1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 1]])
+    @pytest.mark.parametrize("with_wavelengths", [True, False])
+    def test_selected_bands_equal_whole_read_then_mask(self, tmp_path, interleave, data_type,
+                                                       byte_order, keep, with_wavelengths):
+        from hypermap import preprocess
+
+        values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
+        header_text, payload = write_cube(SpectralCube(
+            values=values, wavelengths=np.linspace(500.0, 900.0, 7),
+            bad_band_mask=np.arange(7) % 3 != 0), interleave=interleave,
+            data_type=data_type, byte_order=byte_order)
+        header = parse_envi_header(header_text)
+        header.fwhm = [10.0 + i for i in range(7)]
+        header.header_offset = 24
+        if not with_wavelengths:
+            # The bands are numbered 1..7, and the kept ones keep their numbers.
+            header.wavelengths = header.fwhm = None
+        (tmp_path / "cube.hdr").write_text(serialize_envi_header(header))
+        (tmp_path / "cube.img").write_bytes(bytes(range(24)) + payload)
+        keep = np.array(keep, dtype=bool)
+
+        part = read_cube(*read_payload(tmp_path / "cube.hdr", bands=keep))
+        expected = preprocess.remove_bad_bands(read_cube(*read_payload(tmp_path / "cube.hdr")),
+                                               keep)
+        assert part.values.tobytes() == expected.values.tobytes()
+        assert part.values.strides == expected.values.strides  # band-major
+        assert part.wavelengths.tobytes() == expected.wavelengths.tobytes()
+        assert part.bad_band_mask.tolist() == expected.bad_band_mask.tolist()
+        assert part.units_tag == expected.units_tag
 
 
 class TestWriteCube:
