@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hypermap import cli, write_spectral_library_file
+from hypermap import SpectralLibrary, cli, write_spectral_library_file
 from hypermap.spectral_match import resample_library
 from hypermap.synthcube import synthetic_mineral_library
 
@@ -52,14 +52,9 @@ with tempfile.TemporaryDirectory(prefix="hypermap_demo_") as tmp:
     library = synthetic_mineral_library(20, seed=42)
     write_spectral_library_file(library, work / "library.csv")
 
-    scene_wavelengths = np.linspace(450.0, 2450.0, 60)
-    scene_lib = resample_library(library, scene_wavelengths)
-    rows = ["wavelength_nm," + ",".join(e.name for e in scene_lib.entries[:4])]
-    for i, wl in enumerate(scene_wavelengths):
-        cells = [repr(float(wl))] + [repr(float(e.reflectance[i]))
-                                     for e in scene_lib.entries[:4]]
-        rows.append(",".join(cells))
-    (work / "scene_endmembers.csv").write_text("\n".join(rows) + "\n")
+    scene_lib = resample_library(library, np.linspace(450.0, 2450.0, 60))
+    write_spectral_library_file(SpectralLibrary(entries=scene_lib.entries[:4]),
+                                work / "scene_endmembers.csv")
 
     (work / "pipeline.cfg").write_text(PIPELINE_CFG)
 

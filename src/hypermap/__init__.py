@@ -48,64 +48,4 @@ def __getattr__(name):
     return value
 
 
-__all__ = [
-    "AnalystWeights",
-    "ClassMap",
-    "EndmemberSet",
-    "EnviHeader",
-    "GroundTruth",
-    "MatchScore",
-    "MixingScenario",
-    "MnfModel",
-    "MtmfResult",
-    "NoiseEstimate",
-    "PpiImage",
-    "PpiParams",
-    "RandomSource",
-    "Roi",
-    "SpectralCube",
-    "SpectralLibrary",
-    "SpectrumRecord",
-    "be_score",
-    "binary_encode",
-    "class_statistics",
-    "continuum_remove",
-    "derive_endmembers",
-    "estimate_noise_covariance",
-    "fit_mnf",
-    "forward_mnf",
-    "generate",
-    "inverse_mnf",
-    "kmeans",
-    "load_mnf_model",
-    "matched_filter",
-    "mtmf",
-    "parse_envi_header",
-    "plant_pure_pixels",
-    "random_abundance_field",
-    "rank_matches",
-    "read_cube",
-    "read_payload",
-    "read_spectral_library",
-    "read_spectral_library_file",
-    "reflectance_flat_field",
-    "reflectance_iarr",
-    "remove_bad_bands",
-    "resample_library",
-    "run_ppi",
-    "sam_angle",
-    "sam_classify",
-    "save_mnf_model",
-    "scale_radiance",
-    "select_pure_pixels",
-    "serialize_envi_header",
-    "sff_score",
-    "splitmix64",
-    "standardize",
-    "subset_roi",
-    "symmetric_eig",
-    "write_cube",
-    "write_cube_file",
-    "write_spectral_library",
-    "write_spectral_library_file",
-]
+__all__ = sorted(_EXPORTS)

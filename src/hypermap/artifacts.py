@@ -1,11 +1,14 @@
 """On-disk formats of the pipeline's CSV and text artifacts.
 
-Tables are written by :func:`write_table` and read back by
-:func:`read_table`, which checks the header and every row's width; the
-MNF model bundle's headerless float matrices use :func:`write_matrix`
-and :func:`read_matrix`. Both write one line at a time. The ENVI cubes,
-spectral libraries and band tables keep their own formats in `envi_io`
-and `preprocess`.
+This is the one module that reads and writes CSV text. Tables are
+written by :func:`write_table` through the `csv` module, so a cell that
+holds a comma, a double quote or a newline is quoted, and parsed by
+:func:`parse_table` (:func:`read_table` for a file), which checks the
+header and every row's width. The spectral-library layout
+(:func:`spectra_text`, :func:`parse_spectra`), which the library CSV and
+`endmembers.csv` share, and the Hyperion band tables are built on them;
+the MNF model bundle's headerless float matrices use :func:`write_matrix`
+and :func:`read_matrix`. Files are written one row at a time.
 
 This module imports no pipeline stage module, so every stage can use it
 without paying for the others' imports.
@@ -14,6 +17,7 @@ without paying for the others' imports.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 from typing import TYPE_CHECKING
@@ -34,19 +38,18 @@ HYPERION_SWIR_GAIN = 80.0
 HYPERION_VNIR_LAST_BAND = 70
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` to `path`, creating the parent directory."""
-    _write_lines(path, (text,), end="")
-
-
-def _write_lines(path, lines, end: str = "\n") -> None:
-    """Write each of `lines` followed by `end`, creating the parent directory."""
+def _create(path):
+    """`path` opened for writing text, its parent directory created."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fp:
-        for line in lines:
-            fp.write(line + end)
+    return open(path, "w", encoding="utf-8")
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path`, creating the parent directory."""
+    with _create(path) as fp:
+        fp.write(text)
 
 
 def read_text(path) -> str:
@@ -54,36 +57,61 @@ def read_text(path) -> str:
         return fp.read()
 
 
+def _write_rows(fp, rows) -> None:
+    """Write each row of cells as a CSV line. A row with a comma, a double
+    quote or a line break in a cell goes through the `csv` module, which
+    quotes those cells; any other row is written as its cells joined by
+    commas, which is the text `csv` writes for it, without the `csv`
+    writer's per-cell cost (several times the join's)."""
+    quoting = csv.writer(fp, lineterminator="\n")
+    for row in rows:
+        line = ",".join(row)
+        if line.count(",") + 1 != len(row) or '"' in line or "\n" in line or "\r" in line:
+            quoting.writerow(row)
+        else:
+            fp.write(line + "\n")
+
+
 def write_table(path, header, rows) -> None:
-    """Write a header and rows of formatted cells as comma-joined lines."""
-    _write_lines(path, (",".join(row) for row in itertools.chain((header,), rows)))
+    """Write a header and rows of formatted cells as CSV lines."""
+    with _create(path) as fp:
+        _write_rows(fp, itertools.chain((header,), rows))
+
+
+def parse_table(text: str, header, label: str) -> list[list[str]]:
+    """The rows of CSV `text`, whose header must start with the cells `header`.
+
+    Returns the header row, its cells stripped, then the data rows; rows
+    whose cells are all blank are skipped, and every other row must have
+    as many cells as the header. Errors name `label` and the row, counting
+    the header as row 1 and skipped rows not at all.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
+    head = [cell.strip() for cell in rows[0]] if rows else []
+    if head[:len(header)] != list(header):
+        raise ValueError(f"{label}: expected CSV header starting '{','.join(header)}'")
+    rows[0] = head
+    width = len(head)
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValueError(f"{label} row {number} has {len(row)} cells, expected {width}")
+    return rows
 
 
 def read_table(path, header) -> list[list[str]]:
-    """Read a table whose header starts with the cells `header`.
-
-    Returns the header row followed by the data rows, blank rows skipped;
-    every row must have as many cells as the header.
-    """
-    reader = csv.reader(read_text(path).splitlines())
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows or rows[0][1][:len(header)] != list(header):
-        raise ValueError(f"{path}: expected CSV header starting '{','.join(header)}'")
-    width = len(rows[0][1])
-    for line_num, row in rows[1:]:
-        if len(row) != width:
-            raise ValueError(f"{path}: row {line_num} has {len(row)} cells, header has {width}")
-    return [row for _, row in rows]
+    """:func:`parse_table` of the file at `path`, errors naming the file."""
+    return parse_table(read_text(path), header, str(path))
 
 
 def write_matrix(path, m) -> None:
     """A float matrix as headerless CSV rows; a vector is written as one row."""
-    _write_lines(path, (",".join(_floats(row)) for row in np.atleast_2d(m)))
+    with _create(path) as fp:
+        _write_rows(fp, map(_floats, np.atleast_2d(m)))
 
 
 def read_matrix(path) -> np.ndarray:
     """A matrix written by :func:`write_matrix`, blank rows skipped."""
-    rows = csv.reader(read_text(path).splitlines())
+    rows = csv.reader(io.StringIO(read_text(path)))
     return np.array([[float(c) for c in row] for row in rows if row], dtype=np.float64)
 
 
@@ -92,8 +120,40 @@ def _floats(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def _float_matrix(rows, width: int) -> np.ndarray:
-    return np.array([[float(c) for c in row] for row in rows]).reshape(-1, width)
+def _float_table(table, label: str) -> np.ndarray:
+    """The data rows of a :func:`parse_table` result as one float64 array,
+    filled a row at a time."""
+    width = len(table[0])
+    out = np.empty((len(table) - 1, width), dtype=np.float64)
+    for number, row in enumerate(table[1:], start=2):
+        try:
+            out[number - 2] = np.fromiter(map(float, row), dtype=np.float64, count=width)
+        except ValueError as exc:
+            raise ValueError(f"{label} row {number}: unparseable number") from exc
+    return out
+
+
+def spectra_text(names, wavelengths, spectra) -> str:
+    """The spectral-library layout: header `wavelength_nm,<name>,...`, then
+    one row per wavelength of each spectrum's value there (`spectra` holds
+    one spectrum per row)."""
+    rows = map(_floats, np.column_stack((wavelengths, np.transpose(spectra))))
+    out = io.StringIO()
+    _write_rows(out, itertools.chain((["wavelength_nm", *names],), rows))
+    return out.getvalue()
+
+
+def parse_spectra(text: str, label: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Names, wavelengths and spectra (one per row, a view of one float64
+    table) of the layout :func:`spectra_text` writes; no range checks."""
+    table = parse_table(text, ["wavelength_nm"], label)
+    names = table[0][1:]
+    if not names:
+        raise ValueError(f"{label} header names no spectrum")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate spectrum names in {label} header")
+    values = _float_table(table, label)
+    return names, values[:, 0].copy(), values[:, 1:].T
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +184,18 @@ def write_ppi_trace(path, trace: list[int]) -> None:
 
 
 def write_endmembers(path, es: EndmemberSet) -> None:
-    """Reflectance means in spectral-library CSV layout (`class_<id>` columns).
+    """Reflectance means in spectral-library layout (`class_<id>` columns).
 
     Written directly (not through SpectrumRecord) because scene-derived
     relative reflectance can exceed the laboratory range check.
     """
-    header = ["wavelength_nm"] + [f"class_{cid}" for cid in es.class_ids()]
-    write_table(path, header,
-                ([repr(float(wl))] + _floats(es.reflectance_means[:, i])
-                 for i, wl in enumerate(es.wavelengths)))
+    write_text(path, spectra_text([f"class_{cid}" for cid in es.class_ids()],
+                                  es.wavelengths, es.reflectance_means))
 
 
 def read_endmembers(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read back (names, wavelengths, spectra-by-row) without range checks."""
-    header, *rows = read_table(path, ["wavelength_nm"])
-    data = _float_matrix(rows, len(header))
-    return [c.strip() for c in header[1:]], data[:, 0], data[:, 1:].T
+    return parse_spectra(read_text(path), str(path))
 
 
 def write_manifest(path, es: EndmemberSet) -> None:
@@ -157,8 +213,7 @@ def write_mnf_means(path, es: EndmemberSet) -> None:
 
 def read_mnf_means(path) -> np.ndarray:
     """The MNF centroid matrix, classes in id order."""
-    header, *rows = read_table(path, ["class_id"])
-    return _float_matrix((r[1:] for r in rows), len(header) - 1)
+    return np.ascontiguousarray(_float_table(read_table(path, ["class_id"]), str(path))[:, 1:])
 
 
 def write_rankings(path, scores: list[MatchScore]) -> None:
@@ -254,3 +309,35 @@ def write_hyperion_tables(mask_path, gains_path) -> None:
              for band in bands)
     write_table(gains_path, ["band_index", "gain"],
                 ([str(band), f"{gain:g}"] for band, gain in zip(bands, gains)))
+
+
+def read_band_table(text: str, n_bands: int, value_name: str) -> np.ndarray:
+    """The values of a `band_index,<value_name>` table, the layout
+    :func:`write_hyperion_tables` writes: each band 1..`n_bands` on exactly
+    one row, with a finite number."""
+    label = f"{value_name} table"
+    table = parse_table(text, ["band_index", value_name], label)
+    if len(table[0]) != 2:
+        raise ValueError(f"{label}: expected CSV header 'band_index,{value_name}'")
+    values = np.empty(n_bands, dtype=np.float64)
+    row_of = np.zeros(n_bands, dtype=np.int64)  # the row that gave each band, 0 for none yet
+    for number, (index, cell) in enumerate(table[1:], start=2):
+        where = f"{label} row {number}"
+        try:
+            band = int(index)
+        except ValueError:
+            raise ValueError(f"{where}: band index {index.strip()!r} is not an integer") from None
+        if not 1 <= band <= n_bands:
+            raise ValueError(f"{where}: band index {band} outside 1..{n_bands}")
+        if row_of[band - 1]:
+            raise ValueError(f"{where}: band {band} already given on row {row_of[band - 1]}")
+        try:
+            values[band - 1] = float(cell)
+        except ValueError:
+            values[band - 1] = np.nan
+        if not np.isfinite(values[band - 1]):
+            raise ValueError(f"{where}: {value_name} {cell.strip()!r} is not a finite number")
+        row_of[band - 1] = number
+    if not row_of.all():
+        raise ValueError(f"{label}: band {int(np.argmin(row_of)) + 1} missing from CSV")
+    return values

@@ -19,7 +19,7 @@ import glob
 import importlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -95,51 +95,65 @@ _TRUE = ("true", "1", "yes")
 _FALSE = ("false", "0", "no")
 
 
+DEFAULT_CONFIG_NAME = "default.cfg"
+HYPERION_BAND_MASK_NAME = "hyperion_bad_bands.csv"
+HYPERION_GAINS_NAME = "hyperion_gains.csv"
+
+
+def _key(default, *, count=False, section=None, hint="", init=None):
+    """A config key: its default, whether it is a count that must be >= 1,
+    the section comment `init` writes above it, a comment `init` writes
+    after it, and the value `init` writes in place of the default."""
+    return field(default=default,
+                 metadata={"count": count, "section": section, "hint": hint, "init": init})
+
+
 @dataclass
 class PipelineConfig:
-    input_header: str = "scene.hdr"
+    input_header: str = _key("scene.hdr", section="inputs")
     input_image: str = "scene.img"
-    band_mask_csv: str = ""
-    gains_csv: str = ""
+    band_mask_csv: str = _key("", init=HYPERION_BAND_MASK_NAME)
+    gains_csv: str = _key("", init=HYPERION_GAINS_NAME)
     library_csv: str = "library.csv"
     output_dir: str = "out"
     seed: int = 42
 
-    roi_first_line: int = 0
+    roi_first_line: int = _key(0, section="spatial subset (0 extent = full scene)")
     roi_first_sample: int = 0
     roi_n_lines: int = 0
     roi_n_samples: int = 0
 
-    reflectance_method: str = "iarr"
+    reflectance_method: str = _key("iarr", section="reflectance retrieval",
+                                   hint="   ; iarr | flat_field")
     flat_field_first_line: int = 0
     flat_field_first_sample: int = 0
     flat_field_n_lines: int = 0
     flat_field_n_samples: int = 0
     standardize_before_mnf: bool = False
 
-    mnf_keep_k: int = 48
+    mnf_keep_k: int = _key(48, count=True, section="noise reduction")
 
-    ppi_iterations: int = 10000
+    ppi_iterations: int = _key(10000, count=True, section="pure pixel search")
     ppi_threshold: float = 2.5
-    ppi_min_count: int = 1
-    ppi_max_pixels: int = 10000
-    ppi_workers: int = 1
+    ppi_min_count: int = _key(1, count=True)
+    ppi_max_pixels: int = _key(10000, count=True)
+    ppi_workers: int = _key(1, count=True)
     ppi_trace: bool = True
 
-    endmember_k: int = 48
+    endmember_k: int = _key(48, count=True, section="endmember clustering")
 
-    weight_sam: float = 1.0
+    weight_sam: float = _key(1.0, section="spectral analyst weights")
     weight_sff: float = 1.0
     weight_be: float = 1.0
 
-    sam_max_angle: float = 0.10
+    sam_max_angle: float = _key(0.10, section="mapping")
 
-    synth_lines: int = 64
-    synth_samples: int = 64
-    synth_block_size: int = 1
+    synth_lines: int = _key(64, count=True, section="synthetic scene generation")
+    synth_samples: int = _key(64, count=True)
+    synth_block_size: int = _key(1, count=True)
     synth_noise_sigma: float = 0.0
     synth_noise_relative: float = 0.0
-    synth_pure_per_endmember: int = 5
+    synth_pure_per_endmember: int = _key(5, count=True)
     synth_pure_plan_csv: str = ""
     synth_library_csv: str = ""
     synth_panel_lines: int = 0
@@ -158,13 +172,6 @@ class PipelineConfig:
 
     def artifact(self, name: str) -> str:
         return os.path.join(self.out, name)
-
-
-# Counts that must be >= 1. Every other int or float key must be >= 0
-# (`synth_panel_level` > 0), and every float key finite.
-_POSITIVE_INT = {"mnf_keep_k", "ppi_iterations", "ppi_min_count", "ppi_max_pixels",
-                 "ppi_workers", "endmember_k", "synth_lines", "synth_samples",
-                 "synth_block_size", "synth_pure_per_endmember"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -217,15 +224,17 @@ def config_from_text(text: str, base_dir: str = ".") -> PipelineConfig:
 
 
 def _validate_config(cfg: PipelineConfig) -> None:
-    # In declaration order, so that of several bad keys the same one is named.
+    # Counts must be >= 1, every other int or float key >= 0
+    # (`synth_panel_level` > 0) and every float key finite. Keys are checked
+    # in declaration order, so of several bad keys the same one is named.
     numbers = [f for f in fields(PipelineConfig) if f.type in ("int", "float")]
     for f in numbers:
-        if f.name in _POSITIVE_INT and getattr(cfg, f.name) < 1:
+        if f.metadata.get("count") and getattr(cfg, f.name) < 1:
             raise ConfigError(f"config key '{f.name}': must be an integer >= 1")
     for kind, noun in (("int", "an integer"), ("float", "a number")):
         for f in numbers:
-            if f.type == kind and f.name not in _POSITIVE_INT | {"synth_panel_level"} \
-                    and getattr(cfg, f.name) < 0:
+            if f.type == kind and not f.metadata.get("count") \
+                    and f.name != "synth_panel_level" and getattr(cfg, f.name) < 0:
                 raise ConfigError(f"config key '{f.name}': must be {noun} >= 0")
     if cfg.reflectance_method not in ("iarr", "flat_field"):
         raise ConfigError(
@@ -254,39 +263,18 @@ def load_config(path: str) -> PipelineConfig:
     return config_from_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-DEFAULT_CONFIG_NAME = "default.cfg"
-HYPERION_BAND_MASK_NAME = "hyperion_bad_bands.csv"
-HYPERION_GAINS_NAME = "hyperion_gains.csv"
-
-# Section comment written above each group's first key, and values that
-# `init` writes in place of the dataclass default.
-_CONFIG_SECTIONS = {
-    "input_header": "inputs",
-    "roi_first_line": "spatial subset (0 extent = full scene)",
-    "reflectance_method": "reflectance retrieval",
-    "mnf_keep_k": "noise reduction",
-    "ppi_iterations": "pure pixel search",
-    "endmember_k": "endmember clustering",
-    "weight_sam": "spectral analyst weights",
-    "sam_max_angle": "mapping",
-    "synth_lines": "synthetic scene generation",
-}
-_CONFIG_HINTS = {"reflectance_method": "   ; iarr | flat_field"}
-_INIT_VALUES = {"band_mask_csv": HYPERION_BAND_MASK_NAME, "gains_csv": HYPERION_GAINS_NAME}
-
-
 def default_config_text() -> str:
     cfg = PipelineConfig()
     lines = ["; hypermap pipeline configuration (generated defaults)"]
     for f in fields(PipelineConfig):
         if f.name == "base_dir":
             continue
-        if f.name in _CONFIG_SECTIONS:
-            lines += ["", f"; --- {_CONFIG_SECTIONS[f.name]} ---"]
-        value = _INIT_VALUES.get(f.name, getattr(cfg, f.name))
+        if f.metadata.get("section"):
+            lines += ["", f"; --- {f.metadata['section']} ---"]
+        value = f.metadata.get("init") or getattr(cfg, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}{_CONFIG_HINTS.get(f.name, '')}")
+        lines.append(f"{f.name} = {value}{f.metadata.get('hint', '')}")
     return "\n".join(lines + [""])
 
 

@@ -1,21 +1,22 @@
-"""ENVI-format header/cube parsing and spectral-library CSV I/O.
+"""ENVI-format header/cube parsing and spectral libraries.
 
 Cubes are held internally as float64 arrays indexed (line, sample, band)
 no matter which interleave the file used; all interleave handling lives
 here, as does reading a file's payload, whole or a selection of bands.
 Header parsing is whitespace-tolerant and case-insensitive, and
 unrecognized keys are preserved verbatim so a parse -> serialize round
-trip loses nothing.
+trip loses nothing. A library's CSV layout is read and written by
+`artifacts`; this module builds and checks its spectra.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from . import artifacts
 
 # The axes of the canonical (line, sample, band) order that each
 # interleave stores outermost first: a payload is `values.transpose(axes)`.
@@ -637,36 +638,13 @@ def read_spectral_library(text: str, source_tag: str = "") -> SpectralLibrary:
     """Parse a spectral-library CSV.
 
     Layout: header row `wavelength_nm,<name1>,<name2>,...` then one row per
-    wavelength, strictly increasing down the file.
+    wavelength, strictly increasing down the file; cells may be quoted.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError("empty spectral library")
-    head = [cell.strip() for cell in rows[0]]
-    if head[0] != "wavelength_nm" or len(head) < 2:
-        raise ValueError("library header must be 'wavelength_nm,<name>,...'")
-    names = head[1:]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate spectrum names in library header")
-
-    n_cols = len(head)
-    # One float64 table, one row per wavelength, filled in a single pass:
-    # each row is checked for width, then every cell goes through float().
-    table = np.empty((len(rows) - 1, n_cols), dtype=np.float64)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols:
-            raise ValueError(f"library row {i} has {len(row)} cells, expected {n_cols}")
-        try:
-            table[i - 2] = np.fromiter(map(float, row), dtype=np.float64, count=n_cols)
-        except ValueError as exc:
-            raise ValueError(f"library row {i}: unparseable number") from exc
-    wl = table[:, 0].copy()
+    names, wl, spectra = artifacts.parse_spectra(text, "library")
     if np.any(np.diff(wl) <= 0):
         raise ValueError("library wavelengths must be strictly increasing")
-    columns = np.ascontiguousarray(table[:, 1:].T)
-    entries = [SpectrumRecord(name=name, wavelengths=wl, reflectance=col)
-               for name, col in zip(names, columns)]
+    entries = [SpectrumRecord(name=name, wavelengths=wl, reflectance=row)
+               for name, row in zip(names, np.ascontiguousarray(spectra))]
     return SpectralLibrary(entries=entries, source_tag=source_tag)
 
 
@@ -678,20 +656,12 @@ def write_spectral_library(lib: SpectralLibrary) -> str:
     for e in lib.entries[1:]:
         if e.wavelengths.shape != wl.shape or not np.array_equal(e.wavelengths, wl):
             raise ValueError("library entries must share one wavelength grid to serialize")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["wavelength_nm"] + lib.names())
-    for i in range(wl.size):
-        row = [repr(float(wl[i]))] + [repr(float(e.reflectance[i])) for e in lib.entries]
-        writer.writerow(row)
-    return out.getvalue()
+    return artifacts.spectra_text(lib.names(), wl, [e.reflectance for e in lib.entries])
 
 
 def read_spectral_library_file(path) -> SpectralLibrary:
-    with open(str(path), "r", encoding="utf-8") as fp:
-        return read_spectral_library(fp.read(), source_tag=str(path))
+    return read_spectral_library(artifacts.read_text(path), source_tag=str(path))
 
 
 def write_spectral_library_file(lib: SpectralLibrary, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fp:
-        fp.write(write_spectral_library(lib))
+    artifacts.write_text(path, write_spectral_library(lib))

@@ -53,6 +53,12 @@ def _mix_u64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from pairs of uniforms, cosine branch only; `u1`
+    is clamped away from 0 so its log stays finite."""
+    return np.sqrt(-2.0 * np.log(np.maximum(u1, _MIN_UNIFORM))) * np.cos(2.0 * np.pi * u2)
+
+
 class RandomSource:
     """Seeded splitmix64 stream with uniform and Gaussian draws.
 
@@ -66,11 +72,9 @@ class RandomSource:
 
     def next_raw(self) -> int:
         """Next raw 64-bit output."""
-        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (z + _GAMMA) & _MASK64
+        return splitmix64(z)
 
     def raw_block(self, n: int) -> np.ndarray:
         """Next `n` raw outputs as uint64, vectorized; identical to n calls
@@ -108,9 +112,7 @@ class RandomSource:
         for start in range(0, n, _DRAW_BLOCK // 2):
             block = out[start:start + _DRAW_BLOCK // 2]
             u = self.uniforms(2 * block.size)
-            u1 = np.maximum(u[0::2], _MIN_UNIFORM)
-            u2 = u[1::2]
-            block[:] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+            block[:] = _box_muller(u[0::2], u[1::2])
         return out
 
     def next_gaussian(self) -> float:
@@ -138,9 +140,7 @@ def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.nda
     steps = np.arange(1, 2 * n + 1, dtype=np.uint64)
     raws = _mix_u64(seeds[:, None] + steps[None, :] * _GAMMA_U64)
     u = raws.astype(np.float64) * _U64_SCALE
-    u1 = np.maximum(u[:, 0::2], _MIN_UNIFORM)
-    u2 = u[:, 1::2]
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return _box_muller(u[:, 0::2], u[:, 1::2])
 
 
 def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,11 @@ radiance in, reflectance out, without a radiative-transfer model.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_band_table
 from .envi_io import BLOCK_BYTES, SpectralCube, check_keep_mask
 
 _MEAN_EPS = 1e-12
@@ -174,31 +173,12 @@ def _standardize_in_place(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# CSV config formats: `band_index,keep` and `band_index,gain`, 1-based rows
-
-
-def _read_band_csv(text: str, n_bands: int, value_name: str) -> np.ndarray:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
-    if not rows or [c.strip() for c in rows[0]] != ["band_index", value_name]:
-        raise ValueError(f"expected CSV header 'band_index,{value_name}'")
-    out = np.full(n_bands, np.nan)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValueError(f"row {i}: expected 2 cells")
-        idx = int(row[0])
-        if not 1 <= idx <= n_bands:
-            raise ValueError(f"row {i}: band index {idx} outside 1..{n_bands}")
-        out[idx - 1] = float(row[1])
-    if np.isnan(out).any():
-        missing = int(np.flatnonzero(np.isnan(out))[0]) + 1
-        raise ValueError(f"band {missing} missing from CSV")
-    return out
+# band tables: `band_index,keep` and `band_index,gain`, 1-based rows
 
 
 def read_band_mask_csv(text: str, n_bands: int) -> np.ndarray:
     """Parse a `band_index,keep` CSV into a boolean keep mask."""
-    values = _read_band_csv(text, n_bands, "keep")
+    values = read_band_table(text, n_bands, "keep")
     if not np.isin(values, (0.0, 1.0)).all():
         raise ValueError("keep values must be 0 or 1")
     return values.astype(bool)
@@ -206,7 +186,7 @@ def read_band_mask_csv(text: str, n_bands: int) -> np.ndarray:
 
 def read_gains_csv(text: str, n_bands: int) -> np.ndarray:
     """Parse a `band_index,gain` CSV into per-band divisors, all positive."""
-    gains = _read_band_csv(text, n_bands, "gain")
+    gains = read_band_table(text, n_bands, "gain")
     if np.any(gains <= 0):
         raise ValueError("gains must all be positive")
     return gains

@@ -53,12 +53,7 @@ def scene_endmember_library(mineral_library):
 def write_scenario_inputs(directory, mineral_library, scene_endmember_library):
     """Write the matching library and the scene-grid endmember CSV."""
     write_spectral_library_file(mineral_library, directory / "library.csv")
-    entries = scene_endmember_library.entries
-    rows = ["wavelength_nm," + ",".join(e.name for e in entries)]
-    for i, wl in enumerate(SCENE_WAVELENGTHS):
-        cells = [repr(float(wl))] + [repr(float(e.reflectance[i])) for e in entries]
-        rows.append(",".join(cells))
-    (directory / "scene_library.csv").write_text("\n".join(rows) + "\n")
+    write_spectral_library_file(scene_endmember_library, directory / "scene_library.csv")
 
 
 SCENARIO_CONFIG = """\

@@ -1,6 +1,8 @@
 """CLI tests: config handling, exit codes, stage dependencies, artifact
 determinism, and staged-vs-all equivalence."""
 
+import csv
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -14,7 +16,13 @@ import pytest
 
 from conftest import write_scenario_config, write_scenario_inputs
 from hypermap import cli, envi_io
-from hypermap.envi_io import SpectralCube, parse_envi_header, serialize_envi_header, write_cube
+from hypermap.envi_io import (
+    SpectralCube,
+    SpectralLibrary,
+    parse_envi_header,
+    serialize_envi_header,
+    write_cube,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -237,6 +245,36 @@ class TestStages:
         ]
         for name in expected:
             assert (out / name).exists(), name
+
+    def test_entry_names_with_comma_and_quote(self, tmp_path, mineral_library,
+                                              scene_endmember_library):
+        # The same scenario twice, the second with every library entry
+        # renamed to a quoted CSV cell: the tables name the renamed entries.
+        def renamed(name):
+            return f'mineral, "{name}"'
+
+        def renamed_library(lib):
+            return SpectralLibrary(entries=[dataclasses.replace(e, name=renamed(e.name))
+                                            for e in lib.entries])
+
+        tops = []
+        for d, libraries in ((tmp_path / "plain", (mineral_library, scene_endmember_library)),
+                             (tmp_path / "quoted", (renamed_library(mineral_library),
+                                                    renamed_library(scene_endmember_library)))):
+            d.mkdir()
+            write_scenario_inputs(d, *libraries)
+            write_scenario_config(d, ppi_iterations=400)
+            cfg = str(d / "pipeline.cfg")
+            assert run(["synth", "--config", cfg]) == 0
+            assert run(["all", "--config", cfg]) == 0
+            tables = []
+            for name in ("match_summary.csv", "report.csv"):
+                with open(d / "out" / name, newline="", encoding="utf-8") as fp:
+                    tables.append([row[1] for row in list(csv.reader(fp))[1:]])
+            tops.append(tables)
+        (plain_summary, plain_report), quoted = tops
+        assert plain_summary and plain_report == plain_summary
+        assert quoted == [[renamed(name) for name in plain_summary]] * 2
 
     def test_rerun_is_byte_identical(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")

@@ -1,6 +1,8 @@
 """Preprocess tests: band masking, ROI crops, scaling, reflectance
 retrieval and standardization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,27 @@ class TestBandCsv:
     def test_bad_header_errors(self):
         with pytest.raises(ValueError, match="band_index"):
             read_gains_csv("band,gain\n1,40\n", 1)
+
+    @pytest.mark.parametrize("read, text, message", [
+        (read_gains_csv, "band_index,gain\n1,40\nx,80\n",
+         "gain table row 3: band index 'x' is not an integer"),
+        (read_gains_csv, "band_index,gain\n1,nan\n2,80\n",
+         "gain table row 2: gain 'nan' is not a finite number"),
+        (read_gains_csv, "band_index,gain\n1,40\n2,inf\n",
+         "gain table row 3: gain 'inf' is not a finite number"),
+        (read_gains_csv, "band_index,gain\n1,40\n2,x\n",
+         "gain table row 3: gain 'x' is not a finite number"),
+        (read_gains_csv, "band_index,gain\n1,40\n2,80\n\n1,50\n",
+         "gain table row 4: band 1 already given on row 2"),
+        (read_band_mask_csv, "band_index,keep\n2,1\n1,0\n2,0\n",
+         "keep table row 4: band 2 already given on row 2"),
+        (read_band_mask_csv, "band_index,keep\n1,1\n2,0,1\n",
+         "keep table row 3 has 3 cells, expected 2"),
+    ])
+    def test_bad_rows_name_the_table_and_row(self, read, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(text, 2)
+
+    def test_quoted_cells(self):
+        text = '"band_index","gain"\n"1", 40\n2,"8e1"\n'
+        assert list(read_gains_csv(text, 2)) == [40.0, 80.0]
