@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 # Public name -> the module that defines it.
 _EXPORTS = {name: module for module, names in {
+    "cube_blocks": ("CubeFile",),
     "endmember": ("EndmemberSet", "derive_endmembers", "kmeans"),
     "envi_io": ("EnviHeader", "SpectralCube", "SpectralLibrary", "SpectrumRecord",
                 "parse_envi_header", "read_cube", "read_payload", "read_spectral_library",

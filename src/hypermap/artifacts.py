@@ -1,10 +1,11 @@
 """On-disk formats of the pipeline's CSV and text artifacts.
 
 This is the one module that reads and writes CSV text. Tables are
-written by :func:`write_table` through the `csv` module, so a cell that
-holds a comma, a double quote or a newline is quoted, and parsed by
-:func:`parse_table` (:func:`read_table` for a file), which checks the
-header and every row's width. The spectral-library layout
+written by :func:`write_table`, which quotes a cell that holds a comma, a
+double quote or a line break (a carriage return too), and parsed through
+the `csv` module by :func:`parse_table` (:func:`read_table` for a file,
+read with its line endings untranslated), which checks the header and
+every row's width. The spectral-library layout
 (:func:`spectra_text`, :func:`parse_spectra`), which the library CSV and
 `endmembers.csv` share, and the Hyperion band tables are built on them;
 the MNF model bundle's headerless float matrices use :func:`write_matrix`
@@ -53,23 +54,34 @@ def write_text(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fp:
+    """The text of `path` with its line endings untranslated
+    (`newline=""`), as the `csv` module needs them to read a quoted cell
+    that holds a carriage return; line-based parsers split it with
+    `str.splitlines`, which takes every ending."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
         return fp.read()
 
 
+def _quoted(cell: str) -> str:
+    """`cell` in double quotes, its quotes doubled, when it holds a comma,
+    a double quote or a line break; otherwise as it is."""
+    if any(c in cell for c in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_rows(fp, rows) -> None:
-    """Write each row of cells as a CSV line. A row with a comma, a double
-    quote or a line break in a cell goes through the `csv` module, which
-    quotes those cells; any other row is written as its cells joined by
-    commas, which is the text `csv` writes for it, without the `csv`
-    writer's per-cell cost (several times the join's)."""
-    quoting = csv.writer(fp, lineterminator="\n")
+    """Write each row of cells as a CSV line. A row whose cells hold a
+    comma, a double quote or a line break has those cells quoted, as the
+    `csv` writer quotes them (it leaves a bare carriage return unquoted
+    when lines end in a line feed, and its reader then splits the cell);
+    any other row is written as its cells joined by commas, without a
+    per-cell cost."""
     for row in rows:
         line = ",".join(row)
         if line.count(",") + 1 != len(row) or '"' in line or "\n" in line or "\r" in line:
-            quoting.writerow(row)
-        else:
-            fp.write(line + "\n")
+            line = ",".join(map(_quoted, row))
+        fp.write(line + "\n")
 
 
 def write_table(path, header, rows) -> None:
@@ -86,7 +98,8 @@ def parse_table(text: str, header, label: str) -> list[list[str]]:
     as many cells as the header. Errors name `label` and the row, counting
     the header as row 1 and skipped rows not at all.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
+    rows = csv.reader(io.StringIO(text, newline=""))
+    rows = [row for row in rows if any(cell.strip() for cell in row)]
     head = [cell.strip() for cell in rows[0]] if rows else []
     if head[:len(header)] != list(header):
         raise ValueError(f"{label}: expected CSV header starting '{','.join(header)}'")
@@ -111,7 +124,7 @@ def write_matrix(path, m) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """A matrix written by :func:`write_matrix`, blank rows skipped."""
-    rows = csv.reader(io.StringIO(read_text(path)))
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
     return np.array([[float(c) for c in row] for row in rows if row], dtype=np.float64)
 
 

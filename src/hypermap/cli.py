@@ -45,6 +45,7 @@ from .envi_io import (
 # `scale_radiance`; they stay resolvable here because
 # `perfbench/traced_stage.py` wraps them.
 _STAGE_NAMES = {
+    "cube_blocks": ("CubeFile",),
     "endmember": ("derive_endmembers",),
     "mapping": ("mtmf", "sam_classify"),
     "mnf": ("_noise_from_planes", "estimate_noise_covariance", "fit_forward_to_file",
@@ -426,8 +427,9 @@ def stage_ppi(cfg: PipelineConfig) -> None:
 
 
 def stage_endmembers(cfg: PipelineConfig) -> None:
-    corrected = _read_cube(cfg.artifact("reflectance.hdr"))
-    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"), bands=cfg.mnf_keep_k)
+    # Both cubes are read a block of bands at a time by derive_endmembers.
+    corrected = CubeFile(cfg.artifact("reflectance.hdr"))
+    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))
     pixels = artifacts.read_pure_pixels(cfg.artifact("pure_pixels.csv"))
     if not pixels:
         raise ValueError("no pure pixels were selected; lower ppi_min_count")
@@ -460,7 +462,7 @@ def stage_match(cfg: PipelineConfig) -> None:
 
 
 def stage_classify(cfg: PipelineConfig) -> None:
-    corrected = _read_cube(cfg.artifact("reflectance.hdr"))
+    corrected = CubeFile(cfg.artifact("reflectance.hdr"))  # read by sam_classify
     _, _, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
     top = _match_summary(cfg, spectra.shape[0])
     cmap = sam_classify(corrected, spectra, max_angle=cfg.sam_max_angle)
@@ -605,12 +607,12 @@ _STAGES = {s.name: s for s in (
           artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv"), modules=("ppi",)),
     Stage("endmembers", stage_endmembers, needs=("preprocess", "mnf", "ppi"),
           artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv"),
-          modules=("endmember",)),
+          modules=("cube_blocks", "endmember")),
     Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",),
           modules=("spectral_match",)),
     Stage("classify", stage_classify, needs=("preprocess", "endmembers", "match"),
           artifacts=("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
-                     "class_legend.csv"), modules=("mapping",)),
+                     "class_legend.csv"), modules=("cube_blocks", "mapping")),
     Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers"), modules=("mapping",)),
     Stage("synth", stage_synth, in_all=False, modules=("numerics", "synthcube")),
     Stage("report", stage_report, needs=("mnf", "ppi", "endmembers", "match", "classify")),

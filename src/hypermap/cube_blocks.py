@@ -1,0 +1,159 @@
+"""A cube read a block at a time, from an ENVI file or from memory.
+
+:class:`CubeFile` is a cube on disk that is never held whole.
+:func:`band_blocks` and :func:`line_blocks` yield the same blocks of a
+`CubeFile` or of an in-memory `SpectralCube` (as views of its values), so
+a caller runs one code path either way. A block holds about
+`envi_io.BLOCK_BYTES` of float64 values.
+
+The file layout (interleave, data type, byte order, header offset) is
+decoded by `envi_io`'s helpers, as :func:`envi_io.read_cube` decodes it.
+This module is apart from `envi_io` because every stage process imports
+`envi_io`, and a process that runs without cached bytecode holds memory
+for each line it compiles; only the stages that stream a cube need this
+one.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+
+from . import envi_io
+from .envi_io import (
+    SpectralCube,
+    _canonical,
+    _check_payload_size,
+    _cube_metadata,
+    _finite,
+    _image_path,
+    parse_envi_header,
+)
+
+
+def _band_ranges(bands: int, plane: int) -> list[tuple[int, int]]:
+    """(first, stop) of each block of a pass over `bands` band planes of
+    `plane` values: as many float64 planes as fit in BLOCK_BYTES, but at
+    least two, and a one-band remainder joins the block before it. So no
+    block holds exactly one band of several: NumPy sums a gather of one
+    column pairwise, and of two or more row by row, as it sums a gather of
+    whole spectra, so a mean over a block's columns has the same bits."""
+    step = max(2, envi_io.BLOCK_BYTES // (8 * plane))
+    edges = [*range(0, bands, step), bands]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
+
+
+def _line_ranges(lines: int, line: int) -> list[tuple[int, int]]:
+    """(first, stop) of each block of a pass over `lines` lines of `line`
+    values: the fewest blocks of at most BLOCK_BYTES of float64 lines (at
+    least one line), their line counts as even as they can be. So no block
+    is left much shorter than the others: see `mapping._best_angles` for
+    why a short block matters."""
+    step = max(1, envi_io.BLOCK_BYTES // (8 * line))
+    n = -(-lines // step)
+    edges = [-(-lines * i // n) for i in range(n + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+class CubeFile:
+    """An ENVI cube on disk (the image is the header's `.img` sibling),
+    read a block at a time by :func:`band_blocks` and :func:`line_blocks`.
+
+    Opening parses the header and checks the image's size, as a whole read
+    does; `wavelengths`, `bad_band_mask` and `units_tag` are those of the
+    `read_cube` cube.
+    """
+
+    def __init__(self, header_path):
+        with open(header_path, "r", encoding="utf-8") as fp:
+            self.header = h = parse_envi_header(fp.read())
+        self.image_path = _image_path(header_path)
+        _check_payload_size(h, os.path.getsize(self.image_path))
+        self.lines, self.samples, self.bands = h.lines, h.samples, h.bands
+        self.wavelengths, self.bad_band_mask, self.units_tag = _cube_metadata(h)
+
+    def _lines(self):
+        """Yield (first line, an ``(n, samples, bands)`` float64 block) over
+        every line, in the image's interleave order in memory, unchecked."""
+        h = self.header
+        line = h.samples * h.bands
+        ranges = _line_ranges(h.lines, line)
+        if h.interleave == "bsq":  # the block's lines of each band plane
+            segments = ([((b * h.lines + l0) * h.samples, (l1 - l0) * h.samples)
+                         for b in range(h.bands)] for l0, l1 in ranges)
+        else:
+            segments = ([(l0 * line, (l1 - l0) * line)] for l0, l1 in ranges)
+        for (l0, l1), values in zip(ranges, self._read(segments)):
+            yield l0, _canonical(values, h.interleave, (l1 - l0, h.samples, h.bands))
+
+    def _read(self, blocks):
+        """For each block, a list of (first value, count) segments of the
+        payload, yield those values, read one segment after another into
+        one reused buffer, as float64."""
+        blocks = list(blocks)
+        size = max(sum(count for _, count in segments) for segments in blocks)
+        raw = np.empty(size, dtype=self.header.numpy_dtype)
+        values = raw if raw.dtype == np.float64 else np.empty(size)
+        with open(self.image_path, "rb") as fp:
+            for segments in blocks:
+                at = 0
+                for first, count in segments:
+                    fp.seek(self.header.header_offset + first * raw.itemsize)
+                    fp.readinto(raw[at:at + count])
+                    at += count
+                if values is not raw:
+                    values[:at] = raw[:at]
+                yield values[:at]
+
+
+def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
+    """Yield (first band, a ``(lines, samples, n)`` float64 block) over the
+    first `stop` bands of `cube` (default every band), in the blocks of
+    `_band_ranges`: never one band of several.
+
+    A `SpectralCube` yields views of its values. A `CubeFile` reads each
+    block into a buffer that the next block overwrites, and checks it for
+    non-finite values, so only the bands read are checked. A BSQ image
+    reads each block's planes. A BIL or BIP image has no contiguous band
+    planes: each block takes a pass over every line of the file, so a
+    pass over n blocks reads the image n times, with a block of lines
+    held beside the band block.
+    """
+    ranges = _band_ranges(cube.bands if stop is None else stop, cube.lines * cube.samples)
+    if isinstance(cube, SpectralCube):
+        for b0, b1 in ranges:
+            yield b0, cube.values[:, :, b0:b1]
+        return
+    h = cube.header
+    plane = h.lines * h.samples
+    if h.interleave == "bsq":
+        blocks = cube._read([(b0 * plane, (b1 - b0) * plane)] for b0, b1 in ranges)
+        for (b0, b1), planes in zip(ranges, blocks):
+            yield b0, _finite(_canonical(planes, "bsq", (h.lines, h.samples, b1 - b0)))
+        return
+    out = np.empty(max(b1 - b0 for b0, b1 in ranges) * plane)
+    for b0, b1 in ranges:
+        planes = out[:(b1 - b0) * plane].reshape(b1 - b0, h.lines, h.samples)
+        for l0, block in cube._lines():
+            planes[:, l0:l0 + len(block)] = block[:, :, b0:b1].transpose(2, 0, 1)
+        yield b0, _finite(planes.transpose(1, 2, 0))
+
+
+def line_blocks(cube: SpectralCube | CubeFile):
+    """Yield (first line, an ``(n, samples, bands)`` float64 block) over
+    every line of `cube`, about BLOCK_BYTES of lines at a time.
+
+    A `SpectralCube` yields views of its values. A `CubeFile` yields each
+    block in the image's interleave order in memory, read into a buffer
+    that the next block overwrites and checked for non-finite values, so
+    a whole pass checks the whole file.
+    """
+    if isinstance(cube, SpectralCube):
+        for l0, l1 in _line_ranges(cube.lines, cube.samples * cube.bands):
+            yield l0, cube.values[l0:l1]
+        return
+    for l0, block in cube._lines():
+        yield l0, _finite(block)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cube_blocks import band_blocks
 from .envi_io import SpectralCube
 from .numerics import RandomSource
 
@@ -117,6 +118,16 @@ class EndmemberSet:
         return list(range(1, self.k + 1))
 
 
+def _pixel_spectra(cube: SpectralCube, lines: np.ndarray, samples: np.ndarray,
+                   d: int) -> np.ndarray:
+    """The first `d` bands of the pixels at (`lines`, `samples`), one
+    C-ordered row each, gathered a block of bands at a time."""
+    out = np.empty((len(lines), d))
+    for b0, block in band_blocks(cube, d):
+        out[:, b0:b0 + block.shape[2]] = block[lines, samples]
+    return out
+
+
 def derive_endmembers(corrected_cube: SpectralCube, mnf_cube: SpectralCube,
                       pure_pixels: list[tuple[int, int]], k: int = 48,
                       seed: int = 0,
@@ -125,7 +136,9 @@ def derive_endmembers(corrected_cube: SpectralCube, mnf_cube: SpectralCube,
 
     `pure_pixels` are (line, sample) positions from PPI selection; each
     class's reflectance mean is taken over the same pixels in the
-    corrected cube.
+    corrected cube. Either cube may also be a `cube_blocks.CubeFile`: both
+    are read a block of bands at a time (the MNF cube's first
+    `use_k_components` only), so neither is held whole.
     """
     if not pure_pixels:
         raise ValueError("no pure pixels supplied")
@@ -140,18 +153,20 @@ def derive_endmembers(corrected_cube: SpectralCube, mnf_cube: SpectralCube,
     if lines.min() < 0 or lines.max() >= mnf_cube.lines or \
             samples.min() < 0 or samples.max() >= mnf_cube.samples:
         raise ValueError("pure pixel outside cube extent")
-    vectors = mnf_cube.values[lines, samples, :d]
-
+    vectors = _pixel_spectra(mnf_cube, lines, samples, d)
     assignments, centroids, _ = kmeans(vectors, k, seed=seed)
+    del vectors
 
-    # Gather one class's spectra at a time, in pure-pixel order, so only
-    # that class's rows are held.
+    # Each class's mean of each block of bands comes from a C-ordered
+    # (members, bands in the block) gather in pure-pixel order: the bits
+    # of a mean over whole spectra, as no block holds exactly one band.
+    members = [assignments == cls for cls in range(k)]
     refl_means = np.empty((k, corrected_cube.bands))
-    counts = np.empty(k, dtype=np.int64)
-    for cls in range(k):
-        mask = assignments == cls
-        counts[cls] = int(mask.sum())
-        refl_means[cls] = corrected_cube.values[lines[mask], samples[mask], :].mean(axis=0)
+    for b0, block in band_blocks(corrected_cube):
+        b1 = b0 + block.shape[2]
+        for cls, mask in enumerate(members):
+            refl_means[cls, b0:b1] = block[lines[mask], samples[mask]].mean(axis=0)
+    counts = np.array([int(mask.sum()) for mask in members], dtype=np.int64)
 
     return EndmemberSet(k=k, mnf_means=centroids, reflectance_means=refl_means,
                         member_counts=counts, wavelengths=corrected_cube.wavelengths.copy())

@@ -111,12 +111,15 @@ def check_keep_mask(keep, bands: int) -> np.ndarray:
     return keep
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """``np.isfinite(values).all()``, checked a few planes at a time along
-    the axis that is outermost in memory, so the bool temporary stays small."""
+def _finite(values: np.ndarray) -> np.ndarray:
+    """`values`, checked to hold no NaN or infinity a few planes at a time
+    along the axis that is outermost in memory, so the bool temporary
+    stays small."""
     outer = np.moveaxis(values, int(np.argmax(np.abs(values.strides))), 0)
     step = max(1, _FINITE_BLOCK_ELEMENTS * len(outer) // max(1, outer.size))
-    return all(np.isfinite(outer[i:i + step]).all() for i in range(0, len(outer), step))
+    if not all(np.isfinite(outer[i:i + step]).all() for i in range(0, len(outer), step)):
+        raise ValueError("cube contains non-finite values")
+    return values
 
 
 @dataclass
@@ -140,8 +143,7 @@ class SpectralCube:
             raise ValueError("bad_band_mask length must equal band count")
         if self.units_tag not in UNITS_TAGS:
             raise ValueError(f"unknown units tag {self.units_tag!r}")
-        if not _all_finite(self.values):
-            raise ValueError("cube contains non-finite values")
+        _finite(self.values)
 
     @property
     def lines(self) -> int:
@@ -391,6 +393,15 @@ def read_cube(header: EnviHeader, raw) -> SpectralCube:
     values = _canonical(flat, header.interleave, (header.lines, header.samples, header.bands))
     values = values.astype(np.float64, copy=not flat.flags.writeable)
 
+    wavelengths, mask, units = _cube_metadata(header)
+    return SpectralCube(values=values, wavelengths=wavelengths,
+                        bad_band_mask=mask, units_tag=units)
+
+
+def _cube_metadata(header: EnviHeader) -> tuple[np.ndarray, np.ndarray, str]:
+    """The wavelengths (1-based band numbers when the header has none),
+    bad-band mask (every band good by default) and units tag ("radiance"
+    when absent or unknown) of a cube with this header."""
     if header.wavelengths is not None:
         wavelengths = np.asarray(header.wavelengths, dtype=np.float64)
     else:
@@ -402,8 +413,7 @@ def read_cube(header: EnviHeader, raw) -> SpectralCube:
     units = header.extra.get(_UNITS_KEY, "radiance")
     if units not in UNITS_TAGS:
         units = "radiance"
-    return SpectralCube(values=values, wavelengths=wavelengths,
-                        bad_band_mask=mask, units_tag=units)
+    return wavelengths, mask, units
 
 
 def _canonical(flat: np.ndarray, interleave: str, dims) -> np.ndarray:
@@ -499,8 +509,7 @@ def _read_planes(fp, header: EnviHeader, runs, raw: np.ndarray) -> None:
         for b0 in range(first, stop, step):
             block = buf[:min(step, stop - b0) * plane]
             fp.readinto(block)
-            if not np.isfinite(block).all():
-                raise ValueError("cube contains non-finite values")
+            _finite(block)
 
 
 def _gather_lines(fp, header: EnviHeader, runs, out: np.ndarray) -> None:
@@ -521,8 +530,8 @@ def _gather_lines(fp, header: EnviHeader, runs, out: np.ndarray) -> None:
             if kept:
                 out[j:j + stop - first, l0:l0 + n] = block[first:stop]
                 j += stop - first
-            elif not np.isfinite(block[first:stop]).all():
-                raise ValueError("cube contains non-finite values")
+            else:
+                _finite(block[first:stop])
 
 
 _INT_RANGES = {

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cube_blocks import line_blocks
 from .envi_io import SpectralCube
 from .numerics import centre_and_covariance, symmetric_eig
 
@@ -56,7 +57,9 @@ def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassM
 
     Pixels whose best angle exceeds `max_angle` stay unclassified (0);
     exact ties go to the lowest class id. Zero-norm pixels get angle
-    pi/2 to every class and therefore stay unclassified.
+    pi/2 to every class and therefore stay unclassified. The cube (a
+    `SpectralCube` or a `cube_blocks.CubeFile`) is classified a block of
+    lines at a time, so only one block of pixels and its angles are held.
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.shape[1] != cube.bands:
@@ -64,7 +67,28 @@ def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassM
             f"endmember spectra have {spectra.shape[1]} bands, cube has {cube.bands}")
     if max_angle < 0:
         raise ValueError("max_angle must be non-negative")
-    x = cube.pixels()
+    en = np.linalg.norm(spectra, axis=1)
+    if np.any(en == 0.0):
+        raise ValueError("endmember spectra must be nonzero")
+    assigned = np.empty((cube.lines, cube.samples), dtype=np.int32)
+    for l0, block in line_blocks(cube):
+        best, best_angle = _best_angles(block.reshape(-1, cube.bands), spectra, en)
+        assigned[l0:l0 + len(block)] = np.where(best_angle <= max_angle, best + 1, 0) \
+            .reshape(len(block), cube.samples)
+    return ClassMap(class_index=assigned, n_classes=spectra.shape[0])
+
+
+def _best_angles(x: np.ndarray, spectra: np.ndarray, en: np.ndarray):
+    """The index of each pixel's (row of `x`) nearest spectrum by angle,
+    and that angle; `en` holds the spectra's norms. A row's norm is summed
+    on its own. Its products come from BLAS, which does not promise them
+    the same bits in a block of rows as in one call over the whole cube.
+    With OpenBLAS 0.3.31 they were the same when the block is not small;
+    a product of at most 1200 rows x spectra took a small-matrix kernel,
+    and a single spectrum's product (gemv) differed where a block's row
+    count is not a multiple of 4. The last bit of an angle can then move,
+    and with it a pixel whose angle is that close to `max_angle` or to
+    another class's. `cube_blocks._line_ranges` gives no short blocks."""
     # Row norms a block of rows at a time, with no pixels-sized square:
     # each row is summed in the same order as one call over every row.
     xn = np.empty(x.shape[0])
@@ -72,19 +96,12 @@ def sam_classify(cube: SpectralCube, spectra, max_angle: float = 0.10) -> ClassM
     for start in range(0, x.shape[0], step):
         rows = x[start:start + step]
         np.sqrt(np.add.reduce(rows * rows, axis=1), out=xn[start:start + step])
-    en = np.linalg.norm(spectra, axis=1)
-    if np.any(en == 0.0):
-        raise ValueError("endmember spectra must be nonzero")
     safe_xn = np.where(xn == 0.0, 1.0, xn)
     cos = (x @ spectra.T) / (safe_xn[:, None] * en[None, :])
     cos[xn == 0.0, :] = 0.0
     angles = np.arccos(np.clip(cos, -1.0, 1.0))
-
     best = np.argmin(angles, axis=1)
-    best_angle = angles[np.arange(x.shape[0]), best]
-    assigned = np.where(best_angle <= max_angle, best + 1, 0).astype(np.int32)
-    return ClassMap(class_index=assigned.reshape(cube.lines, cube.samples),
-                    n_classes=spectra.shape[0])
+    return best, angles[np.arange(x.shape[0]), best]
 
 
 def _background_scores(mnf_cube: SpectralCube, targets: np.ndarray):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import write_scenario_config, write_scenario_inputs
-from hypermap import cli, envi_io
+from hypermap import artifacts, cli, envi_io
 from hypermap.envi_io import (
     SpectralCube,
     SpectralLibrary,
@@ -653,3 +653,103 @@ class TestStageMemory:
         kept_bytes = 8 * shape[0] * shape[1] * int(keep.sum())
         budget = kept_bytes + envi_io.BLOCK_BYTES + (1 << 20)
         assert traced_peak(cli.run_stage, "preprocess", cfg) <= budget
+
+    def write_endmember_inputs(self, tmp_path, n_pixels=2000):
+        """A LARGE reflectance cube, a 16-component MNF cube, `n_pixels`
+        pure pixels and a config for 6 classes; returns (config, cube
+        bytes, pixel count)."""
+        out = tmp_path / "out"
+        cube_bytes = self.write_cube_file(out / "reflectance.hdr", "reflectance", self.LARGE)
+        self.write_cube_file(out / "mnf_cube.hdr", "mnf_component", self.LARGE[:2] + (16,))
+        lines, samples = self.LARGE[:2]
+        pixels = np.random.default_rng(3).permutation(lines * samples)[:n_pixels]
+        artifacts.write_table(out / "pure_pixels.csv", ["line", "sample", "count"],
+                              ([str(i // samples), str(i % samples), "1"] for i in pixels))
+        # Files of earlier stages that the dependency check looks for.
+        for name in ("ppi_counts.hdr", "ppi_counts.img", "mnf_model/forward.csv",
+                     "mnf_model/eigenvalues.csv"):
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\nendmember_k = 6\n")
+        return cli.load_config(str(tmp_path / "p.cfg")), cube_bytes, n_pixels
+
+    def test_endmembers_stage_holds_one_block(self, tmp_path):
+        cfg, cube_bytes, n_pixels = self.write_endmember_inputs(tmp_path)
+        cli.run_stage("endmembers", cfg)
+        # The pure pixels' 8 MNF components, one block of band planes and
+        # the (k, bands) means, beside the pure-pixel table and k-means'
+        # (pixels, k) distances; holding the cube would reach cube_bytes.
+        budget = 8 * n_pixels * 8 + envi_io.BLOCK_BYTES + 8 * 6 * self.LARGE[2] + (1 << 20)
+        assert budget < cube_bytes / 4
+        assert traced_peak(cli.run_stage, "endmembers", cfg) <= budget
+
+    def test_classify_stage_holds_one_block(self, tmp_path):
+        from hypermap import mapping
+
+        cfg, cube_bytes, _ = self.write_endmember_inputs(tmp_path)
+        cli.run_stage("endmembers", cfg)
+        artifacts.write_table(cfg.artifact("match_summary.csv"),
+                              ["class_id", "top_mineral", "weighted_score"],
+                              ([str(c), f"m{c}", "1.0"] for c in range(1, 7)))
+        cli.run_stage("classify", cfg)
+        # One block of lines, its pixel norms (squared a few rows at a time)
+        # and (pixels, k) angles, and the class map; a cube would reach
+        # cube_bytes.
+        budget = envi_io.BLOCK_BYTES + 8 * mapping._NORM_BLOCK_ELEMENTS + (1 << 20)
+        assert budget < cube_bytes / 4
+        assert traced_peak(cli.run_stage, "classify", cfg) <= budget
+
+
+class TestBlockedStages:
+    """`endmembers` and `classify` read the reflectance cube a block at a
+    time and still check all of it."""
+
+    @staticmethod
+    def put_nan(out, line, sample, band):
+        """Write a NaN into reflectance.img (BSQ float64) at one value."""
+        header = parse_envi_header((out / "reflectance.hdr").read_text())
+        index = (band * header.lines + line) * header.samples + sample
+        payload = bytearray((out / "reflectance.img").read_bytes())
+        payload[8 * index:8 * index + 8] = np.array([np.nan]).tobytes()
+        (out / "reflectance.img").write_bytes(payload)
+        return header
+
+    def test_nan_outside_the_pure_pixels_fails_endmembers(self, scenario_dir, capsys):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf", "ppi"):
+            assert run([stage, "--config", cfg]) == 0
+        out = scenario_dir / "out"
+        pure = set(artifacts.read_pure_pixels(out / "pure_pixels.csv"))
+        line, sample = next((l, s) for l in range(64) for s in range(64) if (l, s) not in pure)
+        self.put_nan(out, line, sample, band=37)
+        capsys.readouterr()
+        assert run(["endmembers", "--config", cfg]) == cli.EXIT_DATA
+        assert "cube contains non-finite values" in capsys.readouterr().err
+
+    def test_nan_in_the_last_line_block_fails_classify(self, scenario_dir, capsys, monkeypatch):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf", "ppi", "endmembers", "match"):
+            assert run([stage, "--config", cfg]) == 0
+        header = self.put_nan(scenario_dir / "out", line=63, sample=5, band=59)
+        # Blocks of 8 lines: the NaN is in the last of 8.
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 8 * 8 * header.samples * header.bands)
+        capsys.readouterr()
+        assert run(["classify", "--config", cfg]) == cli.EXIT_DATA
+        assert "cube contains non-finite values" in capsys.readouterr().err
+        assert not (scenario_dir / "out" / "sam_class_map.img").exists()
+
+    def test_stages_call_the_names_perfbench_wraps(self, scenario_dir, monkeypatch):
+        # perfbench/traced_stage.py times these stages' work by wrapping
+        # the `cli` globals `derive_endmembers` and `sam_classify`.
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf", "ppi"):
+            assert run([stage, "--config", cfg]) == 0
+        calls = []
+        for name in ("derive_endmembers", "sam_classify"):
+            def counting(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        for stage in ("endmembers", "match", "classify"):
+            assert run([stage, "--config", cfg]) == 0
+        assert calls == ["derive_endmembers", "sam_classify"]

@@ -4,8 +4,10 @@ class-mean derivation on planted scenes."""
 import numpy as np
 import pytest
 
+from hypermap import cube_blocks, envi_io
+from hypermap.cube_blocks import CubeFile
 from hypermap.endmember import derive_endmembers, kmeans
-from hypermap.envi_io import SpectralCube
+from hypermap.envi_io import SpectralCube, write_cube_file
 from hypermap.spectral_match import sam_angle
 
 
@@ -169,3 +171,34 @@ class TestDeriveEndmembers:
         for cls in range(4):
             expected = gathered[assignments == cls].mean(axis=0)
             assert es.reflectance_means[cls].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bands, planes", [(7, 2), (10, 3), (13, 4)])
+    def test_band_block_means_equal_whole_spectrum_means(self, tmp_path, monkeypatch,
+                                                         bands, planes):
+        # Classes of 1, 2 and 3000 members; blocks of `planes` bands, and
+        # bands % planes == 1, so the last block takes a one-band remainder.
+        lines = samples = 60
+        rng = np.random.default_rng(bands)
+        refl = rng.uniform(0.05, 0.95, size=(bands, lines, samples)).transpose(1, 2, 0)
+        mnf = np.zeros((lines, samples, 2))
+        pixels = [divmod(int(i), samples) for i in rng.permutation(lines * samples)[:3003]]
+        for n, (line, sample) in enumerate(pixels):
+            centre = (1000.0, 0.0) if n == 1500 else (0.0, 1000.0) if n in (7, 2900) else (0, 0)
+            mnf[line, sample] = centre + rng.normal(scale=0.01, size=2)
+        lines_, samples_ = np.array(pixels).T
+        assignments, _, _ = kmeans(mnf[lines_, samples_], 3, seed=4)
+        gathered = refl[lines_, samples_, :]
+        expected = [gathered[assignments == cls].mean(axis=0) for cls in range(3)]
+
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", planes * 8 * lines * samples)
+        ranges = cube_blocks._band_ranges(bands, lines * samples)
+        assert ranges[-1][1] - ranges[-1][0] == planes + 1
+        write_cube_file(make_cube(refl), tmp_path / "refl.hdr")
+        write_cube_file(make_cube(mnf, units="mnf_component"), tmp_path / "mnf.hdr")
+        for corrected, mnf_cube in ((make_cube(refl), make_cube(mnf, units="mnf_component")),
+                                    (CubeFile(tmp_path / "refl.hdr"),
+                                     CubeFile(tmp_path / "mnf.hdr"))):
+            es = derive_endmembers(corrected, mnf_cube, pixels, k=3, seed=4)
+            assert sorted(es.member_counts.tolist()) == [1, 2, 3000]
+            for cls in range(3):
+                assert es.reflectance_means[cls].tobytes() == expected[cls].tobytes()

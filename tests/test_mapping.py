@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hypermap.artifacts import write_class_statistics
-from hypermap import mapping
-from hypermap.envi_io import SpectralCube
+from hypermap import envi_io, mapping
+from hypermap.cube_blocks import CubeFile, line_blocks
+from hypermap.envi_io import SpectralCube, read_cube, read_payload, write_cube_file
 from hypermap.mapping import (
     ClassMap,
     class_statistics,
@@ -109,6 +110,64 @@ class TestSamClassify:
         with pytest.raises(ValueError, match="bands"):
             sam_classify(make_cube(np.ones((2, 2, 5))),
                          endmember_set(np.ones((2, 4))))
+
+    @staticmethod
+    def whole_cube_angles(cube, spectra):
+        """Best class and angle of every pixel from one call over the
+        whole cube, as `sam_classify` computed them before it took a
+        block of lines at a time."""
+        x = cube.pixels()
+        xn = np.sqrt(np.add.reduce(x * x, axis=1))
+        en = np.linalg.norm(spectra, axis=1)
+        cos = (x @ spectra.T) / (np.where(xn == 0.0, 1.0, xn)[:, None] * en[None, :])
+        cos[xn == 0.0, :] = 0.0
+        angles = np.arccos(np.clip(cos, -1.0, 1.0))
+        best = np.argmin(angles, axis=1)
+        return best, angles[np.arange(x.shape[0]), best]
+
+    @pytest.mark.parametrize("interleave", [None, "bsq", "bil", "bip"])
+    def test_line_blocks_equal_one_whole_cube_call(self, tmp_path, monkeypatch, interleave):
+        values = RandomSource(62).uniforms(17 * 13 * 8).reshape(17, 13, 8)
+        values[16, 4] = 0.0
+        cube = make_cube(values)
+        if interleave is not None:  # classified from the file, against a whole read
+            write_cube_file(cube, tmp_path / "c.hdr", interleave=interleave)
+            cube = read_cube(*read_payload(tmp_path / "c.hdr"))
+        spectra = values.reshape(-1, 8)[[3, 50, 120]]
+        best, best_angle = self.whole_cube_angles(cube, spectra)
+        expected = np.where(best_angle <= 0.2, best + 1, 0).astype(np.int32).reshape(17, 13)
+        assert 0 < np.count_nonzero(expected) < expected.size
+
+        # Blocks of 3 lines: 17 lines end in a block of 2.
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 3 * 13 * 8 * 8)
+        source = cube if interleave is None else CubeFile(tmp_path / "c.hdr")
+        assert [len(block) for _, block in line_blocks(source)] == [3] * 5 + [2]
+        cmap = sam_classify(source, spectra, max_angle=0.2)
+        assert cmap.class_index.tobytes() == expected.tobytes()
+        en = np.linalg.norm(spectra, axis=1)
+        angles = np.concatenate([mapping._best_angles(block.reshape(-1, 8), spectra, en)[1]
+                                 for _, block in line_blocks(source)])
+        assert angles.tobytes() == best_angle.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 10])
+    def test_default_line_blocks_equal_one_whole_cube_call(self, k):
+        # At the default BLOCK_BYTES a 129-line cube of 128 x 64 values per
+        # line reads as 3 blocks of 43 lines. Blocks of up to 64 lines would
+        # leave a last block of one line: 128 rows x k spectra, which
+        # OpenBLAS multiplies in its small-matrix kernel, with other bits.
+        values = RandomSource(63).uniforms(129 * 128 * 64).reshape(129, 128, 64)
+        cube = make_cube(values)
+        assert [len(block) for _, block in line_blocks(cube)] == [43, 43, 43]
+        spectra = values.reshape(-1, 64)[np.arange(k) * 1601]
+        best, best_angle = self.whole_cube_angles(cube, spectra)
+        max_angle = float(np.median(best_angle))
+        expected = np.where(best_angle <= max_angle, best + 1, 0).astype(np.int32)
+        cmap = sam_classify(cube, spectra, max_angle=max_angle)
+        assert cmap.class_index.tobytes() == expected.reshape(129, 128).tobytes()
+        en = np.linalg.norm(spectra, axis=1)
+        angles = np.concatenate([mapping._best_angles(block.reshape(-1, 64), spectra, en)[1]
+                                 for _, block in line_blocks(cube)])
+        assert angles.tobytes() == best_angle.tobytes()
 
 
 def background_cube(seed=101, lines=24, samples=24, bands=6):
