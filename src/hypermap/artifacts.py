@@ -3,13 +3,14 @@
 This is the one module that reads and writes CSV text. Tables are
 written by :func:`write_table`, which quotes a cell that holds a comma, a
 double quote or a line break (a carriage return too), and parsed through
-the `csv` module by :func:`parse_table` (:func:`read_table` for a file,
-read with its line endings untranslated), which checks the header and
-every row's width. The spectral-library layout
-(:func:`spectra_text`, :func:`parse_spectra`), which the library CSV and
-`endmembers.csv` share, and the Hyperion band tables are built on them;
-the MNF model bundle's headerless float matrices use :func:`write_matrix`
-and :func:`read_matrix`. Files are written one row at a time.
+the `csv` module a row at a time by :func:`_table_rows`, which checks the
+header and every row's width: :func:`parse_table` on text, :func:`read_table`
+on a file opened by :func:`open_lines`. The spectral-library layout
+(:func:`write_spectra`, :func:`parse_spectra`), which the library CSV and
+`endmembers.csv` share, and the Hyperion band tables (`band_tables`) are
+built on them; the MNF model bundle's headerless float matrices use
+:func:`write_matrix` and :func:`read_matrix`. CSV files are written and
+read one row at a time.
 
 This module imports no pipeline stage module, so every stage can use it
 without paying for the others' imports.
@@ -31,14 +32,6 @@ if TYPE_CHECKING:
     from .ppi import PpiImage
     from .spectral_match import MatchScore
 
-HYPERION_BANDS = 242
-# Stock calibrated-band keep list (1-based, inclusive) and radiance gains.
-HYPERION_KEEP_RANGES = ((8, 57), (79, 224))
-HYPERION_VNIR_GAIN = 40.0
-HYPERION_SWIR_GAIN = 80.0
-HYPERION_VNIR_LAST_BAND = 70
-
-
 def _create(path):
     """`path` opened for writing text, its parent directory created."""
     parent = os.path.dirname(path)
@@ -53,12 +46,17 @@ def write_text(path, text: str) -> None:
         fp.write(text)
 
 
-def read_text(path) -> str:
-    """The text of `path` with its line endings untranslated
+def open_lines(path):
+    """`path` opened for reading with its line endings untranslated
     (`newline=""`), as the `csv` module needs them to read a quoted cell
-    that holds a carriage return; line-based parsers split it with
-    `str.splitlines`, which takes every ending."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
+    that holds a carriage return."""
+    return open(path, "r", encoding="utf-8", newline="")
+
+
+def read_text(path) -> str:
+    """The text of `path`, line endings untranslated; line-based parsers
+    split it with `str.splitlines`, which takes every ending."""
+    with open_lines(path) as fp:
         return fp.read()
 
 
@@ -90,30 +88,34 @@ def write_table(path, header, rows) -> None:
         _write_rows(fp, itertools.chain((header,), rows))
 
 
-def parse_table(text: str, header, label: str) -> list[list[str]]:
-    """The rows of CSV `text`, whose header must start with the cells `header`.
-
-    Returns the header row, its cells stripped, then the data rows; rows
-    whose cells are all blank are skipped, and every other row must have
-    as many cells as the header. Errors name `label` and the row, counting
-    the header as row 1 and skipped rows not at all.
-    """
-    rows = csv.reader(io.StringIO(text, newline=""))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
-    head = [cell.strip() for cell in rows[0]] if rows else []
+def _table_rows(source, header, label: str):
+    """Yield the rows of CSV `source` (text, or a file opened by
+    :func:`open_lines`, read a row at a time), whose header must start
+    with the cells `header`: the header, its cells stripped, then the data
+    rows. Rows of blank cells are skipped; every other row must have as
+    many cells as the header. Errors name `label` and the row, counting
+    the header as row 1 and skipped rows not at all."""
+    lines = io.StringIO(source, newline="") if isinstance(source, str) else source
+    rows = (row for row in csv.reader(lines) if any(cell.strip() for cell in row))
+    head = [cell.strip() for cell in next(rows, [])]
     if head[:len(header)] != list(header):
         raise ValueError(f"{label}: expected CSV header starting '{','.join(header)}'")
-    rows[0] = head
-    width = len(head)
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{label} row {number} has {len(row)} cells, expected {width}")
-    return rows
+    yield head
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(head):
+            raise ValueError(f"{label} row {number} has {len(row)} cells, expected {len(head)}")
+        yield row
+
+
+def parse_table(text: str, header, label: str) -> list[list[str]]:
+    """The rows of CSV `text`, as :func:`_table_rows` checks them."""
+    return list(_table_rows(text, header, label))
 
 
 def read_table(path, header) -> list[list[str]]:
     """:func:`parse_table` of the file at `path`, errors naming the file."""
-    return parse_table(read_text(path), header, str(path))
+    with open_lines(path) as fp:
+        return list(_table_rows(fp, header, str(path)))
 
 
 def write_matrix(path, m) -> None:
@@ -124,8 +126,8 @@ def write_matrix(path, m) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """A matrix written by :func:`write_matrix`, blank rows skipped."""
-    rows = csv.reader(io.StringIO(read_text(path), newline=""))
-    return np.array([[float(c) for c in row] for row in rows if row], dtype=np.float64)
+    with open_lines(path) as fp:
+        return np.array([[float(c) for c in row] for row in csv.reader(fp) if row])
 
 
 def _floats(values) -> list[str]:
@@ -133,40 +135,57 @@ def _floats(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def _float_table(table, label: str) -> np.ndarray:
-    """The data rows of a :func:`parse_table` result as one float64 array,
-    filled a row at a time."""
-    width = len(table[0])
-    out = np.empty((len(table) - 1, width), dtype=np.float64)
-    for number, row in enumerate(table[1:], start=2):
-        try:
-            out[number - 2] = np.fromiter(map(float, row), dtype=np.float64, count=width)
-        except ValueError as exc:
-            raise ValueError(f"{label} row {number}: unparseable number") from exc
-    return out
+def _float_table(rows, label: str, check=None) -> tuple[list[str], np.ndarray]:
+    """The header of :func:`_table_rows` `rows`, and their data as one
+    float64 array, filled a row at a time. Errors come in a whole-table
+    check's order: every row's width, then `check(header)`, then the
+    first unparseable row."""
+    head = next(rows)
+    filled, bad = [], None
+    for number, row in enumerate(rows, start=2):
+        if bad is None:
+            try:
+                filled.append(np.fromiter(map(float, row), dtype=np.float64, count=len(head)))
+            except ValueError as exc:
+                bad = number, exc
+    if check is not None:
+        check(head)
+    if bad is not None:
+        raise ValueError(f"{label} row {bad[0]}: unparseable number") from bad[1]
+    return head, np.reshape(filled, (-1, len(head)))
 
 
-def spectra_text(names, wavelengths, spectra) -> str:
+def _spectra_rows(names, wavelengths, spectra):
     """The spectral-library layout: header `wavelength_nm,<name>,...`, then
     one row per wavelength of each spectrum's value there (`spectra` holds
     one spectrum per row)."""
     rows = map(_floats, np.column_stack((wavelengths, np.transpose(spectra))))
+    return itertools.chain((["wavelength_nm", *names],), rows)
+
+
+def spectra_text(names, wavelengths, spectra) -> str:
     out = io.StringIO()
-    _write_rows(out, itertools.chain((["wavelength_nm", *names],), rows))
+    _write_rows(out, _spectra_rows(names, wavelengths, spectra))
     return out.getvalue()
 
 
-def parse_spectra(text: str, label: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+def write_spectra(path, names, wavelengths, spectra) -> None:
+    with _create(path) as fp:
+        _write_rows(fp, _spectra_rows(names, wavelengths, spectra))
+
+
+def parse_spectra(source, label: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Names, wavelengths and spectra (one per row, a view of one float64
-    table) of the layout :func:`spectra_text` writes; no range checks."""
-    table = parse_table(text, ["wavelength_nm"], label)
-    names = table[0][1:]
-    if not names:
-        raise ValueError(f"{label} header names no spectrum")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate spectrum names in {label} header")
-    values = _float_table(table, label)
-    return names, values[:, 0].copy(), values[:, 1:].T
+    table) of the layout :func:`write_spectra` writes, from text or an open
+    file (as :func:`_table_rows` takes them); no range checks."""
+    def check(head):
+        if len(head) == 1:
+            raise ValueError(f"{label} header names no spectrum")
+        if len(set(head[1:])) != len(head) - 1:
+            raise ValueError(f"duplicate spectrum names in {label} header")
+
+    head, values = _float_table(_table_rows(source, ["wavelength_nm"], label), label, check)
+    return head[1:], values[:, 0].copy(), values[:, 1:].T
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +221,14 @@ def write_endmembers(path, es: EndmemberSet) -> None:
     Written directly (not through SpectrumRecord) because scene-derived
     relative reflectance can exceed the laboratory range check.
     """
-    write_text(path, spectra_text([f"class_{cid}" for cid in es.class_ids()],
-                                  es.wavelengths, es.reflectance_means))
+    write_spectra(path, [f"class_{cid}" for cid in es.class_ids()],
+                  es.wavelengths, es.reflectance_means)
 
 
 def read_endmembers(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read back (names, wavelengths, spectra-by-row) without range checks."""
-    return parse_spectra(read_text(path), str(path))
+    with open_lines(path) as fp:
+        return parse_spectra(fp, str(path))
 
 
 def write_manifest(path, es: EndmemberSet) -> None:
@@ -226,7 +246,8 @@ def write_mnf_means(path, es: EndmemberSet) -> None:
 
 def read_mnf_means(path) -> np.ndarray:
     """The MNF centroid matrix, classes in id order."""
-    return np.ascontiguousarray(_float_table(read_table(path, ["class_id"]), str(path))[:, 1:])
+    table = _float_table(iter(read_table(path, ["class_id"])), str(path))[1]
+    return np.ascontiguousarray(table[:, 1:])
 
 
 def write_rankings(path, scores: list[MatchScore]) -> None:
@@ -310,47 +331,3 @@ def read_pure_pixel_plan(path) -> list[tuple[int, int, int]]:
     """A synth pure-pixel plan: line,sample,endmember_index[,...]."""
     rows = read_table(path, ["line", "sample", "endmember_index"])[1:]
     return [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
-
-
-def write_hyperion_tables(mask_path, gains_path) -> None:
-    """The stock band mask (band_index,keep) and radiance gains (band_index,gain)."""
-    bands = range(1, HYPERION_BANDS + 1)
-    keep = (any(lo <= band <= hi for lo, hi in HYPERION_KEEP_RANGES) for band in bands)
-    write_table(mask_path, ["band_index", "keep"],
-                ([str(band), str(int(k))] for band, k in zip(bands, keep)))
-    gains = (HYPERION_VNIR_GAIN if band <= HYPERION_VNIR_LAST_BAND else HYPERION_SWIR_GAIN
-             for band in bands)
-    write_table(gains_path, ["band_index", "gain"],
-                ([str(band), f"{gain:g}"] for band, gain in zip(bands, gains)))
-
-
-def read_band_table(text: str, n_bands: int, value_name: str) -> np.ndarray:
-    """The values of a `band_index,<value_name>` table, the layout
-    :func:`write_hyperion_tables` writes: each band 1..`n_bands` on exactly
-    one row, with a finite number."""
-    label = f"{value_name} table"
-    table = parse_table(text, ["band_index", value_name], label)
-    if len(table[0]) != 2:
-        raise ValueError(f"{label}: expected CSV header 'band_index,{value_name}'")
-    values = np.empty(n_bands, dtype=np.float64)
-    row_of = np.zeros(n_bands, dtype=np.int64)  # the row that gave each band, 0 for none yet
-    for number, (index, cell) in enumerate(table[1:], start=2):
-        where = f"{label} row {number}"
-        try:
-            band = int(index)
-        except ValueError:
-            raise ValueError(f"{where}: band index {index.strip()!r} is not an integer") from None
-        if not 1 <= band <= n_bands:
-            raise ValueError(f"{where}: band index {band} outside 1..{n_bands}")
-        if row_of[band - 1]:
-            raise ValueError(f"{where}: band {band} already given on row {row_of[band - 1]}")
-        try:
-            values[band - 1] = float(cell)
-        except ValueError:
-            values[band - 1] = np.nan
-        if not np.isfinite(values[band - 1]):
-            raise ValueError(f"{where}: {value_name} {cell.strip()!r} is not a finite number")
-        row_of[band - 1] = number
-    if not row_of.all():
-        raise ValueError(f"{label}: band {int(np.argmin(row_of)) + 1} missing from CSV")
-    return values

@@ -45,6 +45,7 @@ from .envi_io import (
 # `scale_radiance`; they stay resolvable here because
 # `perfbench/traced_stage.py` wraps them.
 _STAGE_NAMES = {
+    "band_tables": ("read_band_mask_csv", "read_gains_csv"),
     "cube_blocks": ("CubeFile",),
     "endmember": ("derive_endmembers",),
     "mapping": ("mtmf", "sam_classify"),
@@ -53,8 +54,8 @@ _STAGE_NAMES = {
     "numerics": ("RandomSource",),
     "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
     "preprocess": ("Roi", "_flat_field_in_place", "_iarr_in_place", "_scale_in_place",
-                   "_standardize_in_place", "read_band_mask_csv", "read_gains_csv",
-                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "subset_roi"),
+                   "_standardize_in_place", "reflectance_iarr", "remove_bad_bands",
+                   "scale_radiance", "subset_roi"),
     "spectral_match": ("AnalystWeights", "rank_matches", "resample_library"),
     "synthcube": ("MixingScenario", "generate", "plant_pure_pixels",
                   "random_abundance_field"),
@@ -283,8 +284,10 @@ def write_default_configs(directory: str) -> list[str]:
     """Write default.cfg plus the stock Hyperion band tables; returns paths."""
     paths = [os.path.join(directory, name) for name in
              (DEFAULT_CONFIG_NAME, HYPERION_BAND_MASK_NAME, HYPERION_GAINS_NAME)]
+    from .band_tables import write_hyperion_tables
+
     artifacts.write_text(paths[0], default_config_text())
-    artifacts.write_hyperion_tables(paths[1], paths[2])
+    write_hyperion_tables(paths[1], paths[2])
     return paths
 
 
@@ -477,9 +480,8 @@ def stage_classify(cfg: PipelineConfig) -> None:
 
 def stage_mtmf(cfg: PipelineConfig) -> None:
     mnf_means = artifacts.read_mnf_means(cfg.artifact("endmember_mnf_means.csv"))
-    d = mnf_means.shape[1]
-    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"), bands=d)
-    if d > mnf_cube.bands:
+    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))  # mtmf reads the components it uses
+    if mnf_means.shape[1] > mnf_cube.bands:
         raise ValueError("endmember MNF means have more components than the cube")
     _remove_previous(cfg, "mtmf_class_*.hdr")
     _remove_previous(cfg, "mtmf_class_*.img")
@@ -598,7 +600,7 @@ class Stage:
 _STAGES = {s.name: s for s in (
     Stage("info", stage_info, in_all=False),
     Stage("preprocess", stage_preprocess,
-          artifacts=("reflectance.hdr", "reflectance.img"), modules=("preprocess",)),
+          artifacts=("reflectance.hdr", "reflectance.img"), modules=("band_tables", "preprocess")),
     Stage("mnf", stage_mnf, needs=("preprocess",),
           artifacts=("mnf_cube.hdr", "mnf_cube.img", *(os.path.join("mnf_model", name)
                      for name in ("forward.csv", "eigenvalues.csv"))),
@@ -613,7 +615,7 @@ _STAGES = {s.name: s for s in (
     Stage("classify", stage_classify, needs=("preprocess", "endmembers", "match"),
           artifacts=("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
                      "class_legend.csv"), modules=("cube_blocks", "mapping")),
-    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers"), modules=("mapping",)),
+    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers"), modules=("cube_blocks", "mapping")),
     Stage("synth", stage_synth, in_all=False, modules=("numerics", "synthcube")),
     Stage("report", stage_report, needs=("mnf", "ppi", "endmembers", "match", "classify")),
 )}

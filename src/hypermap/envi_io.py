@@ -274,11 +274,7 @@ def parse_envi_header(text: str) -> EnviHeader:
     def pop_float_list(key: str) -> list[float] | None:
         if key not in raw:
             return None
-        inner = raw.pop(key).strip()
-        if inner.startswith("{"):
-            inner = inner[1:]
-        if inner.endswith("}"):
-            inner = inner[:-1]
+        inner = raw.pop(key).strip().removeprefix("{").removesuffix("}")
         out = []
         for token in inner.split(","):
             token = token.strip()
@@ -325,12 +321,7 @@ def parse_envi_header(text: str) -> EnviHeader:
 
     description = ""
     if "description" in raw:
-        description = raw.pop("description").strip()
-        if description.startswith("{"):
-            description = description[1:]
-        if description.endswith("}"):
-            description = description[:-1]
-        description = description.strip()
+        description = raw.pop("description").strip().removeprefix("{").removesuffix("}").strip()
 
     return EnviHeader(
         samples=samples, lines=lines_n, bands=bands, interleave=interleave,
@@ -643,8 +634,9 @@ def _write_pair(header_path, image_path, header_text: str, planes, dtype: np.dty
 # spectral-library CSV
 
 
-def read_spectral_library(text: str, source_tag: str = "") -> SpectralLibrary:
-    """Parse a spectral-library CSV.
+def read_spectral_library(text, source_tag: str = "") -> SpectralLibrary:
+    """Parse a spectral-library CSV: text, or a file opened by
+    `artifacts.open_lines`, which is then read a row at a time.
 
     Layout: header row `wavelength_nm,<name1>,<name2>,...` then one row per
     wavelength, strictly increasing down the file; cells may be quoted.
@@ -657,20 +649,25 @@ def read_spectral_library(text: str, source_tag: str = "") -> SpectralLibrary:
     return SpectralLibrary(entries=entries, source_tag=source_tag)
 
 
-def write_spectral_library(lib: SpectralLibrary) -> str:
-    """Serialize a library to CSV; all entries must share one wavelength grid."""
+def _library_columns(lib: SpectralLibrary):
+    """Names, wavelengths and spectra of a library whose entries share one grid."""
     if not lib.entries:
         raise ValueError("cannot write an empty library")
     wl = lib.entries[0].wavelengths
-    for e in lib.entries[1:]:
-        if e.wavelengths.shape != wl.shape or not np.array_equal(e.wavelengths, wl):
-            raise ValueError("library entries must share one wavelength grid to serialize")
-    return artifacts.spectra_text(lib.names(), wl, [e.reflectance for e in lib.entries])
+    if not all(np.array_equal(e.wavelengths, wl) for e in lib.entries[1:]):
+        raise ValueError("library entries must share one wavelength grid to serialize")
+    return lib.names(), wl, [e.reflectance for e in lib.entries]
+
+
+def write_spectral_library(lib: SpectralLibrary) -> str:
+    """Serialize a library to CSV text; all entries must share one wavelength grid."""
+    return artifacts.spectra_text(*_library_columns(lib))
 
 
 def read_spectral_library_file(path) -> SpectralLibrary:
-    return read_spectral_library(artifacts.read_text(path), source_tag=str(path))
+    with artifacts.open_lines(path) as fp:
+        return read_spectral_library(fp, source_tag=str(path))
 
 
 def write_spectral_library_file(lib: SpectralLibrary, path) -> None:
-    artifacts.write_text(path, write_spectral_library(lib))
+    artifacts.write_spectra(path, *_library_columns(lib))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_blocks import line_blocks
+from .cube_blocks import CubeFile, band_prefix, line_blocks
 from .envi_io import SpectralCube
 from .numerics import centre_and_covariance, symmetric_eig
 
@@ -25,7 +25,8 @@ _RIDGE = 1e-10
 # target when scaling MTMF infeasibility.
 _TARGET_RESIDUAL_STD = 0.01
 
-# Elements per block of rows in the SAM pixel norms (~1 MB temporaries).
+# Elements per block of rows in `_row_norms`, the SAM pixel norms and the
+# MTMF residual norms (~1 MB temporaries).
 _NORM_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -89,13 +90,7 @@ def _best_angles(x: np.ndarray, spectra: np.ndarray, en: np.ndarray):
     count is not a multiple of 4. The last bit of an angle can then move,
     and with it a pixel whose angle is that close to `max_angle` or to
     another class's. `cube_blocks._line_ranges` gives no short blocks."""
-    # Row norms a block of rows at a time, with no pixels-sized square:
-    # each row is summed in the same order as one call over every row.
-    xn = np.empty(x.shape[0])
-    step = max(1, _NORM_BLOCK_ELEMENTS // max(1, x.shape[1]))
-    for start in range(0, x.shape[0], step):
-        rows = x[start:start + step]
-        np.sqrt(np.add.reduce(rows * rows, axis=1), out=xn[start:start + step])
+    xn = _row_norms(x)
     safe_xn = np.where(xn == 0.0, 1.0, xn)
     cos = (x @ spectra.T) / (safe_xn[:, None] * en[None, :])
     cos[xn == 0.0, :] = 0.0
@@ -104,28 +99,58 @@ def _best_angles(x: np.ndarray, spectra: np.ndarray, en: np.ndarray):
     return best, angles[np.arange(x.shape[0]), best]
 
 
-def _background_scores(mnf_cube: SpectralCube, targets: np.ndarray):
+def _row_norms(x: np.ndarray, alpha=None, t_hat=None) -> np.ndarray:
+    """The Euclidean norm of each row of `x`, or of its residual
+    ``x - alpha[:, None] * t_hat`` when `alpha` and `t_hat` are given,
+    taken a block of rows at a time, so no temporary is larger than a
+    block. Each row is summed on its own, in the order one call over
+    every row would sum it, so the bits do not depend on the blocks."""
+    norms = np.empty(x.shape[0])
+    step = max(1, _NORM_BLOCK_ELEMENTS // max(1, x.shape[1]))
+    for first in range(0, x.shape[0], step):
+        rows = x[first:first + step]
+        if alpha is None:
+            square = rows * rows  # in the memory order of `x`, as numpy sums it
+        else:
+            square = alpha[first:first + step, None] * t_hat
+            np.subtract(rows, square, out=square)
+            square *= square
+        np.sqrt(np.add.reduce(square, axis=1), out=norms[first:first + step])
+        del square  # before the next block's is made
+    return norms
+
+
+def _components(cube: SpectralCube | CubeFile, b: int) -> np.ndarray:
+    """The first `b` components of every pixel of `cube` as a (pixels, b)
+    array of the caller's own: a copy of a `SpectralCube`'s, in their
+    memory order, or a `CubeFile`'s read band-major (`band_prefix`)."""
+    if isinstance(cube, SpectralCube):
+        return cube.values[:, :, :b].reshape(-1, b).copy(order="K")
+    return band_prefix(cube, b).reshape(-1, b)
+
+
+def _background_scores(x: np.ndarray, targets: np.ndarray):
     """Fit the scene background once, then score each row of `targets`.
 
-    The background mean mu and covariance S come from the cube itself; S
-    is whitened through its eigendecomposition with a small ridge. Yields
+    `x` holds the (pixels, b) components, which are centred in place and
+    dropped once whitened, so the caller must hold no other reference to
+    them. The background mean mu and covariance S come from `x`; S is
+    whitened through its eigendecomposition with a small ridge. Yields
     (p, t_hat, alpha, mf) per target: the whitened pixels minus mu (one
     array shared by every target), the unit whitened target direction,
     each pixel's coordinate along it, and the matched-filter score
     alpha / |whitened target|.
     """
-    # Centre one copy of the pixels, in their memory order, and reuse it.
-    centred = mnf_cube.pixels().copy(order="K")
-    mu, cov = centre_and_covariance(centred)
-    b = mnf_cube.bands
+    mu, cov = centre_and_covariance(x)
+    b = x.shape[1]
     vals, vecs = symmetric_eig(cov + np.eye(b) * (_RIDGE * np.trace(cov) / b))
     if vals[-1] <= 0.0:
         raise ValueError("background covariance is singular beyond repair")
 
     inv_sqrt = 1.0 / np.sqrt(vals)
     whiten = inv_sqrt[:, None] * vecs.T
-    p = centred @ whiten.T
-    del centred
+    p = x @ whiten.T
+    del x
     for target in targets:
         tw = whiten @ (target - mu)
         t_norm = float(np.linalg.norm(tw))
@@ -147,13 +172,19 @@ def matched_filter(mnf_cube: SpectralCube, target_mnf) -> np.ndarray:
     if target.shape != (mnf_cube.bands,):
         raise ValueError(
             f"target has {target.size} components, cube has {mnf_cube.bands}")
-    (_, _, _, mf), = _background_scores(mnf_cube, target[None])
+    (_, _, _, mf), = _background_scores(_components(mnf_cube, mnf_cube.bands), target[None])
     return mf.reshape(mnf_cube.lines, mnf_cube.samples)
 
 
-def mtmf(mnf_cube: SpectralCube, targets) -> MtmfResult:
+def mtmf(mnf_cube: SpectralCube | CubeFile, targets) -> MtmfResult:
     """Matched filter plus mixture-tuned infeasibility for one target (b,)
     or each row of a (k, b) matrix, all from one background fit.
+
+    The fit uses the cube's first b components, b the targets' width (as
+    `use_k_components` selects a prefix elsewhere); a width above the
+    cube's band count is an error. A `cube_blocks.CubeFile` has only those
+    components read, into one array that is centred in place; a
+    `SpectralCube`'s are copied.
 
     In background-whitened space each pixel splits into a component along
     the unit target direction and an orthogonal residual r. The expected
@@ -161,24 +192,26 @@ def mtmf(mnf_cube: SpectralCube, targets) -> MtmfResult:
     the MF score goes 0 to 1, and infeasibility is |r| in units of that
     std: infeasibility = |r| / (std(mf) * sqrt(b - 1)).
     """
-    b = mnf_cube.bands
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim not in (1, 2) or targets.shape[-1] > mnf_cube.bands:
+        raise ValueError(
+            f"targets have shape {targets.shape}, cube has {mnf_cube.bands} components")
+    b = targets.shape[-1]
     if b < 2:
         raise ValueError("MTMF needs at least 2 components")
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim not in (1, 2) or targets.shape[-1] != b:
-        raise ValueError(f"targets have shape {targets.shape}, cube has {b} components")
-    mf_rows, infeasibility_rows = [], []
-    for p, t_hat, alpha, mf in _background_scores(mnf_cube, targets.reshape(-1, b)):
+    rows = targets.reshape(-1, b)
+    mf = np.empty((len(rows), mnf_cube.lines * mnf_cube.samples))
+    infeasibility = np.empty_like(mf)
+    scores = _background_scores(_components(mnf_cube, b), rows)
+    for i, (p, t_hat, alpha, score) in enumerate(scores):
+        mf[i] = score
         # The explicit residual, not sqrt(|p|^2 - alpha^2), which cancels
         # to ~1e-8 for pixels on the background-to-target line.
-        r_norm = np.linalg.norm(p - alpha[:, None] * t_hat[None, :], axis=1)
-        sigma = 1.0 + (np.clip(mf, 0.0, 1.0)) * (_TARGET_RESIDUAL_STD - 1.0)
-        mf_rows.append(mf)
-        infeasibility_rows.append(r_norm / (sigma * np.sqrt(b - 1.0)))
+        sigma = 1.0 + (np.clip(score, 0.0, 1.0)) * (_TARGET_RESIDUAL_STD - 1.0)
+        np.divide(_row_norms(p, alpha, t_hat), sigma * np.sqrt(b - 1.0), out=infeasibility[i])
 
     shape = targets.shape[:-1] + (mnf_cube.lines, mnf_cube.samples)
-    return MtmfResult(mf_score=np.reshape(mf_rows, shape),
-                      infeasibility=np.reshape(infeasibility_rows, shape))
+    return MtmfResult(mf_score=mf.reshape(shape), infeasibility=infeasibility.reshape(shape))
 
 
 def class_statistics(class_map: ClassMap) -> list[tuple[int, int, float]]:

@@ -18,6 +18,9 @@ from .envi_io import SpectralLibrary, SpectrumRecord
 
 _HALF_PI = np.pi / 2.0
 
+# Rows of a stack whose continuum `continuum_remove` divides out at once.
+_DIVIDE_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class AnalystWeights:
@@ -153,17 +156,23 @@ def continuum_remove(wavelengths, values) -> np.ndarray:
 
     rows = np.atleast_2d(y)
     on_hull = _upper_hull_mask(x, rows)
-    # each band j off the hull lies on the chord between the hull vertices
-    # a < j < b around it
-    bands = np.arange(x.size)
-    a_of = np.maximum.accumulate(np.where(on_hull, bands, 0), axis=1)
-    b_of = np.minimum.accumulate(np.where(on_hull, bands, x.size)[:, ::-1], axis=1)[:, ::-1]
-    r, j = np.nonzero(~on_hull)
-    a, b = a_of[r, j], b_of[r, j]
-    slope = (rows[r, b] - rows[r, a]) / (x[b] - x[a])
     out = np.ones_like(rows)
-    out[r, j] = rows[r, j] / (rows[r, a] + slope * (x[j] - x[a]))
-    out = np.minimum(out, 1.0)
+    bands = np.arange(x.size)
+    # The division's index and quotient temporaries are a few times the
+    # size of what they divide, so it runs a block of rows at a time; each
+    # row's values come from elementwise operations on that row alone.
+    for first in range(0, len(rows), _DIVIDE_BLOCK_ROWS):
+        block = slice(first, first + _DIVIDE_BLOCK_ROWS)
+        part, hull = rows[block], on_hull[block]
+        # each band j off the hull lies on the chord between the hull
+        # vertices a < j < b around it
+        a_of = np.maximum.accumulate(np.where(hull, bands, 0), axis=1)
+        b_of = np.minimum.accumulate(np.where(hull, bands, x.size)[:, ::-1], axis=1)[:, ::-1]
+        r, j = np.nonzero(~hull)
+        a, b = a_of[r, j], b_of[r, j]
+        slope = (part[r, b] - part[r, a]) / (x[b] - x[a])
+        out[block][r, j] = part[r, j] / (part[r, a] + slope * (x[j] - x[a]))
+    np.minimum(out, 1.0, out=out)
     return out if y.ndim == 2 else out[0]
 
 

@@ -4,7 +4,9 @@ carriage return included) and the reader gives them back exactly."""
 import csv
 import io
 import random
+import re
 
+import numpy as np
 import pytest
 
 from hypermap import artifacts
@@ -65,3 +67,82 @@ class TestTable:
             written = io.StringIO()
             artifacts._write_rows(written, rows)
             assert written.getvalue() == expected.getvalue()
+
+
+class TestStreamedSpectra:
+    """Library and endmember files are read a row at a time: the same
+    names, values, messages and row numbers as parsing the whole text."""
+
+    TEXT = ('wavelength_nm,"quartz, pure","say ""hi""",c\r\n'
+            "\r\n"
+            "500,0.2,0.3,0.1_5\r\n"
+            " , ,,\r\n"
+            "6_00,0.25,0.35,0.45\r\n"
+            "700.5,0.3,0.4,0.5\r\n")
+
+    def read_both(self, tmp_path, text):
+        """(text parse, library file read, endmember file read) of `text`,
+        each as its result or its error message."""
+        from hypermap.envi_io import read_spectral_library_file
+
+        path = tmp_path / "lib.csv"
+        path.write_bytes(text.encode())
+
+        def outcome(fn, *args):
+            try:
+                names, wavelengths, spectra = fn(*args)
+            except ValueError as exc:
+                return str(exc)
+            return names, wavelengths.tobytes(), np.ascontiguousarray(spectra).tobytes()
+
+        def library(path):
+            lib = read_spectral_library_file(path)
+            return (lib.names(), lib.entries[0].wavelengths,
+                    np.stack([e.reflectance for e in lib.entries]))
+
+        return (outcome(artifacts.parse_spectra, text, str(path)),
+                outcome(artifacts.read_endmembers, path),
+                outcome(library, path))
+
+    def test_file_reads_equal_the_text_parse(self, tmp_path):
+        parsed, endmembers, library = self.read_both(tmp_path, self.TEXT)
+        assert parsed == endmembers == library
+        names, wavelengths, spectra = parsed
+        assert names == ["quartz, pure", 'say "hi"', "c"]
+        assert np.frombuffer(wavelengths).tolist() == [500.0, 600.0, 700.5]
+        assert np.frombuffer(spectra).reshape(3, 3)[2].tolist() == [0.15, 0.45, 0.5]
+
+    @pytest.mark.parametrize("text, message", [
+        ("wavelength_nm,a,b\n500,0.2,0.3\n\n600,0.3\n", "lib.csv row 3 has 2 cells, expected 3"),
+        ("wavelength_nm,a,b\n500,0.2,0.3\n600,0.3,x\n", "lib.csv row 3: unparseable number"),
+        ("wl,a\n500,0.2\n", "lib.csv: expected CSV header starting 'wavelength_nm'"),
+        ("wavelength_nm,a,a\n500,0.2,0.3\n", "duplicate spectrum names in .*lib.csv header"),
+        ("wavelength_nm\n500\n", "lib.csv header names no spectrum"),
+        ("", "lib.csv: expected CSV header starting 'wavelength_nm'"),
+        # Several faults: widths first, then names, then numbers, as a
+        # check of the whole table found them.
+        ("wavelength_nm,a,a\n500,x,0.3\n600,0.2\n", "lib.csv row 3 has 2 cells, expected 3"),
+        ("wavelength_nm,a,a\n500,x,0.3\n600,0.2,0.1\n", "duplicate spectrum names"),
+    ])
+    def test_errors_name_the_same_row(self, tmp_path, text, message):
+        parsed, endmembers, _ = self.read_both(tmp_path, text)
+        assert parsed == endmembers
+        assert re.search(message, parsed)
+
+    def test_library_file_errors_name_the_library(self, tmp_path):
+        _, _, library = self.read_both(tmp_path, "wavelength_nm,a\n500,0.2\n600,y\n")
+        assert library == "library row 3: unparseable number"
+
+    def test_writers_write_the_text_layout(self, tmp_path):
+        from hypermap.envi_io import (read_spectral_library, write_spectral_library,
+                                      write_spectral_library_file)
+
+        lib = read_spectral_library(self.TEXT)
+        write_spectral_library_file(lib, tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_bytes() == write_spectral_library(lib).encode()
+        names = lib.names()
+        wavelengths = lib.entries[0].wavelengths
+        spectra = np.stack([e.reflectance for e in lib.entries])
+        artifacts.write_spectra(tmp_path / "e.csv", names, wavelengths, spectra)
+        assert (tmp_path / "e.csv").read_bytes() == \
+            artifacts.spectra_text(names, wavelengths, spectra).encode()

@@ -19,9 +19,11 @@ from hypermap import artifacts, cli, envi_io
 from hypermap.envi_io import (
     SpectralCube,
     SpectralLibrary,
+    SpectrumRecord,
     parse_envi_header,
     serialize_envi_header,
     write_cube,
+    write_spectral_library_file,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -699,6 +701,41 @@ class TestStageMemory:
         assert budget < cube_bytes / 4
         assert traced_peak(cli.run_stage, "classify", cfg) <= budget
 
+    def test_match_stage_holds_no_copy_of_the_library_text(self, tmp_path):
+        out = tmp_path / "out"
+        rng = np.random.default_rng(5)
+        wavelengths = np.arange(400.0, 2500.0, 7.0)
+        write_spectral_library_file(SpectralLibrary(
+            [SpectrumRecord(f"m{i}", wavelengths, rng.uniform(0.05, 0.95, wavelengths.size))
+             for i in range(400)]), tmp_path / "library.csv")
+        text_bytes = (tmp_path / "library.csv").stat().st_size
+        assert text_bytes >= 2 << 20
+        grid = np.linspace(450.0, 2400.0, 100)
+        artifacts.write_spectra(out / "endmembers.csv", [f"class_{i}" for i in range(1, 6)],
+                                grid, rng.uniform(0.1, 0.9, size=(5, grid.size)))
+        for name in ("endmember_manifest.csv", "endmember_mnf_means.csv"):
+            (out / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\nlibrary_csv = library.csv\n")
+        cfg = cli.load_config(str(tmp_path / "p.cfg"))
+        cli.run_stage("match", cfg)
+        # The float table of the library's cells is 8/19 of its text; the
+        # text, a copy of it or a string per cell would pass the text's size.
+        assert traced_peak(cli.run_stage, "match", cfg) <= 1.5 * text_bytes
+
+    def test_mtmf_stage_holds_the_components_once(self, tmp_path):
+        from hypermap import mapping
+
+        cfg, _, _ = self.write_endmember_inputs(tmp_path)
+        cli.run_stage("endmembers", cfg)
+        cli.run_stage("mtmf", cfg)
+        # The 8 components the 6 class means use (of the file's 16), their
+        # whitened copy, one block of residuals, and the (6, pixels) MF and
+        # infeasibility images.
+        pixels = self.LARGE[0] * self.LARGE[1]
+        budget = (2 * 8 * pixels * 8 + 8 * mapping._NORM_BLOCK_ELEMENTS + 2 * 6 * pixels * 8
+                  + (1 << 20))
+        assert traced_peak(cli.run_stage, "mtmf", cfg) <= budget
+
 
 class TestBlockedStages:
     """`endmembers` and `classify` read the reflectance cube a block at a
@@ -753,3 +790,22 @@ class TestBlockedStages:
         for stage in ("endmembers", "match", "classify"):
             assert run([stage, "--config", cfg]) == 0
         assert calls == ["derive_endmembers", "sam_classify"]
+
+    def test_match_and_mtmf_call_the_names_perfbench_wraps(self, scenario_dir, monkeypatch):
+        # perfbench/traced_stage.py times these stages by wrapping the `cli`
+        # globals `resample_library`, `rank_matches` (once per class) and
+        # `mtmf` (once for every class).
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf", "ppi", "endmembers"):
+            assert run([stage, "--config", cfg]) == 0
+        calls = []
+        for name in ("resample_library", "rank_matches", "mtmf"):
+            def counting(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        for stage in ("match", "mtmf"):
+            assert run([stage, "--config", cfg]) == 0
+        classes = len(artifacts.read_endmembers(scenario_dir / "out" / "endmembers.csv")[0])
+        assert classes > 1
+        assert calls == ["resample_library"] + ["rank_matches"] * classes + ["mtmf"]

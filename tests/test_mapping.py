@@ -317,6 +317,50 @@ class TestMtmf:
         cube = background_cube(seed=151)
         with pytest.raises(ValueError, match="components"):
             mtmf(cube, np.ones((2, cube.bands + 1)))
+        with pytest.raises(ValueError, match="at least 2 components"):
+            mtmf(cube, np.ones((2, 1)))
+
+    def test_narrower_targets_use_the_first_components(self):
+        cube = background_cube(seed=157)
+        targets = cube.pixels()[[3, 40, 91], :4]
+        prefix = make_cube(cube.values[:, :, :4], units="mnf_component")
+        result, expected = mtmf(cube, targets), mtmf(prefix, targets)
+        assert result.mf_score.tobytes() == expected.mf_score.tobytes()
+        assert result.infeasibility.tobytes() == expected.infeasibility.tobytes()
+
+    @pytest.mark.parametrize("interleave, width", [("bsq", 4), ("bsq", 6), ("bil", 4)])
+    def test_cube_file_equals_read_cube_prefix(self, tmp_path, monkeypatch, interleave, width):
+        # A BIL file's components are gathered in blocks of 4 lines.
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 4 * 20 * 6 * 8)
+        cube = background_cube(seed=163, lines=30, samples=20, bands=6)
+        write_cube_file(cube, tmp_path / "c.hdr", interleave=interleave)
+        targets = cube.pixels()[[5, 77, 301], :width]
+        result = mtmf(CubeFile(tmp_path / "c.hdr"), targets)
+        expected = mtmf(read_cube(*read_payload(tmp_path / "c.hdr", bands=width)), targets)
+        assert result.mf_score.tobytes() == expected.mf_score.tobytes()
+        assert result.infeasibility.tobytes() == expected.infeasibility.tobytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_cube_file_with_non_finite_component_rejected(self, tmp_path, interleave):
+        write_cube_file(background_cube(seed=167), tmp_path / "c.hdr", interleave=interleave)
+        payload = np.fromfile(tmp_path / "c.img")
+        # line 7, sample 3, band 1 of the 24 x 24 x 6 cube
+        payload[(1 * 24 + 7) * 24 + 3 if interleave == "bsq" else (7 * 6 + 1) * 24 + 3] = np.nan
+        payload.tofile(tmp_path / "c.img")
+        with pytest.raises(ValueError, match="non-finite"):
+            mtmf(CubeFile(tmp_path / "c.hdr"), np.ones((2, 4)))
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocks_equal_one_norm_over_every_row(self, monkeypatch, order):
+        monkeypatch.setattr(mapping, "_NORM_BLOCK_ELEMENTS", 50)  # blocks of 5 rows
+        rng = np.random.default_rng(41)
+        x = np.asarray(rng.normal(size=(101, 9)) * 3.0, order=order)
+        assert mapping._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+        alpha, t_hat = rng.normal(size=101), rng.normal(size=9)
+        residual = np.linalg.norm(x - alpha[:, None] * t_hat[None, :], axis=1)
+        assert mapping._row_norms(x, alpha, t_hat).tobytes() == residual.tobytes()
 
 
 class TestClassStatistics:

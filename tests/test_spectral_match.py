@@ -158,6 +158,18 @@ class TestContinuumRemoval:
             assert np.max(np.abs(removed - row / hull)) < 1e-12
         assert continuum_remove(wl, rows[:0]).shape == (0, 17)
 
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 1), (3, -1), (3, 1)])
+    def test_blocked_division_equals_rows_removed_alone(self, blocks, extra):
+        # The chord division runs a block of rows at a time; stacks just
+        # short of and just past a whole number of blocks.
+        rng = np.random.default_rng(16)
+        wl = np.sort(rng.uniform(400.0, 2500.0, size=33))
+        rows = rng.uniform(0.1, 1.0, size=(blocks * spectral_match._DIVIDE_BLOCK_ROWS + extra, 33))
+        rows[::5, 10:20] = 0.9  # plateaus: collinear hull points
+        out = continuum_remove(wl, rows)
+        alone = np.stack([continuum_remove(wl, row) for row in rows])
+        assert out.tobytes() == alone.tobytes()
+
     def test_stack_messages(self):
         with pytest.raises(ValueError, match="positive"):
             continuum_remove([500.0, 600.0], [[0.5, 0.4], [0.5, 0.0]])
