@@ -7,10 +7,9 @@ the `csv` module a row at a time by :func:`_table_rows`, which checks the
 header and every row's width: :func:`parse_table` on text, :func:`read_table`
 on a file opened by :func:`open_lines`. The spectral-library layout
 (:func:`write_spectra`, :func:`parse_spectra`), which the library CSV and
-`endmembers.csv` share, and the Hyperion band tables (`band_tables`) are
-built on them; the MNF model bundle's headerless float matrices use
-:func:`write_matrix` and :func:`read_matrix`. CSV files are written and
-read one row at a time.
+`endmembers.csv` share, and the Hyperion band tables are built on them;
+the MNF model bundle's headerless float matrices use :func:`write_matrix`
+and :func:`read_matrix`. CSV files are written and read one row at a time.
 
 This module imports no pipeline stage module, so every stage can use it
 without paying for the others' imports.
@@ -31,6 +30,14 @@ if TYPE_CHECKING:
     from .mapping import ClassMap
     from .ppi import PpiImage
     from .spectral_match import MatchScore
+
+HYPERION_BANDS = 242
+# Stock calibrated-band keep list (1-based, inclusive) and radiance gains.
+HYPERION_KEEP_RANGES = ((8, 57), (79, 224))
+HYPERION_VNIR_GAIN = 40.0
+HYPERION_SWIR_GAIN = 80.0
+HYPERION_VNIR_LAST_BAND = 70
+
 
 def _create(path):
     """`path` opened for writing text, its parent directory created."""
@@ -331,3 +338,47 @@ def read_pure_pixel_plan(path) -> list[tuple[int, int, int]]:
     """A synth pure-pixel plan: line,sample,endmember_index[,...]."""
     rows = read_table(path, ["line", "sample", "endmember_index"])[1:]
     return [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
+
+
+def write_hyperion_tables(mask_path, gains_path) -> None:
+    """The stock band mask (band_index,keep) and radiance gains (band_index,gain)."""
+    bands = range(1, HYPERION_BANDS + 1)
+    keep = (any(lo <= band <= hi for lo, hi in HYPERION_KEEP_RANGES) for band in bands)
+    write_table(mask_path, ["band_index", "keep"],
+                ([str(band), str(int(k))] for band, k in zip(bands, keep)))
+    gains = (HYPERION_VNIR_GAIN if band <= HYPERION_VNIR_LAST_BAND else HYPERION_SWIR_GAIN
+             for band in bands)
+    write_table(gains_path, ["band_index", "gain"],
+                ([str(band), f"{gain:g}"] for band, gain in zip(bands, gains)))
+
+
+def read_band_table(text: str, n_bands: int, value_name: str) -> np.ndarray:
+    """The values of a `band_index,<value_name>` table, the layout
+    :func:`write_hyperion_tables` writes: each band 1..`n_bands` on exactly
+    one row, with a finite number."""
+    label = f"{value_name} table"
+    table = parse_table(text, ["band_index", value_name], label)
+    if len(table[0]) != 2:
+        raise ValueError(f"{label}: expected CSV header 'band_index,{value_name}'")
+    values = np.empty(n_bands, dtype=np.float64)
+    row_of = np.zeros(n_bands, dtype=np.int64)  # the row that gave each band, 0 for none yet
+    for number, (index, cell) in enumerate(table[1:], start=2):
+        where = f"{label} row {number}"
+        try:
+            band = int(index)
+        except ValueError:
+            raise ValueError(f"{where}: band index {index.strip()!r} is not an integer") from None
+        if not 1 <= band <= n_bands:
+            raise ValueError(f"{where}: band index {band} outside 1..{n_bands}")
+        if row_of[band - 1]:
+            raise ValueError(f"{where}: band {band} already given on row {row_of[band - 1]}")
+        try:
+            values[band - 1] = float(cell)
+        except ValueError:
+            values[band - 1] = np.nan
+        if not np.isfinite(values[band - 1]):
+            raise ValueError(f"{where}: {value_name} {cell.strip()!r} is not a finite number")
+        row_of[band - 1] = number
+    if not row_of.all():
+        raise ValueError(f"{label}: band {int(np.argmin(row_of)) + 1} missing from CSV")
+    return values

@@ -45,7 +45,6 @@ from .envi_io import (
 # `scale_radiance`; they stay resolvable here because
 # `perfbench/traced_stage.py` wraps them.
 _STAGE_NAMES = {
-    "band_tables": ("read_band_mask_csv", "read_gains_csv"),
     "cube_blocks": ("CubeFile",),
     "endmember": ("derive_endmembers",),
     "mapping": ("mtmf", "sam_classify"),
@@ -54,8 +53,8 @@ _STAGE_NAMES = {
     "numerics": ("RandomSource",),
     "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
     "preprocess": ("Roi", "_flat_field_in_place", "_iarr_in_place", "_scale_in_place",
-                   "_standardize_in_place", "reflectance_iarr", "remove_bad_bands",
-                   "scale_radiance", "subset_roi"),
+                   "_standardize_in_place", "read_band_mask_csv", "read_gains_csv",
+                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "subset_roi"),
     "spectral_match": ("AnalystWeights", "rank_matches", "resample_library"),
     "synthcube": ("MixingScenario", "generate", "plant_pure_pixels",
                   "random_abundance_field"),
@@ -284,10 +283,8 @@ def write_default_configs(directory: str) -> list[str]:
     """Write default.cfg plus the stock Hyperion band tables; returns paths."""
     paths = [os.path.join(directory, name) for name in
              (DEFAULT_CONFIG_NAME, HYPERION_BAND_MASK_NAME, HYPERION_GAINS_NAME)]
-    from .band_tables import write_hyperion_tables
-
     artifacts.write_text(paths[0], default_config_text())
-    write_hyperion_tables(paths[1], paths[2])
+    artifacts.write_hyperion_tables(paths[1], paths[2])
     return paths
 
 
@@ -600,7 +597,7 @@ class Stage:
 _STAGES = {s.name: s for s in (
     Stage("info", stage_info, in_all=False),
     Stage("preprocess", stage_preprocess,
-          artifacts=("reflectance.hdr", "reflectance.img"), modules=("band_tables", "preprocess")),
+          artifacts=("reflectance.hdr", "reflectance.img"), modules=("preprocess",)),
     Stage("mnf", stage_mnf, needs=("preprocess",),
           artifacts=("mnf_cube.hdr", "mnf_cube.img", *(os.path.join("mnf_model", name)
                      for name in ("forward.csv", "eigenvalues.csv"))),

@@ -142,23 +142,6 @@ def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
         yield b0, _finite(planes.transpose(1, 2, 0))
 
 
-def band_prefix(cube: CubeFile, stop: int) -> np.ndarray:
-    """The first `stop` bands of `cube` as one ``(lines, samples, stop)``
-    float64 array that the caller owns, band-major in memory, as
-    `envi_io.read_payload` orders a band prefix, and checked for
-    non-finite values. A BSQ image reads its first planes straight into
-    the array. A BIL or BIP image gathers them a block of lines at a time
-    and checks every band, as a prefix read of it does."""
-    h = cube.header
-    if h.interleave == "bsq":
-        planes, = cube._read([[(0, stop * h.lines * h.samples)]])
-        return _finite(_canonical(planes, "bsq", (h.lines, h.samples, stop)))
-    planes = np.empty((stop, h.lines, h.samples))
-    for l0, block in line_blocks(cube):
-        planes[:, l0:l0 + len(block)] = block[:, :, :stop].transpose(2, 0, 1)
-    return planes.transpose(1, 2, 0)
-
-
 def line_blocks(cube: SpectralCube | CubeFile):
     """Yield (first line, an ``(n, samples, bands)`` float64 block) over
     every line of `cube`, about BLOCK_BYTES of lines at a time.

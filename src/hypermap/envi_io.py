@@ -271,12 +271,20 @@ def parse_envi_header(text: str) -> EnviHeader:
         except ValueError as exc:
             raise ValueError(f"header key {key!r}: unparseable number {token!r}") from exc
 
+    def pop_unbraced(key: str) -> str:
+        """The value of `key` without its enclosing braces, stripped."""
+        value = raw.pop(key).strip()
+        if value.startswith("{"):
+            value = value[1:]
+        if value.endswith("}"):
+            value = value[:-1]
+        return value.strip()
+
     def pop_float_list(key: str) -> list[float] | None:
         if key not in raw:
             return None
-        inner = raw.pop(key).strip().removeprefix("{").removesuffix("}")
         out = []
-        for token in inner.split(","):
+        for token in pop_unbraced(key).split(","):
             token = token.strip()
             if not token:
                 continue
@@ -319,9 +327,7 @@ def parse_envi_header(text: str) -> EnviHeader:
                 raise ValueError(f"bbl entries must be 0 or 1, got {v}")
             bbl.append(int(v))
 
-    description = ""
-    if "description" in raw:
-        description = raw.pop("description").strip().removeprefix("{").removesuffix("}").strip()
+    description = pop_unbraced("description") if "description" in raw else ""
 
     return EnviHeader(
         samples=samples, lines=lines_n, bands=bands, interleave=interleave,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_blocks import CubeFile, band_prefix, line_blocks
-from .envi_io import SpectralCube
+from .cube_blocks import CubeFile, line_blocks
+from .envi_io import SpectralCube, read_cube, read_payload
 from .numerics import centre_and_covariance, symmetric_eig
 
 _RIDGE = 1e-10
@@ -123,10 +123,13 @@ def _row_norms(x: np.ndarray, alpha=None, t_hat=None) -> np.ndarray:
 def _components(cube: SpectralCube | CubeFile, b: int) -> np.ndarray:
     """The first `b` components of every pixel of `cube` as a (pixels, b)
     array of the caller's own: a copy of a `SpectralCube`'s, in their
-    memory order, or a `CubeFile`'s read band-major (`band_prefix`)."""
+    memory order, or a `CubeFile`'s, read by `envi_io.read_payload` and
+    decoded in place (band-major for a prefix; a whole BIL image is copied
+    once more, into pixel order, as the reshape needs)."""
     if isinstance(cube, SpectralCube):
         return cube.values[:, :, :b].reshape(-1, b).copy(order="K")
-    return band_prefix(cube, b).reshape(-1, b)
+    path = cube.image_path
+    return read_cube(*read_payload(path, path, b, cube.header)).values.reshape(-1, b)
 
 
 def _background_scores(x: np.ndarray, targets: np.ndarray):

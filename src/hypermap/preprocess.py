@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_band_table
 from .envi_io import BLOCK_BYTES, SpectralCube, check_keep_mask
 
 _MEAN_EPS = 1e-12
@@ -169,3 +170,23 @@ def _standardize_in_place(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray,
     cube.values -= means
     cube.values /= stds
     return cube.copy_with(values=cube.values), means, stds
+
+
+# ---------------------------------------------------------------------------
+# band tables: `band_index,keep` and `band_index,gain`, 1-based rows
+
+
+def read_band_mask_csv(text: str, n_bands: int) -> np.ndarray:
+    """Parse a `band_index,keep` CSV into a boolean keep mask."""
+    values = read_band_table(text, n_bands, "keep")
+    if not np.isin(values, (0.0, 1.0)).all():
+        raise ValueError("keep values must be 0 or 1")
+    return values.astype(bool)
+
+
+def read_gains_csv(text: str, n_bands: int) -> np.ndarray:
+    """Parse a `band_index,gain` CSV into per-band divisors, all positive."""
+    gains = read_band_table(text, n_bands, "gain")
+    if np.any(gains <= 0):
+        raise ValueError("gains must all be positive")
+    return gains

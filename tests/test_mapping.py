@@ -328,7 +328,8 @@ class TestMtmf:
         assert result.mf_score.tobytes() == expected.mf_score.tobytes()
         assert result.infeasibility.tobytes() == expected.infeasibility.tobytes()
 
-    @pytest.mark.parametrize("interleave, width", [("bsq", 4), ("bsq", 6), ("bil", 4)])
+    @pytest.mark.parametrize("interleave, width",
+                             [("bsq", 4), ("bsq", 6), ("bil", 4), ("bil", 6), ("bip", 4)])
     def test_cube_file_equals_read_cube_prefix(self, tmp_path, monkeypatch, interleave, width):
         # A BIL file's components are gathered in blocks of 4 lines.
         monkeypatch.setattr(envi_io, "BLOCK_BYTES", 4 * 20 * 6 * 8)

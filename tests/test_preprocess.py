@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from hypermap import preprocess
-from hypermap.band_tables import read_band_mask_csv, read_gains_csv
 from hypermap.envi_io import SpectralCube
 from hypermap.preprocess import (
     Roi,
+    read_band_mask_csv,
+    read_gains_csv,
     reflectance_flat_field,
     reflectance_iarr,
     remove_bad_bands,
