@@ -17,6 +17,7 @@ without paying for the others' imports.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import itertools
@@ -126,9 +127,32 @@ def read_table(path, header) -> list[list[str]]:
 
 
 def write_matrix(path, m) -> None:
-    """A float matrix as headerless CSV rows; a vector is written as one row."""
+    """A float matrix as headerless CSV rows; a vector is written as one row.
+    A square matrix that equals its transpose bit for bit (a covariance)
+    has only its upper triangle formatted, the lower one reusing it."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    rows = map(_floats, m)
+    if m.shape[0] == m.shape[1] and m.tobytes() == m.T.tobytes():
+        rows = _symmetric_rows(m)
     with _create(path) as fp:
-        _write_rows(fp, map(_floats, np.atleast_2d(m)))
+        _write_rows(fp, rows)
+
+
+def _symmetric_rows(m: np.ndarray):
+    """The formatted rows of symmetric `m`: row i is column i of the rows
+    before it (their cells i) followed by its own cells from the diagonal
+    on. Each row's own cells are kept as one string and the offsets of
+    its cells, a fraction of the memory of a string object per cell, so
+    the matrix's text does not add to the peak of the stage writing it."""
+    texts: list[str] = []
+    starts: list[array.array] = []
+    for i in range(m.shape[0]):
+        own = _floats(m[i, i:])
+        yield [text[s[i - j]:s[i - j + 1] - 1]
+               for j, (text, s) in enumerate(zip(texts, starts))] + own
+        texts.append(",".join(own) + ",")
+        starts.append(array.array("q", itertools.accumulate(
+            map(len, own), lambda at, n: at + n + 1, initial=0)))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -213,7 +237,21 @@ def write_pure_pixels(path, ppi: PpiImage, pixels: list[tuple[int, int]]) -> Non
 
 
 def read_pure_pixels(path) -> list[tuple[int, int]]:
-    return [(int(r[0]), int(r[1])) for r in read_table(path, ["line", "sample", "count"])[1:]]
+    """The (line, sample) pairs, read a row at a time so that no row's
+    cells outlive it; a row of the wrong width is reported before an
+    unparseable number, as a check of the whole table reports them."""
+    with open_lines(path) as fp:
+        rows = _table_rows(fp, ["line", "sample", "count"], str(path))
+        next(rows)
+        pixels, bad = [], None
+        for row in rows:
+            try:
+                pixels.append((int(row[0]), int(row[1])))
+            except ValueError as exc:
+                bad = bad or exc
+    if bad is not None:
+        raise bad
+    return pixels
 
 
 def write_ppi_trace(path, trace: list[int]) -> None:
@@ -320,12 +358,37 @@ def write_eigenvalue_curve(path, eigenvalues_path) -> None:
 
 
 def write_truth_abundances(path, abundances: np.ndarray) -> None:
-    """Per-pixel ground-truth abundances of a (lines, samples, k) field."""
+    """Per-pixel ground-truth abundances of a (lines, samples, k) field.
+
+    Each distinct abundance row of a line is formatted once, keyed by its
+    bytes (so `0.0` and `-0.0` stay apart); the formatted rows of the line
+    before are reused too, and a line whose rows are all those of the line
+    before reuses its text but for the line number. So a block-repeated
+    field is formatted about once per block while the text held stays two
+    lines' worth. The file is written a line of rows at a time."""
     lines, samples, k = abundances.shape
-    write_table(path, ["line", "sample"] + [f"a_{i + 1}" for i in range(k)],
-                ([str(line), str(sample)] + _floats(row)
-                 for (line, sample), row in zip(np.ndindex(lines, samples),
-                                                abundances.reshape(-1, k))))
+    rows = np.ascontiguousarray(abundances, dtype=np.float64)
+    row_bytes = np.dtype((np.void, 8 * k))
+    with _create(path) as fp:
+        _write_rows(fp, [["line", "sample"] + [f"a_{i + 1}" for i in range(k)]])
+        before: dict[bytes, str] = {}
+        keys_before = None
+        for line in range(lines):
+            keys = rows[line].view(row_bytes).ravel().tolist()
+            if keys != keys_before:
+                # `tails[1:]` are the line's rows after its line number.
+                current: dict[bytes, str] = {}
+                tails = [""]
+                for sample, (key, row) in enumerate(zip(keys, rows[line].tolist())):
+                    text = current.get(key)
+                    if text is None:
+                        text = before.get(key)
+                        if text is None:
+                            text = ",".join(map(repr, row))
+                        current[key] = text
+                    tails.append(f",{sample},{text}\n")
+                before, keys_before = current, keys
+            fp.write(str(line).join(tails))
 
 
 def write_truth_pure_pixels(path, plan, names: list[str]) -> None:

@@ -531,15 +531,12 @@ def stage_synth(cfg: PipelineConfig) -> None:
             plan.append((pos // samples, pos % samples, i % k))
     field = plant_pure_pixels(field, plan)
 
-    sigma = cfg.synth_noise_sigma
-    if cfg.synth_noise_relative > 0:
-        clean = field.reshape(-1, k) @ endmembers
-        sigma = cfg.synth_noise_relative * float(np.mean(np.abs(clean, out=clean)))
-        del clean  # `generate` mixes the cube again
     scenario = MixingScenario(endmembers=endmembers, wavelengths=wavelengths,
-                              abundance_field=field, noise_sigma=sigma,
+                              abundance_field=field, noise_sigma=cfg.synth_noise_sigma,
+                              noise_relative=cfg.synth_noise_relative,
                               pure_pixel_plan=plan, seed=root.spawn(1).seed)
     cube, truth = generate(scenario)
+    sigma = truth.noise_sigma
 
     if cfg.synth_panel_lines > 0:
         # Spectrally flat calibration strip appended below the scene; used

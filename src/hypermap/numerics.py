@@ -8,6 +8,8 @@ the same draws on every platform and thread count.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -24,9 +26,17 @@ _MIX2_U64 = np.uint64(_MIX2)
 _U64_SCALE = 2.0 ** -64
 _MIN_UNIFORM = 2.0 ** -64
 
-# Uniforms drawn per step of `uniforms` and `gaussians` (two per Gaussian):
-# the stream's temporaries stay ~1 MB however many draws are asked for.
+# Uniforms drawn per step of `uniforms`, and Gaussians per step of
+# `gaussians` (two uniforms each): the reused buffers stay ~1 MB however
+# many draws are asked for.
 _DRAW_BLOCK = 1 << 16
+_GAUSSIAN_BLOCK = _DRAW_BLOCK // 2
+
+_SHIFT30 = np.uint64(30)
+_SHIFT27 = np.uint64(27)
+_SHIFT31 = np.uint64(31)
+_SHIFT32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def splitmix64(value: int) -> int:
@@ -42,15 +52,43 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_u64(z: np.ndarray) -> np.ndarray:
+def _mix_u64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Vectorized splitmix64 output function, applied in place to the
-    uint64 state values `z`, which it returns."""
-    z ^= z >> np.uint64(30)
+    uint64 state values `z`, which it returns; the shifted values go to
+    `scratch` (a uint64 array of `z`'s shape) when one is given."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    z ^= np.right_shift(z, _SHIFT30, out=scratch)
     z *= _MIX1_U64
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, _SHIFT27, out=scratch)
     z *= _MIX2_U64
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, _SHIFT31, out=scratch)
     return z
+
+
+@functools.cache
+def _gamma_steps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """step × γ (mod 2^64) for the steps 1.._DRAW_BLOCK, added to a
+    stream's state to give its next states; and the same table's odd and
+    even steps, each contiguous, for the two halves of a Box-Muller pair."""
+    steps = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64)
+    steps *= _GAMMA_U64
+    return steps, steps[0::2].copy(), steps[1::2].copy()
+
+
+def _unit_floats(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`z * 2^-64` as float64 into `out`, bit for bit, overwriting
+    `scratch`. numpy's uint64 -> float64 cast is several times slower than
+    its int64 one, so the two 32-bit halves go through the int64 cast:
+    `hi * 2^32` and `lo` are exact doubles, so their sum is `z` rounded
+    once, as the direct cast rounds it, and scaling by a power of two is
+    exact."""
+    np.right_shift(z, _SHIFT32, out=scratch)
+    np.multiply(scratch.view(np.int64), 2.0 ** 32, out=out)
+    np.bitwise_and(z, _LOW32, out=scratch)
+    np.add(out, scratch.view(np.int64), out=out)
+    out *= _U64_SCALE
+    return out
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -94,25 +132,51 @@ class RandomSource:
     def uniforms(self, n: int) -> np.ndarray:
         """`n` uniform draws in [0, 1), consuming the same stream positions
         as repeated :meth:`next_uniform` calls; drawn `_DRAW_BLOCK` at a
-        time into the result."""
+        time into the result, through two reused uint64 buffers."""
         out = np.empty(n, dtype=np.float64)
+        steps = _gamma_steps()[0]
+        z = np.empty(min(n, _DRAW_BLOCK), dtype=np.uint64)
+        scratch = np.empty_like(z)
         for start in range(0, n, _DRAW_BLOCK):
             block = out[start:start + _DRAW_BLOCK]
-            np.multiply(self.raw_block(block.size), _U64_SCALE, out=block)
+            m = block.size
+            np.add(steps[:m], np.uint64(self._state), out=z[:m])
+            self._state = (self._state + m * _GAMMA) & _MASK64
+            _unit_floats(_mix_u64(z[:m], scratch[:m]), scratch[:m], block)
         return out
 
     def gaussians(self, n: int) -> np.ndarray:
         """`n` standard-normal draws via Box-Muller, two uniforms per draw.
 
         Only the cosine branch is kept so each output maps to a fixed pair
-        of stream positions. Drawn `_DRAW_BLOCK // 2` at a time into the
-        result.
+        of stream positions: draw i takes its radius from position 2i + 1
+        and its angle from 2i + 2. Drawn `_GAUSSIAN_BLOCK` at a time, the
+        radius in place in the result and each half from contiguous
+        states, bit for bit the values of :func:`_box_muller`.
         """
         out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _DRAW_BLOCK // 2):
-            block = out[start:start + _DRAW_BLOCK // 2]
-            u = self.uniforms(2 * block.size)
-            block[:] = _box_muller(u[0::2], u[1::2])
+        _, odd, even = _gamma_steps()
+        size = min(n, _GAUSSIAN_BLOCK)
+        z = np.empty(size, dtype=np.uint64)
+        scratch = np.empty_like(z)
+        angle = np.empty(size, dtype=np.float64)
+        for start in range(0, n, _GAUSSIAN_BLOCK):
+            block = out[start:start + _GAUSSIAN_BLOCK]
+            m = block.size
+            zm, sm, am = z[:m], scratch[:m], angle[:m]
+            state = np.uint64(self._state)
+            self._state = (self._state + 2 * m * _GAMMA) & _MASK64
+            np.add(odd[:m], state, out=zm)
+            _unit_floats(_mix_u64(zm, sm), sm, block)
+            np.maximum(block, _MIN_UNIFORM, out=block)
+            np.log(block, out=block)
+            block *= -2.0
+            np.sqrt(block, out=block)
+            np.add(even[:m], state, out=zm)
+            _unit_floats(_mix_u64(zm, sm), sm, am)
+            am *= 2.0 * np.pi
+            np.cos(am, out=am)
+            block *= am
         return out
 
     def next_gaussian(self) -> float:

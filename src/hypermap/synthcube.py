@@ -16,15 +16,15 @@ from .numerics import RandomSource
 
 _SUM_TOL = 1e-12
 
-# Noise draws per block in `generate` (~1 MB at a time): a multiple of the
-# Gaussian block of `RandomSource.gaussians`, so every draw is computed in
-# the same block as when the whole cube's noise is drawn in one call.
+# Noise draws per block in `generate` (~1 MB at a time).
 _NOISE_BLOCK = 1 << 17
 
 
 @dataclass
 class MixingScenario:
-    """Endmembers, a per-pixel abundance field and a noise level."""
+    """Endmembers, a per-pixel abundance field and a noise level: the
+    noise sigma is `noise_sigma`, or, when `noise_relative` > 0, that
+    fraction of the mean absolute value of the mixed cube."""
 
     endmembers: np.ndarray
     wavelengths: np.ndarray
@@ -32,6 +32,7 @@ class MixingScenario:
     noise_sigma: float = 0.0
     pure_pixel_plan: list[tuple[int, int, int]] = field(default_factory=list)
     seed: int = 0
+    noise_relative: float = 0.0
 
     def __post_init__(self):
         self.endmembers = np.asarray(self.endmembers, dtype=np.float64)
@@ -44,8 +45,8 @@ class MixingScenario:
         if self.abundance_field.ndim != 3 or \
                 self.abundance_field.shape[2] != self.endmembers.shape[0]:
             raise ValueError("abundance field must be (lines, samples, k)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if self.noise_sigma < 0 or self.noise_relative < 0:
+            raise ValueError("noise_sigma and noise_relative must be non-negative")
         if np.any(self.abundance_field < 0):
             raise ValueError("abundances must be non-negative")
         sums = self.abundance_field.sum(axis=2)
@@ -75,12 +76,14 @@ class MixingScenario:
 
 @dataclass
 class GroundTruth:
-    """What the generator knew: abundances and planted pure pixels."""
+    """What the generator knew: abundances, planted pure pixels and the
+    noise sigma it used."""
 
     abundances: np.ndarray
     pure_pixels: list[tuple[int, int, int]]
     endmembers: np.ndarray
     wavelengths: np.ndarray
+    noise_sigma: float = 0.0
 
 
 def synthetic_mineral_library(n_entries: int, seed: int = 0,
@@ -157,7 +160,17 @@ def generate(scenario: MixingScenario) -> tuple[SpectralCube, GroundTruth]:
     a = scenario.abundance_field
     values = a.reshape(-1, scenario.k) @ scenario.endmembers
     values = values.reshape(scenario.lines, scenario.samples, -1)
-    if scenario.noise_sigma > 0:
+    sigma = scenario.noise_sigma
+    if scenario.noise_relative > 0:
+        if np.all(scenario.endmembers >= 0):
+            # Non-negative abundances and endmembers mix to values >= 0, so
+            # |mean| is the mean absolute value, bit for bit (a -0.0 changes
+            # no partial sum but an all-zero one), with no second cube.
+            level = abs(float(np.mean(values)))
+        else:
+            level = float(np.mean(np.abs(values)))
+        sigma = scenario.noise_relative * level
+    if sigma > 0:
         # Scaled and added in place, a block of draws at a time: the same
         # stream positions and the same bits as `values + sigma * g` over
         # the whole cube, with no cube-sized noise array.
@@ -166,7 +179,7 @@ def generate(scenario: MixingScenario) -> tuple[SpectralCube, GroundTruth]:
         for start in range(0, flat.size, _NOISE_BLOCK):
             block = flat[start:start + _NOISE_BLOCK]
             g = rs.gaussians(block.size)
-            g *= scenario.noise_sigma
+            g *= sigma
             block += g
     cube = SpectralCube(values=values, wavelengths=scenario.wavelengths.copy(),
                         bad_band_mask=np.ones(values.shape[2], dtype=bool),
@@ -174,5 +187,6 @@ def generate(scenario: MixingScenario) -> tuple[SpectralCube, GroundTruth]:
     truth = GroundTruth(abundances=a.copy(),
                         pure_pixels=list(scenario.pure_pixel_plan),
                         endmembers=scenario.endmembers.copy(),
-                        wavelengths=scenario.wavelengths.copy())
+                        wavelengths=scenario.wavelengths.copy(),
+                        noise_sigma=sigma)
     return cube, truth

@@ -1,10 +1,13 @@
 """Artifact table tests: the CSV writer quotes cells that need it (a bare
-carriage return included) and the reader gives them back exactly."""
+carriage return included) and the reader gives them back exactly; the
+truth-abundance and matrix writers that reuse formatted text write the
+bytes of a cell-by-cell writer."""
 
 import csv
 import io
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,3 +149,131 @@ class TestStreamedSpectra:
         artifacts.write_spectra(tmp_path / "e.csv", names, wavelengths, spectra)
         assert (tmp_path / "e.csv").read_bytes() == \
             artifacts.spectra_text(names, wavelengths, spectra).encode()
+
+
+def plain_rows(rows) -> str:
+    """Each row of floats as its `repr` cells joined by commas."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def plain_truth(abundances) -> str:
+    """The truth table written a row at a time, with no reuse."""
+    lines, samples, k = abundances.shape
+    head = ",".join(["line", "sample"] + [f"a_{i + 1}" for i in range(k)]) + "\n"
+    return head + "".join(f"{line},{sample}," + plain_rows([abundances[line, sample].tolist()])
+                          for line in range(lines) for sample in range(samples))
+
+
+def dirichlet(shape, seed):
+    e = np.random.default_rng(seed).exponential(size=shape)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def block_field(lines, samples, k, block, seed=1):
+    """A field of `block` x `block` patches, one pixel planted one-hot."""
+    coarse = dirichlet((lines // block, samples // block, k), seed)
+    field = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)
+    field[1, 2] = 0.0
+    field[1, 2, 0] = 1.0
+    return field
+
+
+class TestTruthAbundances:
+    SIGNED_ZEROS = np.array([[[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]],
+                             [[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]],
+                             [[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]])
+
+    @pytest.mark.parametrize("field", [
+        block_field(12, 15, 3, 3),
+        dirichlet((9, 7, 4), 2),
+        SIGNED_ZEROS,
+    ], ids=["block-repeated", "no-repeated-row", "signed-zeros"])
+    def test_matches_a_row_by_row_writer(self, tmp_path, field):
+        artifacts.write_truth_abundances(tmp_path / "t.csv", field)
+        assert (tmp_path / "t.csv").read_text() == plain_truth(field)
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_held_text_does_not_grow_with_the_lines(self, tmp_path, block):
+        def peak(lines):
+            field = block_field(lines, 32, 4, block)
+            tracemalloc.start()
+            try:
+                artifacts.write_truth_abundances(tmp_path / f"{lines}.csv", field)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Holding the table's text would make the 20x taller field's peak
+        # about 20x the short one's.
+        assert peak(320) < 2 * peak(16)
+
+
+class TestReadPurePixels:
+    def test_reads_a_row_at_a_time(self, tmp_path):
+        path = tmp_path / "pure_pixels.csv"
+        n = 20000
+        artifacts.write_table(path, ["line", "sample", "count"],
+                              ([str(i // 100), str(i % 100), "3"] for i in range(n)))
+        tracemalloc.start()
+        try:
+            pixels = artifacts.read_pure_pixels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pixels == [(i // 100, i % 100) for i in range(n)]
+        # The (line, sample) tuples and their list; every row's cells held
+        # at once would pass 3x that.
+        assert peak <= 1.5 * 64 * n + (64 << 10)
+
+    @pytest.mark.parametrize("text, error", [
+        ("line,sample,count\n1,x,3\n2\n", r"pure_pixels\.csv row 3 has 1 cells, expected 3"),
+        ("line,sample,count\n1,x,3\n2,y,4\n", r"invalid literal for int\(\) with base 10: 'x'"),
+    ])
+    def test_a_row_width_is_reported_before_a_number(self, tmp_path, text, error):
+        (tmp_path / "pure_pixels.csv").write_text(text)
+        with pytest.raises(ValueError, match=error):
+            artifacts.read_pure_pixels(tmp_path / "pure_pixels.csv")
+
+
+class TestWriteMatrix:
+    def written(self, tmp_path, monkeypatch, m):
+        """The text `write_matrix` writes for `m`, and how many values it
+        formatted."""
+        formatted = []
+        floats = artifacts._floats
+
+        def counting(values):
+            cells = floats(values)
+            formatted.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(artifacts, "_floats", counting)
+        artifacts.write_matrix(tmp_path / "m.csv", m)
+        return (tmp_path / "m.csv").read_text(), sum(formatted)
+
+    def test_symmetric_matrix_formats_its_upper_triangle(self, tmp_path, monkeypatch):
+        a = np.random.default_rng(3).normal(size=(7, 7))
+        m = a @ a.T
+        assert m.tobytes() == m.T.tobytes()
+        text, formatted = self.written(tmp_path, monkeypatch, m)
+        assert text == plain_rows(m.tolist())
+        assert formatted == 7 * 8 // 2
+
+    def test_asymmetric_matrix_formats_every_value(self, tmp_path, monkeypatch):
+        m = np.random.default_rng(4).normal(size=(6, 6))
+        text, formatted = self.written(tmp_path, monkeypatch, m)
+        assert text == plain_rows(m.tolist())
+        assert formatted == 36
+
+    def test_equal_values_with_different_bits_are_not_symmetric(self, tmp_path, monkeypatch):
+        m = np.array([[1.0, 0.0, 2.5], [-0.0, 3.0, 0.5], [2.5, 0.5, 4.0]])
+        assert np.array_equal(m, m.T)
+        text, formatted = self.written(tmp_path, monkeypatch, m)
+        assert text == "1.0,0.0,2.5\n-0.0,3.0,0.5\n2.5,0.5,4.0\n"
+        assert formatted == 9
+
+    @pytest.mark.parametrize("m", [np.arange(5.0), np.ones((2, 3)), np.array([[7.0]])])
+    def test_vectors_and_other_shapes(self, tmp_path, monkeypatch, m):
+        text, _ = self.written(tmp_path, monkeypatch, m)
+        assert text == plain_rows(np.atleast_2d(m).tolist())
+        assert np.array_equal(artifacts.read_matrix(tmp_path / "m.csv"), np.atleast_2d(m))

@@ -3,6 +3,7 @@ determinism, and staged-vs-all equivalence."""
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -331,6 +332,36 @@ class TestStages:
         alt = scenario_dir / "alt_out"
         assert run(["synth", "--config", cfg, "--out", str(alt)]) == 0
         assert (alt / "truth_pure_pixels.csv").exists()
+
+
+class TestSynthBytes:
+    """`synth`'s outputs on a config that takes every path (patches, relative
+    noise over more than one block of draws, a panel strip and the stock
+    pure-pixel plan) keep their recorded bytes."""
+
+    DIGESTS = {
+        "scene.img": "ea7e28ab4372ff01b115f8201c9516c11fe9f5a741e8a565582574f9158077ea",
+        "scene.hdr": "f2af6955f71909335422cf95ba09d61778cf02dc9bb83fa1d0ee2321bf48333e",
+        "out/truth_abundances.csv":
+            "6c1b425ed9e65e3167a1c7b32b687bbf85287b6e305d1b416337d83dd41743b0",
+        "out/truth_pure_pixels.csv":
+            "ee8b46cd1c7a1257708c8bad661d182d1c7f7bb1178f62c0a194e37ed3e3e092",
+    }
+
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        from hypermap.numerics import _GAUSSIAN_BLOCK
+        from hypermap.synthcube import synthetic_mineral_library
+
+        lib = synthetic_mineral_library(4, seed=3, wavelengths=np.linspace(450.0, 2450.0, 60))
+        write_spectral_library_file(lib, tmp_path / "library.csv")
+        (tmp_path / "p.cfg").write_text(
+            "input_header = scene.hdr\ninput_image = scene.img\nlibrary_csv = library.csv\n"
+            "output_dir = out\nseed = 11\nsynth_lines = 24\nsynth_samples = 24\n"
+            "synth_block_size = 2\nsynth_noise_relative = 0.01\nsynth_panel_lines = 2\n")
+        assert 24 * 24 * 60 > _GAUSSIAN_BLOCK
+        assert run(["synth", "--config", str(tmp_path / "p.cfg")]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.DIGESTS} == self.DIGESTS
 
 
 def run_fresh(args, cwd, code=None):

@@ -132,10 +132,13 @@ def unblocked_uniforms(seed, start, n):
 
 
 class TestDrawBlocks:
-    """`uniforms` and `gaussians` draw in blocks of `_DRAW_BLOCK` uniforms;
-    the result and the stream position must not show the seams."""
+    """`uniforms` draws in blocks of `_DRAW_BLOCK` uniforms and `gaussians`
+    in blocks of `_GAUSSIAN_BLOCK` draws, through reused buffers; the
+    result and the stream position must not show the seams."""
 
-    SIZES = (numerics._DRAW_BLOCK - 1, numerics._DRAW_BLOCK, 2 * numerics._DRAW_BLOCK + 1)
+    SIZES = (1, numerics._GAUSSIAN_BLOCK - 1, numerics._GAUSSIAN_BLOCK,
+             numerics._GAUSSIAN_BLOCK + 1, numerics._DRAW_BLOCK - 1, numerics._DRAW_BLOCK,
+             2 * numerics._DRAW_BLOCK + 1)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_uniforms_equal_unblocked_formula(self, n):
@@ -153,6 +156,23 @@ class TestDrawBlocks:
             np.cos(2.0 * np.pi * u[1::2])
         assert g.tobytes() == expected.tobytes()
         assert rs.next_uniform() == unblocked_uniforms(5, 2 * n, 1)[0]
+
+
+class TestUnitFloats:
+    def test_equals_the_direct_cast(self):
+        # Ties at the 53-bit rounding point (round half to even, up and
+        # down), the ends of the range and random values.
+        edges = [0, 1, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 53 + 3, 2 ** 63 - 1, 2 ** 63,
+                 2 ** 63 + 2 ** 10, 2 ** 63 + 3 * 2 ** 10, 2 ** 64 - 2 ** 10, 2 ** 64 - 1,
+                 0xFFFFFFFF, 0x100000000, 0xFFFFFFFF00000000]
+        rng = np.random.default_rng(6)
+        z = np.concatenate([np.array(edges, dtype=np.uint64),
+                            rng.integers(0, 2 ** 64 - 1, size=5000, dtype=np.uint64,
+                                         endpoint=True),
+                            rng.integers(0, 2 ** 40, size=500, dtype=np.uint64)])
+        expected = z.astype(np.float64) * 2.0 ** -64
+        out = numerics._unit_floats(z, np.empty_like(z), np.empty(z.size))
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestSymmetricEig:

@@ -1,6 +1,9 @@
 """Synthetic scene tests: mixing-model exactness, Dirichlet moments, and
 determinism."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,50 @@ class TestGenerate:
         clean = (field.reshape(-1, 3) @ endmembers).reshape(24, 24, 300)
         g = RandomSource(21).gaussians(clean.size).reshape(clean.shape)
         assert cube.values.tobytes() == (clean + 0.03 * g).tobytes()
+
+    @pytest.mark.parametrize("lo", [0.0, -0.3])
+    def test_relative_noise_is_a_fraction_of_the_mean_absolute_mixture(self, lo):
+        # Non-negative endmembers take |mean| of the one mixture; others
+        # the mean of its absolute values. Both give the whole-cube bits.
+        rng = np.random.default_rng(9)
+        endmembers = rng.uniform(lo, 0.9, size=(3, 40))
+        if lo == 0.0:
+            endmembers[0, :5] = -0.0  # in a library's [0, 1.5] range
+        wl = np.linspace(400.0, 2500.0, 40)
+        field = plant_pure_pixels(random_abundance_field(8, 8, 3, seed=2), [(0, 0, 0)])
+        cube, truth = generate(MixingScenario(endmembers=endmembers, wavelengths=wl,
+                                              abundance_field=field, noise_sigma=0.5,
+                                              noise_relative=0.02, seed=4))
+        clean = (field.reshape(-1, 3) @ endmembers).reshape(8, 8, 40)
+        sigma = 0.02 * float(np.mean(np.abs(clean)))
+        assert truth.noise_sigma == sigma
+        g = RandomSource(4).gaussians(clean.size).reshape(clean.shape)
+        assert cube.values.tobytes() == (clean + sigma * g).tobytes()
+
+    def test_relative_noise_on_an_all_zero_mixture_is_positive_zero(self):
+        endmembers = np.array([[0.0, -0.0], [-0.0, -0.0]])
+        _, truth = generate(MixingScenario(endmembers=endmembers, wavelengths=[1.0, 2.0],
+                                           abundance_field=np.full((2, 2, 2), 0.5),
+                                           noise_relative=0.1))
+        assert truth.noise_sigma == 0.0 and math.copysign(1.0, truth.noise_sigma) == 1.0
+
+    def test_relative_noise_mixes_one_cube(self):
+        # The mixture, one block of noise draws with the draw buffers, and
+        # the abundance copy; mixing a second cube for sigma would add
+        # cube_bytes.
+        rng = np.random.default_rng(1)
+        endmembers = rng.uniform(0.1, 0.9, size=(3, 256))
+        field = random_abundance_field(64, 64, 3, seed=5)
+        scenario = MixingScenario(endmembers=endmembers, wavelengths=np.arange(256.0),
+                                  abundance_field=field, noise_relative=0.01, seed=3)
+        cube_bytes = 8 * 64 * 64 * 256
+        tracemalloc.start()
+        try:
+            generate(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cube_bytes + (4 << 20)
 
     def test_bad_abundances_rejected(self):
         endmembers, wl = simple_endmembers()
