@@ -6,12 +6,11 @@
 a caller runs one code path either way. A block holds about
 `envi_io.BLOCK_BYTES` of float64 values.
 
-The file layout (interleave, data type, byte order, header offset) is
-decoded by `envi_io`'s helpers, as :func:`envi_io.read_cube` decodes it.
-This module is apart from `envi_io` because every stage process imports
-`envi_io`, and a process that runs without cached bytecode holds memory
-for each line it compiles; only the stages that stream a cube need this
-one.
+A `CubeFile` is read by `envi_io._read_blocks`, the block reader that
+`envi_io.read_payload` runs on too. This module is apart from `envi_io`
+because every stage process imports `envi_io`, and a process that runs
+without cached bytecode holds memory for each line it compiles; only the
+stages that stream a cube need this one.
 """
 
 from __future__ import annotations
@@ -23,11 +22,12 @@ import numpy as np
 from . import envi_io
 from .envi_io import (
     SpectralCube,
-    _canonical,
     _check_payload_size,
     _cube_metadata,
     _finite,
     _image_path,
+    _line_ranges,
+    _read_blocks,
     parse_envi_header,
 )
 
@@ -43,18 +43,6 @@ def _band_ranges(bands: int, plane: int) -> list[tuple[int, int]]:
     edges = [*range(0, bands, step), bands]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    return list(zip(edges, edges[1:]))
-
-
-def _line_ranges(lines: int, line: int) -> list[tuple[int, int]]:
-    """(first, stop) of each block of a pass over `lines` lines of `line`
-    values: the fewest blocks of at most BLOCK_BYTES of float64 lines (at
-    least one line), their line counts as even as they can be. So no block
-    is left much shorter than the others: see `mapping._best_angles` for
-    why a short block matters."""
-    step = max(1, envi_io.BLOCK_BYTES // (8 * line))
-    n = -(-lines // step)
-    edges = [-(-lines * i // n) for i in range(n + 1)]
     return list(zip(edges, edges[1:]))
 
 
@@ -74,39 +62,6 @@ class CubeFile:
         _check_payload_size(h, os.path.getsize(self.image_path))
         self.lines, self.samples, self.bands = h.lines, h.samples, h.bands
         self.wavelengths, self.bad_band_mask, self.units_tag = _cube_metadata(h)
-
-    def _lines(self):
-        """Yield (first line, an ``(n, samples, bands)`` float64 block) over
-        every line, in the image's interleave order in memory, unchecked."""
-        h = self.header
-        line = h.samples * h.bands
-        ranges = _line_ranges(h.lines, line)
-        if h.interleave == "bsq":  # the block's lines of each band plane
-            segments = ([((b * h.lines + l0) * h.samples, (l1 - l0) * h.samples)
-                         for b in range(h.bands)] for l0, l1 in ranges)
-        else:
-            segments = ([(l0 * line, (l1 - l0) * line)] for l0, l1 in ranges)
-        for (l0, l1), values in zip(ranges, self._read(segments)):
-            yield l0, _canonical(values, h.interleave, (l1 - l0, h.samples, h.bands))
-
-    def _read(self, blocks):
-        """For each block, a list of (first value, count) segments of the
-        payload, yield those values, read one segment after another into
-        one reused buffer, as float64."""
-        blocks = list(blocks)
-        size = max(sum(count for _, count in segments) for segments in blocks)
-        raw = np.empty(size, dtype=self.header.numpy_dtype)
-        values = raw if raw.dtype == np.float64 else np.empty(size)
-        with open(self.image_path, "rb") as fp:
-            for segments in blocks:
-                at = 0
-                for first, count in segments:
-                    fp.seek(self.header.header_offset + first * raw.itemsize)
-                    fp.readinto(raw[at:at + count])
-                    at += count
-                if values is not raw:
-                    values[:at] = raw[:at]
-                yield values[:at]
 
 
 def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
@@ -128,16 +83,17 @@ def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
             yield b0, cube.values[:, :, b0:b1]
         return
     h = cube.header
-    plane = h.lines * h.samples
     if h.interleave == "bsq":
-        blocks = cube._read([(b0 * plane, (b1 - b0) * plane)] for b0, b1 in ranges)
-        for (b0, b1), planes in zip(ranges, blocks):
-            yield b0, _finite(_canonical(planes, "bsq", (h.lines, h.samples, b1 - b0)))
+        blocks = _read_blocks(cube.image_path, h, [(0, h.lines, range(b0, b1))
+                                                   for b0, b1 in ranges], np.float64)
+        for (b0, _), (_, planes) in zip(ranges, blocks):
+            yield b0, _finite(planes)
         return
+    plane = h.lines * h.samples
     out = np.empty(max(b1 - b0 for b0, b1 in ranges) * plane)
     for b0, b1 in ranges:
         planes = out[:(b1 - b0) * plane].reshape(b1 - b0, h.lines, h.samples)
-        for l0, block in cube._lines():
+        for l0, block in _read_blocks(cube.image_path, h):
             planes[:, l0:l0 + len(block)] = block[:, :, b0:b1].transpose(2, 0, 1)
         yield b0, _finite(planes.transpose(1, 2, 0))
 
@@ -155,5 +111,5 @@ def line_blocks(cube: SpectralCube | CubeFile):
         for l0, l1 in _line_ranges(cube.lines, cube.samples * cube.bands):
             yield l0, cube.values[l0:l1]
         return
-    for l0, block in cube._lines():
+    for l0, block in _read_blocks(cube.image_path, cube.header, dtype=np.float64):
         yield l0, _finite(block)

@@ -2,7 +2,8 @@
 
 Cubes are held internally as float64 arrays indexed (line, sample, band)
 no matter which interleave the file used; all interleave handling lives
-here, as does reading a file's payload, whole or a selection of bands.
+here, as does reading a payload, whole or by `_read_blocks` (the one
+block reader: `read_payload`'s band selections and `cube_blocks` use it).
 Header parsing is whitespace-tolerant and case-insensitive, and
 unrecognized keys are preserved verbatim so a parse -> serialize round
 trip loses nothing. A library's CSV layout is read and written by
@@ -447,10 +448,10 @@ def read_payload(header_path, image_path=None, bands=None,
     with its band lists cut (a header without wavelengths keeps the
     original 1-based band numbers) and the kept bands band-major, as
     `values[:, :, keep]` orders them, once the file's size is checked
-    against the whole cube. BSQ reads the kept planes; BIL and BIP gather
-    them a block of lines at a time. Dropped bands are read a block at a
-    time and checked for non-finite values, as a whole read checks them;
-    a band count reads only a BSQ image's first n planes.
+    against the whole cube. BSQ reads the kept planes into that array;
+    BIL and BIP gather them from one pass over the lines. Dropped bands are
+    checked for non-finite values, as a whole read checks them; a band
+    count reads only a BSQ image's first n planes.
     """
     if header is None:
         with open(header_path, "r", encoding="utf-8") as fp:
@@ -465,18 +466,24 @@ def read_payload(header_path, image_path=None, bands=None,
 
     keep = check_keep_mask(np.arange(header.bands) < bands if prefix else bands, header.bands)
     _check_payload_size(header, os.path.getsize(image_path))
-    # Runs of consecutive kept and dropped bands: (first, stop, kept).
-    edges = [0, *(np.flatnonzero(np.diff(keep)) + 1).tolist(), header.bands]
-    runs = [(first, stop, bool(keep[first])) for first, stop in zip(edges, edges[1:])]
-    raw = np.empty(int(keep.sum()) * header.lines * header.samples
-                   * header.numpy_dtype.itemsize, dtype=np.uint8)
-    with open(image_path, "rb") as fp:
-        fp.seek(header.header_offset)
-        if header.interleave == "bsq":
-            _read_planes(fp, header, runs[:1] if prefix else runs, raw)
-        else:
-            _gather_lines(fp, header, runs, raw.view(header.numpy_dtype)
-                          .reshape(-1, header.lines, header.samples))
+    if header.interleave == "bsq":  # each dropped plane is checked in the array the kept fill
+        dropped = [] if prefix else [(0, header.lines, [b]) for b in np.flatnonzero(~keep)]
+        blocks = _read_blocks(image_path, header,
+                              dropped + [(0, header.lines, np.flatnonzero(keep))])
+        for _ in dropped:
+            _finite(next(blocks)[1][:, :, 0])
+        ((_, kept),) = blocks
+    else:  # runs of kept or dropped bands between edges; at[b]: kept bands before b
+        edges = [0, *(np.flatnonzero(np.diff(keep)) + 1).tolist(), header.bands]
+        at = [0, *np.cumsum(keep).tolist()]
+        kept = np.empty((at[-1], header.lines, header.samples), header.numpy_dtype)
+        for l0, block in _read_blocks(image_path, header):
+            block = block.transpose(2, 0, 1)
+            for first, stop in zip(edges, edges[1:]):
+                if keep[first]:
+                    kept[at[first]:at[stop], l0:l0 + block.shape[1]] = block[first:stop]
+                else:
+                    _finite(block[first:stop])
 
     def cut(values):
         return values and [v for v, k in zip(values, keep) if k]
@@ -484,51 +491,44 @@ def read_payload(header_path, image_path=None, bands=None,
     return replace(
         header, bands=int(keep.sum()), interleave="bsq", header_offset=0,
         wavelengths=cut(header.wavelengths or list(range(1, header.bands + 1))),
-        fwhm=cut(header.fwhm), bad_band_multiplier=cut(header.bad_band_multiplier)), raw
+        fwhm=cut(header.fwhm), bad_band_multiplier=cut(header.bad_band_multiplier)), \
+        np.ravel(kept, "K").view(np.uint8)  # in memory order: band-major
 
 
-def _read_planes(fp, header: EnviHeader, runs, raw: np.ndarray) -> None:
-    """Read the kept runs of a BSQ payload from `fp` into `raw`, one after
-    another, and the dropped runs a block of planes at a time into one
-    buffer, checking them for non-finite values."""
-    plane = header.lines * header.samples
-    step = max(1, BLOCK_BYTES // (plane * header.numpy_dtype.itemsize))
-    # A prefix read has no dropped run, so it needs no block buffer.
-    buf = np.empty(0 if all(kept for _, _, kept in runs) else step * plane,
+def _line_ranges(lines: int, line: int) -> list[tuple[int, int]]:
+    """(first, stop) of the fewest blocks of at most BLOCK_BYTES of float64
+    lines (at least one) over `lines` lines of `line` values, as even as
+    they can be, so that none is much shorter (see `mapping._best_angles`)."""
+    step = max(1, BLOCK_BYTES // (8 * line))
+    n = -(-lines // step)
+    edges = [-(-lines * i // n) for i in range(n + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _read_blocks(image_path, header: EnviHeader, blocks=None, dtype=None):
+    """Yield (first line, an ``(n, samples, k)`` block) for each (first
+    line, stop line, k bands) block of an image, by default every line in
+    the blocks of `_line_ranges`, unchecked. Each is read in the file's
+    memory order, a BSQ band plane at a time (a BIL or BIP block holds
+    every band), as `dtype` (default the file's) into one buffer that the
+    next block overwrites, so a single block is an array of its own."""
+    lines, samples, line = header.lines, header.samples, header.samples * header.bands
+    if blocks is None:
+        blocks = [(l0, l1, range(header.bands)) for l0, l1 in _line_ranges(lines, line)]
+    raw = np.empty(max((l1 - l0) * samples * len(bands) for l0, l1, bands in blocks),
                    dtype=header.numpy_dtype)
-    at = 0
-    for first, stop, kept in runs:
-        if kept:
-            n = (stop - first) * plane * header.numpy_dtype.itemsize
-            fp.readinto(raw[at:at + n])
-            at += n
-            continue
-        for b0 in range(first, stop, step):
-            block = buf[:min(step, stop - b0) * plane]
-            fp.readinto(block)
-            _finite(block)
-
-
-def _gather_lines(fp, header: EnviHeader, runs, out: np.ndarray) -> None:
-    """Read a BIL or BIP payload from `fp` a block of lines at a time into
-    the band planes `out` (kept bands, lines, samples), checking the
-    dropped bands of each block for non-finite values."""
-    line = header.bands * header.samples
-    step = max(1, BLOCK_BYTES // (line * header.numpy_dtype.itemsize))
-    buf = np.empty(step * line, dtype=header.numpy_dtype)
-    for l0 in range(0, header.lines, step):
-        n = min(step, header.lines - l0)
-        block = buf[:n * line]
-        fp.readinto(block)
-        block = _canonical(block, header.interleave,
-                           (n, header.samples, header.bands)).transpose(2, 0, 1)
-        j = 0
-        for first, stop, kept in runs:
-            if kept:
-                out[j:j + stop - first, l0:l0 + n] = block[first:stop]
-                j += stop - first
-            else:
-                _finite(block[first:stop])
+    values = raw if dtype is None or raw.dtype == dtype else np.empty(raw.size, dtype)
+    with open(image_path, "rb") as fp:
+        for l0, l1, bands in blocks:
+            n = (l1 - l0) * samples * len(bands)
+            firsts = [(b * lines + l0) * samples for b in bands] \
+                if header.interleave == "bsq" else [l0 * line]
+            for first, segment in zip(firsts, raw[:n].reshape(len(firsts), -1)):
+                fp.seek(header.header_offset + first * raw.itemsize)
+                fp.readinto(segment)
+            if values is not raw:
+                values[:n] = raw[:n]
+            yield l0, _canonical(values[:n], header.interleave, (l1 - l0, samples, len(bands)))
 
 
 _INT_RANGES = {

@@ -89,7 +89,7 @@ def _best_angles(x: np.ndarray, spectra: np.ndarray, en: np.ndarray):
     and a single spectrum's product (gemv) differed where a block's row
     count is not a multiple of 4. The last bit of an angle can then move,
     and with it a pixel whose angle is that close to `max_angle` or to
-    another class's. `cube_blocks._line_ranges` gives no short blocks."""
+    another class's. `envi_io._line_ranges` gives no short blocks."""
     xn = _row_norms(x)
     safe_xn = np.where(xn == 0.0, 1.0, xn)
     cos = (x @ spectra.T) / (safe_xn[:, None] * en[None, :])
@@ -123,9 +123,10 @@ def _row_norms(x: np.ndarray, alpha=None, t_hat=None) -> np.ndarray:
 def _components(cube: SpectralCube | CubeFile, b: int) -> np.ndarray:
     """The first `b` components of every pixel of `cube` as a (pixels, b)
     array of the caller's own: a copy of a `SpectralCube`'s, in their
-    memory order, or a `CubeFile`'s, read by `envi_io.read_payload` and
-    decoded in place (band-major for a prefix; a whole BIL image is copied
-    once more, into pixel order, as the reshape needs)."""
+    memory order, or a `CubeFile`'s, read by `envi_io.read_payload` (a BSQ
+    prefix straight into the array) and decoded in place (band-major for a
+    prefix; a whole BIL image is copied once more, into pixel order, as the
+    reshape needs)."""
     if isinstance(cube, SpectralCube):
         return cube.values[:, :, :b].reshape(-1, b).copy(order="K")
     path = cube.image_path

@@ -4,13 +4,39 @@ scenario used by the CLI and acceptance tests."""
 import numpy as np
 import pytest
 
-from hypermap.envi_io import SpectralLibrary, write_spectral_library_file
+from hypermap.envi_io import (
+    SpectralCube,
+    SpectralLibrary,
+    parse_envi_header,
+    serialize_envi_header,
+    write_cube,
+    write_spectral_library_file,
+)
 from hypermap.spectral_match import resample_library, sam_angle
 from hypermap.synthcube import synthetic_mineral_library
 
 LIBRARY_SEED = 7
 SCENE_BANDS = 60
 SCENE_WAVELENGTHS = np.linspace(450.0, 2450.0, SCENE_BANDS)
+
+
+def write_offset_cube(directory, values, bad_band_mask, interleave, data_type="float64",
+                      byte_order="little", offset=0, units_tag="radiance", fwhm=None,
+                      wavelengths=True):
+    """Write `values` as `directory`/cube.hdr and cube.img, the payload
+    after `offset` filler bytes, with wavelengths 500-900 nm (or none) and
+    the given fwhm list; returns the header path."""
+    header_text, payload = write_cube(SpectralCube(
+        values=values, wavelengths=np.linspace(500.0, 900.0, values.shape[2]),
+        bad_band_mask=bad_band_mask, units_tag=units_tag), interleave=interleave,
+        data_type=data_type, byte_order=byte_order)
+    header = parse_envi_header(header_text)
+    header.header_offset, header.fwhm = offset, fwhm
+    if not wavelengths:
+        header.wavelengths = None
+    (directory / "cube.hdr").write_text(serialize_envi_header(header))
+    (directory / "cube.img").write_bytes(bytes(range(offset)) + payload)
+    return directory / "cube.hdr"
 
 
 @pytest.fixture(scope="session")

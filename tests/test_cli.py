@@ -396,18 +396,27 @@ class TestFreshProcesses:
         for name in tree_a:
             assert tree_a[name] == tree_b[name], name
 
-    def test_report_imports_no_other_stage_module(self, scenario_dir):
+    def test_each_stage_imports_only_its_own_modules(self, scenario_dir):
+        # A stage process compiles every module it imports, and its peak
+        # memory moves with that source: none of these loads `cube_blocks`
+        # or `mapping`, which only the stages that stream a cube need.
+        expected = {
+            "preprocess": {"artifacts", "cli", "envi_io", "preprocess"},
+            "mnf": {"artifacts", "cli", "envi_io", "mnf", "numerics", "preprocess"},
+            "ppi": {"artifacts", "cli", "envi_io", "numerics", "ppi"},
+            "report": {"artifacts", "cli", "envi_io"},
+        }
         cfg = str(scenario_dir / "pipeline.cfg")
         assert run(["synth", "--config", cfg]) == 0
         assert run(["all", "--config", cfg]) == 0
         code = ("import sys\nfrom hypermap import cli\nrc = cli.main(sys.argv[1:])\n"
                 "print(' '.join(sorted(sys.modules)))\nsys.exit(rc)\n")
-        proc = run_fresh(["report", "--config", cfg], cwd=scenario_dir, code=code)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.splitlines()[-1].split())
-        assert "hypermap.cli" in loaded
-        for name in ("ppi", "mnf", "spectral_match", "synthcube", "endmember"):
-            assert f"hypermap.{name}" not in loaded, name
+        for stage, modules in expected.items():
+            proc = run_fresh([stage, "--config", cfg], cwd=scenario_dir, code=code)
+            assert proc.returncode == 0, proc.stderr
+            loaded = {name.split(".", 1)[1] for name in proc.stdout.splitlines()[-1].split()
+                      if name.startswith("hypermap.")}
+            assert loaded == modules, stage
 
     def test_binding_keeps_a_name_replaced_before_the_stage_runs(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")
@@ -686,6 +695,28 @@ class TestStageMemory:
         kept_bytes = 8 * shape[0] * shape[1] * int(keep.sum())
         budget = kept_bytes + envi_io.BLOCK_BYTES + (1 << 20)
         assert traced_peak(cli.run_stage, "preprocess", cfg) <= budget
+
+    def test_ppi_stage_holds_the_kept_components_and_their_copy(self, tmp_path, monkeypatch):
+        from hypermap import ppi
+
+        out = tmp_path / "out"
+        shape = self.LARGE[:2] + (32,)
+        self.write_cube_file(out / "mnf_cube.hdr", "mnf_component", shape)
+        for name in ("mnf_model/forward.csv", "mnf_model/eigenvalues.csv"):
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n"
+                                        "ppi_iterations = 8\nppi_max_pixels = 100\n")
+        cfg = cli.load_config(str(tmp_path / "p.cfg"))
+        cli.run_stage("ppi", cfg)
+        # One skewer per chunk, so that run_ppi's per-chunk arrays are small
+        # beside the 8 planes the BSQ prefix read keeps and run_ppi's
+        # pixel-major copy of them. A block buffer in the read (up to 4 MiB
+        # of the 32-plane file) or another copy of the planes exceeds this.
+        monkeypatch.setattr(ppi, "_CHUNK", 1)
+        kept_bytes = 8 * shape[0] * shape[1] * 8
+        budget = 2 * kept_bytes + (1 << 20)
+        assert traced_peak(cli.run_stage, "ppi", cfg) <= budget
 
     def write_endmember_inputs(self, tmp_path, n_pixels=2000):
         """A LARGE reflectance cube, a 16-component MNF cube, `n_pixels`

@@ -5,16 +5,10 @@ as blocks pass, and the band-block sizes."""
 import numpy as np
 import pytest
 
+from conftest import write_offset_cube
 from hypermap import cube_blocks, envi_io
 from hypermap.cube_blocks import CubeFile, band_blocks, line_blocks
-from hypermap.envi_io import (
-    SpectralCube,
-    parse_envi_header,
-    read_cube,
-    read_payload,
-    serialize_envi_header,
-    write_cube,
-)
+from hypermap.envi_io import read_cube, read_payload
 
 
 class TestCubeFile:
@@ -28,15 +22,8 @@ class TestCubeFile:
               values=None):
         if values is None:
             values = np.arange(np.prod(self.SHAPE), dtype=np.float64).reshape(self.SHAPE) - 90.0
-        header_text, payload = write_cube(SpectralCube(
-            values=values, wavelengths=np.linspace(500.0, 900.0, self.SHAPE[2]),
-            bad_band_mask=np.arange(self.SHAPE[2]) % 4 != 0, units_tag="reflectance"),
-            interleave=interleave, data_type=data_type, byte_order=byte_order)
-        header = parse_envi_header(header_text)
-        header.header_offset = offset
-        (tmp_path / "cube.hdr").write_text(serialize_envi_header(header))
-        (tmp_path / "cube.img").write_bytes(bytes(range(offset)) + payload)
-        return tmp_path / "cube.hdr"
+        return write_offset_cube(tmp_path, values, np.arange(self.SHAPE[2]) % 4 != 0,
+                                 interleave, data_type, byte_order, offset, "reflectance")
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     @pytest.mark.parametrize("data_type, byte_order, offset", [

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import write_offset_cube
 from hypermap.envi_io import (
     DATA_TYPE_CODES,
     EnviHeader,
@@ -161,6 +162,10 @@ class TestReadCube:
 
 
 class TestReadPayload:
+    # Blocks of 2 lines of a 5 x 6 x 7 cube (42 values a line): a BIL or
+    # BIP pass takes 3 blocks.
+    BLOCK_BYTES = 2 * 42 * 8
+
     def test_whole_read_returns_header_and_file_bytes(self, tmp_path):
         header_text, payload = write_cube(make_cube(np.ones((2, 3, 4))), "bil")
         (tmp_path / "cube.hdr").write_text(header_text)
@@ -173,35 +178,52 @@ class TestReadPayload:
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     @pytest.mark.parametrize("data_type, byte_order", [
         ("float64", "little"), ("int16", "little"), ("float32", "big")])
-    @pytest.mark.parametrize("keep", [[1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 1]])
+    @pytest.mark.parametrize("keep", [[1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 1], 3])
     @pytest.mark.parametrize("with_wavelengths", [True, False])
-    def test_selected_bands_equal_whole_read_then_mask(self, tmp_path, interleave, data_type,
-                                                       byte_order, keep, with_wavelengths):
-        from hypermap import preprocess
+    def test_selected_bands_equal_whole_read_then_mask(self, tmp_path, monkeypatch, interleave,
+                                                       data_type, byte_order, keep,
+                                                       with_wavelengths):
+        from hypermap import envi_io, preprocess
 
         values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
-        header_text, payload = write_cube(SpectralCube(
-            values=values, wavelengths=np.linspace(500.0, 900.0, 7),
-            bad_band_mask=np.arange(7) % 3 != 0), interleave=interleave,
-            data_type=data_type, byte_order=byte_order)
-        header = parse_envi_header(header_text)
-        header.fwhm = [10.0 + i for i in range(7)]
-        header.header_offset = 24
-        if not with_wavelengths:
-            # The bands are numbered 1..7, and the kept ones keep their numbers.
-            header.wavelengths = header.fwhm = None
-        (tmp_path / "cube.hdr").write_text(serialize_envi_header(header))
-        (tmp_path / "cube.img").write_bytes(bytes(range(24)) + payload)
-        keep = np.array(keep, dtype=bool)
-
-        part = read_cube(*read_payload(tmp_path / "cube.hdr", bands=keep))
-        expected = preprocess.remove_bad_bands(read_cube(*read_payload(tmp_path / "cube.hdr")),
-                                               keep)
+        # The bands are numbered 1..7 without wavelengths, and the kept ones keep their numbers.
+        path = write_offset_cube(tmp_path, values, np.arange(7) % 3 != 0, interleave, data_type,
+                                 byte_order, offset=24, wavelengths=with_wavelengths,
+                                 fwhm=[10.0 + i for i in range(7)] if with_wavelengths else None)
+        mask = np.arange(7) < keep if isinstance(keep, int) else np.array(keep, dtype=bool)
+        expected = preprocess.remove_bad_bands(read_cube(*read_payload(path)), mask)
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", self.BLOCK_BYTES)
+        part = read_cube(*read_payload(path, bands=keep if isinstance(keep, int) else mask))
         assert part.values.tobytes() == expected.values.tobytes()
         assert part.values.strides == expected.values.strides  # band-major
         assert part.wavelengths.tobytes() == expected.wavelengths.tobytes()
         assert part.bad_band_mask.tolist() == expected.bad_band_mask.tolist()
         assert part.units_tag == expected.units_tag
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_non_finite_value_in_the_last_dropped_block_fails(self, tmp_path, monkeypatch,
+                                                              interleave):
+        from hypermap import envi_io
+
+        path = write_offset_cube(tmp_path, np.ones((5, 6, 7)), np.ones(7, bool), interleave)
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", self.BLOCK_BYTES)
+        assert envi_io._line_ranges(5, 42) == [(0, 2), (2, 4), (4, 5)]
+        # Line 4 (the last block), sample 5, band 6 (the last dropped plane).
+        index = {"bsq": (6 * 5 + 4) * 6 + 5, "bil": (4 * 7 + 6) * 6 + 5,
+                 "bip": (4 * 6 + 5) * 7 + 6}[interleave]
+        payload = bytearray((tmp_path / "cube.img").read_bytes())
+        payload[8 * index:8 * index + 8] = np.array([np.nan]).tobytes()
+        (tmp_path / "cube.img").write_bytes(payload)
+        with pytest.raises(ValueError, match="cube contains non-finite values"):
+            read_payload(path, bands=np.array([1, 1, 1, 0, 0, 0, 0], dtype=bool))
+        # A band count reads only a BSQ image's first planes; a BIL or BIP
+        # image's pass over the lines checks every band it reads.
+        if interleave == "bsq":
+            assert read_cube(*read_payload(path, bands=3)).values.tolist() == \
+                np.ones((5, 6, 3)).tolist()
+        else:
+            with pytest.raises(ValueError, match="cube contains non-finite values"):
+                read_payload(path, bands=3)
 
 
 class TestWriteCube:
