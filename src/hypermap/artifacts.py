@@ -17,7 +17,6 @@ without paying for the others' imports.
 
 from __future__ import annotations
 
-import array
 import csv
 import io
 import itertools
@@ -141,18 +140,12 @@ def write_matrix(path, m) -> None:
 def _symmetric_rows(m: np.ndarray):
     """The formatted rows of symmetric `m`: row i is column i of the rows
     before it (their cells i) followed by its own cells from the diagonal
-    on. Each row's own cells are kept as one string and the offsets of
-    its cells, a fraction of the memory of a string object per cell, so
-    the matrix's text does not add to the peak of the stage writing it."""
-    texts: list[str] = []
-    starts: list[array.array] = []
+    on, so each cell is formatted once."""
+    owns: list[list[str]] = []
     for i in range(m.shape[0]):
         own = _floats(m[i, i:])
-        yield [text[s[i - j]:s[i - j + 1] - 1]
-               for j, (text, s) in enumerate(zip(texts, starts))] + own
-        texts.append(",".join(own) + ",")
-        starts.append(array.array("q", itertools.accumulate(
-            map(len, own), lambda at, n: at + n + 1, initial=0)))
+        yield [row[i - j] for j, row in enumerate(owns)] + own
+        owns.append(own)
 
 
 def read_matrix(path) -> np.ndarray:

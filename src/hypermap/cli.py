@@ -392,14 +392,14 @@ def stage_mnf(cfg: PipelineConfig) -> None:
         cube, means, stds = _standardize_in_place(cube)
         artifacts.write_band_stats(cfg.artifact("band_stats.csv"), means, stds)
     # The shift differences overwrite the cube's band planes (contiguous in
-    # the BSQ file `preprocess` writes, so no copy is made); the cube is
-    # then read (and standardised) again into the freed buffer.
+    # the BSQ file `preprocess` writes: no copy); the cube is read again into
+    # the freed buffer, and freed before the model's text is formatted.
     noise = _noise_from_planes(np.ascontiguousarray(cube.values.transpose(2, 0, 1)))
     del cube
     cube = _read_cube(path)
     if cfg.standardize_before_mnf:
         cube = _standardize_in_place(cube)[0]
-    model = fit_forward_to_file(cube, noise, cfg.artifact("mnf_cube.hdr"))
+    model, cube = fit_forward_to_file(cube, noise, cfg.artifact("mnf_cube.hdr")), None
     save_mnf_model(model, cfg.artifact("mnf_model"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")

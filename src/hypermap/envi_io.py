@@ -605,35 +605,35 @@ def write_cube_file(cube: SpectralCube, header_path, image_path=None,
     is converted or reordered at once; the files hold exactly what
     :func:`write_cube` returns."""
     header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, "little")
-    _write_pair(header_path, image_path, header_text, arranged, dtype)
+    with _open_pair(header_path, image_path, header_text) as fp:
+        fp.writelines(_as_payload(plane, dtype).data for plane in arranged)
 
 
-def write_bsq_blocks(blocks, header_path, lines: int, samples: int,
-                     wavelengths, units_tag: str) -> None:
-    """Write a float64 BSQ .hdr/.img pair whose bands arrive as `blocks`:
-    C-contiguous `(k, lines*samples)` float64 arrays of band planes, in
-    band order. Each block is written as the iterator yields it, so only
-    one is held at a time. The files are what :func:`write_cube_file`
-    writes for the same values, wavelengths and units with every band
-    marked good."""
+def write_bsq_pixel_blocks(blocks, header_path, lines: int, samples: int,
+                           wavelengths, units_tag: str) -> None:
+    """Write a float64 BSQ .hdr/.img pair, as :func:`write_cube_file` does
+    with every band good, from `blocks`: (first pixel p, C-contiguous
+    `(bands, m)` float64 array) pairs that cover the pixels once. Row j goes
+    to pixels p to p + m of band plane j as its block arrives, one at a time."""
     header_text = _header_text(lines, samples, wavelengths, np.ones(len(wavelengths), dtype=bool),
                                units_tag, "bsq", "float64", "little")
-    _write_pair(header_path, None, header_text, blocks, np.dtype("<f8"))
+    with _open_pair(header_path, None, header_text) as fp:
+        for p, block in blocks:
+            for j, row in enumerate(block):
+                fp.seek((j * lines * samples + p) * 8)
+                fp.write(_as_payload(row, np.dtype("<f8")).data)
+            del block, row  # the next block is not made while this one is held
 
 
-def _write_pair(header_path, image_path, header_text: str, planes, dtype: np.dtype) -> None:
-    """Write the header text, then each of `planes` as `dtype` in turn,
-    creating missing parent directories; the image defaults to the
-    header's `.img` sibling."""
+def _open_pair(header_path, image_path, header_text: str):
+    """Write the header text and return the image (by default the header's
+    `.img` sibling) opened to write, creating missing parent directories."""
     header_path, image_path = str(header_path), _image_path(header_path, image_path)
     for path in (header_path, image_path):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(header_path, "w", encoding="utf-8") as fp:
         fp.write(header_text)
-    with open(image_path, "wb") as fp:
-        for plane in planes:
-            fp.write(_as_payload(plane, dtype).data)
-            del plane  # a generator's next plane is not made while this one is held
+    return open(image_path, "wb")
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .envi_io import SpectralCube, write_bsq_blocks
+from .envi_io import SpectralCube, write_bsq_pixel_blocks
 from .numerics import centre_and_covariance, check_symmetric, symmetric_eig
 
 _RIDGE = 1e-10
 
-# Components per block of the projection. Each block's product reads the
-# whole centred cube once, so thin blocks make it bound by memory traffic:
-# on a 256 x 1024 x 196 cube, blocks of 16 took 1.35 s and blocks of 32
-# 0.87 s, against 0.94 s for one whole-cube product.
-_BLOCK_COMPONENTS = 32
+# Bytes of one block of the projection, `forward @ centred[p0:p1].T` over
+# a range of pixels: a fresh (bands, m) array, so the projection holds
+# about this much beside the cube whatever the scene's size. m is a
+# multiple of 64 pixels, so that OpenBLAS computes every value with the
+# same operations as one whole-cube product (a 2674-pixel block changed
+# the bits of its last two columns); a short remainder joins the last range.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -130,12 +132,16 @@ def _fit_centring(pixels: np.ndarray, noise: NoiseEstimate, cube: SpectralCube) 
                     source_wavelengths=cube.wavelengths.copy())
 
 
-def _component_blocks(model: MnfModel, centred: np.ndarray):
+def _pixel_blocks(model: MnfModel, centred: np.ndarray):
     """MNF components of the centred (n, b) pixels, `forward @ centred.T`
-    computed a block of components at a time: C-contiguous (k, n) arrays,
-    in component order, whose rows are band planes of the component cube."""
-    for j0 in range(0, model.bands, _BLOCK_COMPONENTS):
-        yield model.forward[j0:j0 + _BLOCK_COMPONENTS] @ centred.T
+    computed over a range of pixels at a time: (first pixel, C-contiguous
+    (b, m) array) pairs in pixel order, where row j of a block is part of
+    band plane j of the component cube."""
+    n = centred.shape[0]
+    step = max(64, _BLOCK_BYTES // (8 * model.bands) // 64 * 64)
+    starts = range(0, max(1, n // step) * step, step)
+    for p0, p1 in zip(starts, [*starts[1:], n]):
+        yield p0, model.forward @ centred[p0:p1].T
 
 
 def _component_wavelengths(bands: int) -> np.ndarray:
@@ -163,10 +169,8 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
     if cube.bands != model.bands:
         raise ValueError(f"cube has {cube.bands} bands, model expects {model.bands}")
     planes = np.empty((model.bands, cube.lines * cube.samples))
-    j0 = 0
-    for block in _component_blocks(model, cube.pixels() - model.band_mean):
-        planes[j0:j0 + len(block)] = block
-        j0 += len(block)
+    for p0, block in _pixel_blocks(model, cube.pixels() - model.band_mean):
+        planes[:, p0:p0 + block.shape[1]] = block
     return SpectralCube(values=planes.reshape(-1, cube.lines, cube.samples).transpose(1, 2, 0),
                         wavelengths=_component_wavelengths(model.bands),
                         bad_band_mask=np.ones(model.bands, dtype=bool),
@@ -178,12 +182,12 @@ def fit_forward_to_file(cube: SpectralCube, noise: NoiseEstimate, header_path) -
     the components as a float64 BSQ cube at `header_path` with the bytes
     `write_cube_file` gives that result. The cube's pixels are centred in
     place (its values are left centred when `pixels()` is a view) and the
-    components are written a block of bands at a time as they are
-    computed, so one block is the only other array of their size."""
+    components are written a block of pixels at a time as they are
+    computed, so one ~1 MiB block is their only array."""
     pixels = cube.pixels()
     model = _fit_centring(pixels, noise, cube)
-    write_bsq_blocks(_component_blocks(model, pixels), header_path, cube.lines, cube.samples,
-                     _component_wavelengths(model.bands), "mnf_component")
+    write_bsq_pixel_blocks(_pixel_blocks(model, pixels), header_path, cube.lines, cube.samples,
+                           _component_wavelengths(model.bands), "mnf_component")
     return model
 
 

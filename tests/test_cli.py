@@ -399,7 +399,8 @@ class TestFreshProcesses:
     def test_each_stage_imports_only_its_own_modules(self, scenario_dir):
         # A stage process compiles every module it imports, and its peak
         # memory moves with that source: none of these loads `cube_blocks`
-        # or `mapping`, which only the stages that stream a cube need.
+        # or `mapping`, which only the stages that stream a cube need, and
+        # a one-worker `ppi` does not load `concurrent.futures`.
         expected = {
             "preprocess": {"artifacts", "cli", "envi_io", "preprocess"},
             "mnf": {"artifacts", "cli", "envi_io", "mnf", "numerics", "preprocess"},
@@ -414,9 +415,10 @@ class TestFreshProcesses:
         for stage, modules in expected.items():
             proc = run_fresh([stage, "--config", cfg], cwd=scenario_dir, code=code)
             assert proc.returncode == 0, proc.stderr
-            loaded = {name.split(".", 1)[1] for name in proc.stdout.splitlines()[-1].split()
-                      if name.startswith("hypermap.")}
+            names = proc.stdout.splitlines()[-1].split()
+            loaded = {name.split(".", 1)[1] for name in names if name.startswith("hypermap.")}
             assert loaded == modules, stage
+            assert stage != "ppi" or "concurrent.futures" not in names
 
     def test_binding_keeps_a_name_replaced_before_the_stage_runs(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")
@@ -647,8 +649,8 @@ def traced_peak(fn, *args):
 
 class TestStageMemory:
     CUBE = (64, 64, 64)
-    # Large enough that a block (BLOCK_BYTES of lines or band columns, 32
-    # MNF components) is an eighth of the cube.
+    # Large enough that a block (BLOCK_BYTES of lines or band columns) is
+    # an eighth of the cube.
     LARGE = (128, 128, 256)
 
     def write_cube_file(self, path, units, shape=CUBE, interleave="bsq"):
@@ -676,6 +678,22 @@ class TestStageMemory:
         # model's few (bands x bands) matrices; a second cube would reach 2x.
         budget = cube_bytes + envi_io.BLOCK_BYTES + 8 * 8 * self.LARGE[2] ** 2
         assert traced_peak(cli.run_stage, "mnf", cfg) <= budget
+
+    def test_mnf_stage_holds_no_more_beside_the_cube_for_a_taller_cube(self, tmp_path):
+        # Beside the cube the stage holds the model's (bands x bands)
+        # matrices, a plane of shift differences and one ~1 MiB block of
+        # components, none of which grows by a MiB with 4x the lines; a
+        # product of 32 components over every pixel grows by 12 MiB.
+        extras = []
+        for lines in (self.LARGE[0], 4 * self.LARGE[0]):
+            cube_bytes = self.write_cube_file(tmp_path / str(lines) / "reflectance.hdr",
+                                              "reflectance", (lines,) + self.LARGE[1:])
+            (tmp_path / "p.cfg").write_text(f"output_dir = {lines}\nmnf_keep_k = 8\n")
+            cfg = cli.load_config(str(tmp_path / "p.cfg"))
+            if not extras:
+                cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
+            extras.append(traced_peak(cli.run_stage, "mnf", cfg) - cube_bytes)
+        assert abs(extras[1] - extras[0]) <= 1 << 20
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_preprocess_stage_holds_one_cube(self, tmp_path, interleave):
@@ -784,18 +802,21 @@ class TestStageMemory:
         # text, a copy of it or a string per cell would pass the text's size.
         assert traced_peak(cli.run_stage, "match", cfg) <= 1.5 * text_bytes
 
-    def test_mtmf_stage_holds_the_components_once(self, tmp_path):
+    def test_mtmf_stage_holds_the_components_once(self, tmp_path, monkeypatch):
         from hypermap import mapping
 
         cfg, _, _ = self.write_endmember_inputs(tmp_path)
         cli.run_stage("endmembers", cfg)
         cli.run_stage("mtmf", cfg)
-        # The 8 components the 6 class means use (of the file's 16), their
-        # whitened copy, one block of residuals, and the (6, pixels) MF and
-        # infeasibility images.
+        # Residuals a few rows at a time, so that the peak is the 8
+        # components the 6 class means use (of the file's 16), their
+        # whitened copy and the (6, pixels) MF and infeasibility images. A
+        # block buffer in the read (2 MiB of the 16-plane file) or another
+        # copy of the components exceeds this.
+        monkeypatch.setattr(mapping, "_NORM_BLOCK_ELEMENTS", 1 << 10)
         pixels = self.LARGE[0] * self.LARGE[1]
         budget = (2 * 8 * pixels * 8 + 8 * mapping._NORM_BLOCK_ELEMENTS + 2 * 6 * pixels * 8
-                  + (1 << 20))
+                  + (1 << 19))
         assert traced_peak(cli.run_stage, "mtmf", cfg) <= budget
 
 

@@ -1,6 +1,12 @@
 """MNF tests: noise estimation against statistical oracles, the whitened
 eigenproblem on constructed scenes, and transform round trips."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +34,9 @@ def make_cube(values, units="reflectance"):
 def noise_cube(seed, lines, samples, bands):
     g = RandomSource(seed).gaussians(lines * samples * bands)
     return make_cube(g.reshape(lines, samples, bands))
+
+
+TESTS = Path(__file__).resolve().parent
 
 
 class TestNoiseEstimate:
@@ -137,14 +146,46 @@ class TestFitForwardInPlace:
         assert (tmp_path / "mnf.img").read_bytes() == payload
         assert (tmp_path / "mnf.hdr").read_text() == header
 
-    def test_blocks_of_components_equal_one_product(self, monkeypatch):
-        # Blocks of 3 components leave a partial block of 1 of 10.
-        monkeypatch.setattr(mnf, "_BLOCK_COMPONENTS", 3)
-        cube = noise_cube(71, 30, 20, 10)
+    def test_ragged_pixel_blocks_equal_one_product(self, monkeypatch):
+        # Blocks of 128 pixels over 30 x 21: the 118-pixel remainder joins
+        # the last of 4 blocks.
+        monkeypatch.setattr(mnf, "_BLOCK_BYTES", 8 * 10 * 128)
+        cube = noise_cube(71, 30, 21, 10)
         model = fit_mnf(cube, estimate_noise_covariance(cube))
-        whole = (cube.pixels() - model.band_mean) @ model.forward.T
+        centred = cube.pixels() - model.band_mean
+        spans = [(p0, block.shape[1]) for p0, block in mnf._pixel_blocks(model, centred)]
+        assert spans == [(0, 128), (128, 128), (256, 128), (384, 246)]
+        whole = centred @ model.forward.T
         blocked = forward_mnf(model, cube).pixels()
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_component_file_keeps_its_bytes(self, tmp_path):
+        # `fit_forward_to_file` on a seeded cube of 96 x 128 pixels and 150
+        # bands: 14 blocks of 832 pixels, the last 1472. The digests were
+        # recorded from the projection that computed 32 components over
+        # every pixel at a time. OpenBLAS splits the covariance products by
+        # thread, which moves their last bits, so the fit runs in a process
+        # with one BLAS thread, as the benchmark's stages do.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       p for p in (str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+        code = f"import test_mnf; test_mnf.fit_seeded_cube({str(tmp_path / 'mnf.hdr')!r})"
+        subprocess.run([sys.executable, "-c", code], cwd=TESTS, env=env, check=True, timeout=120)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("mnf.img", "mnf.hdr")}
+        assert digests == {
+            "mnf.img": "0812cbfdfaaca88870b22a5403a76061860d2195efddb7d3c9bee742e86717ed",
+            "mnf.hdr": "49f29a2eeee9f6b272d0bb399e5234cf2bfbe2f10a9cad8a7fbf29053d809ec4",
+        }
+
+
+def fit_seeded_cube(header_path):
+    """Run `fit_forward_to_file` on a seeded 96 x 128 x 150 cube held band
+    planes outermost, as a BSQ read gives, writing to `header_path`."""
+    planes = RandomSource(29).gaussians(150 * 96 * 128).reshape(150, 96, 128)
+    planes += np.linspace(1.0, 3.0, 150)[:, None, None] * np.sin(np.arange(128) / 9.0)
+    cube = make_cube(planes.transpose(1, 2, 0))
+    fit_forward_to_file(cube, estimate_noise_covariance(cube), header_path)
 
 
 class TestForwardInverse:
