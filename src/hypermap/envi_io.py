@@ -619,9 +619,9 @@ def write_bsq_pixel_blocks(blocks, header_path, lines: int, samples: int,
                                units_tag, "bsq", "float64", "little")
     with _open_pair(header_path, None, header_text) as fp:
         for p, block in blocks:
-            for j, row in enumerate(block):
+            for j, row in enumerate(_as_payload(block, np.dtype("<f8"))):
                 fp.seek((j * lines * samples + p) * 8)
-                fp.write(_as_payload(row, np.dtype("<f8")).data)
+                fp.write(row.data)
             del block, row  # the next block is not made while this one is held
 
 
