@@ -126,26 +126,10 @@ def read_table(path, header) -> list[list[str]]:
 
 
 def write_matrix(path, m) -> None:
-    """A float matrix as headerless CSV rows; a vector is written as one row.
-    A square matrix that equals its transpose bit for bit (a covariance)
-    has only its upper triangle formatted, the lower one reusing it."""
+    """A float matrix as headerless CSV rows; a vector is written as one row."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    rows = map(_floats, m)
-    if m.shape[0] == m.shape[1] and m.tobytes() == m.T.tobytes():
-        rows = _symmetric_rows(m)
     with _create(path) as fp:
-        _write_rows(fp, rows)
-
-
-def _symmetric_rows(m: np.ndarray):
-    """The formatted rows of symmetric `m`: row i is column i of the rows
-    before it (their cells i) followed by its own cells from the diagonal
-    on, so each cell is formatted once."""
-    owns: list[list[str]] = []
-    for i in range(m.shape[0]):
-        own = _floats(m[i, i:])
-        yield [row[i - j] for j, row in enumerate(owns)] + own
-        owns.append(own)
+        _write_rows(fp, map(_floats, m))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -388,12 +372,6 @@ def write_truth_pure_pixels(path, plan, names: list[str]) -> None:
     write_table(path, ["line", "sample", "endmember_index", "endmember_name"],
                 ([str(line), str(sample), str(idx), names[idx]]
                  for line, sample, idx in plan))
-
-
-def read_pure_pixel_plan(path) -> list[tuple[int, int, int]]:
-    """A synth pure-pixel plan: line,sample,endmember_index[,...]."""
-    rows = read_table(path, ["line", "sample", "endmember_index"])[1:]
-    return [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
 
 
 def write_hyperion_tables(mask_path, gains_path) -> None:

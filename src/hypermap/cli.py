@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, artifacts
+from . import _EXPORTS, __version__, artifacts
 from .envi_io import (
     SpectralCube,
     parse_envi_header,
@@ -34,45 +34,25 @@ from .envi_io import (
     write_cube_file,
 )
 
-# Library names the stage code calls through this module's globals, by
-# the module that defines them. `run_stage` binds a stage's `modules`
-# just before running it, so a stage process imports only what it uses;
-# other access goes through the module `__getattr__`. A name that is
-# already bound (a test double or a timing wrapper) is kept. `preprocess`
-# and `mnf` call the private in-place cores of the public steps, on the
-# cube they own. No stage calls `estimate_noise_covariance`, `fit_mnf`,
-# `forward_mnf`, `reflectance_iarr`, `remove_bad_bands` or
-# `scale_radiance`; they stay resolvable here because
-# `perfbench/traced_stage.py` wraps them.
-_STAGE_NAMES = {
-    "cube_blocks": ("CubeFile",),
-    "endmember": ("derive_endmembers",),
-    "mapping": ("mtmf", "sam_classify"),
-    "mnf": ("_noise_from_planes", "estimate_noise_covariance", "fit_forward_to_file",
-            "fit_mnf", "forward_mnf", "save_mnf_model"),
-    "numerics": ("RandomSource",),
-    "ppi": ("PpiParams", "run_ppi", "select_pure_pixels"),
-    "preprocess": ("Roi", "_flat_field_in_place", "_iarr_in_place", "_scale_in_place",
-                   "_standardize_in_place", "read_band_mask_csv", "read_gains_csv",
-                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "subset_roi"),
-    "spectral_match": ("AnalystWeights", "rank_matches", "resample_library"),
-    "synthcube": ("MixingScenario", "generate", "plant_pure_pixels",
-                  "random_abundance_field"),
+# Names resolve through the package's `_EXPORTS`, plus the names only
+# stages call (`preprocess` and `mnf` call the in-place cores of the public
+# steps, on the cube they own). `run_stage` binds the names a stage's code
+# looks up just before it runs, so a stage process imports only what it
+# uses; a name already bound (a test double or a timing wrapper) stays.
+_STAGE_ONLY = {
+    "_noise_from_planes": "mnf", "fit_forward_to_file": "mnf",
+    "_flat_field_in_place": "preprocess", "_iarr_in_place": "preprocess",
+    "_scale_in_place": "preprocess", "_standardize_in_place": "preprocess",
+    "read_band_mask_csv": "preprocess", "read_gains_csv": "preprocess",
 }
-_NAME_MODULE = {name: module for module, names in _STAGE_NAMES.items() for name in names}
-
-
-def _bind(module: str) -> None:
-    source = importlib.import_module(f".{module}", __package__)
-    for name in _STAGE_NAMES[module]:
-        globals().setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
-    if name not in _NAME_MODULE:
+    module = _STAGE_ONLY.get(name) or _EXPORTS.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_NAME_MODULE[name])
-    return globals()[name]
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    return globals().setdefault(name, value)
 
 
 EXIT_OK = 0
@@ -155,7 +135,6 @@ class PipelineConfig:
     synth_noise_sigma: float = 0.0
     synth_noise_relative: float = 0.0
     synth_pure_per_endmember: int = _key(5, count=True)
-    synth_pure_plan_csv: str = ""
     synth_library_csv: str = ""
     synth_panel_lines: int = 0
     synth_panel_level: float = 1.0
@@ -503,32 +482,26 @@ def stage_synth(cfg: PipelineConfig) -> None:
     lines, samples = cfg.synth_lines, cfg.synth_samples
 
     root = RandomSource(cfg.seed)
-    if cfg.synth_block_size > 1:
-        # Spatially patchy scene: one Dirichlet draw per block, upsampled.
-        # Keeps in-patch pixel differences noise-only, which is the premise
-        # of shift-difference noise estimation.
-        block = cfg.synth_block_size
-        if lines % block or samples % block:
-            raise ConfigError(
-                "config key 'synth_block_size': must divide synth_lines and synth_samples")
-        coarse = random_abundance_field(lines // block, samples // block, k,
-                                        seed=root.spawn(0).seed)
-        field = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)
-    else:
-        field = random_abundance_field(lines, samples, k, seed=root.spawn(0).seed)
-    if cfg.synth_pure_plan_csv:
-        plan = artifacts.read_pure_pixel_plan(cfg.resolve(cfg.synth_pure_plan_csv))
-    else:
-        total = k * cfg.synth_pure_per_endmember
-        if total > lines * samples:
-            raise ConfigError(
-                "config key 'synth_pure_per_endmember': too many pure pixels "
-                "for the scene extent")
-        stride = (lines * samples) // total
-        plan = []
-        for i in range(total):
-            pos = i * stride
-            plan.append((pos // samples, pos % samples, i % k))
+    # Spatially patchy scene: one Dirichlet draw per block, upsampled.
+    # Keeps in-patch pixel differences noise-only, which is the premise
+    # of shift-difference noise estimation.
+    block = cfg.synth_block_size
+    if lines % block or samples % block:
+        raise ConfigError(
+            "config key 'synth_block_size': must divide synth_lines and synth_samples")
+    coarse = random_abundance_field(lines // block, samples // block, k,
+                                    seed=root.spawn(0).seed)
+    field = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)
+    total = k * cfg.synth_pure_per_endmember
+    if total > lines * samples:
+        raise ConfigError(
+            "config key 'synth_pure_per_endmember': too many pure pixels "
+            "for the scene extent")
+    stride = (lines * samples) // total
+    plan = []
+    for i in range(total):
+        pos = i * stride
+        plan.append((pos // samples, pos % samples, i % k))
     field = plant_pure_pixels(field, plan)
 
     scenario = MixingScenario(endmembers=endmembers, wavelengths=wavelengths,
@@ -578,39 +551,33 @@ def stage_report(cfg: PipelineConfig) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    """A CLI stage: the stages whose artifacts it reads, the artifacts a
-    later stage's dependency check looks for, and the library modules
-    (keys of `_STAGE_NAMES`) whose names it calls."""
+    """A CLI stage: the stages whose artifacts it reads, and the artifacts
+    a later stage's dependency check looks for."""
 
     name: str
     run: Callable[[PipelineConfig], None]
     needs: tuple[str, ...] = ()
     artifacts: tuple[str, ...] = ()
-    modules: tuple[str, ...] = ()
     in_all: bool = True
 
 
 # In subcommand order; `all` runs the `in_all` stages in this order.
 _STAGES = {s.name: s for s in (
     Stage("info", stage_info, in_all=False),
-    Stage("preprocess", stage_preprocess,
-          artifacts=("reflectance.hdr", "reflectance.img"), modules=("preprocess",)),
+    Stage("preprocess", stage_preprocess, artifacts=("reflectance.hdr", "reflectance.img")),
     Stage("mnf", stage_mnf, needs=("preprocess",),
           artifacts=("mnf_cube.hdr", "mnf_cube.img", *(os.path.join("mnf_model", name)
-                     for name in ("forward.csv", "eigenvalues.csv"))),
-          modules=("mnf", "preprocess")),
+                     for name in ("forward.csv", "eigenvalues.csv")))),
     Stage("ppi", stage_ppi, needs=("mnf",),
-          artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv"), modules=("ppi",)),
+          artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv")),
     Stage("endmembers", stage_endmembers, needs=("preprocess", "mnf", "ppi"),
-          artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv"),
-          modules=("cube_blocks", "endmember")),
-    Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",),
-          modules=("spectral_match",)),
+          artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv")),
+    Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",)),
     Stage("classify", stage_classify, needs=("preprocess", "endmembers", "match"),
           artifacts=("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
-                     "class_legend.csv"), modules=("cube_blocks", "mapping")),
-    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers"), modules=("cube_blocks", "mapping")),
-    Stage("synth", stage_synth, in_all=False, modules=("numerics", "synthcube")),
+                     "class_legend.csv")),
+    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers")),
+    Stage("synth", stage_synth, in_all=False),
     Stage("report", stage_report, needs=("mnf", "ppi", "endmembers", "match", "classify")),
 )}
 
@@ -634,8 +601,12 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
         raise ConfigError(f"unknown stage '{stage}'")
     for s in stages:
         _check_needs(s, cfg)
-        for module in s.modules:
-            _bind(module)
+        codes = [s.run.__code__]  # and the code objects nested in it
+        for code in codes:
+            codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+            for name in set(code.co_names) - globals().keys():
+                if name in _STAGE_ONLY or name in _EXPORTS:
+                    __getattr__(name)
         s.run(cfg)
 
 

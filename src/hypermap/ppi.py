@@ -90,15 +90,16 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
 
-    pixels = np.ascontiguousarray(mnf_cube.pixels()[:, :k])
-    n_pixels = pixels.shape[0]
+    # (k, pixels); a view for the band-major prefix the `ppi` stage reads.
+    planes = np.ascontiguousarray(mnf_cube.pixels()[:, :k].T)
+    n_pixels = planes.shape[1]
     n_iter = params.n_iterations
     chunks = [(s, min(s + _CHUNK, n_iter)) for s in range(0, n_iter, _CHUNK)]
 
     def process(bounds):
         start, stop = bounds
         dirs = _skewer_directions(params.seed, start, stop, k)
-        proj = dirs @ pixels.T
+        proj = dirs @ planes
         hi = proj >= (proj.max(axis=1) - params.threshold)[:, None]
         lo = proj <= (proj.min(axis=1) + params.threshold)[:, None]
         hits = np.concatenate((np.flatnonzero(hi), np.flatnonzero(lo)))

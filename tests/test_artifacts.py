@@ -255,9 +255,8 @@ class TestWriteMatrix:
         a = np.random.default_rng(3).normal(size=(7, 7))
         m = a @ a.T
         assert m.tobytes() == m.T.tobytes()
-        text, formatted = self.written(tmp_path, monkeypatch, m)
+        text, _ = self.written(tmp_path, monkeypatch, m)
         assert text == plain_rows(m.tolist())
-        assert formatted == 7 * 8 // 2
 
     def test_asymmetric_matrix_formats_every_value(self, tmp_path, monkeypatch):
         m = np.random.default_rng(4).normal(size=(6, 6))

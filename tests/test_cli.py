@@ -335,20 +335,31 @@ class TestStages:
 
 
 class TestSynthBytes:
-    """`synth`'s outputs on a config that takes every path (patches, relative
-    noise over more than one block of draws, a panel strip and the stock
-    pure-pixel plan) keep their recorded bytes."""
+    """`synth`'s outputs on a config that takes every path (patches of one
+    pixel or of 2 x 2, relative noise over more than one block of draws, a
+    panel strip and the stock pure-pixel plan) keep their recorded bytes."""
 
     DIGESTS = {
-        "scene.img": "ea7e28ab4372ff01b115f8201c9516c11fe9f5a741e8a565582574f9158077ea",
-        "scene.hdr": "f2af6955f71909335422cf95ba09d61778cf02dc9bb83fa1d0ee2321bf48333e",
-        "out/truth_abundances.csv":
-            "6c1b425ed9e65e3167a1c7b32b687bbf85287b6e305d1b416337d83dd41743b0",
-        "out/truth_pure_pixels.csv":
-            "ee8b46cd1c7a1257708c8bad661d182d1c7f7bb1178f62c0a194e37ed3e3e092",
+        1: {
+            "scene.img": "6eda00e693ade9fec2c46b284c8c644bb611a8b6de6ba81d1fa50541d2edf74d",
+            "scene.hdr": "f2af6955f71909335422cf95ba09d61778cf02dc9bb83fa1d0ee2321bf48333e",
+            "out/truth_abundances.csv":
+                "277c28cc2f1f0c6bb58f2bb633afa1eea7d708278383bfee60e4c4d6e3e92f87",
+            "out/truth_pure_pixels.csv":
+                "ee8b46cd1c7a1257708c8bad661d182d1c7f7bb1178f62c0a194e37ed3e3e092",
+        },
+        2: {
+            "scene.img": "ea7e28ab4372ff01b115f8201c9516c11fe9f5a741e8a565582574f9158077ea",
+            "scene.hdr": "f2af6955f71909335422cf95ba09d61778cf02dc9bb83fa1d0ee2321bf48333e",
+            "out/truth_abundances.csv":
+                "6c1b425ed9e65e3167a1c7b32b687bbf85287b6e305d1b416337d83dd41743b0",
+            "out/truth_pure_pixels.csv":
+                "ee8b46cd1c7a1257708c8bad661d182d1c7f7bb1178f62c0a194e37ed3e3e092",
+        },
     }
 
-    def test_outputs_keep_their_bytes(self, tmp_path):
+    @pytest.mark.parametrize("block_size", sorted(DIGESTS))
+    def test_outputs_keep_their_bytes(self, tmp_path, block_size):
         from hypermap.numerics import _GAUSSIAN_BLOCK
         from hypermap.synthcube import synthetic_mineral_library
 
@@ -357,11 +368,13 @@ class TestSynthBytes:
         (tmp_path / "p.cfg").write_text(
             "input_header = scene.hdr\ninput_image = scene.img\nlibrary_csv = library.csv\n"
             "output_dir = out\nseed = 11\nsynth_lines = 24\nsynth_samples = 24\n"
-            "synth_block_size = 2\nsynth_noise_relative = 0.01\nsynth_panel_lines = 2\n")
+            f"synth_block_size = {block_size}\nsynth_noise_relative = 0.01\n"
+            "synth_panel_lines = 2\n")
         assert 24 * 24 * 60 > _GAUSSIAN_BLOCK
         assert run(["synth", "--config", str(tmp_path / "p.cfg")]) == 0
+        digests = self.DIGESTS[block_size]
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in self.DIGESTS} == self.DIGESTS
+                for name in digests} == digests
 
 
 def run_fresh(args, cwd, code=None):
@@ -398,15 +411,24 @@ class TestFreshProcesses:
 
     def test_each_stage_imports_only_its_own_modules(self, scenario_dir):
         # A stage process compiles every module it imports, and its peak
-        # memory moves with that source: none of these loads `cube_blocks`
-        # or `mapping`, which only the stages that stream a cube need, and
-        # a one-worker `ppi` does not load `concurrent.futures`.
+        # memory moves with that source: only the stages that stream a cube
+        # load `cube_blocks` and `mapping`, and a one-worker `ppi` does not
+        # load `concurrent.futures`.
+        common = {"artifacts", "cli", "envi_io"}
+        streamed = {"cube_blocks", "numerics"}
         expected = {
-            "preprocess": {"artifacts", "cli", "envi_io", "preprocess"},
-            "mnf": {"artifacts", "cli", "envi_io", "mnf", "numerics", "preprocess"},
-            "ppi": {"artifacts", "cli", "envi_io", "numerics", "ppi"},
-            "report": {"artifacts", "cli", "envi_io"},
+            "synth": {"numerics", "synthcube"},
+            "info": set(),
+            "preprocess": {"preprocess"},
+            "mnf": {"mnf", "numerics", "preprocess"},
+            "ppi": {"numerics", "ppi"},
+            "endmembers": streamed | {"endmember"},
+            "match": {"spectral_match"},
+            "classify": streamed | {"mapping"},
+            "mtmf": streamed | {"mapping"},
+            "report": set(),
         }
+        assert expected.keys() == cli._STAGES.keys()
         cfg = str(scenario_dir / "pipeline.cfg")
         assert run(["synth", "--config", cfg]) == 0
         assert run(["all", "--config", cfg]) == 0
@@ -417,8 +439,22 @@ class TestFreshProcesses:
             assert proc.returncode == 0, proc.stderr
             names = proc.stdout.splitlines()[-1].split()
             loaded = {name.split(".", 1)[1] for name in names if name.startswith("hypermap.")}
-            assert loaded == modules, stage
+            assert loaded == common | modules, stage
             assert stage != "ppi" or "concurrent.futures" not in names
+
+    def test_cli_resolves_the_package_names_and_the_stage_only_names(self, monkeypatch):
+        import hypermap
+
+        for name in [*hypermap.__all__, *cli._STAGE_ONLY]:
+            module = cli._STAGE_ONLY.get(name) or hypermap._EXPORTS[name]
+            # Unbound first, so the module `__getattr__` resolves it.
+            monkeypatch.delitem(vars(cli), name, raising=False)
+            assert getattr(cli, name) is getattr(
+                importlib.import_module(f"hypermap.{module}"), name), name
+        for name in ("no_such_name", "_skewer_directions", "spawned_gaussians",
+                     "synthetic_mineral_library", "_STAGE_NAMES"):
+            with pytest.raises(AttributeError):
+                getattr(cli, name)
 
     def test_binding_keeps_a_name_replaced_before_the_stage_runs(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")
@@ -714,7 +750,7 @@ class TestStageMemory:
         budget = kept_bytes + envi_io.BLOCK_BYTES + (1 << 20)
         assert traced_peak(cli.run_stage, "preprocess", cfg) <= budget
 
-    def test_ppi_stage_holds_the_kept_components_and_their_copy(self, tmp_path, monkeypatch):
+    def test_ppi_stage_holds_the_kept_components_once(self, tmp_path, monkeypatch):
         from hypermap import ppi
 
         out = tmp_path / "out"
@@ -728,12 +764,12 @@ class TestStageMemory:
         cfg = cli.load_config(str(tmp_path / "p.cfg"))
         cli.run_stage("ppi", cfg)
         # One skewer per chunk, so that run_ppi's per-chunk arrays are small
-        # beside the 8 planes the BSQ prefix read keeps and run_ppi's
-        # pixel-major copy of them. A block buffer in the read (up to 4 MiB
-        # of the 32-plane file) or another copy of the planes exceeds this.
+        # beside the 8 planes the BSQ prefix read keeps, which run_ppi
+        # projects in place. A block buffer in the read (up to 4 MiB of the
+        # 32-plane file) or a copy of the planes exceeds this.
         monkeypatch.setattr(ppi, "_CHUNK", 1)
         kept_bytes = 8 * shape[0] * shape[1] * 8
-        budget = 2 * kept_bytes + (1 << 20)
+        budget = kept_bytes + (1 << 20)
         assert traced_peak(cli.run_stage, "ppi", cfg) <= budget
 
     def write_endmember_inputs(self, tmp_path, n_pixels=2000):
