@@ -216,6 +216,8 @@ def _validate_config(cfg: PipelineConfig) -> None:
             if f.type == kind and not f.metadata.get("count") \
                     and f.name != "synth_panel_level" and getattr(cfg, f.name) < 0:
                 raise ConfigError(f"config key '{f.name}': must be {noun} >= 0")
+    if cfg.seed >= 2 ** 64:  # the seed is one 64-bit splitmix64 state
+        raise ConfigError("config key 'seed': must be an integer below 2^64")
     if cfg.reflectance_method not in ("iarr", "flat_field"):
         raise ConfigError(
             "config key 'reflectance_method': must be 'iarr' or 'flat_field'")
@@ -640,8 +642,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a non-negative integer")
+            if not 0 <= args.seed < 2 ** 64:
+                raise ConfigError("--seed must be a non-negative integer below 2^64")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out

@@ -3,7 +3,8 @@
 Every stochastic stage of the pipeline (PPI skewers, k-means seeding,
 synthetic scenes) draws from :class:`RandomSource`, a splitmix64 stream.
 The raw 64-bit stream is pure integer arithmetic, so a given seed yields
-the same draws on every platform and thread count.
+the same draws on every platform and thread count. Child streams are
+seeded by the one seed split, :func:`_child_seeds`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ _MIX2_U64 = np.uint64(_MIX2)
 _U64_SCALE = 2.0 ** -64
 _MIN_UNIFORM = 2.0 ** -64
 
-# Uniforms drawn per step of `uniforms`, and Gaussians per step of
-# `gaussians` (two uniforms each): the reused buffers stay ~1 MB however
-# many draws are asked for.
+# Uniforms drawn per step of `uniforms`, and Gaussian columns per step of
+# `_gaussian_rows` (two uniforms each): a stream's reused buffers stay ~1 MB
+# however many draws are asked for.
 _DRAW_BLOCK = 1 << 16
 _GAUSSIAN_BLOCK = _DRAW_BLOCK // 2
 
@@ -42,9 +43,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 def splitmix64(value: int) -> int:
     """One splitmix64 step: add the golden gamma to `value` and mix.
 
-    Used both as the stream generator inside :class:`RandomSource` and as
-    the documented seed-splitting function (child seed = splitmix64(parent
-    seed XOR stream index)).
+    Used both as the stream generator inside :class:`RandomSource` and,
+    vectorized, as the documented seed split :func:`_child_seeds` (child
+    seed = splitmix64(parent seed XOR stream index)).
     """
     z = (int(value) + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -52,12 +53,10 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_u64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _mix_u64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 output function, applied in place to the
     uint64 state values `z`, which it returns; the shifted values go to
-    `scratch` (a uint64 array of `z`'s shape) when one is given."""
-    if scratch is None:
-        scratch = np.empty_like(z)
+    `scratch`, a uint64 array of `z`'s shape."""
     z ^= np.right_shift(z, _SHIFT30, out=scratch)
     z *= _MIX1_U64
     z ^= np.right_shift(z, _SHIFT27, out=scratch)
@@ -91,10 +90,53 @@ def _unit_floats(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Standard normals from pairs of uniforms, cosine branch only; `u1`
-    is clamped away from 0 so its log stays finite."""
-    return np.sqrt(-2.0 * np.log(np.maximum(u1, _MIN_UNIFORM))) * np.cos(2.0 * np.pi * u2)
+def _child_seeds(parent_seed: int, indices) -> np.ndarray:
+    """The seed split: child seed = splitmix64(parent seed XOR stream
+    index) for each uint64 index in `indices`, the parent masked to 64 bits
+    as :class:`RandomSource` masks its seed. Both :meth:`RandomSource.spawn`
+    and :func:`spawned_gaussians` key their child streams by it."""
+    z = np.asarray(indices, dtype=np.uint64) ^ np.uint64(int(parent_seed) & _MASK64)
+    z += _GAMMA_U64
+    return _mix_u64(z, np.empty_like(z))
+
+
+def _uniform_fill(states, steps, z, scratch, out: np.ndarray) -> np.ndarray:
+    """Uniforms at the stream positions `states + steps` into `out`, through
+    the uint64 buffers `z` and `scratch` of `out`'s shape."""
+    np.add(states, steps, out=z)
+    return _unit_floats(_mix_u64(z, scratch), scratch, out)
+
+
+def _gaussian_rows(states: np.ndarray, n: int) -> np.ndarray:
+    """Box-Muller draws: row r holds the first `n` standard normals of the
+    stream at state ``states[r]`` (uint64), advanced past them in place.
+
+    Only the cosine branch is kept so each draw maps to a fixed pair of
+    stream positions: draw j takes its radius from position 2j + 1 and its
+    angle from 2j + 2. Drawn `_GAUSSIAN_BLOCK` columns at a time, the
+    radius in place in the result and each half from contiguous states.
+    """
+    out = np.empty((states.size, n), dtype=np.float64)
+    _, odd, even = _gamma_steps()
+    z = np.empty((states.size, min(n, _GAUSSIAN_BLOCK)), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    angle = np.empty(z.shape, dtype=np.float64)
+    base = states[:, None]
+    for start in range(0, n, _GAUSSIAN_BLOCK):
+        block = out[:, start:start + _GAUSSIAN_BLOCK]
+        m = block.shape[1]
+        zm, sm, am = z[:, :m], scratch[:, :m], angle[:, :m]
+        _uniform_fill(base, odd[:m], zm, sm, block)
+        np.maximum(block, _MIN_UNIFORM, out=block)
+        np.log(block, out=block)
+        block *= -2.0
+        np.sqrt(block, out=block)
+        _uniform_fill(base, even[:m], zm, sm, am)
+        am *= 2.0 * np.pi
+        np.cos(am, out=am)
+        block *= am
+        base += np.uint64(2 * m * _GAMMA & _MASK64)
+    return out
 
 
 class RandomSource:
@@ -114,17 +156,6 @@ class RandomSource:
         self._state = (z + _GAMMA) & _MASK64
         return splitmix64(z)
 
-    def raw_block(self, n: int) -> np.ndarray:
-        """Next `n` raw outputs as uint64, vectorized; identical to n calls
-        of :meth:`next_raw`."""
-        if n < 0:
-            raise ValueError("block size must be non-negative")
-        states = np.arange(1, n + 1, dtype=np.uint64)
-        states *= _GAMMA_U64
-        states += np.uint64(self._state)
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        return _mix_u64(states)
-
     def next_uniform(self) -> float:
         """Uniform draw in [0, 1)."""
         return self.next_raw() * _U64_SCALE
@@ -140,43 +171,16 @@ class RandomSource:
         for start in range(0, n, _DRAW_BLOCK):
             block = out[start:start + _DRAW_BLOCK]
             m = block.size
-            np.add(steps[:m], np.uint64(self._state), out=z[:m])
+            _uniform_fill(np.uint64(self._state), steps[:m], z[:m], scratch[:m], block)
             self._state = (self._state + m * _GAMMA) & _MASK64
-            _unit_floats(_mix_u64(z[:m], scratch[:m]), scratch[:m], block)
         return out
 
     def gaussians(self, n: int) -> np.ndarray:
-        """`n` standard-normal draws via Box-Muller, two uniforms per draw.
-
-        Only the cosine branch is kept so each output maps to a fixed pair
-        of stream positions: draw i takes its radius from position 2i + 1
-        and its angle from 2i + 2. Drawn `_GAUSSIAN_BLOCK` at a time, the
-        radius in place in the result and each half from contiguous
-        states, bit for bit the values of :func:`_box_muller`.
-        """
-        out = np.empty(n, dtype=np.float64)
-        _, odd, even = _gamma_steps()
-        size = min(n, _GAUSSIAN_BLOCK)
-        z = np.empty(size, dtype=np.uint64)
-        scratch = np.empty_like(z)
-        angle = np.empty(size, dtype=np.float64)
-        for start in range(0, n, _GAUSSIAN_BLOCK):
-            block = out[start:start + _GAUSSIAN_BLOCK]
-            m = block.size
-            zm, sm, am = z[:m], scratch[:m], angle[:m]
-            state = np.uint64(self._state)
-            self._state = (self._state + 2 * m * _GAMMA) & _MASK64
-            np.add(odd[:m], state, out=zm)
-            _unit_floats(_mix_u64(zm, sm), sm, block)
-            np.maximum(block, _MIN_UNIFORM, out=block)
-            np.log(block, out=block)
-            block *= -2.0
-            np.sqrt(block, out=block)
-            np.add(even[:m], state, out=zm)
-            _unit_floats(_mix_u64(zm, sm), sm, am)
-            am *= 2.0 * np.pi
-            np.cos(am, out=am)
-            block *= am
+        """`n` standard-normal draws via Box-Muller (:func:`_gaussian_rows`),
+        consuming two uniforms per draw."""
+        state = np.array([self._state], dtype=np.uint64)
+        out = _gaussian_rows(state, n)[0]
+        self._state = int(state[0])
         return out
 
     def next_gaussian(self) -> float:
@@ -184,27 +188,17 @@ class RandomSource:
         return float(self.gaussians(1)[0])
 
     def spawn(self, stream_index: int) -> "RandomSource":
-        """Independent child stream for worker `stream_index`.
-
-        Child seed = splitmix64(parent seed XOR stream index), so any
-        partition of indices across workers reproduces the same draws.
-        """
-        return RandomSource(splitmix64(self.seed ^ (int(stream_index) & _MASK64)))
+        """Independent child stream for worker `stream_index`, seeded by
+        :func:`_child_seeds`, so any partition of indices across workers
+        reproduces the same draws."""
+        return RandomSource(int(_child_seeds(self.seed, [int(stream_index) & _MASK64])[0]))
 
 
 def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Gaussian draws from a batch of spawned child streams, vectorized.
-
-    Row i holds the first `n` Gaussians of
-    ``RandomSource(parent_seed).spawn(start + i)``, bit-identical to the
-    scalar path. This is the hot path for PPI skewer generation.
-    """
-    idx = np.arange(start, stop, dtype=np.uint64)
-    seeds = _mix_u64((np.uint64(parent_seed) ^ idx) + _GAMMA_U64)
-    steps = np.arange(1, 2 * n + 1, dtype=np.uint64)
-    raws = _mix_u64(seeds[:, None] + steps[None, :] * _GAMMA_U64)
-    u = raws.astype(np.float64) * _U64_SCALE
-    return _box_muller(u[:, 0::2], u[:, 1::2])
+    """Gaussian draws from a batch of spawned child streams: row i holds the
+    first `n` Gaussians of ``RandomSource(parent_seed).spawn(start + i)``,
+    bit for bit. This is the hot path for PPI skewer generation."""
+    return _gaussian_rows(_child_seeds(parent_seed, np.arange(start, stop, dtype=np.uint64)), n)
 
 
 def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

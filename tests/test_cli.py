@@ -106,6 +106,8 @@ class TestConfig:
         ("synth_panel_level = -1", "config key 'synth_panel_level': must be > 0"),
         ("ppi_threshold = -1", "config key 'ppi_threshold': must be a number >= 0"),
         ("seed = -1", "config key 'seed': must be an integer >= 0"),
+        ("seed = 18446744073709551616", "config key 'seed': must be an integer below 2^64"),
+        ("seed = 18446744073709551621", "config key 'seed': must be an integer below 2^64"),
         ("roi_n_lines = -2", "config key 'roi_n_lines': must be an integer >= 0"),
         ("endmember_k = 0", "config key 'endmember_k': must be an integer >= 1"),
         ("endmember_k = 0\nppi_iterations = 0\nmnf_keep_k = 0",
@@ -116,6 +118,13 @@ class TestConfig:
         path.write_text(text + "\n")
         assert run(["info", "--config", str(path)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_seed_option_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "ok.cfg"
+        path.write_text("seed = 18446744073709551615\n")
+        assert cli.load_config(str(path)).seed == 2 ** 64 - 1
+        assert run(["info", "--config", str(path), "--seed", str(2 ** 64 + 5)]) == cli.EXIT_CONFIG
+        assert "--seed must be a non-negative integer below 2^64" in capsys.readouterr().err
 
     def test_repeated_key_takes_last_value(self):
         cfg = cli.config_from_text("seed = 3\nppi_threshold = 1.5\nseed = 11\n")

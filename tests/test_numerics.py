@@ -64,14 +64,6 @@ class TestSplitmix:
         got = [rs.next_raw() for _ in range(1000)]
         assert got == expected
 
-    def test_block_matches_scalar(self):
-        a, b = RandomSource(99), RandomSource(99)
-        block = a.raw_block(257)
-        scalars = [b.next_raw() for _ in range(257)]
-        assert [int(v) for v in block] == scalars
-        # streams stay aligned afterwards
-        assert a.next_raw() == b.next_raw()
-
     def test_uniform_range_and_determinism(self):
         u = RandomSource(42).uniforms(10000)
         assert float(u.min()) >= 0.0
@@ -89,12 +81,22 @@ class TestSplitmix:
         parent = RandomSource(1234)
         child = parent.spawn(17)
         assert child.seed == splitmix64(1234 ^ 17)
+        for parent_seed, index in [(1234, 17), (0, 0), (MASK, 2 ** 63 + 9), (2 ** 40 + 3, MASK)]:
+            got = numerics._child_seeds(parent_seed, np.array([index], dtype=np.uint64))
+            assert int(got[0]) == splitmix64(parent_seed ^ index)
 
     def test_spawned_gaussians_match_scalar_path(self):
-        vec = spawned_gaussians(777, 3, 11, 6)
-        for row, idx in enumerate(range(3, 11)):
-            child = RandomSource(777).spawn(idx)
-            assert np.array_equal(vec[row], child.gaussians(6))
+        # (parent seed, first index, stop, draws per row): the last column
+        # block's seam, seeds that need masking to 64 bits, and an index
+        # range across 2^32.
+        cases = [(777, 3, 11, 6), (777, 0, 2, numerics._GAUSSIAN_BLOCK + 1),
+                 (-1, 3, 11, 6), (2 ** 64 + 5, 3, 11, 6), (777, 2 ** 32 - 2, 2 ** 32 + 2, 6)]
+        for parent_seed, start, stop, n in cases:
+            vec = spawned_gaussians(parent_seed, start, stop, n)
+            assert vec.shape == (stop - start, n)
+            for row, idx in enumerate(range(start, stop)):
+                child = RandomSource(parent_seed).spawn(idx)
+                assert vec[row].tobytes() == child.gaussians(n).tobytes()
 
 
 class TestGaussian:
