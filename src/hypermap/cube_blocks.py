@@ -3,8 +3,9 @@
 :class:`CubeFile` is a cube on disk that is never held whole.
 :func:`band_blocks` and :func:`line_blocks` yield the same blocks of a
 `CubeFile` or of an in-memory `SpectralCube` (as views of its values), so
-a caller runs one code path either way. A block holds about
-`envi_io.BLOCK_BYTES` of float64 values.
+a caller runs one code path either way. A block of lines holds about
+`envi_io.BLOCK_BYTES` of float64 values, a block of bands about
+`BAND_BLOCK_BYTES`.
 
 A `CubeFile` is read by `envi_io._read_blocks`, the block reader that
 `envi_io.read_payload` runs on too. This module is apart from `envi_io`
@@ -19,7 +20,6 @@ import os
 
 import numpy as np
 
-from . import envi_io
 from .envi_io import (
     SpectralCube,
     _check_payload_size,
@@ -31,15 +31,20 @@ from .envi_io import (
     parse_envi_header,
 )
 
+# Bytes of float64 band planes per block of `band_blocks`. A caller holds
+# such a block beside its own arrays (`endmembers` beside its pure pixels'
+# components and class positions), so it is smaller than a line block.
+BAND_BLOCK_BYTES = 1 << 20
+
 
 def _band_ranges(bands: int, plane: int) -> list[tuple[int, int]]:
     """(first, stop) of each block of a pass over `bands` band planes of
-    `plane` values: as many float64 planes as fit in BLOCK_BYTES, but at
+    `plane` values: as many float64 planes as fit in BAND_BLOCK_BYTES, but at
     least two, and a one-band remainder joins the block before it. So no
     block holds exactly one band of several: NumPy sums a gather of one
     column pairwise, and of two or more row by row, as it sums a gather of
     whole spectra, so a mean over a block's columns has the same bits."""
-    step = max(2, envi_io.BLOCK_BYTES // (8 * plane))
+    step = max(2, BAND_BLOCK_BYTES // (8 * plane))
     edges = [*range(0, bands, step), bands]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
@@ -100,7 +105,7 @@ def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
 
 def line_blocks(cube: SpectralCube | CubeFile):
     """Yield (first line, an ``(n, samples, bands)`` float64 block) over
-    every line of `cube`, about BLOCK_BYTES of lines at a time.
+    every line of `cube`, about `envi_io.BLOCK_BYTES` of lines at a time.
 
     A `SpectralCube` yields views of its values. A `CubeFile` yields each
     block in the image's interleave order in memory, read into a buffer

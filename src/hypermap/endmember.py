@@ -18,12 +18,27 @@ from .envi_io import SpectralCube
 from .numerics import RandomSource
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # |p|^2 - 2 p.c + |c|^2, clipped: rounding can make exact hits tiny-negative
-    d2 = (np.sum(points**2, axis=1)[:, None]
+def _squared_distances(points: np.ndarray, point_sq: np.ndarray,
+                       centroids: np.ndarray) -> np.ndarray:
+    # |p|^2 - 2 p.c + |c|^2, clipped: rounding can make exact hits tiny-negative;
+    # `point_sq` holds each point's |p|^2
+    d2 = (point_sq[:, None]
           - 2.0 * points @ centroids.T
           + np.sum(centroids**2, axis=1)[None, :])
     return np.maximum(d2, 0.0)
+
+
+def _distinct_rows(points: np.ndarray) -> int:
+    """The number of distinct rows of `points`, counted as
+    ``np.unique(points, axis=0)`` counts them (it imports `numpy.ma`): each
+    row viewed as a record of float fields, the records sorted and compared
+    with their neighbours field by field, so 0.0 equals -0.0 and a row
+    holding a NaN equals no row."""
+    if points.shape[1] == 0:
+        return 1  # every row is the empty row
+    fields = np.dtype([(f"f{i}", points.dtype) for i in range(points.shape[1])])
+    rows = np.sort(np.ascontiguousarray(points).view(fields).ravel())
+    return 1 + int(np.count_nonzero(rows[1:] != rows[:-1]))
 
 
 def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
@@ -41,26 +56,27 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
     n = points.shape[0]
     if k < 1:
         raise ValueError("k must be positive")
-    n_distinct = np.unique(points, axis=0).shape[0]
+    n_distinct = _distinct_rows(points)
     if k > n_distinct:
         raise ValueError(f"k={k} exceeds the {n_distinct} distinct points")
 
+    point_sq = np.sum(points**2, axis=1)
     rs = RandomSource(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[int(rs.next_uniform() * n)]
-    d2 = _squared_distances(points, centroids[:1])[:, 0]
+    d2 = _squared_distances(points, point_sq, centroids[:1])[:, 0]
     for j in range(1, k):
         total = float(d2.sum())
         r = rs.next_uniform() * total
         idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
         idx = min(idx, n - 1)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centroids[j:j + 1])[:, 0])
+        d2 = np.minimum(d2, _squared_distances(points, point_sq, centroids[j:j + 1])[:, 0])
 
     prev_sse = np.inf
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        dists = _squared_distances(points, centroids)
+        dists = _squared_distances(points, point_sq, centroids)
         assignments = np.argmin(dists, axis=1)
 
         # Reseed empty clusters with the point farthest from its centroid.
@@ -69,7 +85,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
         # distance and k distinct points exist by precondition).
         point_d2 = dists[np.arange(n), assignments]
         for _ in range(2 * k):
-            empty = np.setdiff1d(np.arange(k), assignments)
+            empty = np.flatnonzero(np.bincount(assignments, minlength=k) == 0)
             if empty.size == 0:
                 break
             far = int(np.argmax(point_d2))
@@ -92,7 +108,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
         if movement < tol:
             break
 
-    dists = _squared_distances(points, centroids)
+    dists = _squared_distances(points, point_sq, centroids)
     assignments = np.argmin(dists, axis=1)
     sse = float(dists[np.arange(n), assignments].sum())
     return assignments, centroids, sse
@@ -160,13 +176,15 @@ def derive_endmembers(corrected_cube: SpectralCube, mnf_cube: SpectralCube,
     # Each class's mean of each block of bands comes from a C-ordered
     # (members, bands in the block) gather in pure-pixel order: the bits
     # of a mean over whole spectra, as no block holds exactly one band.
-    members = [assignments == cls for cls in range(k)]
+    # The members' positions are selected once, not once per block.
+    members = [(lines[mask], samples[mask])
+               for mask in (assignments == cls for cls in range(k))]
     refl_means = np.empty((k, corrected_cube.bands))
     for b0, block in band_blocks(corrected_cube):
         b1 = b0 + block.shape[2]
-        for cls, mask in enumerate(members):
-            refl_means[cls, b0:b1] = block[lines[mask], samples[mask]].mean(axis=0)
-    counts = np.array([int(mask.sum()) for mask in members], dtype=np.int64)
+        for cls, position in enumerate(members):
+            refl_means[cls, b0:b1] = block[position].mean(axis=0)
+    counts = np.array([len(class_lines) for class_lines, _ in members], dtype=np.int64)
 
     return EndmemberSet(k=k, mnf_means=centroids, reflectance_means=refl_means,
                         member_counts=counts, wavelengths=corrected_cube.wavelengths.copy())

@@ -26,8 +26,9 @@ _RIDGE = 1e-10
 _TARGET_RESIDUAL_STD = 0.01
 
 # Elements per block of rows in `_row_norms`, the SAM pixel norms and the
-# MTMF residual norms (~1 MB temporaries).
-_NORM_BLOCK_ELEMENTS = 1 << 17
+# MTMF residual norms (256 KiB temporaries, so that `mtmf`'s peak is its
+# whitening product).
+_NORM_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass

@@ -9,7 +9,6 @@ scores are invariant under positive scaling of the unknown.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,24 +272,70 @@ def _entry_group(index, wavelengths, usable, reflectance) -> _EntryGroup:
 
 # The match stage scores every class against one library, so one slot
 # would do; a few more let tests and demos alternate libraries. A
-# 500-entry, 242-band library holds about 4 MB here (key bytes included).
+# 500-entry, 242-band library holds about 4 MB here (its stored copy
+# included).
 _LIBRARY_MEMO_SIZE = 4
 
+# Entries per block when a library is compared with a memo's copy.
+_COMPARE_BLOCK_ROWS = 64
 
-@functools.lru_cache(maxsize=_LIBRARY_MEMO_SIZE)
-def _library_groups(n_bands, wavelength_bytes, usable_bytes, reflectance_bytes):
-    """The library side of every score, computed once per distinct library
-    in a process. The key is the bytes of the entries' wavelengths, usable
-    masks and reflectance, so an entry changed in place is a new key."""
-    wavelengths = np.frombuffer(wavelength_bytes).reshape(-1, n_bands)
-    usable = np.frombuffer(usable_bytes, dtype=bool).reshape(-1, n_bands)
-    reflectance = np.frombuffer(reflectance_bytes).reshape(-1, n_bands)
+
+def _same_rows(stored: np.ndarray, rows: list) -> bool:
+    """Whether `rows`, stacked in `stored`'s dtype, have the bytes of
+    `stored`. They are stacked a block of rows at a time into one small
+    buffer, so the library is not copied whole."""
+    if stored.shape != (len(rows),) + np.shape(rows[0]):
+        return False
+    buffer = np.empty((min(len(rows), _COMPARE_BLOCK_ROWS),) + stored.shape[1:], stored.dtype)
+    for first in range(0, len(rows), len(buffer)):
+        part = stored[first:first + len(buffer)]
+        block = np.stack(rows[first:first + len(part)], out=buffer[:len(part)])
+        if not np.array_equal(block.view(np.uint8), part.view(np.uint8)):
+            return False
+    return True
+
+
+def _entry_groups(wavelengths, usable, reflectance) -> tuple[_EntryGroup, ...]:
+    """Group the (n, b) entry rows by wavelength grid and usable mask."""
     members: dict[tuple[bytes, bytes], list[int]] = {}
     for i in range(wavelengths.shape[0]):
         members.setdefault((wavelengths[i].tobytes(), usable[i].tobytes()), []).append(i)
     return tuple(_entry_group(np.array(index), wavelengths[index[0]], usable[index[0]],
                               reflectance[index])
                  for index in members.values())
+
+
+class _LibraryMemo:
+    """The library side of every score, computed once per distinct library
+    in a process, for the last `size` libraries scored. Each is kept with
+    one copy of its entries' wavelengths, usable masks and reflectance; a
+    library is found by comparing its entries with a copy's bytes, so an
+    entry changed in place is scored again."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.slots: list[tuple[tuple[np.ndarray, ...], tuple[_EntryGroup, ...]]] = []
+
+    def cache_clear(self):
+        self.slots.clear()
+
+    def __call__(self, entries, n_bands: int) -> tuple[_EntryGroup, ...]:
+        all_bands = np.ones(n_bands, dtype=bool)
+        columns = ([rec.wavelengths for rec in entries],
+                   [all_bands if rec.usable is None else rec.usable for rec in entries],
+                   [rec.reflectance for rec in entries])
+        for i, (stored, groups) in enumerate(self.slots):
+            if all(_same_rows(*pair) for pair in zip(stored, columns)):
+                self.slots.append(self.slots.pop(i))
+                return groups
+        stored = tuple(np.stack(rows, dtype=dtype)
+                       for rows, dtype in zip(columns, (np.float64, bool, np.float64)))
+        groups = _entry_groups(*stored)
+        self.slots = [*self.slots, (stored, groups)][-self.size:]
+        return groups
+
+
+_library_groups = _LibraryMemo(_LIBRARY_MEMO_SIZE)
 
 
 def rank_matches(unknown, lib: SpectralLibrary,
@@ -320,13 +365,7 @@ def rank_matches(unknown, lib: SpectralLibrary,
             raise ValueError(
                 f"unknown has {unknown.size} bands but library entry "
                 f"{rec.name!r} has {rec.wavelengths.size}")
-    all_bands = np.ones(unknown.size, dtype=bool)
-    groups = _library_groups(
-        unknown.size,
-        np.stack([rec.wavelengths for rec in lib.entries], dtype=np.float64).tobytes(),
-        np.stack([all_bands if rec.usable is None else rec.usable for rec in lib.entries],
-                 dtype=bool).tobytes(),
-        np.stack([rec.reflectance for rec in lib.entries], dtype=np.float64).tobytes())
+    groups = _library_groups(lib.entries, unknown.size)
 
     n = len(lib.entries)
     sam, sff, be = np.empty(n), np.zeros(n), np.empty(n)

@@ -421,8 +421,9 @@ class TestFreshProcesses:
     def test_each_stage_imports_only_its_own_modules(self, scenario_dir):
         # A stage process compiles every module it imports, and its peak
         # memory moves with that source: only the stages that stream a cube
-        # load `cube_blocks` and `mapping`, and a one-worker `ppi` does not
-        # load `concurrent.futures`.
+        # load `cube_blocks` and `mapping`, a one-worker `ppi` does not
+        # load `concurrent.futures`, and no stage loads `numpy.ma` (which
+        # `np.unique` and `np.setdiff1d` import).
         common = {"artifacts", "cli", "envi_io"}
         streamed = {"cube_blocks", "numerics"}
         expected = {
@@ -450,6 +451,7 @@ class TestFreshProcesses:
             loaded = {name.split(".", 1)[1] for name in names if name.startswith("hypermap.")}
             assert loaded == common | modules, stage
             assert stage != "ppi" or "concurrent.futures" not in names
+            assert "numpy.ma" not in names, stage
 
     def test_cli_resolves_the_package_names_and_the_stage_only_names(self, monkeypatch):
         import hypermap
@@ -801,12 +803,16 @@ class TestStageMemory:
         return cli.load_config(str(tmp_path / "p.cfg")), cube_bytes, n_pixels
 
     def test_endmembers_stage_holds_one_block(self, tmp_path):
+        from hypermap import cube_blocks
+
         cfg, cube_bytes, n_pixels = self.write_endmember_inputs(tmp_path)
         cli.run_stage("endmembers", cfg)
-        # The pure pixels' 8 MNF components, one block of band planes and
-        # the (k, bands) means, beside the pure-pixel table and k-means'
-        # (pixels, k) distances; holding the cube would reach cube_bytes.
-        budget = 8 * n_pixels * 8 + envi_io.BLOCK_BYTES + 8 * 6 * self.LARGE[2] + (1 << 20)
+        # The pure pixels' 8 MNF components, one ~1 MiB block of band planes
+        # and the (k, bands) means, beside the pure-pixel table and k-means'
+        # (pixels, k) distances; a 4 MiB block exceeds this, and holding
+        # the cube would reach cube_bytes.
+        budget = (8 * n_pixels * 8 + cube_blocks.BAND_BLOCK_BYTES + 8 * 6 * self.LARGE[2]
+                  + (1 << 20))
         assert budget < cube_bytes / 4
         assert traced_peak(cli.run_stage, "endmembers", cfg) <= budget
 

@@ -13,9 +13,9 @@ from hypermap.envi_io import read_cube, read_payload
 
 class TestCubeFile:
     SHAPE = (7, 5, 9)
-    # 720 bytes: blocks of 2 lines (360 bytes each) and of 2 band planes
-    # (280 bytes each), the one-band remainder joining the last: bands
-    # 0-1, 2-3, 4-5 and 6-8.
+    # 720 bytes of lines and of bands: blocks of 2 lines (360 bytes each)
+    # and of 2 band planes (280 bytes each), the one-band remainder joining
+    # the last: bands 0-1, 2-3, 4-5 and 6-8.
     BLOCK_BYTES = 720
 
     def write(self, tmp_path, interleave, data_type="float64", byte_order="little", offset=0,
@@ -34,6 +34,7 @@ class TestCubeFile:
         path = self.write(tmp_path, interleave, data_type, byte_order, offset)
         whole = read_cube(*read_payload(path))
         monkeypatch.setattr(envi_io, "BLOCK_BYTES", self.BLOCK_BYTES)
+        monkeypatch.setattr(cube_blocks, "BAND_BLOCK_BYTES", self.BLOCK_BYTES)
         cube = CubeFile(path)
         assert (cube.lines, cube.samples, cube.bands) == self.SHAPE
         assert cube.wavelengths.tobytes() == whole.wavelengths.tobytes()
@@ -74,6 +75,7 @@ class TestCubeFile:
         payload[8 * index:8 * index + 8] = np.array([np.nan]).tobytes()
         (tmp_path / "cube.img").write_bytes(payload)
         monkeypatch.setattr(envi_io, "BLOCK_BYTES", self.BLOCK_BYTES)
+        monkeypatch.setattr(cube_blocks, "BAND_BLOCK_BYTES", self.BLOCK_BYTES)
         cube = CubeFile(path)
         for blocks, first in ((line_blocks(cube), [0, 2, 4]), (band_blocks(cube), [0, 2, 4])):
             seen = []
@@ -97,9 +99,19 @@ class TestCubeFile:
     @pytest.mark.parametrize("bands", range(1, 12))
     @pytest.mark.parametrize("planes", [1, 2, 3, 5])
     def test_no_block_holds_exactly_one_band_of_several(self, monkeypatch, bands, planes):
-        monkeypatch.setattr(envi_io, "BLOCK_BYTES", planes * 8 * 10)
+        monkeypatch.setattr(cube_blocks, "BAND_BLOCK_BYTES", planes * 8 * 10)
         ranges = cube_blocks._band_ranges(bands, 10)
         assert [b0 for b0, _ in ranges] + [bands] == [0] + [b1 for _, b1 in ranges]
         step = max(2, planes)
         assert all(b1 - b0 >= min(2, bands) and b1 - b0 <= step + 1 for b0, b1 in ranges)
         assert all(b1 - b0 == step for b0, b1 in ranges[:-1])
+
+    @pytest.mark.parametrize("bands, expected", [
+        # 8 planes of 128 x 128 pixels to a MiB: the last band of 17 joins
+        # the block before it.
+        (17, [(0, 8), (8, 17)]),
+        (20, [(0, 8), (8, 16), (16, 20)]),
+    ])
+    def test_band_blocks_hold_about_a_mib(self, bands, expected):
+        assert cube_blocks.BAND_BLOCK_BYTES == 1 << 20
+        assert cube_blocks._band_ranges(bands, 128 * 128) == expected

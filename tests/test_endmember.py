@@ -4,7 +4,7 @@ class-mean derivation on planted scenes."""
 import numpy as np
 import pytest
 
-from hypermap import cube_blocks, envi_io
+from hypermap import cube_blocks
 from hypermap.cube_blocks import CubeFile
 from hypermap.endmember import derive_endmembers, kmeans
 from hypermap.envi_io import SpectralCube, write_cube_file
@@ -67,6 +67,17 @@ class TestKmeans:
         points = np.array([[1.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="distinct"):
             kmeans(points, 3, seed=0)
+
+    def test_distinct_count_compares_rows_by_value(self):
+        # Duplicate rows, and a row that differs only in the sign of a zero:
+        # 3 distinct points, as np.unique(points, axis=0) counts them.
+        points = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [2.0, 3.0], [5.0, -1.0]])
+        with pytest.raises(ValueError, match=r"^k=4 exceeds the 3 distinct points$"):
+            kmeans(points, 4, seed=0)
+        assignments, _, sse = kmeans(points, 3, seed=0)
+        assert sse == 0.0
+        assert len(set(assignments.tolist())) == 3
+        assert assignments[0] == assignments[2] and assignments[1] == assignments[3]
 
     def test_two_blob_partition_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
@@ -190,7 +201,7 @@ class TestDeriveEndmembers:
         gathered = refl[lines_, samples_, :]
         expected = [gathered[assignments == cls].mean(axis=0) for cls in range(3)]
 
-        monkeypatch.setattr(envi_io, "BLOCK_BYTES", planes * 8 * lines * samples)
+        monkeypatch.setattr(cube_blocks, "BAND_BLOCK_BYTES", planes * 8 * lines * samples)
         ranges = cube_blocks._band_ranges(bands, lines * samples)
         assert ranges[-1][1] - ranges[-1][0] == planes + 1
         write_cube_file(make_cube(refl), tmp_path / "refl.hdr")
