@@ -33,8 +33,8 @@ _EXPORTS = {name: module for module, names in {
     "preprocess": ("Roi", "reflectance_flat_field", "reflectance_iarr", "remove_bad_bands",
                    "scale_radiance", "standardize", "subset_roi"),
     "spectral_match": ("AnalystWeights", "MatchScore", "be_score", "binary_encode",
-                       "continuum_remove", "rank_matches", "resample_library", "sam_angle",
-                       "sff_score"),
+                       "continuum_remove", "prepare_library", "rank_matches",
+                       "resample_library", "sam_angle", "sff_score"),
     "synthcube": ("GroundTruth", "MixingScenario", "generate", "plant_pure_pixels",
                   "random_abundance_field"),
 }.items() for name in names}

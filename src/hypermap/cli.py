@@ -22,6 +22,12 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
+# BLAS splits a product's sums by thread, which moves their last bits, so
+# every stage runs it at one thread and writes the same bytes on any
+# machine. This holds only if numpy is not yet imported.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+
 import numpy as np
 
 from . import _EXPORTS, __version__, artifacts
@@ -429,16 +435,18 @@ def stage_match(cfg: PipelineConfig) -> None:
     lib = read_spectral_library_file(library_path)
     _, wavelengths, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
     resampled = resample_library(lib, wavelengths)
+    del lib  # the table as read is not needed once resampled
+    library = prepare_library(resampled)
     weights = AnalystWeights(cfg.weight_sam, cfg.weight_sff, cfg.weight_be)
 
     _remove_previous(cfg, "match_class_*.csv")
     tops = []
     for class_id, unknown in enumerate(spectra, start=1):
-        scores = rank_matches(unknown, resampled, weights)
+        scores = rank_matches(unknown, library, weights)
         artifacts.write_rankings(cfg.artifact(f"match_class_{class_id}.csv"), scores)
         tops.append(scores[0])
     artifacts.write_match_summary(cfg.artifact("match_summary.csv"), tops)
-    print(f"match: ranked {len(resampled.entries)} library entries "
+    print(f"match: ranked {len(library.entries)} library entries "
           f"against {len(spectra)} classes")
 
 

@@ -194,7 +194,8 @@ class SpectrumRecord:
             if self.usable.shape != self.wavelengths.shape:
                 raise ValueError(f"spectrum {self.name!r}: usable mask length mismatch")
         values = self.reflectance if self.usable is None else self.reflectance[self.usable]
-        if values.size and (np.min(values) < 0.0 or np.max(values) > 1.5):
+        # written so that a NaN, which compares false, fails it too
+        if values.size and not (np.min(values) >= 0.0 and np.max(values) <= 1.5):
             raise ValueError(f"spectrum {self.name!r}: reflectance outside [0, 1.5]")
 
 
@@ -648,6 +649,8 @@ def read_spectral_library(text, source_tag: str = "") -> SpectralLibrary:
     wavelength, strictly increasing down the file; cells may be quoted.
     """
     names, wl, spectra = artifacts.parse_spectra(text, "library")
+    if not wl.size:
+        raise ValueError(f"spectral library {source_tag!r} has no wavelength rows")
     if np.any(np.diff(wl) <= 0):
         raise ValueError("library wavelengths must be strictly increasing")
     entries = [SpectrumRecord(name=name, wavelengths=wl, reflectance=row)

@@ -246,12 +246,19 @@ class _EntryGroup:
     mean_depth: np.ndarray   # (fit.size,)
 
 
-def _entry_group(index, wavelengths, usable, reflectance) -> _EntryGroup:
-    x = wavelengths[usable]
-    # C order makes every row reduction below one pairwise sum per row, as
-    # for a spectrum on its own; a column selection can come back strided,
-    # and numpy then sums each row in another order.
-    r = np.ascontiguousarray(reflectance[:, usable])
+def _usable(rec: SpectrumRecord) -> np.ndarray:
+    return np.ones(rec.wavelengths.size, dtype=bool) if rec.usable is None else rec.usable
+
+
+def _entry_group(index: np.ndarray, entries) -> _EntryGroup:
+    first = entries[index[0]]
+    usable = _usable(first)
+    x = first.wavelengths[usable]
+    # One C-order row per entry makes every row reduction below one
+    # pairwise sum per row, as for a spectrum on its own.
+    r = np.empty((index.size, x.size))
+    for row, i in zip(r, index):
+        row[:] = entries[i].reflectance[usable]
     # Only rows positive on every usable band can be continuum-removed.
     fit = np.flatnonzero(~np.any(r <= 0, axis=1))
     depths = np.empty((0, x.size))
@@ -259,7 +266,8 @@ def _entry_group(index, wavelengths, usable, reflectance) -> _EntryGroup:
         try:
             # Looked up as a module global at call time, so a wrapper
             # installed on `continuum_remove` sees every hull computed.
-            depths = 1.0 - continuum_remove(x, r[fit])
+            depths = continuum_remove(x, r[fit])
+            np.subtract(1.0, depths, out=depths)
         except ValueError:  # too few bands or not increasing: no feature fit
             fit = fit[:0]
     depth_sq, mean_depth = _depth_stats(depths)
@@ -270,75 +278,34 @@ def _entry_group(index, wavelengths, usable, reflectance) -> _EntryGroup:
                        mean_depth=mean_depth[featured])
 
 
-# The match stage scores every class against one library, so one slot
-# would do; a few more let tests and demos alternate libraries. A
-# 500-entry, 242-band library holds about 4 MB here (its stored copy
-# included).
-_LIBRARY_MEMO_SIZE = 4
+@dataclass(frozen=True)
+class PreparedLibrary:
+    """A resampled library with the library side of every score computed,
+    as `prepare_library` returns it."""
 
-# Entries per block when a library is compared with a memo's copy.
-_COMPARE_BLOCK_ROWS = 64
-
-
-def _same_rows(stored: np.ndarray, rows: list) -> bool:
-    """Whether `rows`, stacked in `stored`'s dtype, have the bytes of
-    `stored`. They are stacked a block of rows at a time into one small
-    buffer, so the library is not copied whole."""
-    if stored.shape != (len(rows),) + np.shape(rows[0]):
-        return False
-    buffer = np.empty((min(len(rows), _COMPARE_BLOCK_ROWS),) + stored.shape[1:], stored.dtype)
-    for first in range(0, len(rows), len(buffer)):
-        part = stored[first:first + len(buffer)]
-        block = np.stack(rows[first:first + len(part)], out=buffer[:len(part)])
-        if not np.array_equal(block.view(np.uint8), part.view(np.uint8)):
-            return False
-    return True
+    entries: tuple[SpectrumRecord, ...]
+    groups: tuple[_EntryGroup, ...]
 
 
-def _entry_groups(wavelengths, usable, reflectance) -> tuple[_EntryGroup, ...]:
-    """Group the (n, b) entry rows by wavelength grid and usable mask."""
+def prepare_library(lib: SpectralLibrary) -> PreparedLibrary:
+    """Compute the library side of every score once, for `rank_matches`.
+
+    Entries are grouped by wavelength grid and usable-band mask; each
+    group holds its entries' usable reflectance, norms and binary
+    encodings, and the continuum-removed feature depths of the entries
+    the feature fit can score. These are copies: an entry changed in
+    place afterwards is still scored as it was when prepared.
+    """
+    if not lib.entries:
+        raise ValueError("cannot rank against an empty library")
     members: dict[tuple[bytes, bytes], list[int]] = {}
-    for i in range(wavelengths.shape[0]):
-        members.setdefault((wavelengths[i].tobytes(), usable[i].tobytes()), []).append(i)
-    return tuple(_entry_group(np.array(index), wavelengths[index[0]], usable[index[0]],
-                              reflectance[index])
-                 for index in members.values())
+    for i, rec in enumerate(lib.entries):
+        members.setdefault((rec.wavelengths.tobytes(), _usable(rec).tobytes()), []).append(i)
+    return PreparedLibrary(tuple(lib.entries), tuple(
+        _entry_group(np.array(index), lib.entries) for index in members.values()))
 
 
-class _LibraryMemo:
-    """The library side of every score, computed once per distinct library
-    in a process, for the last `size` libraries scored. Each is kept with
-    one copy of its entries' wavelengths, usable masks and reflectance; a
-    library is found by comparing its entries with a copy's bytes, so an
-    entry changed in place is scored again."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.slots: list[tuple[tuple[np.ndarray, ...], tuple[_EntryGroup, ...]]] = []
-
-    def cache_clear(self):
-        self.slots.clear()
-
-    def __call__(self, entries, n_bands: int) -> tuple[_EntryGroup, ...]:
-        all_bands = np.ones(n_bands, dtype=bool)
-        columns = ([rec.wavelengths for rec in entries],
-                   [all_bands if rec.usable is None else rec.usable for rec in entries],
-                   [rec.reflectance for rec in entries])
-        for i, (stored, groups) in enumerate(self.slots):
-            if all(_same_rows(*pair) for pair in zip(stored, columns)):
-                self.slots.append(self.slots.pop(i))
-                return groups
-        stored = tuple(np.stack(rows, dtype=dtype)
-                       for rows, dtype in zip(columns, (np.float64, bool, np.float64)))
-        groups = _entry_groups(*stored)
-        self.slots = [*self.slots, (stored, groups)][-self.size:]
-        return groups
-
-
-_library_groups = _LibraryMemo(_LIBRARY_MEMO_SIZE)
-
-
-def rank_matches(unknown, lib: SpectralLibrary,
+def rank_matches(unknown, lib: SpectralLibrary | PreparedLibrary,
                  weights: AnalystWeights | None = None) -> list[MatchScore]:
     """Score an unknown spectrum against a resampled library, best first.
 
@@ -348,28 +315,27 @@ def rank_matches(unknown, lib: SpectralLibrary,
     that cannot be continuum-removed) get an SFF component of 0. Ties in
     the weighted score break by name.
 
-    The library side (each entry's continuum removal, binary encoding,
-    norms and feature depths) is computed once per distinct library in a
-    process, for entries grouped by usable-band mask. The unknown is then
-    scored against each group as array operations, with its continuum
-    removed once per group. The per-pair formulas are those of
-    `sam_angle`, `sff_score` and `be_score`.
+    `lib` is a library from `prepare_library`, or a `SpectralLibrary`,
+    which is prepared for this call alone; to score many unknowns against
+    one library, prepare it once. The unknown is scored against each
+    group of entries as array operations, with its continuum removed once
+    per group. The per-pair formulas are those of `sam_angle`,
+    `sff_score` and `be_score`.
     """
     if weights is None:
         weights = AnalystWeights()
-    if not lib.entries:
-        raise ValueError("cannot rank against an empty library")
     unknown = np.asarray(unknown, dtype=np.float64)
     for rec in lib.entries:
         if unknown.shape != rec.wavelengths.shape:
             raise ValueError(
                 f"unknown has {unknown.size} bands but library entry "
                 f"{rec.name!r} has {rec.wavelengths.size}")
-    groups = _library_groups(lib.entries, unknown.size)
+    if not isinstance(lib, PreparedLibrary):
+        lib = prepare_library(lib)
 
     n = len(lib.entries)
     sam, sff, be = np.empty(n), np.zeros(n), np.empty(n)
-    for group in groups:
+    for group in lib.groups:
         u = unknown[group.usable]
         sam[group.index] = _sam_scores(_angles(u, group.reflectance, group.sq_norm))
         be[group.index] = _be_scores(binary_encode(u), group.bits)

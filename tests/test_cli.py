@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -343,6 +344,36 @@ class TestStages:
         assert (alt / "truth_pure_pixels.csv").exists()
 
 
+class TestLibraryInputs:
+    """A library table `match` or `synth` cannot use is a data error that
+    names the spectrum or the library."""
+
+    def write_match_inputs(self, tmp_path, library_text):
+        (tmp_path / "library.csv").write_text(library_text)
+        grid = np.linspace(500.0, 900.0, 5)
+        artifacts.write_spectra(tmp_path / "out" / "endmembers.csv", ["class_1", "class_2"],
+                                grid, [np.full(5, 0.4), np.linspace(0.2, 0.6, 5)])
+        for name in ("endmember_manifest.csv", "endmember_mnf_means.csv"):
+            (tmp_path / "out" / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\nlibrary_csv = library.csv\n")
+        return str(tmp_path / "p.cfg")
+
+    def test_nan_reflectance_fails_match(self, tmp_path, capsys):
+        rows = "".join(f"{w},0.{i + 2},{'nan' if i == 2 else f'0.{i + 3}'}\n"
+                       for i, w in enumerate(range(450, 1000, 100)))
+        cfg = self.write_match_inputs(tmp_path, "wavelength_nm,quartz,calcite\n" + rows)
+        assert run(["match", "--config", cfg]) == cli.EXIT_DATA
+        assert "spectrum 'calcite': reflectance outside [0, 1.5]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "match_summary.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["match", "synth"])
+    def test_header_only_library_fails(self, tmp_path, capsys, stage):
+        cfg = self.write_match_inputs(tmp_path, "wavelength_nm,quartz,calcite\n")
+        assert run([stage, "--config", cfg]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"spectral library {str(tmp_path / 'library.csv')!r} has no wavelength rows" in err
+
+
 class TestSynthBytes:
     """`synth`'s outputs on a config that takes every path (patches of one
     pixel or of 2 x 2, relative noise over more than one block of draws, a
@@ -386,14 +417,54 @@ class TestSynthBytes:
                 for name in digests} == digests
 
 
-def run_fresh(args, cwd, code=None):
+def run_fresh(args, cwd, code=None, **environ):
     """Run `python -m hypermap.cli <args>` (or `python -c code <args>`) in a
-    new interpreter, so only what that process imports is bound."""
-    env = dict(os.environ)
+    new interpreter, so only what that process imports is bound; `environ`
+    adds to its environment."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     head = ["-m", "hypermap.cli"] if code is None else ["-c", code]
     return subprocess.run([sys.executable, *head, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+class TestBlasThreads:
+    """`hypermap.cli` runs BLAS at one thread whatever the environment asks,
+    so the MNF fit and every artifact after it keep their bytes."""
+
+    def test_mnf_to_mtmf_bytes_do_not_depend_on_blas_threads(self, tmp_path, mineral_library):
+        from conftest import pick_separated_endmembers
+        from hypermap.spectral_match import resample_library
+
+        # The smallest scene found on which OpenBLAS at 2 threads changed
+        # mnf_cube.img without the pin: an 8 x 8 region of 84 bands.
+        scene = resample_library(SpectralLibrary(
+            [mineral_library.entries[i] for i in pick_separated_endmembers(mineral_library)]),
+            np.linspace(450.0, 2450.0, 84))
+        base = tmp_path / "base"
+        base.mkdir()
+        write_scenario_inputs(base, mineral_library, scene)
+        cfg = write_scenario_config(base, ppi_iterations=400)
+        text = cfg.read_text()
+        for key in ("synth_lines", "synth_samples", "roi_n_lines", "roi_n_samples",
+                    "flat_field_first_line", "flat_field_n_samples"):
+            text = text.replace(f"{key} = 64", f"{key} = 8")
+        cfg.write_text(text)
+        for stage in ("synth", "preprocess"):
+            assert run([stage, "--config", str(cfg)]) == 0
+        code = ("import sys; from hypermap.cli import main\n"
+                "for stage in ('mnf', 'ppi', 'endmembers', 'mtmf'):\n"
+                "    assert main([stage, '--config', sys.argv[1]]) == 0, stage\n")
+        trees = []
+        for threads in ("1", "2"):
+            d = tmp_path / f"threads_{threads}"
+            shutil.copytree(base, d)
+            done = run_fresh([str(d / "pipeline.cfg")], d, code, OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            trees.append(read_tree(d / "out"))
+        assert "mnf_cube.img" in trees[0] and "mtmf_class_1.img" in trees[0]
+        assert trees[0] == trees[1]
 
 
 class TestFreshProcesses:

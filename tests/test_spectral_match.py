@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from hypermap import spectral_match
-from hypermap.envi_io import SpectralLibrary, SpectrumRecord
+from hypermap.envi_io import SpectralLibrary, SpectrumRecord, write_spectral_library_file
 from hypermap.spectral_match import (
     AnalystWeights,
     be_score,
     binary_encode,
     continuum_remove,
+    prepare_library,
     rank_matches,
     resample_library,
     sam_angle,
@@ -422,9 +423,9 @@ class TestRankMatchesOracle:
             assert (top.sam_score, top.sff_score, top.be_score) == (1.0, 1.0, 1.0)
 
 
-class TestContinuumMemo:
-    """rank_matches takes the library side of every score from a
-    per-process memo and removes each unknown's continuum once."""
+class TestPreparedLibrary:
+    """prepare_library removes each entry's continuum once; rank_matches
+    then removes only the unknown's, once per group of entries."""
 
     def library(self):
         return dip_library(centers=(650.0, 800.0, 950.0, 1100.0, 1250.0))
@@ -439,7 +440,6 @@ class TestContinuumMemo:
     def hull_rows(self, monkeypatch):
         """Counts the hull rows computed through the module global: a
         stack of n spectra adds n."""
-        spectral_match._library_groups.cache_clear()
         rows = []
         original = spectral_match.continuum_remove
 
@@ -448,39 +448,65 @@ class TestContinuumMemo:
             return original(wavelengths, values)
 
         monkeypatch.setattr(spectral_match, "continuum_remove", counting)
-        yield rows
-        spectral_match._library_groups.cache_clear()
+        return rows
 
-    def test_library_rows_once_and_each_unknown_once(self, hull_rows):
+    def test_preparation_removes_each_entry_once(self, hull_rows):
         lib = self.library()
-        unknowns = self.unknowns(lib)
-        rank_matches(unknowns[0], lib)
-        # one stacked call for the library, one for the unknown
-        assert hull_rows == [len(lib.entries), 1]
-        for unknown in unknowns[1:] + [unknowns[0].copy()]:
-            rank_matches(unknown, lib)
-        assert sum(hull_rows) == len(lib.entries) + len(unknowns) + 1
+        prepared = prepare_library(lib)
+        # one stacked call for the library's single group
+        assert len(prepared.groups) == 1
+        assert hull_rows == [len(lib.entries)]
 
-    def test_library_rows_once_per_mask_group(self, hull_rows):
+    def test_preparation_removes_positive_entries_once_per_group(self, hull_rows):
+        prepared = prepare_library(mixed_library())
+        # 7 positive entries over 3 masks; the non-positive entry is never
+        # passed to the hull
+        assert len(prepared.groups) == 3
+        assert sum(hull_rows) == 7
+
+    def test_each_ranking_removes_the_unknown_once_per_group(self, hull_rows):
         lib = mixed_library()
+        prepared = prepare_library(lib)
+        hull_rows.clear()
         unknown = np.where(lib.entries[0].usable, lib.entries[0].reflectance, 0.5)
-        for _ in range(3):
-            rank_matches(unknown, lib)
-        # 7 positive entries over 3 masks, and each group's unknown once per
-        # ranking; the non-positive entry is never passed to the hull
-        assert sum(hull_rows) == 7 + 3 * 3
+        for calls in range(1, 4):
+            rank_matches(unknown, prepared)
+            assert hull_rows == [1] * 3 * calls
 
-    def test_rankings_equal_uncached(self):
+    def test_plain_library_is_prepared_for_each_call(self, hull_rows):
         lib = self.library()
         unknowns = self.unknowns(lib)
         for unknown in unknowns:
             rank_matches(unknown, lib)
-        cached = [rank_matches(unknown, lib) for unknown in unknowns]
-        fresh = []
-        for unknown in unknowns:
-            spectral_match._library_groups.cache_clear()
-            fresh.append(rank_matches(unknown, lib))
-        assert cached == fresh
+        assert hull_rows == [len(lib.entries), 1] * len(unknowns)
+
+    @pytest.mark.parametrize("weights", [AnalystWeights(), AnalystWeights(2.0, 0.5, 1.0),
+                                         AnalystWeights(0.0, 1.0, 0.0)])
+    def test_prepared_and_plain_rank_alike(self, weights):
+        lib = mixed_library()
+        prepared = prepare_library(lib)
+        for unknown in TestRankMatchesOracle().unknowns(lib):
+            assert rank_matches(unknown, prepared, weights) == rank_matches(unknown, lib, weights)
+
+    def test_empty_library_cannot_be_prepared(self):
+        with pytest.raises(ValueError, match="cannot rank against an empty library"):
+            prepare_library(SpectralLibrary(entries=[]))
+
+    def test_match_stage_prepares_the_library_once(self, tmp_path, hull_rows):
+        from hypermap import artifacts, cli
+
+        lib = self.library()
+        write_spectral_library_file(lib, tmp_path / "library.csv")
+        spectra = self.unknowns(lib)
+        artifacts.write_spectra(tmp_path / "out" / "endmembers.csv",
+                                [f"class_{i}" for i in range(1, len(spectra) + 1)],
+                                lib.entries[0].wavelengths, spectra)
+        for name in ("endmember_manifest.csv", "endmember_mnf_means.csv"):
+            (tmp_path / "out" / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\nlibrary_csv = library.csv\n")
+        cli.run_stage("match", cli.load_config(str(tmp_path / "p.cfg")))
+        # entries once, then each class once in the library's one group
+        assert hull_rows == [len(lib.entries)] + [1] * len(spectra)
 
     def test_entry_changed_in_place_is_rescored(self):
         lib = self.library()
@@ -491,6 +517,14 @@ class TestContinuumMemo:
         assert before["min_0"].sff_score < 1.0
         assert after["min_0"].sff_score == 1.0
 
+    def test_prepared_library_keeps_its_copies(self):
+        lib = self.library()
+        unknown = lib.entries[1].reflectance.copy()
+        prepared = prepare_library(lib)
+        before = rank_matches(unknown, prepared)
+        lib.entries[0].reflectance[:] = unknown
+        assert rank_matches(unknown, prepared) == before
+
     def test_non_positive_unknown_scores_zero_without_a_hull(self, hull_rows):
         lib = self.library()
         classes = []
@@ -498,9 +532,10 @@ class TestContinuumMemo:
             unknown = rec.reflectance.copy()
             unknown[3 + i] = 0.0
             classes.append(unknown)
+        prepared = prepare_library(lib)
         for _ in range(2):
             for unknown in classes:
-                scores = rank_matches(unknown, lib)
+                scores = rank_matches(unknown, prepared)
                 assert [m.sff_score for m in scores] == [0.0] * len(lib.entries)
         # only the library's rows, once; no unknown reaches the hull
         assert hull_rows == [len(lib.entries)]
