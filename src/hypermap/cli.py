@@ -41,15 +41,14 @@ from .envi_io import (
 )
 
 # Names resolve through the package's `_EXPORTS`, plus the names only
-# stages call (`preprocess` and `mnf` call the in-place cores of the public
-# steps, on the cube they own). `run_stage` binds the names a stage's code
-# looks up just before it runs, so a stage process imports only what it
-# uses; a name already bound (a test double or a timing wrapper) stays.
+# stages call (`preprocess` and `mnf` stream their cube from file to file).
+# `run_stage` binds the names a stage's code looks up just before it runs,
+# so a stage process imports only what it uses; a name already bound (a
+# test double or a timing wrapper) stays.
 _STAGE_ONLY = {
-    "_noise_from_planes": "mnf", "fit_forward_to_file": "mnf",
-    "_flat_field_in_place": "preprocess", "_iarr_in_place": "preprocess",
-    "_scale_in_place": "preprocess", "_standardize_in_place": "preprocess",
-    "read_band_mask_csv": "preprocess", "read_gains_csv": "preprocess",
+    "fit_forward_to_file": "mnf", "band_statistics": "preprocess",
+    "write_reflectance": "preprocess", "read_band_mask_csv": "preprocess",
+    "read_gains_csv": "preprocess", "add_noise": "synthcube",
 }
 
 
@@ -329,64 +328,43 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
     for path in (header_path, image_path):
         if not os.path.exists(path):
             raise ConfigError(f"input file {path!r} does not exist")
-    # Only the kept bands are read, then divided by their gains in place:
-    # the same values as scaling every band and then masking. The whole
-    # gains table is checked before any band is dropped.
-    header = parse_envi_header(artifacts.read_text(header_path))
+    scene = CubeFile(header_path, image_path)  # read a block of lines at a time
+    # The whole gains table is checked before any band is dropped.
     gains = keep = None
     if cfg.gains_csv:
-        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), header.bands)
+        gains = read_gains_csv(artifacts.read_text(cfg.resolve(cfg.gains_csv)), scene.bands)
     if cfg.band_mask_csv:
         keep = read_band_mask_csv(artifacts.read_text(cfg.resolve(cfg.band_mask_csv)),
-                                  header.bands)
-    cube = _read_cube(header_path, image_path, bands=keep, header=header)
-    if gains is not None:
-        cube = _scale_in_place(cube, gains if keep is None else gains[keep])
+                                  scene.bands)
 
-    roi = None
+    roi = field = None
     if cfg.roi_n_lines > 0 or cfg.roi_n_samples > 0:
         if cfg.roi_n_lines < 1 or cfg.roi_n_samples < 1:
             raise ConfigError(
                 "config keys 'roi_n_lines'/'roi_n_samples': set both >= 1 or both 0")
         roi = Roi(cfg.roi_first_line, cfg.roi_first_sample,
                   cfg.roi_n_lines, cfg.roi_n_samples)
-
     if cfg.reflectance_method == "flat_field":
-        # The flat-field region may lie outside the analysis ROI, so divide
-        # on the full extent first and crop afterwards.
+        # The flat-field region may lie outside the analysis ROI: the mean
+        # is taken on the full extent and the ROI cropped afterwards.
         field = Roi(cfg.flat_field_first_line, cfg.flat_field_first_sample,
                     cfg.flat_field_n_lines, cfg.flat_field_n_samples)
-        cube = _flat_field_in_place(cube, field)
-        if roi is not None:
-            cube = subset_roi(cube, roi)
-    else:
-        if roi is not None:
-            cube = subset_roi(cube, roi)
-        cube = _iarr_in_place(cube)
 
-    write_cube_file(cube, cfg.artifact("reflectance.hdr"))
-    print(f"preprocess: wrote reflectance cube "
-          f"{cube.samples} x {cube.lines} x {cube.bands}")
+    samples, lines, bands = write_reflectance(scene, cfg.artifact("reflectance.hdr"),
+                                              keep, gains, roi, field)
+    print(f"preprocess: wrote reflectance cube {samples} x {lines} x {bands}")
 
 
 def stage_mnf(cfg: PipelineConfig) -> None:
-    path = cfg.artifact("reflectance.hdr")
-    cube = _read_cube(path)
+    cube = CubeFile(cfg.artifact("reflectance.hdr"))  # read a block of lines at a time
     if not 1 <= cfg.mnf_keep_k <= cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
+    standard = None
     if cfg.standardize_before_mnf:
-        cube, means, stds = _standardize_in_place(cube)
-        artifacts.write_band_stats(cfg.artifact("band_stats.csv"), means, stds)
-    # The shift differences overwrite the cube's band planes (contiguous in
-    # the BSQ file `preprocess` writes: no copy); the cube is read again into
-    # the freed buffer, and freed before the model's text is formatted.
-    noise = _noise_from_planes(np.ascontiguousarray(cube.values.transpose(2, 0, 1)))
-    del cube
-    cube = _read_cube(path)
-    if cfg.standardize_before_mnf:
-        cube = _standardize_in_place(cube)[0]
-    model, cube = fit_forward_to_file(cube, noise, cfg.artifact("mnf_cube.hdr")), None
+        standard = band_statistics(cube)
+        artifacts.write_band_stats(cfg.artifact("band_stats.csv"), *standard)
+    model = fit_forward_to_file(cube, cfg.artifact("mnf_cube.hdr"), standard)
     save_mnf_model(model, cfg.artifact("mnf_model"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")
@@ -521,26 +499,23 @@ def stage_synth(cfg: PipelineConfig) -> None:
     cube, truth = generate(scenario)
     sigma = truth.noise_sigma
 
+    strip = None
     if cfg.synth_panel_lines > 0:
-        # Spectrally flat calibration strip appended below the scene; used
+        # Spectrally flat calibration strip written below the scene; used
         # as the flat-field region for absolute-reflectance recovery.
         strip = np.full((cfg.synth_panel_lines, samples, endmembers.shape[1]),
                         cfg.synth_panel_level)
         if sigma > 0:
-            g = root.spawn(2).gaussians(strip.size).reshape(strip.shape)
-            strip = strip + sigma * g
-        cube = SpectralCube(values=np.concatenate([cube.values, strip], axis=0),
-                            wavelengths=cube.wavelengths,
-                            bad_band_mask=cube.bad_band_mask,
-                            units_tag=cube.units_tag)
+            add_noise(strip, sigma, root.spawn(2))
+        strip = cube.copy_with(values=strip)
 
     write_cube_file(cube, cfg.resolve(cfg.input_header), cfg.resolve(cfg.input_image),
-                    interleave="bil", data_type="float64")
+                    interleave="bil", data_type="float64", below=strip)
 
     artifacts.write_truth_abundances(cfg.artifact("truth_abundances.csv"), truth.abundances)
     artifacts.write_truth_pure_pixels(cfg.artifact("truth_pure_pixels.csv"),
                                       truth.pure_pixels, [e.name for e in lib.entries])
-    print(f"synth: wrote {cube.samples} x {cube.lines} x {cube.bands} scene "
+    print(f"synth: wrote {cube.samples} x {lines + cfg.synth_panel_lines} x {cube.bands} scene "
           f"with {len(plan)} pure pixels (sigma = {sigma:.6g})")
 
 

@@ -3,7 +3,8 @@
 :class:`CubeFile` is a cube on disk that is never held whole.
 :func:`band_blocks` and :func:`line_blocks` yield the same blocks of a
 `CubeFile` or of an in-memory `SpectralCube` (as views of its values), so
-a caller runs one code path either way. A block of lines holds about
+a caller runs one code path either way; :func:`plane_blocks` yields line
+blocks as band planes that the caller owns. A block of lines holds about
 `envi_io.BLOCK_BYTES` of float64 values, a block of bands about
 `BAND_BLOCK_BYTES`.
 
@@ -52,18 +53,19 @@ def _band_ranges(bands: int, plane: int) -> list[tuple[int, int]]:
 
 
 class CubeFile:
-    """An ENVI cube on disk (the image is the header's `.img` sibling),
-    read a block at a time by :func:`band_blocks` and :func:`line_blocks`.
+    """An ENVI cube on disk (the image is `image_path`, by default the
+    header's `.img` sibling), read a block at a time by :func:`band_blocks`,
+    :func:`line_blocks` and :func:`plane_blocks`.
 
     Opening parses the header and checks the image's size, as a whole read
     does; `wavelengths`, `bad_band_mask` and `units_tag` are those of the
     `read_cube` cube.
     """
 
-    def __init__(self, header_path):
+    def __init__(self, header_path, image_path=None):
         with open(header_path, "r", encoding="utf-8") as fp:
             self.header = h = parse_envi_header(fp.read())
-        self.image_path = _image_path(header_path)
+        self.image_path = _image_path(header_path, image_path)
         _check_payload_size(h, os.path.getsize(self.image_path))
         self.lines, self.samples, self.bands = h.lines, h.samples, h.bands
         self.wavelengths, self.bad_band_mask, self.units_tag = _cube_metadata(h)
@@ -118,3 +120,14 @@ def line_blocks(cube: SpectralCube | CubeFile):
         return
     for l0, block in _read_blocks(cube.image_path, cube.header, dtype=np.float64):
         yield l0, _finite(block)
+
+
+def plane_blocks(cube: SpectralCube | CubeFile):
+    """Yield (first line, a C-contiguous ``(bands, n, samples)`` float64
+    array) over every line of `cube`: the blocks of :func:`line_blocks` as
+    band planes, each an array the caller may overwrite. A BSQ file's block
+    is the reader's buffer itself; other blocks are copies."""
+    for l0, block in line_blocks(cube):
+        planes = block.transpose(2, 0, 1)
+        yield l0, planes.copy() if isinstance(cube, SpectralCube) else \
+            np.ascontiguousarray(planes)

@@ -541,11 +541,12 @@ _INT_RANGES = {
 }
 
 
-def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
-                 byte_order: str) -> tuple[str, np.ndarray, np.dtype]:
-    """Header text, the values as a view in the file's interleave order
-    (outermost axis first) and the file's dtype. Integer types are
-    range-checked here; rounding is left to the caller."""
+def _encode_cube(cube: SpectralCube, interleave: str, data_type: str, byte_order: str,
+                 lines: int | None = None) -> tuple[str, np.ndarray, np.dtype]:
+    """Header text (for `lines` lines, by default the cube's), the values
+    as a view in the file's interleave order (outermost axis first) and
+    the file's dtype. Integer types are range-checked here; rounding is
+    left to the caller."""
     interleave = interleave.lower()
     if interleave not in INTERLEAVES:
         raise ValueError(f"unknown interleave {interleave!r}")
@@ -563,8 +564,8 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str,
     dtype = np.dtype(data_type).newbyteorder("<" if byte_order == "little" else ">")
     arranged = values.transpose(_FILE_AXES[interleave])
 
-    header = _header_text(cube.lines, cube.samples, cube.wavelengths, cube.bad_band_mask,
-                          cube.units_tag, interleave, data_type, byte_order)
+    header = _header_text(lines or cube.lines, cube.samples, cube.wavelengths,
+                          cube.bad_band_mask, cube.units_tag, interleave, data_type, byte_order)
     return header, arranged, dtype
 
 
@@ -599,26 +600,44 @@ def write_cube(cube: SpectralCube, interleave: str = "bsq",
 
 
 def write_cube_file(cube: SpectralCube, header_path, image_path=None,
-                    interleave: str = "bsq", data_type: str = "float64") -> None:
+                    interleave: str = "bsq", data_type: str = "float64",
+                    below: SpectralCube | None = None) -> None:
     """Write a cube as a .hdr/.img file pair, creating missing parent
     directories. The payload goes out one plane of the interleave at a
     time (a band for BSQ, a line for BIL and BIP), so at most one plane
     is converted or reordered at once; the files hold exactly what
-    :func:`write_cube` returns."""
-    header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, "little")
+    :func:`write_cube` returns.
+
+    `below`, a cube of the same samples and bands, adds its lines after
+    the cube's: the files are those of the two cubes concatenated along
+    lines (with the first one's metadata), and no such cube is made."""
+    lines = cube.lines + (0 if below is None else below.lines)
+    header_text, arranged, dtype = _encode_cube(cube, interleave, data_type, "little", lines)
+    planes = [arranged]
+    if below is not None:
+        if (below.samples, below.bands) != (cube.samples, cube.bands):
+            raise ValueError("cubes stacked along lines must share samples and bands")
+        planes.append(_encode_cube(below, interleave, data_type, "little")[1])
+    # A BSQ band plane holds that band of every line; other planes are lines.
+    groups = zip(*planes) if interleave.lower() == "bsq" else planes
     with _open_pair(header_path, image_path, header_text) as fp:
-        fp.writelines(_as_payload(plane, dtype).data for plane in arranged)
+        fp.writelines(_as_payload(plane, dtype).data for group in groups for plane in group)
 
 
 def write_bsq_pixel_blocks(blocks, header_path, lines: int, samples: int,
-                           wavelengths, units_tag: str) -> None:
-    """Write a float64 BSQ .hdr/.img pair, as :func:`write_cube_file` does
-    with every band good, from `blocks`: (first pixel p, C-contiguous
-    `(bands, m)` float64 array) pairs that cover the pixels once. Row j goes
-    to pixels p to p + m of band plane j as its block arrives, one at a time."""
-    header_text = _header_text(lines, samples, wavelengths, np.ones(len(wavelengths), dtype=bool),
+                           wavelengths, bad_band_mask, units_tag: str) -> None:
+    """Write a float64 BSQ .hdr/.img pair, as :func:`write_cube_file` does,
+    from `blocks`: (first pixel p, C-contiguous `(bands, m)` float64 array)
+    pairs that cover the pixels once. Row j goes to pixels p to p + m of
+    band plane j as its block arrives, one at a time. The image's whole
+    size is allocated before the first row, where the platform offers
+    `posix_fallocate`, so the scattered rows land in a file of its final
+    size."""
+    header_text = _header_text(lines, samples, wavelengths, bad_band_mask,
                                units_tag, "bsq", "float64", "little")
     with _open_pair(header_path, None, header_text) as fp:
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fp.fileno(), 0, lines * samples * len(wavelengths) * 8)
         for p, block in blocks:
             for j, row in enumerate(_as_payload(block, np.dtype("<f8"))):
                 fp.seek((j * lines * samples + p) * 8)

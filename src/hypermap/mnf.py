@@ -15,17 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
+from .cube_blocks import CubeFile, line_blocks, plane_blocks
 from .envi_io import SpectralCube, write_bsq_pixel_blocks
-from .numerics import centre_and_covariance, check_symmetric, symmetric_eig
+from .numerics import Moments, check_symmetric, symmetric_eig
 
 _RIDGE = 1e-10
 
 # Bytes of one block of the projection, `forward @ centred[p0:p1].T` over
-# a range of pixels: a fresh (bands, m) array, so the projection holds
-# about this much beside the cube whatever the scene's size. m is a
-# multiple of 64 pixels, so that OpenBLAS computes every value with the
-# same operations as one whole-cube product (a 2674-pixel block changed
-# the bits of its last two columns); a short remainder joins the last range.
+# a range of pixels of a block of lines: a fresh (bands, m) array, so the
+# projection holds about this much beside the line block whatever the
+# scene's size. m is a multiple of 64 pixels, so that OpenBLAS computes
+# every value with the same operations as one product over the line block
+# (a 2674-pixel range changed the bits of its last two columns); a short
+# remainder joins the last range.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -65,7 +67,26 @@ class MnfModel:
         return self.band_mean.size
 
 
-def estimate_noise_covariance(cube: SpectralCube) -> NoiseEstimate:
+# Every step below runs on a cube a block of lines at a time, in memory or
+# on disk (`cube_blocks`): the noise and data covariances are merged from
+# per-block sums (`numerics.Moments`), and the projection is computed and
+# handed on a range of pixels at a time.
+
+
+def _noise_samples(planes: np.ndarray) -> np.ndarray:
+    """The (bands, n) shift differences of a block's (bands, lines,
+    samples) band planes, `(x(line, s) - x(line, s+1)) / sqrt(2)` along
+    each line, so that blocks of lines need no overlap."""
+    bands, lines, samples = planes.shape
+    if samples < 2:
+        raise ValueError("noise estimation needs at least 2 samples per line")
+    diff = np.empty((bands, lines, samples - 1))
+    np.subtract(planes[:, :, :-1], planes[:, :, 1:], out=diff)
+    diff /= np.sqrt(2.0)
+    return diff.reshape(bands, -1)
+
+
+def estimate_noise_covariance(cube: SpectralCube | CubeFile) -> NoiseEstimate:
     """Estimate noise from horizontal neighbor differences.
 
     d(line, s) = (x(line, s) - x(line, s+1)) / sqrt(2); the covariance of
@@ -73,42 +94,32 @@ def estimate_noise_covariance(cube: SpectralCube) -> NoiseEstimate:
     the underlying signal varies slowly along a line. The cube is not
     modified.
     """
-    return _noise_from_planes(cube.values.transpose(2, 0, 1).copy())
+    noise = Moments(cube.bands)
+    for _, block in line_blocks(cube):
+        noise.add(_noise_samples(block.transpose(2, 0, 1)))
+    return NoiseEstimate(cov=noise.covariance())
 
 
-def _noise_from_planes(planes: np.ndarray) -> NoiseEstimate:
-    """:func:`estimate_noise_covariance` from the cube's C-contiguous
-    (bands, lines, samples) band planes, which it overwrites.
-
-    The differences are computed a band plane at a time and packed into
-    `planes` itself, each plane's `lines * (samples - 1)` values after the
-    last, then centred there in place.
-    """
-    bands, lines, samples = planes.shape
-    if samples < 2:
-        raise ValueError("noise estimation needs at least 2 samples per line")
-    n = lines * (samples - 1)
-    packed = planes.reshape(-1)
-    diff = np.empty((lines, samples - 1))
-    # Plane j is read into `diff` before it is packed, over the part of the
-    # buffer that holds planes up to j and no later one.
-    for j, plane in enumerate(planes):
-        np.subtract(plane[:, :-1], plane[:, 1:], out=diff)
-        diff /= np.sqrt(2.0)
-        packed[j * n:(j + 1) * n] = diff.reshape(-1)
-    _, cov = centre_and_covariance(packed[:bands * n].reshape(bands, n).T)
-    return NoiseEstimate(cov=cov)
+def _standardized(cube: SpectralCube | CubeFile, standard):
+    """`plane_blocks` of the cube, shifted by the band means and scaled by
+    the band deviations of `standard` when it is given, as `standardize`
+    shifts and scales the values."""
+    for l0, planes in plane_blocks(cube):
+        if standard is not None:
+            planes -= standard[0][:, None, None]
+            planes /= standard[1][:, None, None]
+        yield l0, planes
 
 
-def _fit_centring(pixels: np.ndarray, noise: NoiseEstimate, cube: SpectralCube) -> MnfModel:
-    """The MNF fit from the (n, b) `pixels` of `cube`, which it centres in
-    place; :func:`fit_mnf` documents the steps."""
+def _fit(noise: NoiseEstimate, data: Moments, cube: SpectralCube | CubeFile) -> MnfModel:
+    """The MNF fit from the noise estimate and the pixels' sums of `cube`;
+    :func:`fit_mnf` documents the steps."""
     b = cube.bands
     noise_cov = check_symmetric(noise.cov)
     if noise_cov.shape != (b, b):
         raise ValueError(f"noise covariance is {noise_cov.shape}, cube has {b} bands")
 
-    band_mean, data_cov = centre_and_covariance(pixels)
+    band_mean, data_cov = data.mean, data.covariance()
 
     ridge = _RIDGE * np.trace(noise_cov) / b
     regularized = noise_cov + np.eye(b) * ridge
@@ -144,11 +155,22 @@ def _pixel_blocks(model: MnfModel, centred: np.ndarray):
         yield p0, model.forward @ centred[p0:p1].T
 
 
+def _components(model: MnfModel, cube: SpectralCube | CubeFile, standard=None):
+    """`_pixel_blocks` of each block of lines of the cube (standardized as
+    by `_standardized`), centred on the model's band means, with the first
+    pixel of each range counted from the cube's first pixel."""
+    for l0, planes in _standardized(cube, standard):
+        centred = planes.reshape(model.bands, -1)
+        centred -= model.band_mean[:, None]
+        for p0, block in _pixel_blocks(model, centred.T):
+            yield l0 * cube.samples + p0, block
+
+
 def _component_wavelengths(bands: int) -> np.ndarray:
     return np.arange(1, bands + 1, dtype=np.float64)
 
 
-def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
+def fit_mnf(cube: SpectralCube | CubeFile, noise: NoiseEstimate) -> MnfModel:
     """Fit the MNF model: noise whitening followed by a variance rotation.
 
     Steps:
@@ -161,7 +183,10 @@ def fit_mnf(cube: SpectralCube, noise: NoiseEstimate) -> MnfModel:
     Eigenvalues are the whitened-data eigenvalues, descending; values near
     1 indicate noise-only components. The cube is not modified.
     """
-    return _fit_centring(cube.pixels().copy(order="K"), noise, cube)
+    data = Moments(cube.bands)
+    for _, planes in plane_blocks(cube):
+        data.add(planes.reshape(cube.bands, -1))
+    return _fit(noise, data, cube)
 
 
 def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
@@ -169,7 +194,7 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
     if cube.bands != model.bands:
         raise ValueError(f"cube has {cube.bands} bands, model expects {model.bands}")
     planes = np.empty((model.bands, cube.lines * cube.samples))
-    for p0, block in _pixel_blocks(model, cube.pixels() - model.band_mean):
+    for p0, block in _components(model, cube):
         planes[:, p0:p0 + block.shape[1]] = block
     return SpectralCube(values=planes.reshape(-1, cube.lines, cube.samples).transpose(1, 2, 0),
                         wavelengths=_component_wavelengths(model.bands),
@@ -177,17 +202,23 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
                         units_tag="mnf_component")
 
 
-def fit_forward_to_file(cube: SpectralCube, noise: NoiseEstimate, header_path) -> MnfModel:
-    """:func:`fit_mnf` then :func:`forward_mnf` on the same cube, writing
-    the components as a float64 BSQ cube at `header_path` with the bytes
-    `write_cube_file` gives that result. The cube's pixels are centred in
-    place (its values are left centred when `pixels()` is a view) and the
-    components are written a block of pixels at a time as they are
-    computed, so one ~1 MiB block is their only array."""
-    pixels = cube.pixels()
-    model = _fit_centring(pixels, noise, cube)
-    write_bsq_pixel_blocks(_pixel_blocks(model, pixels), header_path, cube.lines, cube.samples,
-                           _component_wavelengths(model.bands), "mnf_component")
+def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=None) -> MnfModel:
+    """:func:`estimate_noise_covariance`, :func:`fit_mnf` and
+    :func:`forward_mnf` of the cube (standardized first by the band means
+    and deviations `standard`, when given), writing the components as a
+    float64 BSQ cube at `header_path` with the bytes `write_cube_file`
+    gives that result. One pass over the cube's blocks of lines takes the
+    noise and data sums, a second projects each block and writes its band
+    rows, so a block of lines and one ~1 MiB block of components are its
+    largest arrays."""
+    noise, data = Moments(cube.bands), Moments(cube.bands)
+    for _, planes in _standardized(cube, standard):
+        noise.add(_noise_samples(planes))
+        data.add(planes.reshape(cube.bands, -1))
+    model = _fit(NoiseEstimate(cov=noise.covariance()), data, cube)
+    write_bsq_pixel_blocks(_components(model, cube, standard), header_path, cube.lines,
+                           cube.samples, _component_wavelengths(model.bands),
+                           np.ones(model.bands, dtype=bool), "mnf_component")
     return model
 
 

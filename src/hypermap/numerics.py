@@ -203,12 +203,49 @@ def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.nda
 
 def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and n-1 sample covariance of the rows of `x` (n, b),
-    centring `x` in place: the one owner of the noise, MNF data and MTMF
-    background covariances. A caller that keeps using the centred rows
-    needs no second copy of them."""
+    centring `x` in place: the MTMF background covariance, and the
+    whole-matrix reference for :class:`Moments`. A caller that keeps using
+    the centred rows needs no second copy of them."""
     mu = x.mean(axis=0)
     x -= mu
     return mu, x.T @ x / max(x.shape[0] - 1, 1)
+
+
+class Moments:
+    """Count, mean and sums of centred cross products of samples that
+    arrive a block at a time, as the columns of (bands, m) arrays: the
+    noise and data covariances of the MNF.
+
+    Each block is centred on its own mean and its products are merged into
+    the running ones as Chan, Golub & LeVeque (1983, The American
+    Statistician 37(3)) merge the sums of two sets, so no product is taken
+    about a mean far from its block's.
+    """
+
+    def __init__(self, bands: int):
+        self.count = 0
+        self.total = np.zeros(bands)
+        self.products = np.zeros((bands, bands))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.total / max(self.count, 1)
+
+    def add(self, samples: np.ndarray) -> None:
+        """Add the columns of the (bands, m) float64 array `samples`, which
+        it centres in place."""
+        m = samples.shape[1]
+        total = samples.sum(axis=1)
+        delta = total / m - self.mean
+        samples -= (total / m)[:, None]
+        self.products += samples @ samples.T
+        self.products += np.outer(delta, delta) * (self.count * m / (self.count + m))
+        self.total += total
+        self.count += m
+
+    def covariance(self) -> np.ndarray:
+        """The n-1 sample covariance (n at least 2)."""
+        return self.products / max(self.count - 1, 1)
 
 
 def check_symmetric(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:

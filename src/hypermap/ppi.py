@@ -16,7 +16,10 @@ import numpy as np
 from .envi_io import SpectralCube
 from .numerics import spawned_gaussians
 
+# Skewers per chunk: at most _CHUNK, and fewer when a chunk's (skewers,
+# pixels) projection block would pass _CHUNK_BYTES.
 _CHUNK = 64
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,8 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     planes = np.ascontiguousarray(mnf_cube.pixels()[:, :k].T)
     n_pixels = planes.shape[1]
     n_iter = params.n_iterations
-    chunks = [(s, min(s + _CHUNK, n_iter)) for s in range(0, n_iter, _CHUNK)]
+    chunk = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * n_pixels)))
+    chunks = [(s, min(s + chunk, n_iter)) for s in range(0, n_iter, chunk)]
 
     def process(bounds):
         start, stop = bounds

@@ -151,6 +151,20 @@ def plant_pure_pixels(field: np.ndarray,
     return out
 
 
+def add_noise(values: np.ndarray, sigma: float, rs: RandomSource) -> None:
+    """Add `sigma` times the next standard normals of `rs` to the
+    C-contiguous `values` in place, in raster order: the same stream
+    positions and the same bits as `values + sigma * g` for
+    `g = rs.gaussians(values.size)`, drawn a block at a time, so no array
+    of the values' size is made."""
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _NOISE_BLOCK):
+        block = flat[start:start + _NOISE_BLOCK]
+        g = rs.gaussians(block.size)
+        g *= sigma
+        block += g
+
+
 def generate(scenario: MixingScenario) -> tuple[SpectralCube, GroundTruth]:
     """Realize the scenario: mixtures plus seeded per-band Gaussian noise.
 
@@ -171,16 +185,7 @@ def generate(scenario: MixingScenario) -> tuple[SpectralCube, GroundTruth]:
             level = float(np.mean(np.abs(values)))
         sigma = scenario.noise_relative * level
     if sigma > 0:
-        # Scaled and added in place, a block of draws at a time: the same
-        # stream positions and the same bits as `values + sigma * g` over
-        # the whole cube, with no cube-sized noise array.
-        rs = RandomSource(scenario.seed)
-        flat = values.reshape(-1)
-        for start in range(0, flat.size, _NOISE_BLOCK):
-            block = flat[start:start + _NOISE_BLOCK]
-            g = rs.gaussians(block.size)
-            g *= sigma
-            block += g
+        add_noise(values, sigma, RandomSource(scenario.seed))
     cube = SpectralCube(values=values, wavelengths=scenario.wavelengths.copy(),
                         bad_band_mask=np.ones(values.shape[2], dtype=bool),
                         units_tag="radiance")

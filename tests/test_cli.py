@@ -500,8 +500,8 @@ class TestFreshProcesses:
         expected = {
             "synth": {"numerics", "synthcube"},
             "info": set(),
-            "preprocess": {"preprocess"},
-            "mnf": {"mnf", "numerics", "preprocess"},
+            "preprocess": {"cube_blocks", "preprocess"},
+            "mnf": streamed | {"mnf", "preprocess"},
             "ppi": {"numerics", "ppi"},
             "endmembers": streamed | {"endmember"},
             "match": {"spectral_match"},
@@ -783,39 +783,9 @@ class TestStageMemory:
         payload = self.write_cube_file(tmp_path / "cube.hdr", "reflectance")
         assert traced_peak(cli._read_cube, str(tmp_path / "cube.hdr")) <= 1.05 * payload
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_mnf_stage_holds_one_cube(self, tmp_path, standardize):
-        cube_bytes = self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance",
-                                          self.LARGE)
-        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n"
-                                        f"standardize_before_mnf = {str(standardize).lower()}\n")
-        cfg = cli.load_config(str(tmp_path / "p.cfg"))
-        cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
-        # The cube, its differences written over it, then the cube read
-        # again and its components written a block at a time, beside the
-        # model's few (bands x bands) matrices; a second cube would reach 2x.
-        budget = cube_bytes + envi_io.BLOCK_BYTES + 8 * 8 * self.LARGE[2] ** 2
-        assert traced_peak(cli.run_stage, "mnf", cfg) <= budget
-
-    def test_mnf_stage_holds_no_more_beside_the_cube_for_a_taller_cube(self, tmp_path):
-        # Beside the cube the stage holds the model's (bands x bands)
-        # matrices, a plane of shift differences and one ~1 MiB block of
-        # components, none of which grows by a MiB with 4x the lines; a
-        # product of 32 components over every pixel grows by 12 MiB.
-        extras = []
-        for lines in (self.LARGE[0], 4 * self.LARGE[0]):
-            cube_bytes = self.write_cube_file(tmp_path / str(lines) / "reflectance.hdr",
-                                              "reflectance", (lines,) + self.LARGE[1:])
-            (tmp_path / "p.cfg").write_text(f"output_dir = {lines}\nmnf_keep_k = 8\n")
-            cfg = cli.load_config(str(tmp_path / "p.cfg"))
-            if not extras:
-                cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
-            extras.append(traced_peak(cli.run_stage, "mnf", cfg) - cube_bytes)
-        assert abs(extras[1] - extras[0]) <= 1 << 20
-
-    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
-    def test_preprocess_stage_holds_one_cube(self, tmp_path, interleave):
-        shape = self.LARGE[:2] + (320,)
+    def write_preprocess_inputs(self, tmp_path, shape, interleave="bsq"):
+        """A radiance scene of `shape` (320 bands), a mask that keeps 4 bands
+        of 5, a gains table and a config; returns the config."""
         self.write_cube_file(tmp_path / "scene.hdr", "radiance", shape, interleave=interleave)
         keep = np.arange(320) % 5 != 2
         (tmp_path / "mask.csv").write_text(
@@ -825,12 +795,76 @@ class TestStageMemory:
         (tmp_path / "p.cfg").write_text(
             "input_header = scene.hdr\ninput_image = scene.img\noutput_dir = out\n"
             "band_mask_csv = mask.csv\ngains_csv = gains.csv\n")
-        cfg = cli.load_config(str(tmp_path / "p.cfg"))
+        return cli.load_config(str(tmp_path / "p.cfg"))
+
+    def write_mnf_inputs(self, tmp_path, shape, standardize=False):
+        """A reflectance cube of `shape` and a config; returns the config."""
+        self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance", shape)
+        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n"
+                                        f"standardize_before_mnf = {str(standardize).lower()}\n")
+        return cli.load_config(str(tmp_path / "p.cfg"))
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_mnf_stage_holds_blocks(self, tmp_path, standardize):
+        cfg = self.write_mnf_inputs(tmp_path, self.LARGE, standardize)
+        cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
+        # A block of lines as read, then its shift differences (or its
+        # deviations from the band means and their pairwise sums), or one
+        # ~1 MiB block of components, beside the model's few (bands x bands)
+        # matrices; holding the 32 MiB cube would pass this.
+        budget = 3 * envi_io.BLOCK_BYTES + (1 << 20) + 8 * 8 * self.LARGE[2] ** 2
+        assert budget < 8 * np.prod(self.LARGE)
+        assert traced_peak(cli.run_stage, "mnf", cfg) <= budget
+
+    @pytest.mark.parametrize("stage", ["preprocess", "mnf"])
+    def test_stage_holds_no_more_for_a_taller_cube(self, tmp_path, stage):
+        # Both stages hold blocks of lines and the model's or the mean's
+        # small arrays, none of which grows by a MiB with 4x the lines; a
+        # cube would grow by 3x its size.
+        peaks = []
+        for lines in (self.LARGE[0], 4 * self.LARGE[0]):
+            shape = (lines,) + self.LARGE[1:]
+            if stage == "preprocess":
+                cfg = self.write_preprocess_inputs(tmp_path / str(lines), shape[:2] + (320,))
+            else:
+                cfg = self.write_mnf_inputs(tmp_path / str(lines), shape)
+            if not peaks:
+                cli.run_stage(stage, cfg)  # imports and binds the stage's modules
+            peaks.append(traced_peak(cli.run_stage, stage, cfg))
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_preprocess_stage_holds_blocks(self, tmp_path, interleave):
+        shape = self.LARGE[:2] + (320,)
+        cfg = self.write_preprocess_inputs(tmp_path, shape, interleave)
         cli.run_stage("preprocess", cfg)
-        # The kept bands of the 320-band scene, divided in place.
-        kept_bytes = 8 * shape[0] * shape[1] * int(keep.sum())
-        budget = kept_bytes + envi_io.BLOCK_BYTES + (1 << 20)
+        # A block of lines as read and its kept bands, divided in place by
+        # their gains and then by the mean; the kept bands of the 40 MiB
+        # scene would pass this, as would a copy of each block for its sums.
+        budget = 2 * envi_io.BLOCK_BYTES + (1 << 20)
+        assert budget < 8 * np.prod(shape) * 4 // 5
         assert traced_peak(cli.run_stage, "preprocess", cfg) <= budget
+
+    def test_synth_panel_costs_no_more_than_the_strip(self, tmp_path):
+        from hypermap.synthcube import synthetic_mineral_library
+
+        lib = synthetic_mineral_library(4, seed=3, wavelengths=np.linspace(450.0, 2450.0, 150))
+        write_spectral_library_file(lib, tmp_path / "library.csv")
+        peaks = []
+        for panel in (0, 8):
+            (tmp_path / "p.cfg").write_text(
+                f"input_header = scene{panel}.hdr\ninput_image = scene{panel}.img\n"
+                f"library_csv = library.csv\noutput_dir = out{panel}\nsynth_lines = 128\n"
+                "synth_samples = 128\nsynth_block_size = 4\nsynth_noise_relative = 0.01\n"
+                f"synth_panel_lines = {panel}\n")
+            cfg = cli.load_config(str(tmp_path / "p.cfg"))
+            if not peaks:
+                cli.run_stage("synth", cfg)  # imports and binds the stage's modules
+            peaks.append(traced_peak(cli.run_stage, "synth", cfg))
+        # The strip's own values and a block of noise draws; a cube with the
+        # strip concatenated to the scene would add the scene's 19.7 MB.
+        strip_bytes = 8 * 8 * 128 * 150
+        assert peaks[1] - peaks[0] <= strip_bytes + (1 << 20)
 
     def test_ppi_stage_holds_the_kept_components_once(self, tmp_path, monkeypatch):
         from hypermap import ppi

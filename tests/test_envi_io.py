@@ -335,6 +335,20 @@ class TestWriteCubeFile:
         assert peak <= 0.05 * payload
         assert (tmp_path / "cube.img").read_bytes() == write_cube(cube, interleave, "int16")[1]
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_lines_below_give_the_files_of_the_concatenation(self, tmp_path, interleave):
+        rng = np.random.default_rng(18)
+        top = make_cube(rng.integers(0, 200, size=(3, 4, 5)).astype(np.float64))
+        below = make_cube(rng.integers(0, 200, size=(2, 4, 5)).astype(np.float64))
+        write_cube_file(top, tmp_path / "cube.hdr", interleave=interleave, data_type="int16",
+                        below=below)
+        whole = top.copy_with(values=np.concatenate([top.values, below.values]))
+        text, payload = write_cube(whole, interleave, "int16")
+        assert (tmp_path / "cube.hdr").read_text(encoding="utf-8") == text
+        assert (tmp_path / "cube.img").read_bytes() == payload
+        with pytest.raises(ValueError, match="share samples and bands"):
+            write_cube_file(top, tmp_path / "x.hdr", below=make_cube(np.ones((2, 4, 4))))
+
     def test_creates_missing_directories(self, tmp_path):
         header_path = tmp_path / "new" / "sub" / "cube.hdr"
         image_path = tmp_path / "other" / "cube.img"

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypermap import mnf
-from hypermap.envi_io import SpectralCube, write_cube
+from hypermap import envi_io, mnf
+from hypermap.cube_blocks import CubeFile
+from hypermap.envi_io import SpectralCube, write_cube, write_cube_file
 from hypermap.mnf import (
     estimate_noise_covariance,
     fit_forward_to_file,
@@ -21,7 +22,8 @@ from hypermap.mnf import (
     load_mnf_model,
     save_mnf_model,
 )
-from hypermap.numerics import RandomSource
+from hypermap.numerics import RandomSource, centre_and_covariance
+from hypermap.preprocess import band_statistics, standardize
 
 
 def make_cube(values, units="reflectance"):
@@ -69,19 +71,34 @@ class TestNoiseBuffer:
         expected = centred.T @ centred / (flat.shape[0] - 1)
         assert estimate_noise_covariance(cube).cov.tobytes() == expected.tobytes()
 
-    # Pixel-major, and band planes outermost as a BSQ read gives.
-    @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1)])
-    def test_packing_into_the_planes_gives_same_bits(self, axes):
-        base = RandomSource(11).gaussians(9 * 8 * 5).reshape(9, 8, 5)
+
+
+class TestBlockedSums:
+    """The noise and data covariances are merged from the sums of blocks of
+    lines; they match the whole-matrix formula to rounding."""
+
+    # Pixel-major, band planes outermost (BSQ) and lines outermost (BIL).
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1), (0, 2, 1)])
+    def test_blocked_covariances_match_the_whole_matrix(self, axes, monkeypatch):
+        # Blocks of 3 lines, so the 40 lines take 14 blocks.
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 3 * 8 * 17 * 9)
+        rs = RandomSource(41)
+        base = rs.gaussians(40 * 17 * 9).reshape(40, 17, 9) * 0.05
+        base += np.linspace(1.0, 2.0, 9) * (1.0 + np.sin(np.arange(17) / 5.0))[:, None]
         values = np.ascontiguousarray(base.transpose(axes)).transpose(np.argsort(axes))
-        cube = make_cube(values.copy(order="K"))
-        kept = estimate_noise_covariance(cube)
-        assert cube.values.tobytes() == values.tobytes()
-        planes = np.ascontiguousarray(cube.values.transpose(2, 0, 1))
-        own = mnf._noise_from_planes(planes)
-        assert own.cov.tobytes() == kept.cov.tobytes()
-        # Band planes that are contiguous already are the cube's own values.
-        assert np.shares_memory(planes, cube.values) == (axes == (2, 0, 1))
+        cube = make_cube(values)
+        kept = values.copy(order="K")
+        diffs = (values[:, :-1, :] - values[:, 1:, :]) / np.sqrt(2.0)
+        _, whole_noise = centre_and_covariance(diffs.reshape(-1, 9).copy())
+        whole_mean, whole_data = centre_and_covariance(values.reshape(-1, 9).copy())
+        noise = estimate_noise_covariance(cube)
+        model = fit_mnf(cube, noise)
+        assert cube.values.tobytes() == kept.tobytes()
+        # Entries that cancel to near zero are held to the matrix's scale.
+        for blocked, whole in ((noise.cov, whole_noise), (model.data_cov, whole_data)):
+            np.testing.assert_allclose(blocked, whole, rtol=1e-12,
+                                       atol=1e-12 * np.abs(whole).max())
+        np.testing.assert_allclose(model.band_mean, whole_mean, rtol=1e-12)
 
 
 class TestFitMnf:
@@ -123,7 +140,8 @@ class TestFitMnf:
 
 
 class TestFitForwardInPlace:
-    """`fit_forward_to_file`, which centres the cube in place."""
+    """`fit_forward_to_file`, which takes the noise and data sums in one
+    pass over the cube and projects and writes it in a second."""
 
     # (line, sample, band) order, and band planes outermost as a BSQ read gives.
     @pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 0)])
@@ -138,13 +156,37 @@ class TestFitForwardInPlace:
         components = forward_mnf(model, cube)
         assert cube.values.tobytes() == before.tobytes()
 
-        model2 = fit_forward_to_file(cube, noise, tmp_path / "mnf.hdr")
+        model2 = fit_forward_to_file(cube, tmp_path / "mnf.hdr")
+        assert cube.values.tobytes() == before.tobytes()
         for name in ("band_mean", "noise_cov", "data_cov", "eigenvalues", "forward",
                      "inverse", "source_wavelengths"):
             assert getattr(model2, name).tobytes() == getattr(model, name).tobytes(), name
         header, payload = write_cube(components)
         assert (tmp_path / "mnf.img").read_bytes() == payload
         assert (tmp_path / "mnf.hdr").read_text() == header
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_cube_on_disk_gives_the_bytes_of_the_standardized_cube(self, interleave,
+                                                                   tmp_path, monkeypatch):
+        # Blocks of 4 lines; the file's blocks and the cube's are the same.
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 4 * 8 * 20 * 10)
+        rs = RandomSource(5)
+        values = rs.gaussians(30 * 20 * 10).reshape(30, 20, 10) * np.linspace(1.0, 4.0, 10)
+        axes = envi_io._FILE_AXES[interleave]
+        # In memory in the file's order: the band statistics' sums follow it.
+        values = np.ascontiguousarray((values + np.linspace(2.0, 3.0, 10)).transpose(axes))
+        cube = make_cube(values.transpose(np.argsort(axes)))
+        write_cube_file(cube, tmp_path / "refl.hdr", interleave=interleave)
+        on_disk = CubeFile(tmp_path / "refl.hdr")
+        standard = band_statistics(on_disk)
+        model = fit_forward_to_file(on_disk, tmp_path / "mnf.hdr", standard)
+
+        shifted, means, stds = standardize(cube)
+        assert (means.tobytes(), stds.tobytes()) == (standard[0].tobytes(),
+                                                     standard[1].tobytes())
+        kept = fit_mnf(shifted, estimate_noise_covariance(shifted))
+        assert model.forward.tobytes() == kept.forward.tobytes()
+        assert (tmp_path / "mnf.img").read_bytes() == write_cube(forward_mnf(kept, shifted))[1]
 
     def test_ragged_pixel_blocks_equal_one_product(self, monkeypatch):
         # Blocks of 128 pixels over 30 x 21: the 118-pixel remainder joins
@@ -161,11 +203,11 @@ class TestFitForwardInPlace:
 
     def test_component_file_keeps_its_bytes(self, tmp_path):
         # `fit_forward_to_file` on a seeded cube of 96 x 128 pixels and 150
-        # bands: 14 blocks of 832 pixels, the last 1472. The digests were
-        # recorded from the projection that computed 32 components over
-        # every pixel at a time. OpenBLAS splits the covariance products by
-        # thread, which moves their last bits, so the fit runs in a process
-        # with one BLAS thread, as the benchmark's stages do.
+        # bands: 4 blocks of 24 lines, whose noise and data sums are merged,
+        # each projected in ranges of 832, 832 and 1408 pixels. The digests
+        # were recorded from this blocked fit and projection. OpenBLAS splits the covariance products by thread,
+        # which moves their last bits, so the fit runs in a process with one
+        # BLAS thread, as the benchmark's stages do.
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                        p for p in (str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -174,7 +216,7 @@ class TestFitForwardInPlace:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("mnf.img", "mnf.hdr")}
         assert digests == {
-            "mnf.img": "0812cbfdfaaca88870b22a5403a76061860d2195efddb7d3c9bee742e86717ed",
+            "mnf.img": "e6d9649a95b8e454cf3e037c55070650883335c995113f0922091ce6034ead18",
             "mnf.hdr": "49f29a2eeee9f6b272d0bb399e5234cf2bfbe2f10a9cad8a7fbf29053d809ec4",
         }
 
@@ -185,7 +227,7 @@ def fit_seeded_cube(header_path):
     planes = RandomSource(29).gaussians(150 * 96 * 128).reshape(150, 96, 128)
     planes += np.linspace(1.0, 3.0, 150)[:, None, None] * np.sin(np.arange(128) / 9.0)
     cube = make_cube(planes.transpose(1, 2, 0))
-    fit_forward_to_file(cube, estimate_noise_covariance(cube), header_path)
+    fit_forward_to_file(cube, header_path)
 
 
 class TestForwardInverse:

@@ -235,3 +235,18 @@ class TestCovariance:
         assert cov.tobytes() == (centred.T @ centred / 499).tobytes()
         assert x.tobytes() == centred.tobytes()
         assert x.flags.f_contiguous == (order == "F")
+
+    def test_merged_block_sums_match_the_whole_matrix(self):
+        # Uneven blocks (one of a single sample) far from the origin, where
+        # sums taken about zero would lose the covariance.
+        x = np.random.default_rng(4).normal(size=(7, 1000)) * 0.01 + 1e4
+        moments = numerics.Moments(7)
+        for b0, b1 in [(0, 1), (1, 400), (400, 413), (413, 1000)]:
+            block = x[:, b0:b1].copy()
+            moments.add(block)
+            assert moments.count == b1
+        mean, cov = numerics.centre_and_covariance(x.T.copy())
+        np.testing.assert_allclose(moments.mean, mean, rtol=1e-14)
+        np.testing.assert_allclose(moments.covariance(), cov, rtol=1e-9,
+                                   atol=1e-12 * np.abs(cov).max())
+        assert np.array_equal(moments.covariance(), moments.covariance().T)

@@ -107,6 +107,23 @@ class TestRunPpi:
         assert params.n_iterations == 10000
         assert params.threshold == 2.5
 
+    @pytest.mark.parametrize("lines, chunk", [(128, 64), (256, 32)])
+    def test_projection_block_holds_at_most_8_mib(self, monkeypatch, lines, chunk):
+        # 64 skewers' projections of 128 x 128 pixels (ppi_scene's extent)
+        # fill 8 MiB; a 256-line strip (hyperion_strip's) takes 32 a chunk.
+        values = np.random.default_rng(3).normal(size=(lines, 128, 2))
+        cube = make_mnf_cube(values)
+        params = PpiParams(n_iterations=100, threshold=0.5, seed=2)
+        done = []
+        image = run_ppi(cube, params, progress=done.append, trace=True)
+        assert np.diff([0, *done]).tolist() == [chunk] * (100 // chunk) + [100 % chunk]
+        assert 8 * chunk * lines * 128 <= 8 << 20
+        # The counts and trace do not depend on the chunk size.
+        monkeypatch.setattr(ppi, "_CHUNK", 4)
+        small = run_ppi(cube, params, trace=True)
+        assert np.array_equal(small.counts, image.counts)
+        assert small.trace == image.trace
+
     def test_identical_pixels_count_both_ends(self):
         cube = make_mnf_cube(np.ones((2, 2, 3)))
         image = run_ppi(cube, PpiParams(n_iterations=10, threshold=0.0, seed=1))

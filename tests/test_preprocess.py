@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from hypermap import preprocess
-from hypermap.envi_io import SpectralCube
+from hypermap import envi_io, preprocess
+from hypermap.cube_blocks import CubeFile, line_blocks
+from hypermap.envi_io import SpectralCube, write_cube, write_cube_file
 from hypermap.preprocess import (
     Roi,
     read_band_mask_csv,
@@ -190,14 +191,18 @@ def laid_out(values, axes):
     return np.ascontiguousarray(values.transpose(axes)).transpose(np.argsort(axes))
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # A few lines per block, so every pass takes several, and pairwise sums
+    # cut at the shortest runs NumPy sums as one.
+    monkeypatch.setattr(envi_io, "BLOCK_BYTES", 3 * 8 * 11 * 6)
+    monkeypatch.setattr(preprocess, "BLOCK_BYTES", 3 * 8 * 11 * 6)
+
+
+@pytest.mark.usefixtures("small_blocks")
 class TestBlockedPasses:
     """The block-wise mean and standard deviation have the bits of the
-    whole-array formulas, and the in-place cores give the same bits."""
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        # A few lines or columns per block, so every pass takes several.
-        monkeypatch.setattr(preprocess, "BLOCK_BYTES", 3 * 8 * 11 * 6)
+    whole-array formulas."""
 
     @pytest.mark.parametrize("axes", LAYOUTS)
     def test_iarr_bits_equal_formula(self, axes):
@@ -215,26 +220,100 @@ class TestBlockedPasses:
         assert stds.tobytes() == flat.std(axis=0).tobytes()
         assert out.values.tobytes() == ((values - flat.mean(axis=0)) / stds).tobytes()
 
-    @pytest.mark.parametrize("axes", LAYOUTS)
-    def test_in_place_core_gives_same_bits_in_the_cube(self, axes):
-        values = laid_out(np.random.default_rng(5).uniform(1.0, 9.0, size=(13, 11, 6)), axes)
-        field = Roi(2, 3, 4, 5)
-        gains = np.arange(1.0, 7.0)
-        steps = [(lambda c: scale_radiance(c, gains),
-                  lambda c: preprocess._scale_in_place(c, gains)),
-                 (reflectance_iarr, preprocess._iarr_in_place),
-                 (lambda c: reflectance_flat_field(c, field),
-                  lambda c: preprocess._flat_field_in_place(c, field)),
-                 (lambda c: standardize(c)[0],
-                  lambda c: preprocess._standardize_in_place(c)[0])]
-        for public, core in steps:
-            cube = make_cube(values.copy(order="K"))
-            kept = public(cube)
-            assert cube.values.tobytes() == values.tobytes()
-            own = core(cube)
-            assert own.values is cube.values
-            assert own.values.tobytes() == kept.values.tobytes()
-            assert own.values.strides == kept.values.strides
+    # The whole cube, one line, one sample, whole lines, and a window.
+    REGIONS = [Roi(0, 0, 40, 23), Roi(7, 2, 1, 19), Roi(4, 6, 30, 1), Roi(5, 0, 20, 23),
+               Roi(3, 4, 30, 15)]
+
+    @pytest.mark.parametrize("axes", LAYOUTS + [(1, 0, 2), (2, 1, 0)])
+    @pytest.mark.parametrize("bands", [1, 2, 6])
+    def test_region_sums_have_the_bits_of_the_pixel_matrix(self, axes, bands):
+        values = laid_out(np.random.default_rng(6).uniform(1.0, 9.0, size=(40, 23, bands)),
+                          axes)
+        cube = make_cube(values)
+        for region in self.REGIONS:
+            pairwise = preprocess._sums_pairwise(values.strides, region.n_lines,
+                                                 region.n_samples, bands)
+            blocked = preprocess._region_sum(line_blocks(cube), region, pairwise)
+            window = values[region.first_line:region.first_line + region.n_lines,
+                            region.first_sample:region.first_sample + region.n_samples]
+            assert blocked.tobytes() == window.reshape(-1, bands).sum(axis=0).tobytes(), region
+
+
+def stage_reflectance(values, interleave, keep=None, gains=None, roi=None, field=None):
+    """The reflectance `preprocess` gave when it held the whole cube: the
+    kept bands band-major (as a band selection is read) or the file's
+    interleave, divided by the gains, then by the flat-field mean and
+    cropped, or cropped (a C-ordered copy) and divided by the scene mean."""
+    if keep is None:
+        keep = np.ones(values.shape[2], dtype=bool)
+        held = laid_out(values, envi_io._FILE_AXES[interleave])
+    else:
+        held = laid_out(values[:, :, keep], (2, 0, 1))
+    bands = held.shape[2]
+    if gains is not None:
+        held = held / gains[keep]
+
+    def window(v, r):
+        return v[r.first_line:r.first_line + r.n_lines,
+                 r.first_sample:r.first_sample + r.n_samples]
+
+    if field is not None:
+        held = held / window(held, field).reshape(-1, bands).mean(axis=0)
+    if roi is not None:
+        held = window(held, roi).copy()
+    if field is None:
+        held = held / held.reshape(-1, bands).mean(axis=0)
+    return held
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestWriteReflectance:
+    """`write_reflectance` reads the scene a block of lines at a time and
+    writes the bytes of the reflectance computed from the whole cube."""
+
+    KEEP = np.arange(7) % 3 != 1
+    GAINS = np.linspace(1.5, 3.0, 7)
+    CASES = {
+        "mask_and_gains": dict(keep=KEEP, gains=GAINS),
+        "roi": dict(roi=Roi(3, 4, 30, 15)),
+        "flat_field": dict(roi=Roi(2, 1, 30, 20), field=Roi(5, 0, 20, 23)),
+        "flat_line_masked": dict(keep=KEEP, gains=GAINS, field=Roi(7, 2, 1, 19)),
+        "flat_sample": dict(field=Roi(4, 6, 30, 1)),
+    }
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_file_has_the_bytes_of_the_whole_cube(self, tmp_path, interleave, case):
+        values = np.random.default_rng(12).uniform(1.0, 9.0, size=(40, 23, 7))
+        cube = SpectralCube(values=values, wavelengths=np.linspace(500.0, 900.0, 7),
+                            bad_band_mask=np.arange(7) != 3)
+        write_cube_file(cube, tmp_path / "scene.hdr", tmp_path / "scene.raw",
+                        interleave=interleave, data_type="float64")
+        options = self.CASES[case]
+        scene = CubeFile(tmp_path / "scene.hdr", tmp_path / "scene.raw")
+        shape = preprocess.write_reflectance(scene, tmp_path / "refl.hdr", **options)
+
+        keep = options.get("keep", np.ones(7, dtype=bool))
+        expected = stage_reflectance(values, interleave, **options)
+        header, payload = write_cube(SpectralCube(
+            values=expected, wavelengths=cube.wavelengths[keep],
+            bad_band_mask=cube.bad_band_mask[keep], units_tag="reflectance"))
+        assert shape == (expected.shape[1], expected.shape[0], expected.shape[2])
+        assert (tmp_path / "refl.img").read_bytes() == payload
+        assert (tmp_path / "refl.hdr").read_text() == header
+
+    def test_non_finite_dropped_band_fails_before_writing(self, tmp_path):
+        write_cube_file(make_cube(np.ones((40, 23, 7))), tmp_path / "scene.hdr",
+                        interleave="bil")
+        # A NaN at line 38, band 1 (which the mask drops), sample 5: the last block.
+        payload = bytearray((tmp_path / "scene.img").read_bytes())
+        at = 8 * ((38 * 7 + 1) * 23 + 5)
+        payload[at:at + 8] = np.array([np.nan]).tobytes()
+        (tmp_path / "scene.img").write_bytes(payload)
+        with pytest.raises(ValueError, match="non-finite"):
+            preprocess.write_reflectance(CubeFile(tmp_path / "scene.hdr"),
+                                         tmp_path / "refl.hdr", keep=self.KEEP)
+        assert not (tmp_path / "refl.img").exists()
 
 
 class TestBandCsv:
