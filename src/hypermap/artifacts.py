@@ -67,6 +67,10 @@ def read_text(path) -> str:
         return fp.read()
 
 
+# Rows of a table formatted and written at once by `_write_rows`.
+_ROWS_PER_WRITE = 64
+
+
 def _quoted(cell: str) -> str:
     """`cell` in double quotes, its quotes doubled, when it holds a comma,
     a double quote or a line break; otherwise as it is."""
@@ -80,13 +84,17 @@ def _write_rows(fp, rows) -> None:
     comma, a double quote or a line break has those cells quoted, as the
     `csv` writer quotes them (it leaves a bare carriage return unquoted
     when lines end in a line feed, and its reader then splits the cell);
-    any other row is written as its cells joined by commas, without a
-    per-cell cost."""
-    for row in rows:
-        line = ",".join(row)
-        if line.count(",") + 1 != len(row) or '"' in line or "\n" in line or "\r" in line:
-            line = ",".join(map(_quoted, row))
-        fp.write(line + "\n")
+    any other row is written as its cells joined by commas. Rows go out
+    _ROWS_PER_WRITE at a time, their text checked once: when it holds no
+    quote or carriage return and only the commas and line feeds that join
+    the cells, no cell needs quoting, and there is no per-row cost."""
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+        text = "\n".join(map(",".join, batch))
+        if ('"' in text or "\r" in text or text.count("\n") != len(batch) - 1
+                or text.count(",") != sum(map(len, batch)) - len(batch)):
+            text = "\n".join(",".join(map(_quoted, row)) for row in batch)
+        fp.write(text + "\n")
 
 
 def write_table(path, header, rows) -> None:
@@ -208,9 +216,10 @@ def write_band_stats(path, means, stds) -> None:
 
 def write_pure_pixels(path, ppi: PpiImage, pixels: list[tuple[int, int]]) -> None:
     """Selected pure pixels with their PPI counts: line,sample,count."""
+    counts = ppi.counts[tuple(np.array(pixels, dtype=np.int64).reshape(-1, 2).T)].tolist()
     write_table(path, ["line", "sample", "count"],
-                ([str(line), str(sample), str(int(ppi.counts[line, sample]))]
-                 for line, sample in pixels))
+                ((str(line), str(sample), str(count))
+                 for (line, sample), count in zip(pixels, counts)))
 
 
 def read_pure_pixels(path) -> list[tuple[int, int]]:
@@ -234,7 +243,7 @@ def read_pure_pixels(path) -> list[tuple[int, int]]:
 def write_ppi_trace(path, trace: list[int]) -> None:
     """Cumulative number of distinct pixels counted, per PPI iteration."""
     write_table(path, ["iteration", "cumulative_pure_pixels"],
-                ([str(i), str(v)] for i, v in enumerate(trace, start=1)))
+                zip(map(str, range(1, len(trace) + 1)), map(str, trace)))
 
 
 def write_endmembers(path, es: EndmemberSet) -> None:

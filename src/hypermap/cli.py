@@ -449,13 +449,9 @@ def stage_mtmf(cfg: PipelineConfig) -> None:
         raise ValueError("endmember MNF means have more components than the cube")
     _remove_previous(cfg, "mtmf_class_*.hdr")
     _remove_previous(cfg, "mtmf_class_*.img")
-    result = mtmf(mnf_cube, mnf_means)
-    for class_id in range(1, mnf_means.shape[0] + 1):
-        stacked = np.stack([result.mf_score[class_id - 1],
-                            result.infeasibility[class_id - 1]], axis=2)
-        cube = SpectralCube(values=stacked, wavelengths=np.array([1.0, 2.0]),
-                            bad_band_mask=np.array([True, True]), units_tag="score")
-        write_cube_file(cube, cfg.artifact(f"mtmf_class_{class_id}.hdr"))
+    # Each class's MF and infeasibility images are written a block at a time.
+    mtmf(mnf_cube, mnf_means, [cfg.artifact(f"mtmf_class_{class_id}.hdr")
+                               for class_id in range(1, mnf_means.shape[0] + 1)])
     print(f"mtmf: wrote MF/infeasibility images for {mnf_means.shape[0]} classes")
 
 

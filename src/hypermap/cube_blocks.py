@@ -5,8 +5,9 @@
 `CubeFile` or of an in-memory `SpectralCube` (as views of its values), so
 a caller runs one code path either way; :func:`plane_blocks` yields line
 blocks as band planes that the caller owns. A block of lines holds about
-`envi_io.BLOCK_BYTES` of float64 values, a block of bands about
-`BAND_BLOCK_BYTES`.
+`envi_io.BLOCK_BYTES` of float64 values unless the caller names a smaller
+budget (`mnf` and `mtmf` take ~1 MiB blocks), and may stop at a prefix of
+the bands; a block of bands holds about `BAND_BLOCK_BYTES`.
 
 A `CubeFile` is read by `envi_io._read_blocks`, the block reader that
 `envi_io.read_payload` runs on too. This module is apart from `envi_io`
@@ -105,29 +106,38 @@ def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
         yield b0, _finite(planes.transpose(1, 2, 0))
 
 
-def line_blocks(cube: SpectralCube | CubeFile):
+def line_blocks(cube: SpectralCube | CubeFile, stop: int | None = None,
+                block_bytes: int | None = None):
     """Yield (first line, an ``(n, samples, bands)`` float64 block) over
-    every line of `cube`, about `envi_io.BLOCK_BYTES` of lines at a time.
+    every line of `cube`, with the first `stop` bands (default every
+    band), about `block_bytes` (default `envi_io.BLOCK_BYTES`) of those
+    bands' values at a time.
 
     A `SpectralCube` yields views of its values. A `CubeFile` yields each
     block in the image's interleave order in memory, read into a buffer
     that the next block overwrites and checked for non-finite values, so
-    a whole pass checks the whole file.
+    a whole pass checks every value it yields. A BSQ image reads only the
+    bands yielded; a BIL or BIP image reads whole lines, so its buffer
+    holds every band of the block's lines beside a copy of the bands kept.
     """
+    bands = cube.bands if stop is None else stop
+    ranges = _line_ranges(cube.lines, cube.samples * bands, block_bytes)
     if isinstance(cube, SpectralCube):
-        for l0, l1 in _line_ranges(cube.lines, cube.samples * cube.bands):
-            yield l0, cube.values[l0:l1]
+        for l0, l1 in ranges:
+            yield l0, cube.values[l0:l1, :, :bands]
         return
-    for l0, block in _read_blocks(cube.image_path, cube.header, dtype=np.float64):
+    blocks = [(l0, l1, range(bands)) for l0, l1 in ranges]
+    for l0, block in _read_blocks(cube.image_path, cube.header, blocks, np.float64):
         yield l0, _finite(block)
 
 
-def plane_blocks(cube: SpectralCube | CubeFile):
+def plane_blocks(cube: SpectralCube | CubeFile, stop: int | None = None,
+                 block_bytes: int | None = None):
     """Yield (first line, a C-contiguous ``(bands, n, samples)`` float64
-    array) over every line of `cube`: the blocks of :func:`line_blocks` as
-    band planes, each an array the caller may overwrite. A BSQ file's block
-    is the reader's buffer itself; other blocks are copies."""
-    for l0, block in line_blocks(cube):
+    array) over every line of `cube`: the blocks of :func:`line_blocks`
+    as band planes, each an array the caller may overwrite. A BSQ file's
+    block is the reader's buffer itself; other blocks are copies."""
+    for l0, block in line_blocks(cube, stop, block_bytes):
         planes = block.transpose(2, 0, 1)
         yield l0, planes.copy() if isinstance(cube, SpectralCube) else \
             np.ascontiguousarray(planes)

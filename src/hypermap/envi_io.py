@@ -496,11 +496,12 @@ def read_payload(header_path, image_path=None, bands=None,
         np.ravel(kept, "K").view(np.uint8)  # in memory order: band-major
 
 
-def _line_ranges(lines: int, line: int) -> list[tuple[int, int]]:
-    """(first, stop) of the fewest blocks of at most BLOCK_BYTES of float64
-    lines (at least one) over `lines` lines of `line` values, as even as
-    they can be, so that none is much shorter (see `mapping._best_angles`)."""
-    step = max(1, BLOCK_BYTES // (8 * line))
+def _line_ranges(lines: int, line: int, block_bytes: int | None = None) -> list[tuple[int, int]]:
+    """(first, stop) of the fewest blocks of at most `block_bytes` (default
+    BLOCK_BYTES) of float64 lines (at least one) over `lines` lines of
+    `line` values, as even as they can be, so that none is much shorter
+    (see `mapping._best_angles`)."""
+    step = max(1, (BLOCK_BYTES if block_bytes is None else block_bytes) // (8 * line))
     n = -(-lines // step)
     edges = [-(-lines * i // n) for i in range(n + 1)]
     return list(zip(edges, edges[1:]))
@@ -510,26 +511,37 @@ def _read_blocks(image_path, header: EnviHeader, blocks=None, dtype=None):
     """Yield (first line, an ``(n, samples, k)`` block) for each (first
     line, stop line, k bands) block of an image, by default every line in
     the blocks of `_line_ranges`, unchecked. Each is read in the file's
-    memory order, a BSQ band plane at a time (a BIL or BIP block holds
-    every band), as `dtype` (default the file's) into one buffer that the
-    next block overwrites, so a single block is an array of its own."""
+    memory order, a BSQ band plane at a time, as `dtype` (default the
+    file's) into one buffer that the next block overwrites, so a single
+    block is an array of its own. A BIL or BIP image has no band planes:
+    its blocks read whole lines, of which a block that names only some
+    bands keeps those, copied into a second buffer."""
     lines, samples, line = header.lines, header.samples, header.samples * header.bands
     if blocks is None:
         blocks = [(l0, l1, range(header.bands)) for l0, l1 in _line_ranges(lines, line)]
-    raw = np.empty(max((l1 - l0) * samples * len(bands) for l0, l1, bands in blocks),
-                   dtype=header.numpy_dtype)
-    values = raw if dtype is None or raw.dtype == dtype else np.empty(raw.size, dtype)
+    bsq = header.interleave == "bsq"
+    gathers = [not bsq and list(bands) != list(range(header.bands)) for _, _, bands in blocks]
+    raw = np.empty(max((l1 - l0) * samples * (len(bands) if bsq else header.bands)
+                       for l0, l1, bands in blocks), dtype=header.numpy_dtype)
+    values = raw if (dtype is None or raw.dtype == dtype) and not any(gathers) else \
+        np.empty(max((l1 - l0) * samples * len(bands) for l0, l1, bands in blocks),
+                 dtype or raw.dtype)
     with open(image_path, "rb") as fp:
-        for l0, l1, bands in blocks:
+        for (l0, l1, bands), gather in zip(blocks, gathers):
             n = (l1 - l0) * samples * len(bands)
-            firsts = [(b * lines + l0) * samples for b in bands] \
-                if header.interleave == "bsq" else [l0 * line]
-            for first, segment in zip(firsts, raw[:n].reshape(len(firsts), -1)):
+            firsts = [(b * lines + l0) * samples for b in bands] if bsq else [l0 * line]
+            read = raw[:n if bsq else (l1 - l0) * line]
+            for first, segment in zip(firsts, read.reshape(len(firsts), -1)):
                 fp.seek(header.header_offset + first * raw.itemsize)
                 fp.readinto(segment)
-            if values is not raw:
+            block = _canonical(values[:n], header.interleave, (l1 - l0, samples, len(bands)))
+            if gather:
+                whole = _canonical(read, header.interleave, (l1 - l0, samples, header.bands))
+                for i, b in enumerate(bands):
+                    block[:, :, i] = whole[:, :, b]
+            elif values is not raw:
                 values[:n] = raw[:n]
-            yield l0, _canonical(values[:n], header.interleave, (l1 - l0, samples, len(bands)))
+            yield l0, block
 
 
 _INT_RANGES = {
@@ -624,25 +636,45 @@ def write_cube_file(cube: SpectralCube, header_path, image_path=None,
         fp.writelines(_as_payload(plane, dtype).data for group in groups for plane in group)
 
 
+class BsqPixelFile:
+    """A float64 BSQ .hdr/.img pair, as :func:`write_cube_file` writes it,
+    written a block of pixels at a time by :meth:`write`; a context
+    manager that closes the image. The image's whole size is allocated
+    before the first row, where the platform offers `posix_fallocate`, so
+    the scattered rows land in a file of its final size."""
+
+    def __init__(self, header_path, lines: int, samples: int, wavelengths,
+                 bad_band_mask, units_tag: str):
+        self.pixels = lines * samples
+        self._fp = _open_pair(header_path, None, _header_text(
+            lines, samples, wavelengths, bad_band_mask, units_tag, "bsq", "float64", "little"))
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(self._fp.fileno(), 0, self.pixels * len(wavelengths) * 8)
+
+    def write(self, p: int, block: np.ndarray) -> None:
+        """Write row j of the `(bands, m)` float64 `block` to pixels p to
+        p + m of band plane j."""
+        for j, row in enumerate(_as_payload(block, np.dtype("<f8"))):
+            self._fp.seek((j * self.pixels + p) * 8)
+            self._fp.write(row.data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fp.close()
+
+
 def write_bsq_pixel_blocks(blocks, header_path, lines: int, samples: int,
                            wavelengths, bad_band_mask, units_tag: str) -> None:
-    """Write a float64 BSQ .hdr/.img pair, as :func:`write_cube_file` does,
-    from `blocks`: (first pixel p, C-contiguous `(bands, m)` float64 array)
-    pairs that cover the pixels once. Row j goes to pixels p to p + m of
-    band plane j as its block arrives, one at a time. The image's whole
-    size is allocated before the first row, where the platform offers
-    `posix_fallocate`, so the scattered rows land in a file of its final
-    size."""
-    header_text = _header_text(lines, samples, wavelengths, bad_band_mask,
-                               units_tag, "bsq", "float64", "little")
-    with _open_pair(header_path, None, header_text) as fp:
-        if hasattr(os, "posix_fallocate"):
-            os.posix_fallocate(fp.fileno(), 0, lines * samples * len(wavelengths) * 8)
+    """Write a :class:`BsqPixelFile` from `blocks`: (first pixel p,
+    C-contiguous `(bands, m)` float64 array) pairs that cover the pixels
+    once, each written as it arrives."""
+    with BsqPixelFile(header_path, lines, samples, wavelengths, bad_band_mask,
+                      units_tag) as out:
         for p, block in blocks:
-            for j, row in enumerate(_as_payload(block, np.dtype("<f8"))):
-                fp.seek((j * lines * samples + p) * 8)
-                fp.write(row.data)
-            del block, row  # the next block is not made while this one is held
+            out.write(p, block)
+            del block  # the next block is not made while this one is held
 
 
 def _open_pair(header_path, image_path, header_text: str):

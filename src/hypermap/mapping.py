@@ -11,24 +11,35 @@ background-to-target line.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_blocks import CubeFile, line_blocks
-from .envi_io import SpectralCube, read_cube, read_payload
-from .numerics import centre_and_covariance, symmetric_eig
+from .cube_blocks import CubeFile, line_blocks, plane_blocks
+from .envi_io import BsqPixelFile, SpectralCube
+from .numerics import Moments, symmetric_eig
 
 _RIDGE = 1e-10
+
+# A target within this many background standard deviations (whitened
+# units) of the background mean is taken for it: far above the rounding of
+# a mean merged from block sums, far below any target worth scoring.
+_MEAN_TOLERANCE = 1e-8
 
 # Residual std shrinks linearly from 1 at the background to this at the
 # target when scaling MTMF infeasibility.
 _TARGET_RESIDUAL_STD = 0.01
 
 # Elements per block of rows in `_row_norms`, the SAM pixel norms and the
-# MTMF residual norms (256 KiB temporaries, so that `mtmf`'s peak is its
-# whitening product).
+# MTMF residual norms (256 KiB temporaries, small beside a block of lines).
 _NORM_BLOCK_ELEMENTS = 1 << 15
+
+# Bytes of one block of lines of the components `mtmf` reads (the first b,
+# float64): it holds two arrays of this size (the block as read, centred
+# in place, and its whitened copy) and one class's MF and infeasibility
+# scores of the block at a time, whatever the scene's size.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -121,52 +132,73 @@ def _row_norms(x: np.ndarray, alpha=None, t_hat=None) -> np.ndarray:
     return norms
 
 
-def _components(cube: SpectralCube | CubeFile, b: int) -> np.ndarray:
-    """The first `b` components of every pixel of `cube` as a (pixels, b)
-    array of the caller's own: a copy of a `SpectralCube`'s, in their
-    memory order, or a `CubeFile`'s, read by `envi_io.read_payload` (a BSQ
-    prefix straight into the array) and decoded in place (band-major for a
-    prefix; a whole BIL image is copied once more, into pixel order, as the
-    reshape needs)."""
-    if isinstance(cube, SpectralCube):
-        return cube.values[:, :, :b].reshape(-1, b).copy(order="K")
-    path = cube.image_path
-    return read_cube(*read_payload(path, path, b, cube.header)).values.reshape(-1, b)
-
-
-def _background_scores(x: np.ndarray, targets: np.ndarray):
-    """Fit the scene background once, then score each row of `targets`.
-
-    `x` holds the (pixels, b) components, which are centred in place and
-    dropped once whitened, so the caller must hold no other reference to
-    them. The background mean mu and covariance S come from `x`; S is
-    whitened through its eigendecomposition with a small ridge. Yields
-    (p, t_hat, alpha, mf) per target: the whitened pixels minus mu (one
-    array shared by every target), the unit whitened target direction,
-    each pixel's coordinate along it, and the matched-filter score
-    alpha / |whitened target|.
-    """
-    mu, cov = centre_and_covariance(x)
-    b = x.shape[1]
+def _background(cube: SpectralCube | CubeFile, b: int):
+    """The background mean mu of the first `b` components of `cube` and the
+    matrix W that whitens their covariance S (through its eigendecomposition,
+    with a small ridge). mu and S are merged from the sums of blocks of
+    lines (`numerics.Moments`), so only a block is held."""
+    moments = Moments(b)
+    for _, planes in plane_blocks(cube, b, _BLOCK_BYTES):
+        moments.add(planes.reshape(b, -1))
+    cov = moments.covariance()
     vals, vecs = symmetric_eig(cov + np.eye(b) * (_RIDGE * np.trace(cov) / b))
     if vals[-1] <= 0.0:
         raise ValueError("background covariance is singular beyond repair")
+    return moments.mean, (1.0 / np.sqrt(vals))[:, None] * vecs.T
 
-    inv_sqrt = 1.0 / np.sqrt(vals)
-    whiten = inv_sqrt[:, None] * vecs.T
-    p = x @ whiten.T
-    del x
+
+def _scores(cube: SpectralCube | CubeFile, targets: np.ndarray, infeasibility: bool = True):
+    """Fit the scene background once, from the first b components of
+    `cube` (b the width of the (k, b) `targets`), and check each target;
+    then return an iterator over the cube's blocks of lines and, within a
+    block, over the targets, of (first pixel, target index, scores): the
+    MF scores of the block's m pixels and then their infeasibilities, a
+    (2, m) array ((1, m), the scores alone, without `infeasibility`).
+
+    A block's pixels, minus mu and whitened, are the columns of p. Per
+    target, t_hat is the unit whitened target direction, alpha = t_hat @ p
+    each pixel's coordinate along it, and the MF score alpha / |whitened
+    target|."""
+    b = targets.shape[1]
+    mu, whiten = _background(cube, b)
+    directions = []
     for target in targets:
         tw = whiten @ (target - mu)
         t_norm = float(np.linalg.norm(tw))
-        if t_norm == 0.0:
+        if t_norm <= _MEAN_TOLERANCE:
             raise ValueError("target coincides with the scene mean")
-        t_hat = tw / t_norm
-        alpha = p @ t_hat
-        yield p, t_hat, alpha, alpha / t_norm
+        directions.append((tw / t_norm, t_norm))
+
+    def blocks():
+        for l0, planes in plane_blocks(cube, b, _BLOCK_BYTES):
+            planes -= mu[:, None, None]
+            p = whiten @ planes.reshape(b, -1)
+            del planes  # a copy, for a cube in memory, that the next block replaces
+            for i, (t_hat, t_norm) in enumerate(directions):
+                yield l0 * cube.samples, i, _target_scores(p, t_hat, t_norm, infeasibility)
+            del p  # before the next block's is made
+
+    return blocks()
 
 
-def matched_filter(mnf_cube: SpectralCube, target_mnf) -> np.ndarray:
+def _target_scores(p: np.ndarray, t_hat: np.ndarray, t_norm: float, infeasibility: bool):
+    """One target's scores of the whitened pixels p (columns): the MF
+    scores, then the infeasibilities unless `infeasibility` is false."""
+    alpha = t_hat @ p
+    scores = np.empty((2 if infeasibility else 1, alpha.size))
+    np.divide(alpha, t_norm, out=scores[0])
+    if infeasibility:
+        # The explicit residual, not sqrt(|p|^2 - alpha^2), which cancels
+        # to ~1e-8 for pixels on the background-to-target line.
+        sigma = np.clip(scores[0], 0.0, 1.0)
+        sigma *= _TARGET_RESIDUAL_STD - 1.0
+        sigma += 1.0
+        sigma *= np.sqrt(p.shape[0] - 1.0)
+        np.divide(_row_norms(p.T, alpha, t_hat), sigma, out=scores[1])
+    return scores
+
+
+def matched_filter(mnf_cube: SpectralCube | CubeFile, target_mnf) -> np.ndarray:
     """Matched-filter score image: 0 at the scene mean, 1 at the target.
 
     MF(x) = (x - mu)^T S^-1 (t - mu) / ((t - mu)^T S^-1 (t - mu)) with mu
@@ -177,25 +209,35 @@ def matched_filter(mnf_cube: SpectralCube, target_mnf) -> np.ndarray:
     if target.shape != (mnf_cube.bands,):
         raise ValueError(
             f"target has {target.size} components, cube has {mnf_cube.bands}")
-    (_, _, _, mf), = _background_scores(_components(mnf_cube, mnf_cube.bands), target[None])
-    return mf.reshape(mnf_cube.lines, mnf_cube.samples)
+    scores = np.empty(mnf_cube.lines * mnf_cube.samples)
+    for p0, _, (mf,) in _scores(mnf_cube, target[None], infeasibility=False):
+        scores[p0:p0 + mf.size] = mf
+    return scores.reshape(mnf_cube.lines, mnf_cube.samples)
 
 
-def mtmf(mnf_cube: SpectralCube | CubeFile, targets) -> MtmfResult:
+def mtmf(mnf_cube: SpectralCube | CubeFile, targets, header_paths=None) -> MtmfResult | None:
     """Matched filter plus mixture-tuned infeasibility for one target (b,)
     or each row of a (k, b) matrix, all from one background fit.
 
     The fit uses the cube's first b components, b the targets' width (as
     `use_k_components` selects a prefix elsewhere); a width above the
-    cube's band count is an error. A `cube_blocks.CubeFile` has only those
-    components read, into one array that is centred in place; a
-    `SpectralCube`'s are copied.
+    cube's band count is an error. The cube (a `SpectralCube` or a
+    `cube_blocks.CubeFile` of any interleave) is read twice a block of
+    lines at a time, only those components: once for the background's
+    sums, once to score each block, so a few ~1 MiB blocks are held
+    whatever the scene's size.
 
     In background-whitened space each pixel splits into a component along
     the unit target direction and an orthogonal residual r. The expected
     residual std shrinks linearly from 1 (background) to 0.01 (target) as
     the MF score goes 0 to 1, and infeasibility is |r| in units of that
     std: infeasibility = |r| / (std(mf) * sqrt(b - 1)).
+
+    Returns the images. With `header_paths`, one per target row, it holds
+    no image and returns None: target i's MF score and infeasibility go to
+    a two-band float64 BSQ cube (units "score", bands numbered 1 and 2) at
+    `header_paths[i]`, written a block at a time with the bytes
+    `write_cube_file` gives that cube.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim not in (1, 2) or targets.shape[-1] > mnf_cube.bands:
@@ -205,16 +247,22 @@ def mtmf(mnf_cube: SpectralCube | CubeFile, targets) -> MtmfResult:
     if b < 2:
         raise ValueError("MTMF needs at least 2 components")
     rows = targets.reshape(-1, b)
-    mf = np.empty((len(rows), mnf_cube.lines * mnf_cube.samples))
-    infeasibility = np.empty_like(mf)
-    scores = _background_scores(_components(mnf_cube, b), rows)
-    for i, (p, t_hat, alpha, score) in enumerate(scores):
-        mf[i] = score
-        # The explicit residual, not sqrt(|p|^2 - alpha^2), which cancels
-        # to ~1e-8 for pixels on the background-to-target line.
-        sigma = 1.0 + (np.clip(score, 0.0, 1.0)) * (_TARGET_RESIDUAL_STD - 1.0)
-        np.divide(_row_norms(p, alpha, t_hat), sigma * np.sqrt(b - 1.0), out=infeasibility[i])
+    blocks = _scores(mnf_cube, rows)
+    if header_paths is not None:
+        if len(header_paths) != len(rows):
+            raise ValueError(f"{len(header_paths)} header paths for {len(rows)} targets")
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(BsqPixelFile(
+                path, mnf_cube.lines, mnf_cube.samples, [1.0, 2.0], [True, True], "score"))
+                for path in header_paths]
+            for p0, i, scores in blocks:
+                files[i].write(p0, scores)
+        return None
 
+    mf, infeasibility = np.empty((2, len(rows), mnf_cube.lines * mnf_cube.samples))
+    for p0, i, (mf_block, infeasibility_block) in blocks:
+        mf[i, p0:p0 + mf_block.size] = mf_block
+        infeasibility[i, p0:p0 + mf_block.size] = infeasibility_block
     shape = targets.shape[:-1] + (mnf_cube.lines, mnf_cube.samples)
     return MtmfResult(mf_score=mf.reshape(shape), infeasibility=infeasibility.reshape(shape))
 

@@ -21,13 +21,14 @@ from .numerics import Moments, check_symmetric, symmetric_eig
 
 _RIDGE = 1e-10
 
-# Bytes of one block of the projection, `forward @ centred[p0:p1].T` over
-# a range of pixels of a block of lines: a fresh (bands, m) array, so the
-# projection holds about this much beside the line block whatever the
-# scene's size. m is a multiple of 64 pixels, so that OpenBLAS computes
-# every value with the same operations as one product over the line block
-# (a 2674-pixel range changed the bits of its last two columns); a short
-# remainder joins the last range.
+# Bytes of one block of lines as read, and of one block of the
+# projection, `forward @ centred[p0:p1].T` over a range of pixels of a
+# block of lines: a fresh (bands, m) array. So the stage holds a few such
+# blocks (a block of lines, its shift differences or its projection)
+# whatever the scene's size. m is a multiple of 64 pixels, so that
+# OpenBLAS computes every value with the same operations as one product
+# over the line block (a 2674-pixel range changed the bits of its last
+# two columns); a short remainder joins the last range.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -67,10 +68,10 @@ class MnfModel:
         return self.band_mean.size
 
 
-# Every step below runs on a cube a block of lines at a time, in memory or
-# on disk (`cube_blocks`): the noise and data covariances are merged from
-# per-block sums (`numerics.Moments`), and the projection is computed and
-# handed on a range of pixels at a time.
+# Every step below runs on a cube a block of about _BLOCK_BYTES of lines
+# at a time, in memory or on disk (`cube_blocks`): the noise and data
+# covariances are merged from per-block sums (`numerics.Moments`), and the
+# projection is computed and handed on a range of pixels at a time.
 
 
 def _noise_samples(planes: np.ndarray) -> np.ndarray:
@@ -95,7 +96,7 @@ def estimate_noise_covariance(cube: SpectralCube | CubeFile) -> NoiseEstimate:
     modified.
     """
     noise = Moments(cube.bands)
-    for _, block in line_blocks(cube):
+    for _, block in line_blocks(cube, block_bytes=_BLOCK_BYTES):
         noise.add(_noise_samples(block.transpose(2, 0, 1)))
     return NoiseEstimate(cov=noise.covariance())
 
@@ -104,7 +105,7 @@ def _standardized(cube: SpectralCube | CubeFile, standard):
     """`plane_blocks` of the cube, shifted by the band means and scaled by
     the band deviations of `standard` when it is given, as `standardize`
     shifts and scales the values."""
-    for l0, planes in plane_blocks(cube):
+    for l0, planes in plane_blocks(cube, block_bytes=_BLOCK_BYTES):
         if standard is not None:
             planes -= standard[0][:, None, None]
             planes /= standard[1][:, None, None]
@@ -184,7 +185,7 @@ def fit_mnf(cube: SpectralCube | CubeFile, noise: NoiseEstimate) -> MnfModel:
     1 indicate noise-only components. The cube is not modified.
     """
     data = Moments(cube.bands)
-    for _, planes in plane_blocks(cube):
+    for _, planes in plane_blocks(cube, block_bytes=_BLOCK_BYTES):
         data.add(planes.reshape(cube.bands, -1))
     return _fit(noise, data, cube)
 
@@ -209,8 +210,8 @@ def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=Non
     float64 BSQ cube at `header_path` with the bytes `write_cube_file`
     gives that result. One pass over the cube's blocks of lines takes the
     noise and data sums, a second projects each block and writes its band
-    rows, so a block of lines and one ~1 MiB block of components are its
-    largest arrays."""
+    rows, so a ~1 MiB block of lines and one ~1 MiB block of components
+    are its largest arrays."""
     noise, data = Moments(cube.bands), Moments(cube.bands)
     for _, planes in _standardized(cube, standard):
         noise.add(_noise_samples(planes))

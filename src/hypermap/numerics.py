@@ -203,9 +203,9 @@ def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.nda
 
 def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and n-1 sample covariance of the rows of `x` (n, b),
-    centring `x` in place: the MTMF background covariance, and the
-    whole-matrix reference for :class:`Moments`. A caller that keeps using
-    the centred rows needs no second copy of them."""
+    centring `x` in place: the whole-matrix reference for
+    :class:`Moments`. A caller that keeps using the centred rows needs no
+    second copy of them."""
     mu = x.mean(axis=0)
     x -= mu
     return mu, x.T @ x / max(x.shape[0] - 1, 1)
@@ -214,7 +214,7 @@ def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Moments:
     """Count, mean and sums of centred cross products of samples that
     arrive a block at a time, as the columns of (bands, m) arrays: the
-    noise and data covariances of the MNF.
+    noise and data covariances of the MNF and the MTMF background.
 
     Each block is centred on its own mean and its products are merged into
     the running ones as Chan, Golub & LeVeque (1983, The American

@@ -9,6 +9,7 @@ count; workers only change how the iteration range is partitioned.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,14 @@ import numpy as np
 from .envi_io import SpectralCube
 from .numerics import spawned_gaussians
 
-# Skewers per chunk: at most _CHUNK, and fewer when a chunk's (skewers,
-# pixels) projection block would pass _CHUNK_BYTES.
+# Skewers per chunk, the unit of work of a worker and of `progress`: at
+# most _CHUNK, and fewer when the chunk's (skewers, pixels) projections
+# would pass _CHUNK_BYTES. They are not held at once: a chunk is projected
+# a block of skewer rows at a time, each at most _PROJECTION_BYTES (at
+# least one row), into one buffer per thread.
 _CHUNK = 64
 _CHUNK_BYTES = 8 << 20
+_PROJECTION_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,14 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     carries, per iteration, the cumulative number of distinct pixels
     counted at least once.
 
-    Per chunk of skewers, one matrix product gives a `(skewers, pixels)`
-    block of projections, so each skewer's maximum and minimum are taken
-    along a contiguous row. The hits (pixels within the threshold of
-    either end) are a small share of the block: they are listed as flat
-    indices of the high and of the low mask and counted per pixel with
-    `bincount`, so a pixel within the threshold of both ends is listed,
-    and counted, twice. The trace is computed once at the end from each
-    pixel's first touched iteration, which `minimum.at` takes from the
+    Per chunk of skewers, matrix products over blocks of its skewers give
+    `(skewers, pixels)` blocks of projections, so each skewer's maximum and
+    minimum are taken along a contiguous row. The hits (pixels within the
+    threshold of either end) are a small share of a block: they are listed
+    as flat indices of the high and of the low mask and counted per pixel
+    with `bincount`, so a pixel within the threshold of both ends is
+    listed, and counted, twice. The trace is computed once at the end from
+    each pixel's first touched iteration, which `minimum.at` takes from the
     same lists.
     """
     if params is None:
@@ -99,23 +104,39 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     n_iter = params.n_iterations
     chunk = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * n_pixels)))
     chunks = [(s, min(s + chunk, n_iter)) for s in range(0, n_iter, chunk)]
+    rows = min(chunk, max(1, _PROJECTION_BYTES // (8 * n_pixels)))
+    workspace = threading.local()
 
     def process(bounds):
         start, stop = bounds
         dirs = _skewer_directions(params.seed, start, stop, k)
-        proj = dirs @ planes
-        hi = proj >= (proj.max(axis=1) - params.threshold)[:, None]
-        lo = proj <= (proj.min(axis=1) + params.threshold)[:, None]
-        hits = np.concatenate((np.flatnonzero(hi), np.flatnonzero(lo)))
+        if not hasattr(workspace, "proj"):  # one projection block and mask per thread
+            workspace.proj = np.empty((rows, n_pixels))
+            workspace.mask = np.empty((rows, n_pixels), dtype=bool)
+        # Blocks of rows as even as they can be, so that none is much
+        # shorter: a one-row product (gemv) may differ from a block's in
+        # its last bits.
+        parts = -(-(stop - start) // rows)
+        edges = [-(-(stop - start) * i // parts) for i in range(parts + 1)]
+        hits = []  # flat indices into the chunk's (skewers, pixels) projections
+        for r0, r1 in zip(edges, edges[1:]):
+            proj = np.matmul(dirs[r0:r1], planes, out=workspace.proj[:r1 - r0])
+            mask = workspace.mask[:r1 - r0]
+            for compare, bound in ((np.greater_equal, proj.max(axis=1) - params.threshold),
+                                   (np.less_equal, proj.min(axis=1) + params.threshold)):
+                compare(proj, bound[:, None], out=mask)
+                hits.append(np.flatnonzero(mask) + r0 * n_pixels)
+        flat = np.concatenate(hits)
+        del hits
         # (skewer within the chunk, pixel) of every hit
-        return np.divmod(hits, n_pixels)
+        return np.divmod(flat, n_pixels)
 
     totals = np.zeros(n_pixels, dtype=np.int64)
     first_touched = np.full(n_pixels, n_iter, dtype=np.int64) if trace else None
 
     # The serial path runs in the calling thread and does not import
-    # `concurrent.futures` (nor the `logging`, `threading` and `queue` it
-    # loads), which a `ppi` process would spend 7-12 ms on.
+    # `concurrent.futures` (nor the `logging` and `queue` it loads; numpy
+    # has loaded `threading`), which a `ppi` process would spend 7-12 ms on.
     pool = contextlib.nullcontext()
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -130,6 +151,7 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
                 np.minimum.at(first_touched, pixel, start + skewer)
             if progress is not None:
                 progress(stop)
+            del skewer, pixel  # before the next chunk's are made
 
     trace_values = None
     if trace:
@@ -153,4 +175,4 @@ def select_pure_pixels(ppi: PpiImage, min_count: int = 1,
     line_idx, sample_idx = np.divmod(keep, samples)
     order = np.lexsort((sample_idx, line_idx, -flat[keep]))
     chosen = keep[order][:max_pixels]
-    return [(int(i // samples), int(i % samples)) for i in chosen]
+    return list(zip(*(index.tolist() for index in np.divmod(chosen, samples))))

@@ -48,9 +48,11 @@ def resample_library(lib: SpectralLibrary, target_wavelengths) -> SpectralLibrar
 
     Targets outside an entry's range are flagged unusable for that entry
     (reflectance set to NaN) and skipped when scoring. An entry
-    overlapping fewer than 4 targets is an error.
+    overlapping fewer than 4 targets is an error. Every entry's
+    wavelengths are one shared, read-only copy of the target grid.
     """
-    targets = np.asarray(target_wavelengths, dtype=np.float64)
+    targets = np.array(target_wavelengths, dtype=np.float64)
+    targets.flags.writeable = False
     if targets.ndim != 1 or targets.size < 2:
         raise ValueError("need at least 2 target wavelengths")
     if not np.isfinite(targets).all():
@@ -63,7 +65,7 @@ def resample_library(lib: SpectralLibrary, target_wavelengths) -> SpectralLibrar
                 f"spectrum {rec.name!r} overlaps fewer than 4 target bands")
         values = np.interp(targets, rec.wavelengths, rec.reflectance)
         values[~usable] = np.nan
-        entries.append(SpectrumRecord(name=rec.name, wavelengths=targets.copy(),
+        entries.append(SpectrumRecord(name=rec.name, wavelengths=targets,
                                       reflectance=values, usable=usable))
     return SpectralLibrary(entries=entries, source_tag=lib.source_tag)
 

@@ -958,22 +958,89 @@ class TestStageMemory:
         # text, a copy of it or a string per cell would pass the text's size.
         assert traced_peak(cli.run_stage, "match", cfg) <= 1.5 * text_bytes
 
-    def test_mtmf_stage_holds_the_components_once(self, tmp_path, monkeypatch):
+    def write_mtmf_inputs(self, tmp_path, lines):
+        """A (lines, 128, 16) MNF cube, the first 8 components of 6 of its
+        pixels as class means and a config; returns the config."""
+        out = tmp_path / "out"
+        shape = (lines, self.LARGE[1], 16)
+        self.write_cube_file(out / "mnf_cube.hdr", "mnf_component", shape)
+        pixels = envi_io.read_cube(*envi_io.read_payload(out / "mnf_cube.hdr")).pixels()
+        means = pixels[np.linspace(0, len(pixels) - 1, 6).astype(int), :8].tolist()
+        artifacts.write_table(out / "endmember_mnf_means.csv",
+                              ["class_id"] + [f"comp_{i}" for i in range(1, 9)],
+                              ([str(c)] + list(map(repr, row)) for c, row in enumerate(means, 1)))
+        # Files of earlier stages that the dependency check looks for.
+        for name in ("mnf_model/forward.csv", "mnf_model/eigenvalues.csv", "endmembers.csv",
+                     "endmember_manifest.csv"):
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\n")
+        return cli.load_config(str(tmp_path / "p.cfg"))
+
+    def test_mtmf_stage_holds_blocks(self, tmp_path, monkeypatch):
         from hypermap import mapping
 
-        cfg, _, _ = self.write_endmember_inputs(tmp_path)
-        cli.run_stage("endmembers", cfg)
+        cfg = self.write_mtmf_inputs(tmp_path, 128)
         cli.run_stage("mtmf", cfg)
-        # Residuals a few rows at a time, so that the peak is the 8
-        # components the 6 class means use (of the file's 16), their
-        # whitened copy and the (6, pixels) MF and infeasibility images. A
-        # block buffer in the read (2 MiB of the 16-plane file) or another
-        # copy of the components exceeds this.
+        # Blocks of 32 lines of the 8 components the class means use (of
+        # the file's 16): the block as read and its whitened copy, beside
+        # a few arrays of the block's pixels (two classes' MF scores and
+        # infeasibilities, one class's projections, residual deviations
+        # and norms) and small buffers. The 8 components of all 128 lines
+        # and their whitened copy, the (6, pixels) MF and infeasibility
+        # images, or a third block exceed this.
+        monkeypatch.setattr(mapping, "_BLOCK_BYTES", 8 * 32 * 128 * 8)
         monkeypatch.setattr(mapping, "_NORM_BLOCK_ELEMENTS", 1 << 10)
-        pixels = self.LARGE[0] * self.LARGE[1]
-        budget = (2 * 8 * pixels * 8 + 8 * mapping._NORM_BLOCK_ELEMENTS + 2 * 6 * pixels * 8
-                  + (1 << 19))
+        block_pixels = 32 * 128
+        budget = 2 * mapping._BLOCK_BYTES + 8 * 8 * block_pixels + (1 << 17)
+        assert budget < min(2 * 6 * 128 * 128 * 8, 3 * mapping._BLOCK_BYTES + 8 * 8 * block_pixels)
         assert traced_peak(cli.run_stage, "mtmf", cfg) <= budget
+
+    @pytest.mark.parametrize("stage", ["mnf", "mtmf"])
+    def test_stage_peak_does_not_grow_with_the_scene(self, tmp_path, monkeypatch, stage):
+        # Blocks of lines and arrays of a block's pixels or of the bands'
+        # size; a 4x taller scene adds none of them, and holding a cube-
+        # sized array would add 3x its 64-line size. Both scenes take
+        # several blocks of 16 lines (mnf's 64 bands, mtmf's 8 components).
+        from hypermap import mapping
+
+        monkeypatch.setattr(mapping, "_BLOCK_BYTES", 8 * 16 * 128 * 8)
+        peaks = []
+        for lines in (64, 256):
+            if stage == "mnf":
+                cfg = self.write_mnf_inputs(tmp_path / str(lines), (lines, 128, 64))
+            else:
+                cfg = self.write_mtmf_inputs(tmp_path / str(lines), lines)
+            if not peaks:
+                cli.run_stage(stage, cfg)  # imports and binds the stage's modules
+            peaks.append(traced_peak(cli.run_stage, stage, cfg))
+        assert peaks[1] - peaks[0] <= 1 << 16
+
+    def test_ppi_stage_peak_grows_by_the_kept_components(self, tmp_path):
+        # The kept components of every pixel (8 bytes each) are the only
+        # arrays of the scene's size beside a few of the count image's size
+        # (8 bytes a pixel each); the projections are held a block of
+        # skewers at a time. The threshold lets under 1% of a skewer's
+        # pixels hit, as on the benchmark's scenes, so the chunk's lists of
+        # hits, which grow with that share and not with the scene, stay
+        # small; the default 2.5 on these noise-like components lets 10-20%
+        # hit.
+        k, peaks = 16, []
+        for lines in (64, 256):
+            out = tmp_path / str(lines) / "out"
+            self.write_cube_file(out / "mnf_cube.hdr", "mnf_component", (lines, 128, 32))
+            for name in ("mnf_model/forward.csv", "mnf_model/eigenvalues.csv"):
+                (out / name).parent.mkdir(exist_ok=True)
+                (out / name).touch()
+            (out.parent / "p.cfg").write_text(f"output_dir = out\nmnf_keep_k = {k}\n"
+                                              "ppi_iterations = 200\nppi_threshold = 0.5\n"
+                                              "ppi_max_pixels = 100\n")
+            cfg = cli.load_config(str(out.parent / "p.cfg"))
+            if not peaks:
+                cli.run_stage("ppi", cfg)
+            peaks.append(traced_peak(cli.run_stage, "ppi", cfg))
+        added = (256 - 64) * 128
+        assert peaks[1] - peaks[0] <= 8 * k * added + 3 * 8 * added + (1 << 16)
 
 
 class TestBlockedStages:

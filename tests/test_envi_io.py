@@ -226,6 +226,25 @@ class TestReadPayload:
                 read_payload(path, bands=3)
 
 
+class TestReadBlocks:
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("dtype", [None, np.float64])
+    @pytest.mark.parametrize("bands", [range(2), range(3, 6), [0, 4, 6], range(7)])
+    def test_band_subsets_of_every_interleave(self, tmp_path, interleave, dtype, bands):
+        from hypermap.envi_io import _read_blocks
+
+        values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
+        path = write_offset_cube(tmp_path, values, np.ones(7, bool), interleave,
+                                 data_type="int16", offset=24)
+        header = parse_envi_header(path.read_text())
+        blocks = [(0, 4, bands), (4, 5, bands), (1, 3, range(7)), (2, 5, bands)]
+        for (l0, l1, named), (first, block) in zip(
+                blocks, _read_blocks(tmp_path / "cube.img", header, blocks, dtype)):
+            assert first == l0
+            assert block.dtype == (np.int16 if dtype is None else dtype)
+            assert block.tolist() == values[l0:l1][:, :, list(named)].tolist()
+
+
 class TestWriteCube:
     def test_round_trip_identity_payload(self):
         rng = np.random.default_rng(9)

@@ -331,8 +331,8 @@ class TestMtmf:
     @pytest.mark.parametrize("interleave, width",
                              [("bsq", 4), ("bsq", 6), ("bil", 4), ("bil", 6), ("bip", 4)])
     def test_cube_file_equals_read_cube_prefix(self, tmp_path, monkeypatch, interleave, width):
-        # A BIL file's components are gathered in blocks of 4 lines.
-        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 4 * 20 * 6 * 8)
+        # Both cubes' components are read in blocks of 4 lines.
+        monkeypatch.setattr(mapping, "_BLOCK_BYTES", 4 * 20 * width * 8)
         cube = background_cube(seed=163, lines=30, samples=20, bands=6)
         write_cube_file(cube, tmp_path / "c.hdr", interleave=interleave)
         targets = cube.pixels()[[5, 77, 301], :width]
@@ -340,6 +340,27 @@ class TestMtmf:
         expected = mtmf(read_cube(*read_payload(tmp_path / "c.hdr", bands=width)), targets)
         assert result.mf_score.tobytes() == expected.mf_score.tobytes()
         assert result.infeasibility.tobytes() == expected.infeasibility.tobytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_class_files_hold_the_bytes_of_the_images(self, tmp_path, monkeypatch, interleave):
+        # Blocks of 4 lines of the 4 components the targets use.
+        monkeypatch.setattr(mapping, "_BLOCK_BYTES", 4 * 20 * 4 * 8)
+        cube = background_cube(seed=173, lines=30, samples=20, bands=6)
+        write_cube_file(cube, tmp_path / "c.hdr", interleave=interleave)
+        targets = cube.pixels()[[5, 77, 301], :4]
+        result = mtmf(cube, targets)
+        paths = [tmp_path / f"class_{c}.hdr" for c in (1, 2, 3)]
+        assert mtmf(CubeFile(tmp_path / "c.hdr"), targets, paths) is None
+        for c, path in enumerate(paths):
+            images = np.stack([result.mf_score[c], result.infeasibility[c]], axis=2)
+            write_cube_file(SpectralCube(values=images, wavelengths=np.array([1.0, 2.0]),
+                                         bad_band_mask=np.array([True, True]), units_tag="score"),
+                            tmp_path / "expected.hdr")
+            for suffix in (".hdr", ".img"):
+                assert path.with_suffix(suffix).read_bytes() == \
+                    (tmp_path / f"expected{suffix}").read_bytes()
+        with pytest.raises(ValueError, match="2 header paths for 3 targets"):
+            mtmf(cube, targets, paths[:2])
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_cube_file_with_non_finite_component_rejected(self, tmp_path, interleave):

@@ -81,7 +81,7 @@ class TestBlockedSums:
     @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1), (0, 2, 1)])
     def test_blocked_covariances_match_the_whole_matrix(self, axes, monkeypatch):
         # Blocks of 3 lines, so the 40 lines take 14 blocks.
-        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 3 * 8 * 17 * 9)
+        monkeypatch.setattr(mnf, "_BLOCK_BYTES", 3 * 8 * 17 * 9)
         rs = RandomSource(41)
         base = rs.gaussians(40 * 17 * 9).reshape(40, 17, 9) * 0.05
         base += np.linspace(1.0, 2.0, 9) * (1.0 + np.sin(np.arange(17) / 5.0))[:, None]
@@ -170,6 +170,7 @@ class TestFitForwardInPlace:
                                                                    tmp_path, monkeypatch):
         # Blocks of 4 lines; the file's blocks and the cube's are the same.
         monkeypatch.setattr(envi_io, "BLOCK_BYTES", 4 * 8 * 20 * 10)
+        monkeypatch.setattr(mnf, "_BLOCK_BYTES", 4 * 8 * 20 * 10)
         rs = RandomSource(5)
         values = rs.gaussians(30 * 20 * 10).reshape(30, 20, 10) * np.linspace(1.0, 4.0, 10)
         axes = envi_io._FILE_AXES[interleave]
@@ -203,11 +204,12 @@ class TestFitForwardInPlace:
 
     def test_component_file_keeps_its_bytes(self, tmp_path):
         # `fit_forward_to_file` on a seeded cube of 96 x 128 pixels and 150
-        # bands: 4 blocks of 24 lines, whose noise and data sums are merged,
-        # each projected in ranges of 832, 832 and 1408 pixels. The digests
-        # were recorded from this blocked fit and projection. OpenBLAS splits the covariance products by thread,
-        # which moves their last bits, so the fit runs in a process with one
-        # BLAS thread, as the benchmark's stages do.
+        # bands: 16 blocks of 6 lines (~1 MiB each), whose noise and data
+        # sums are merged, each projected as one range of 768 pixels. The
+        # digests were recorded from this blocked fit and projection.
+        # OpenBLAS splits the covariance products by thread, which moves
+        # their last bits, so the fit runs in a process with one BLAS
+        # thread, as the benchmark's stages do.
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                        p for p in (str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -216,7 +218,7 @@ class TestFitForwardInPlace:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("mnf.img", "mnf.hdr")}
         assert digests == {
-            "mnf.img": "e6d9649a95b8e454cf3e037c55070650883335c995113f0922091ce6034ead18",
+            "mnf.img": "8448b294b8c274db67c396e57e5e71132ac6773a67d4ce53c488b876ff251a6f",
             "mnf.hdr": "49f29a2eeee9f6b272d0bb399e5234cf2bfbe2f10a9cad8a7fbf29053d809ec4",
         }
 

@@ -124,6 +124,29 @@ class TestRunPpi:
         assert np.array_equal(small.counts, image.counts)
         assert small.trace == image.trace
 
+    @pytest.mark.parametrize("shape", [(20, 16, 5), (13, 11, 4)])
+    @pytest.mark.parametrize("rows", [1, 5, "chunk"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_projection_blocks_equal_one_product(self, monkeypatch, shape, rows, n_workers):
+        # Blocks of one skewer row, of 5 rows (a chunk's 64 skewers in 13
+        # blocks, the 37 of the last chunk in 8) or of a whole chunk, over
+        # 320 pixels and over 143, which is not a multiple of 64.
+        values = np.random.default_rng(43).normal(size=shape)
+        pixels = values.reshape(-1, shape[2])
+        n_iterations = 2 * ppi._CHUNK + 37
+        threshold = 0.8
+        rows = ppi._CHUNK if rows == "chunk" else rows
+        monkeypatch.setattr(ppi, "_PROJECTION_BYTES", 8 * rows * len(pixels))
+        image = run_ppi(make_mnf_cube(values), PpiParams(n_iterations, threshold, seed=19),
+                        n_workers=n_workers, trace=True)
+        # One product over every skewer.
+        proj = ppi._skewer_directions(19, 0, n_iterations, shape[2]) @ pixels.T
+        hits = (proj >= proj.max(axis=1, keepdims=True) - threshold,
+                proj <= proj.min(axis=1, keepdims=True) + threshold)
+        assert image.counts.ravel().tolist() == sum(h.sum(axis=0) for h in hits).tolist()
+        touched = np.logical_or(*hits)
+        assert image.trace == np.logical_or.accumulate(touched, axis=0).sum(axis=1).tolist()
+
     def test_identical_pixels_count_both_ends(self):
         cube = make_mnf_cube(np.ones((2, 2, 3)))
         image = run_ppi(cube, PpiParams(n_iterations=10, threshold=0.0, seed=1))
