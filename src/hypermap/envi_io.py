@@ -532,7 +532,8 @@ def _read_blocks(image_path, header: EnviHeader, blocks=None, dtype=None):
             firsts = [(b * lines + l0) * samples for b in bands] if bsq else [l0 * line]
             read = raw[:n if bsq else (l1 - l0) * line]
             for first, segment in zip(firsts, read.reshape(len(firsts), -1)):
-                _read_into(fp, segment, header.header_offset + first * raw.itemsize)
+                fp.seek(header.header_offset + first * raw.itemsize)
+                fp.readinto(segment)
             block = _canonical(values[:n], header.interleave, (l1 - l0, samples, len(bands)))
             if gather:
                 whole = _canonical(read, header.interleave, (l1 - l0, samples, header.bands))
@@ -541,17 +542,6 @@ def _read_blocks(image_path, header: EnviHeader, blocks=None, dtype=None):
             elif values is not raw:
                 values[:n] = raw[:n]
             yield l0, block
-
-
-def _read_into(fp, buffer, offset: int) -> None:
-    """Fill `buffer` from byte `offset` of the unbuffered file `fp`, in one
-    `preadv` call where the platform has it (a BSQ block takes one read per
-    band, so the calls add up), else by a seek and a read."""
-    if hasattr(os, "preadv"):
-        os.preadv(fp.fileno(), [buffer], offset)
-    else:
-        fp.seek(offset)
-        fp.readinto(buffer)
 
 
 _INT_RANGES = {

@@ -147,13 +147,13 @@ def _background(cube: SpectralCube | CubeFile, b: int):
     return moments.mean, (1.0 / np.sqrt(vals))[:, None] * vecs.T
 
 
-def _scores(cube: SpectralCube | CubeFile, targets: np.ndarray, infeasibility: bool = True):
+def _scores(cube: SpectralCube | CubeFile, targets: np.ndarray):
     """Fit the scene background once, from the first b components of
     `cube` (b the width of the (k, b) `targets`), and check each target;
     then return an iterator over the cube's blocks of lines and, within a
     block, over the targets, of (first pixel, target index, scores): the
     MF scores of the block's m pixels and then their infeasibilities, a
-    (2, m) array ((1, m), the scores alone, without `infeasibility`).
+    (2, m) array.
 
     A block's pixels, minus mu and whitened, are the columns of p. Per
     target, t_hat is the unit whitened target direction, alpha = t_hat @ p
@@ -175,26 +175,25 @@ def _scores(cube: SpectralCube | CubeFile, targets: np.ndarray, infeasibility: b
             p = whiten @ planes.reshape(b, -1)
             del planes  # a copy, for a cube in memory, that the next block replaces
             for i, (t_hat, t_norm) in enumerate(directions):
-                yield l0 * cube.samples, i, _target_scores(p, t_hat, t_norm, infeasibility)
+                yield l0 * cube.samples, i, _target_scores(p, t_hat, t_norm)
             del p  # before the next block's is made
 
     return blocks()
 
 
-def _target_scores(p: np.ndarray, t_hat: np.ndarray, t_norm: float, infeasibility: bool):
+def _target_scores(p: np.ndarray, t_hat: np.ndarray, t_norm: float):
     """One target's scores of the whitened pixels p (columns): the MF
-    scores, then the infeasibilities unless `infeasibility` is false."""
+    scores, then the infeasibilities."""
     alpha = t_hat @ p
-    scores = np.empty((2 if infeasibility else 1, alpha.size))
+    scores = np.empty((2, alpha.size))
     np.divide(alpha, t_norm, out=scores[0])
-    if infeasibility:
-        # The explicit residual, not sqrt(|p|^2 - alpha^2), which cancels
-        # to ~1e-8 for pixels on the background-to-target line.
-        sigma = np.clip(scores[0], 0.0, 1.0)
-        sigma *= _TARGET_RESIDUAL_STD - 1.0
-        sigma += 1.0
-        sigma *= np.sqrt(p.shape[0] - 1.0)
-        np.divide(_row_norms(p.T, alpha, t_hat), sigma, out=scores[1])
+    # The explicit residual, not sqrt(|p|^2 - alpha^2), which cancels to
+    # ~1e-8 for pixels on the background-to-target line.
+    sigma = np.clip(scores[0], 0.0, 1.0)
+    sigma *= _TARGET_RESIDUAL_STD - 1.0
+    sigma += 1.0
+    sigma *= np.sqrt(p.shape[0] - 1.0)
+    np.divide(_row_norms(p.T, alpha, t_hat), sigma, out=scores[1])
     return scores
 
 
@@ -210,8 +209,10 @@ def matched_filter(mnf_cube: SpectralCube | CubeFile, target_mnf) -> np.ndarray:
         raise ValueError(
             f"target has {target.size} components, cube has {mnf_cube.bands}")
     scores = np.empty(mnf_cube.lines * mnf_cube.samples)
-    for p0, _, (mf,) in _scores(mnf_cube, target[None], infeasibility=False):
-        scores[p0:p0 + mf.size] = mf
+    # A one-component cube has no residual, so its infeasibilities are 0 / 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p0, _, (mf, _) in _scores(mnf_cube, target[None]):
+            scores[p0:p0 + mf.size] = mf
     return scores.reshape(mnf_cube.lines, mnf_cube.samples)
 
 

@@ -9,7 +9,6 @@ count; workers only change how the iteration range is partitioned.
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +16,14 @@ import numpy as np
 from .envi_io import SpectralCube
 from .numerics import spawned_gaussians
 
-# Skewers per chunk, the unit of work of a worker and of `progress`: at
-# most _CHUNK, and fewer when the chunk's (skewers, pixels) projections
-# would pass _CHUNK_BYTES. They are not held at once: a chunk is projected
-# a block of skewer rows at a time, each at most _PROJECTION_BYTES (at
-# least one row), into one buffer per thread.
+# Skewers per chunk, the unit of one matrix product, of a worker's work
+# and of `progress`: at most _CHUNK, and fewer when the chunk's (skewers,
+# pixels) projections would pass _CHUNK_BYTES, but not fewer than
+# _MIN_CHUNK. A product reads every kept component once, whatever its
+# skewer count, so one of a single skewer is much slower per skewer.
 _CHUNK = 64
-_CHUNK_BYTES = 8 << 20
-_PROJECTION_BYTES = 2 << 20
+_CHUNK_BYTES = 2 << 20
+_MIN_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,15 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     carries, per iteration, the cumulative number of distinct pixels
     counted at least once.
 
-    Per chunk of skewers, matrix products over blocks of its skewers give
-    `(skewers, pixels)` blocks of projections, so each skewer's maximum and
-    minimum are taken along a contiguous row. The hits (pixels within the
-    threshold of either end) are a small share of a block: they are listed
-    as flat indices of the high and of the low mask and counted per pixel
-    with `bincount`, so a pixel within the threshold of both ends is
-    listed, and counted, twice. The trace is computed once at the end from
-    each pixel's first touched iteration, which `minimum.at` takes from the
-    same lists.
+    Per chunk of skewers, one matrix product gives a `(skewers, pixels)`
+    block of projections, so each skewer's maximum and minimum are taken
+    along a contiguous row. The hits (pixels within the threshold of
+    either end) are a small share of the block: they are listed as flat
+    indices of the high and then of the low mask (one mask, reused) and
+    counted per pixel with `bincount`, so a pixel within the threshold of
+    both ends is listed, and counted, twice. The trace is computed once at
+    the end from each pixel's first touched iteration, which `minimum.at`
+    takes from the same lists.
     """
     if params is None:
         params = PpiParams()
@@ -102,41 +101,28 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     planes = np.ascontiguousarray(mnf_cube.pixels()[:, :k].T)
     n_pixels = planes.shape[1]
     n_iter = params.n_iterations
-    chunk = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * n_pixels)))
-    chunks = [(s, min(s + chunk, n_iter)) for s in range(0, n_iter, chunk)]
-    rows = min(chunk, max(1, _PROJECTION_BYTES // (8 * n_pixels)))
-    workspace = threading.local()
+    chunk = min(_CHUNK, max(_MIN_CHUNK, _CHUNK_BYTES // (8 * n_pixels)))
+    # Chunks as even in size as they can be, so that none is much shorter:
+    # a one-skewer product (gemv) may differ from a block's in its last bits.
+    parts = -(-n_iter // chunk)
+    edges = [-(-n_iter * i // parts) for i in range(parts + 1)]
+    chunks = list(zip(edges, edges[1:]))
 
     def process(bounds):
         start, stop = bounds
-        dirs = _skewer_directions(params.seed, start, stop, k)
-        if not hasattr(workspace, "proj"):  # one projection block and mask per thread
-            workspace.proj = np.empty((rows, n_pixels))
-            workspace.mask = np.empty((rows, n_pixels), dtype=bool)
-        # Blocks of rows as even as they can be, so that none is much
-        # shorter: a one-row product (gemv) may differ from a block's in
-        # its last bits.
-        parts = -(-(stop - start) // rows)
-        edges = [-(-(stop - start) * i // parts) for i in range(parts + 1)]
-        hits = []  # flat indices into the chunk's (skewers, pixels) projections
-        for r0, r1 in zip(edges, edges[1:]):
-            proj = np.matmul(dirs[r0:r1], planes, out=workspace.proj[:r1 - r0])
-            mask = workspace.mask[:r1 - r0]
-            for compare, bound in ((np.greater_equal, proj.max(axis=1) - params.threshold),
-                                   (np.less_equal, proj.min(axis=1) + params.threshold)):
-                compare(proj, bound[:, None], out=mask)
-                hits.append(np.flatnonzero(mask) + r0 * n_pixels)
-        flat = np.concatenate(hits)
-        del hits
+        proj = _skewer_directions(params.seed, start, stop, k) @ planes
+        mask = proj >= (proj.max(axis=1) - params.threshold)[:, None]
+        hi = np.flatnonzero(mask)
+        np.less_equal(proj, (proj.min(axis=1) + params.threshold)[:, None], out=mask)
         # (skewer within the chunk, pixel) of every hit
-        return np.divmod(flat, n_pixels)
+        return np.divmod(np.concatenate((hi, np.flatnonzero(mask))), n_pixels)
 
     totals = np.zeros(n_pixels, dtype=np.int64)
     first_touched = np.full(n_pixels, n_iter, dtype=np.int64) if trace else None
 
     # The serial path runs in the calling thread and does not import
-    # `concurrent.futures` (nor the `logging` and `queue` it loads; numpy
-    # has loaded `threading`), which a `ppi` process would spend 7-12 ms on.
+    # `concurrent.futures` (nor the `logging`, `threading` and `queue` it
+    # loads), which a `ppi` process would spend 7-12 ms on.
     pool = contextlib.nullcontext()
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor

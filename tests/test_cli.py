@@ -1019,12 +1019,12 @@ class TestStageMemory:
     def test_ppi_stage_peak_grows_by_the_kept_components(self, tmp_path):
         # The kept components of every pixel (8 bytes each) are the only
         # arrays of the scene's size beside a few of the count image's size
-        # (8 bytes a pixel each); the projections are held a block of
-        # skewers at a time. The threshold lets under 1% of a skewer's
-        # pixels hit, as on the benchmark's scenes, so the chunk's lists of
-        # hits, which grow with that share and not with the scene, stay
-        # small; the default 2.5 on these noise-like components lets 10-20%
-        # hit.
+        # (8 bytes a pixel each); the projections are held a chunk of
+        # skewers at a time, at most 2 MiB on both scenes. The threshold
+        # lets under 1% of a skewer's pixels hit, as on the benchmark's
+        # scenes, so the chunk's lists of hits, which grow with that share
+        # and not with the scene, stay small; the default 2.5 on these
+        # noise-like components lets 10-20% hit.
         k, peaks = 16, []
         for lines in (64, 256):
             out = tmp_path / str(lines) / "out"

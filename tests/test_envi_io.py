@@ -230,15 +230,9 @@ class TestReadBlocks:
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     @pytest.mark.parametrize("dtype", [None, np.float64])
     @pytest.mark.parametrize("bands", [range(2), range(3, 6), [0, 4, 6], range(7)])
-    @pytest.mark.parametrize("preadv", [True, False])
-    def test_band_subsets_of_every_interleave(self, tmp_path, monkeypatch, interleave, dtype,
-                                              bands, preadv):
-        import os
-
+    def test_band_subsets_of_every_interleave(self, tmp_path, interleave, dtype, bands):
         from hypermap.envi_io import _read_blocks
 
-        if not preadv:  # the seek and read of a platform without `os.preadv`
-            monkeypatch.delattr(os, "preadv", raising=False)
         values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
         path = write_offset_cube(tmp_path, values, np.ones(7, bool), interleave,
                                  data_type="int16", offset=24)

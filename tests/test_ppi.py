@@ -107,36 +107,42 @@ class TestRunPpi:
         assert params.n_iterations == 10000
         assert params.threshold == 2.5
 
-    @pytest.mark.parametrize("lines, chunk", [(128, 64), (256, 32)])
-    def test_projection_block_holds_at_most_8_mib(self, monkeypatch, lines, chunk):
-        # 64 skewers' projections of 128 x 128 pixels (ppi_scene's extent)
-        # fill 8 MiB; a 256-line strip (hyperion_strip's) takes 32 a chunk.
+    @pytest.mark.parametrize("lines, chunk", [(128, 16), (256, 8), (1024, 4)])
+    def test_projection_block_holds_at_most_2_mib_or_4_skewers(self, monkeypatch, lines,
+                                                               chunk):
+        # 16 skewers' projections of 128 x 128 pixels (ppi_scene's extent)
+        # fill 2 MiB and a 256-line strip (hyperion_strip's) takes 8 a
+        # chunk, but a chunk has at least 4 skewers. The 100 skewers are
+        # split into the fewest chunks, as even in size as they can be.
         values = np.random.default_rng(3).normal(size=(lines, 128, 2))
         cube = make_mnf_cube(values)
         params = PpiParams(n_iterations=100, threshold=0.5, seed=2)
         done = []
         image = run_ppi(cube, params, progress=done.append, trace=True)
-        assert np.diff([0, *done]).tolist() == [chunk] * (100 // chunk) + [100 % chunk]
-        assert 8 * chunk * lines * 128 <= 8 << 20
+        sizes = np.diff([0, *done])
+        assert len(sizes) == -(-100 // chunk)
+        assert sizes.max() <= chunk and sizes.max() - sizes.min() <= 1
+        assert 8 * chunk * lines * 128 <= max(2 << 20, 8 * 4 * lines * 128)
         # The counts and trace do not depend on the chunk size.
-        monkeypatch.setattr(ppi, "_CHUNK", 4)
+        monkeypatch.setattr(ppi, "_CHUNK", 3)
         small = run_ppi(cube, params, trace=True)
         assert np.array_equal(small.counts, image.counts)
         assert small.trace == image.trace
 
     @pytest.mark.parametrize("shape", [(20, 16, 5), (13, 11, 4)])
-    @pytest.mark.parametrize("rows", [1, 5, "chunk"])
+    @pytest.mark.parametrize("rows", [1, 7, "chunk"])
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_projection_blocks_equal_one_product(self, monkeypatch, shape, rows, n_workers):
-        # Blocks of one skewer row, of 5 rows (a chunk's 64 skewers in 13
-        # blocks, the 37 of the last chunk in 8) or of a whole chunk, over
-        # 320 pixels and over 143, which is not a multiple of 64.
+        # Chunks of one skewer, of 7 (the 165 skewers in 24 chunks of 6 or
+        # 7) or of a whole chunk of at most 64 (in 3 of 55), over 320
+        # pixels and over 143, which is not a multiple of 64.
         values = np.random.default_rng(43).normal(size=shape)
         pixels = values.reshape(-1, shape[2])
         n_iterations = 2 * ppi._CHUNK + 37
         threshold = 0.8
         rows = ppi._CHUNK if rows == "chunk" else rows
-        monkeypatch.setattr(ppi, "_PROJECTION_BYTES", 8 * rows * len(pixels))
+        monkeypatch.setattr(ppi, "_CHUNK_BYTES", 8 * rows * len(pixels))
+        monkeypatch.setattr(ppi, "_MIN_CHUNK", 1)
         image = run_ppi(make_mnf_cube(values), PpiParams(n_iterations, threshold, seed=19),
                         n_workers=n_workers, trace=True)
         # One product over every skewer.
