@@ -278,9 +278,9 @@ def write_default_configs(directory: str) -> list[str]:
 # stages
 
 
-def _read_cube(header_path, image_path=None, bands=None, header=None) -> SpectralCube:
+def _read_cube(header_path) -> SpectralCube:
     """`envi_io.read_payload` decoded by this module's `read_cube`."""
-    return read_cube(*read_payload(header_path, image_path, bands, header))
+    return read_cube(*read_payload(header_path))
 
 
 def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
@@ -371,7 +371,7 @@ def stage_mnf(cfg: PipelineConfig) -> None:
 
 
 def stage_ppi(cfg: PipelineConfig) -> None:
-    mnf_cube = _read_cube(cfg.artifact("mnf_cube.hdr"), bands=cfg.mnf_keep_k)
+    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))  # run_ppi reads the kept components
     if not 1 <= cfg.mnf_keep_k <= mnf_cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{mnf_cube.bands} for this cube")

@@ -4,16 +4,18 @@
 :func:`band_blocks` and :func:`line_blocks` yield the same blocks of a
 `CubeFile` or of an in-memory `SpectralCube` (as views of its values), so
 a caller runs one code path either way; :func:`plane_blocks` yields line
-blocks as band planes that the caller owns. A block of lines holds about
+blocks as band planes that the caller owns, and :func:`first_planes`
+gives the first bands as one array of planes. A block of lines holds about
 `envi_io.BLOCK_BYTES` of float64 values unless the caller names a smaller
 budget (`mnf` and `mtmf` take ~1 MiB blocks), and may stop at a prefix of
 the bands; a block of bands holds about `BAND_BLOCK_BYTES`.
 
-A `CubeFile` is read by `envi_io._read_blocks`, the block reader that
-`envi_io.read_payload` runs on too. This module is apart from `envi_io`
-because every stage process imports `envi_io`, and a process that runs
-without cached bytecode holds memory for each line it compiles; only the
-stages that stream a cube need this one.
+A `CubeFile` is read by `envi_io._read_blocks`, the one block reader;
+`envi_io.read_payload` reads only whole files. This module is apart from
+`envi_io` because every stage process imports `envi_io`, and a process
+that runs without cached bytecode holds memory for each line it
+compiles; only the stages that read a cube in part (`preprocess`, `mnf`,
+`ppi`, `endmembers`, `classify` and `mtmf`) need this one.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _band_ranges(bands: int, plane: int) -> list[tuple[int, int]]:
 class CubeFile:
     """An ENVI cube on disk (the image is `image_path`, by default the
     header's `.img` sibling), read a block at a time by :func:`band_blocks`,
-    :func:`line_blocks` and :func:`plane_blocks`.
+    :func:`line_blocks` and :func:`plane_blocks`, or in part by
+    :func:`first_planes`.
 
     Opening parses the header and checks the image's size, as a whole read
     does; `wavelengths`, `bad_band_mask` and `units_tag` are those of the
@@ -93,7 +96,7 @@ def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
     h = cube.header
     if h.interleave == "bsq":
         blocks = _read_blocks(cube.image_path, h, [(0, h.lines, range(b0, b1))
-                                                   for b0, b1 in ranges], np.float64)
+                                                   for b0, b1 in ranges])
         for (b0, _), (_, planes) in zip(ranges, blocks):
             yield b0, _finite(planes)
         return
@@ -104,6 +107,21 @@ def band_blocks(cube: SpectralCube | CubeFile, stop: int | None = None):
         for l0, block in _read_blocks(cube.image_path, h):
             planes[:, l0:l0 + len(block)] = block[:, :, b0:b1].transpose(2, 0, 1)
         yield b0, _finite(planes.transpose(1, 2, 0))
+
+
+def first_planes(cube: SpectralCube | CubeFile, k: int) -> np.ndarray:
+    """The first `k` bands of `cube` as one C-contiguous ``(k, lines,
+    samples)`` float64 array, checked for non-finite values. A BSQ file's
+    planes are read straight into it (a file of another type than float64
+    is converted from one buffer of its own); any other cube is gathered
+    from the blocks of :func:`band_blocks`."""
+    if isinstance(cube, CubeFile) and cube.header.interleave == "bsq":
+        ((_, block),) = _read_blocks(cube.image_path, cube.header, [(0, cube.lines, range(k))])
+        return _finite(block).transpose(2, 0, 1)
+    planes = np.empty((k, cube.lines, cube.samples))
+    for b0, block in band_blocks(cube, k):
+        planes[b0:b0 + block.shape[2]] = block.transpose(2, 0, 1)
+    return planes
 
 
 def line_blocks(cube: SpectralCube | CubeFile, stop: int | None = None,
@@ -118,7 +136,8 @@ def line_blocks(cube: SpectralCube | CubeFile, stop: int | None = None,
     that the next block overwrites and checked for non-finite values, so
     a whole pass checks every value it yields. A BSQ image reads only the
     bands yielded; a BIL or BIP image reads whole lines, so its buffer
-    holds every band of the block's lines beside a copy of the bands kept.
+    holds every band of the block's lines, and the block is a view of the
+    bands kept.
     """
     bands = cube.bands if stop is None else stop
     ranges = _line_ranges(cube.lines, cube.samples * bands, block_bytes)
@@ -127,7 +146,7 @@ def line_blocks(cube: SpectralCube | CubeFile, stop: int | None = None,
             yield l0, cube.values[l0:l1, :, :bands]
         return
     blocks = [(l0, l1, range(bands)) for l0, l1 in ranges]
-    for l0, block in _read_blocks(cube.image_path, cube.header, blocks, np.float64):
+    for l0, block in _read_blocks(cube.image_path, cube.header, blocks):
         yield l0, _finite(block)
 
 

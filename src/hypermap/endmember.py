@@ -21,11 +21,13 @@ from .numerics import RandomSource
 def _squared_distances(points: np.ndarray, point_sq: np.ndarray,
                        centroids: np.ndarray) -> np.ndarray:
     # |p|^2 - 2 p.c + |c|^2, clipped: rounding can make exact hits tiny-negative;
-    # `point_sq` holds each point's |p|^2
-    d2 = (point_sq[:, None]
-          - 2.0 * points @ centroids.T
-          + np.sum(centroids**2, axis=1)[None, :])
-    return np.maximum(d2, 0.0)
+    # `point_sq` holds each point's |p|^2. Built in one (n, k) array: adding
+    # -2 p.c gives the bits of subtracting 2 p.c.
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += point_sq[:, None]
+    d2 += np.sum(centroids**2, axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _distinct_rows(points: np.ndarray) -> int:

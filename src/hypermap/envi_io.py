@@ -2,8 +2,8 @@
 
 Cubes are held internally as float64 arrays indexed (line, sample, band)
 no matter which interleave the file used; all interleave handling lives
-here, as does reading a payload, whole or by `_read_blocks` (the one
-block reader: `read_payload`'s band selections and `cube_blocks` use it).
+here, as does reading a payload: whole by `read_payload`, or in blocks
+by `_read_blocks`, the one block reader, which `cube_blocks` runs on.
 Header parsing is whitespace-tolerant and case-insensitive, and
 unrecognized keys are preserved verbatim so a parse -> serialize round
 trip loses nothing. A library's CSV layout is read and written by
@@ -13,7 +13,7 @@ trip loses nothing. A library's CSV layout is read and written by
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -435,65 +435,19 @@ def _image_path(header_path, image_path=None) -> str:
     return stem + ".img" if image_path is None else str(image_path)
 
 
-def read_payload(header_path, image_path=None, bands=None,
-                 header: EnviHeader | None = None) -> tuple[EnviHeader, np.ndarray]:
-    """Read an ENVI image, or some of its bands, as `(header, raw)` for
-    :func:`read_cube`. The image defaults to the header's `.img` sibling;
-    `header` is the parsed header file, when the caller has it already.
-
-    `bands` is None for every band, an int n for the first n, or a boolean
-    keep mask. A whole read returns the header and the file's bytes, in
-    one uint8 array that `read_cube` decodes a little-endian float64
-    image in place from (an empty array, unlike a `bytearray`, is not
-    zeroed before the read fills it). A selection returns a BSQ header
-    with its band lists cut (a header without wavelengths keeps the
-    original 1-based band numbers) and the kept bands band-major, as
-    `values[:, :, keep]` orders them, once the file's size is checked
-    against the whole cube. BSQ reads the kept planes into that array;
-    BIL and BIP gather them from one pass over the lines. Dropped bands are
-    checked for non-finite values, as a whole read checks them; a band
-    count reads only a BSQ image's first n planes.
-    """
-    if header is None:
-        with open(header_path, "r", encoding="utf-8") as fp:
-            header = parse_envi_header(fp.read())
-    image_path = _image_path(header_path, image_path)
-    prefix = isinstance(bands, (int, np.integer))
-    if bands is None or prefix and bands >= header.bands:
-        with open(image_path, "rb") as fp:
-            raw = np.empty(os.fstat(fp.fileno()).st_size, dtype=np.uint8)
-            # A file that ends early leaves a short buffer: a size mismatch in read_cube.
-            return header, raw[:fp.readinto(raw)]
-
-    keep = check_keep_mask(np.arange(header.bands) < bands if prefix else bands, header.bands)
-    _check_payload_size(header, os.path.getsize(image_path))
-    if header.interleave == "bsq":  # each dropped plane is checked in the array the kept fill
-        dropped = [] if prefix else [(0, header.lines, [b]) for b in np.flatnonzero(~keep)]
-        blocks = _read_blocks(image_path, header,
-                              dropped + [(0, header.lines, np.flatnonzero(keep))])
-        for _ in dropped:
-            _finite(next(blocks)[1][:, :, 0])
-        ((_, kept),) = blocks
-    else:  # runs of kept or dropped bands between edges; at[b]: kept bands before b
-        edges = [0, *(np.flatnonzero(np.diff(keep)) + 1).tolist(), header.bands]
-        at = [0, *np.cumsum(keep).tolist()]
-        kept = np.empty((at[-1], header.lines, header.samples), header.numpy_dtype)
-        for l0, block in _read_blocks(image_path, header):
-            block = block.transpose(2, 0, 1)
-            for first, stop in zip(edges, edges[1:]):
-                if keep[first]:
-                    kept[at[first]:at[stop], l0:l0 + block.shape[1]] = block[first:stop]
-                else:
-                    _finite(block[first:stop])
-
-    def cut(values):
-        return values and [v for v, k in zip(values, keep) if k]
-
-    return replace(
-        header, bands=int(keep.sum()), interleave="bsq", header_offset=0,
-        wavelengths=cut(header.wavelengths or list(range(1, header.bands + 1))),
-        fwhm=cut(header.fwhm), bad_band_multiplier=cut(header.bad_band_multiplier)), \
-        np.ravel(kept, "K").view(np.uint8)  # in memory order: band-major
+def read_payload(header_path, image_path=None) -> tuple[EnviHeader, np.ndarray]:
+    """Read an ENVI image whole as `(header, raw)` for :func:`read_cube`:
+    the parsed header and the bytes of the image (by default the header's
+    `.img` sibling), in one uint8 array that `read_cube` decodes a
+    little-endian float64 image in place from (an empty array, unlike a
+    `bytearray`, is not zeroed before the read fills it). A cube read in
+    part goes through `cube_blocks.CubeFile`."""
+    with open(header_path, "r", encoding="utf-8") as fp:
+        header = parse_envi_header(fp.read())
+    with open(_image_path(header_path, image_path), "rb") as fp:
+        raw = np.empty(os.fstat(fp.fileno()).st_size, dtype=np.uint8)
+        # A file that ends early leaves a short buffer: a size mismatch in read_cube.
+        return header, raw[:fp.readinto(raw)]
 
 
 def _line_ranges(lines: int, line: int, block_bytes: int | None = None) -> list[tuple[int, int]]:
@@ -507,41 +461,35 @@ def _line_ranges(lines: int, line: int, block_bytes: int | None = None) -> list[
     return list(zip(edges, edges[1:]))
 
 
-def _read_blocks(image_path, header: EnviHeader, blocks=None, dtype=None):
-    """Yield (first line, an ``(n, samples, k)`` block) for each (first
-    line, stop line, k bands) block of an image, by default every line in
-    the blocks of `_line_ranges`, unchecked. Each is read in the file's
-    memory order, a BSQ band plane at a time, as `dtype` (default the
-    file's) into one buffer that the next block overwrites, so a single
-    block is an array of its own. A BIL or BIP image has no band planes:
-    its blocks read whole lines, of which a block that names only some
-    bands keeps those, copied into a second buffer."""
+def _read_blocks(image_path, header: EnviHeader, blocks=None):
+    """Yield (first line, an ``(n, samples, k)`` float64 block) for each
+    (first line, stop line, `range` of k bands) block of an image, by
+    default every band of every line in the blocks of `_line_ranges`,
+    unchecked. Each is read in the file's memory order, a BSQ band plane
+    at a time, into one buffer that the next block overwrites (and
+    converted into a second one when the file holds another type), so a
+    single block is an array of its own. A BIL or BIP image has no band
+    planes: its blocks read whole lines, and a block of some bands is a
+    view of those."""
     lines, samples, line = header.lines, header.samples, header.samples * header.bands
     if blocks is None:
         blocks = [(l0, l1, range(header.bands)) for l0, l1 in _line_ranges(lines, line)]
     bsq = header.interleave == "bsq"
-    gathers = [not bsq and list(bands) != list(range(header.bands)) for _, _, bands in blocks]
     raw = np.empty(max((l1 - l0) * samples * (len(bands) if bsq else header.bands)
                        for l0, l1, bands in blocks), dtype=header.numpy_dtype)
-    values = raw if (dtype is None or raw.dtype == dtype) and not any(gathers) else \
-        np.empty(max((l1 - l0) * samples * len(bands) for l0, l1, bands in blocks),
-                 dtype or raw.dtype)
+    values = raw if raw.dtype == np.float64 else np.empty(raw.size)
     with open(image_path, "rb", buffering=0) as fp:
-        for (l0, l1, bands), gather in zip(blocks, gathers):
-            n = (l1 - l0) * samples * len(bands)
+        for l0, l1, bands in blocks:
+            dims = (l1 - l0, samples, len(bands) if bsq else header.bands)
+            n = dims[0] * samples * dims[2]
             firsts = [(b * lines + l0) * samples for b in bands] if bsq else [l0 * line]
-            read = raw[:n if bsq else (l1 - l0) * line]
-            for first, segment in zip(firsts, read.reshape(len(firsts), -1)):
+            for first, segment in zip(firsts, raw[:n].reshape(len(firsts), -1)):
                 fp.seek(header.header_offset + first * raw.itemsize)
                 fp.readinto(segment)
-            block = _canonical(values[:n], header.interleave, (l1 - l0, samples, len(bands)))
-            if gather:
-                whole = _canonical(read, header.interleave, (l1 - l0, samples, header.bands))
-                for i, b in enumerate(bands):
-                    block[:, :, i] = whole[:, :, b]
-            elif values is not raw:
+            if values is not raw:
                 values[:n] = raw[:n]
-            yield l0, block
+            block = _canonical(values[:n], header.interleave, dims)
+            yield l0, block if bsq else block[:, :, bands.start:bands.stop]
 
 
 _INT_RANGES = {

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cube_blocks import CubeFile, first_planes
 from .envi_io import SpectralCube
 from .numerics import spawned_gaussians
 
@@ -63,7 +64,7 @@ def _skewer_directions(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
+def run_ppi(mnf_cube: SpectralCube | CubeFile, params: PpiParams | None = None,
             use_k_components: int | None = None, n_workers: int = 1,
             progress=None, trace: bool = False) -> PpiImage:
     """Run the PPI over `params.n_iterations` random skewers.
@@ -72,7 +73,10 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     `use_k_components` MNF components) onto a random unit direction and
     increment every pixel whose projection lies within `params.threshold`
     of the maximum, and likewise of the minimum. Deterministic for a
-    fixed seed regardless of `n_workers`.
+    fixed seed regardless of `n_workers`. `mnf_cube` may be in memory or a
+    `cube_blocks.CubeFile` of any interleave: either way the first
+    `use_k_components` components are taken as one `(k, pixels)` array
+    (`cube_blocks.first_planes`), so a BSQ file reads only those planes.
 
     `progress`, if given, is called with the cumulative iteration count
     after each processed chunk. With `trace=True` the returned image also
@@ -97,8 +101,7 @@ def run_ppi(mnf_cube: SpectralCube, params: PpiParams | None = None,
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
 
-    # (k, pixels); a view for the band-major prefix the `ppi` stage reads.
-    planes = np.ascontiguousarray(mnf_cube.pixels()[:, :k].T)
+    planes = first_planes(mnf_cube, k).reshape(k, -1)  # (k, pixels)
     n_pixels = planes.shape[1]
     n_iter = params.n_iterations
     chunk = min(_CHUNK, max(_MIN_CHUNK, _CHUNK_BYTES // (8 * n_pixels)))

@@ -23,7 +23,6 @@ from hypermap.envi_io import (
     SpectralLibrary,
     SpectrumRecord,
     parse_envi_header,
-    serialize_envi_header,
     write_cube,
     write_spectral_library_file,
 )
@@ -491,10 +490,10 @@ class TestFreshProcesses:
 
     def test_each_stage_imports_only_its_own_modules(self, scenario_dir):
         # A stage process compiles every module it imports, and its peak
-        # memory moves with that source: only the stages that stream a cube
-        # load `cube_blocks` and `mapping`, a one-worker `ppi` does not
-        # load `concurrent.futures`, and no stage loads `numpy.ma` (which
-        # `np.unique` and `np.setdiff1d` import).
+        # memory moves with that source: only the stages that read a cube in
+        # blocks load `cube_blocks`, only the maps load `mapping`, a
+        # one-worker `ppi` does not load `concurrent.futures`, and no stage
+        # loads `numpy.ma` (which `np.unique` and `np.setdiff1d` import).
         common = {"artifacts", "cli", "envi_io"}
         streamed = {"cube_blocks", "numerics"}
         expected = {
@@ -502,7 +501,7 @@ class TestFreshProcesses:
             "info": set(),
             "preprocess": {"cube_blocks", "preprocess"},
             "mnf": streamed | {"mnf", "preprocess"},
-            "ppi": {"numerics", "ppi"},
+            "ppi": streamed | {"ppi"},
             "endmembers": streamed | {"endmember"},
             "match": {"spectral_match"},
             "classify": streamed | {"mapping"},
@@ -572,57 +571,31 @@ class TestFreshProcesses:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def write_test_cube(path, interleave, bands=5):
-    """A 3 x 4 cube with a header wavelength, fwhm and bad-band list."""
-    values = np.arange(3 * 4 * bands, dtype=np.float64).reshape(3, 4, bands) / 7.0
-    header_text, payload = write_cube(SpectralCube(
-        values=values, wavelengths=np.linspace(500.0, 900.0, bands),
-        bad_band_mask=np.arange(bands) % 2 == 0, units_tag="mnf_component"),
-        interleave=interleave)
-    header = parse_envi_header(header_text)
-    header.fwhm = [10.0 + i for i in range(bands)]
-    (path / "cube.hdr").write_text(serialize_envi_header(header))
-    (path / "cube.img").write_bytes(payload)
-    return str(path / "cube.hdr")
-
-
 class TestBandPrefixRead:
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
-    def test_first_bands_equal_full_read(self, tmp_path, interleave, monkeypatch):
-        hdr = write_test_cube(tmp_path, interleave)
-        full = cli._read_cube(hdr)
-        read_sizes = []
-
-        def recording_read_cube(header, raw):
-            read_sizes.append(len(raw))
-            return envi_io.read_cube(header, raw)
-
-        monkeypatch.setattr(cli, "read_cube", recording_read_cube)
-        for k in (1, 3, 5):
-            part = cli._read_cube(hdr, bands=k)
-            assert part.values.tobytes() == full.values[:, :, :k].tobytes()
-            assert part.wavelengths.tobytes() == full.wavelengths[:k].tobytes()
-            assert part.bad_band_mask.tolist() == full.bad_band_mask[:k].tolist()
-            assert part.units_tag == full.units_tag
-        # Only the first k bands' bytes are decoded, whatever the interleave.
-        plane = 3 * 4 * 8
-        whole = os.path.getsize(tmp_path / "cube.img")
-        assert read_sizes == [plane, 3 * plane, whole]
-
-    def test_prefix_header_cuts_band_lists(self, tmp_path, monkeypatch):
-        hdr = write_test_cube(tmp_path, "bsq")
-        headers = []
-
-        def recording_read_cube(header, raw):
-            headers.append(header)
-            return envi_io.read_cube(header, raw)
-
-        monkeypatch.setattr(cli, "read_cube", recording_read_cube)
-        cli._read_cube(hdr, bands=2)
-        assert headers[0].bands == 2
-        assert headers[0].wavelengths == [500.0, 600.0]
-        assert headers[0].fwhm == [10.0, 11.0]
-        assert headers[0].bad_band_multiplier == [1, 0]
+    def test_only_the_kept_components_are_checked(self, tmp_path, capsys, interleave):
+        # `ppi` reads the first mnf_keep_k components: a NaN past them
+        # passes, and one inside them is a data error, for every interleave.
+        out = tmp_path / "out"
+        for name in ("mnf_model/forward.csv", "mnf_model/eigenvalues.csv"):
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).touch()
+        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 3\n"
+                                        "ppi_iterations = 8\nppi_max_pixels = 10\n")
+        values = np.random.default_rng(4).normal(size=(3, 4, 5))
+        header_text, _ = write_cube(SpectralCube(
+            values=values, wavelengths=np.arange(1.0, 6.0), bad_band_mask=np.ones(5, bool),
+            units_tag="mnf_component"), interleave=interleave)
+        (out / "mnf_cube.hdr").write_text(header_text)
+        for band, code in ((4, 0), (3, 0), (2, cli.EXIT_DATA), (0, cli.EXIT_DATA)):
+            with_nan = values.copy()
+            with_nan[2, 3, band] = np.nan
+            (out / "mnf_cube.img").write_bytes(
+                with_nan.transpose(envi_io._FILE_AXES[interleave]).tobytes())
+            capsys.readouterr()
+            assert run(["ppi", "--config", str(tmp_path / "p.cfg")]) == code, band
+            if code:
+                assert "cube contains non-finite values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["ppi", "mtmf"])
     def test_truncated_mnf_cube_is_data_error(self, scenario_dir, capsys, stage):

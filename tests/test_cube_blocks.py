@@ -1,6 +1,6 @@
-"""Block reads of a cube: `CubeFile` blocks against `read_cube` for every
-interleave, data type, byte order and header offset, the finite check
-as blocks pass, and the band-block sizes."""
+"""Block reads of a cube: `CubeFile` blocks and first planes against
+`read_cube` for every interleave, data type, byte order and header
+offset, the finite check as blocks pass, and the band-block sizes."""
 
 import numpy as np
 import pytest
@@ -55,6 +55,10 @@ class TestCubeFile:
         assert [(b0, b.shape[2]) for b0, b in prefix] == [(0, 2), (2, 3)]
         assert np.concatenate([b for _, b in prefix], axis=2).tobytes() == \
             np.ascontiguousarray(whole.values[:, :, :5]).tobytes()
+        first = np.ascontiguousarray(whole.values[:, :, :5].transpose(2, 0, 1))
+        for source in (cube, whole):
+            planes = cube_blocks.first_planes(source, 5)
+            assert planes.flags.c_contiguous and planes.tobytes() == first.tobytes()
 
         # An in-memory cube yields the same blocks, as views.
         assert [(b0, b.shape) for b0, b in band_blocks(whole)] == \

@@ -331,13 +331,15 @@ class TestMtmf:
     @pytest.mark.parametrize("interleave, width",
                              [("bsq", 4), ("bsq", 6), ("bil", 4), ("bil", 6), ("bip", 4)])
     def test_cube_file_equals_read_cube_prefix(self, tmp_path, monkeypatch, interleave, width):
+        # The reference is the whole read's first `width` bands.
         # Both cubes' components are read in blocks of 4 lines.
         monkeypatch.setattr(mapping, "_BLOCK_BYTES", 4 * 20 * width * 8)
         cube = background_cube(seed=163, lines=30, samples=20, bands=6)
         write_cube_file(cube, tmp_path / "c.hdr", interleave=interleave)
         targets = cube.pixels()[[5, 77, 301], :width]
         result = mtmf(CubeFile(tmp_path / "c.hdr"), targets)
-        expected = mtmf(read_cube(*read_payload(tmp_path / "c.hdr", bands=width)), targets)
+        whole = read_cube(*read_payload(tmp_path / "c.hdr")).values
+        expected = mtmf(make_cube(whole[:, :, :width], units="mnf_component"), targets)
         assert result.mf_score.tobytes() == expected.mf_score.tobytes()
         assert result.infeasibility.tobytes() == expected.infeasibility.tobytes()
 

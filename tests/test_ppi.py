@@ -7,8 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from hypermap import ppi
-from hypermap.envi_io import SpectralCube
+from hypermap import cube_blocks, ppi
+from hypermap.cube_blocks import CubeFile
+from hypermap.envi_io import SpectralCube, write_cube_file
 from hypermap.ppi import PpiImage, PpiParams, run_ppi, select_pure_pixels
 from test_numerics import reference_splitmix64_stream
 
@@ -152,6 +153,24 @@ class TestRunPpi:
         assert image.counts.ravel().tolist() == sum(h.sum(axis=0) for h in hits).tolist()
         touched = np.logical_or(*hits)
         assert image.trace == np.logical_or.accumulate(touched, axis=0).sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("interleave, data_type", [
+        ("bsq", "float64"), ("bil", "float64"), ("bip", "float64"), ("bsq", "int16")])
+    def test_cube_file_equals_cube_in_memory(self, tmp_path, monkeypatch, interleave,
+                                             data_type):
+        # 9 x 7 = 63 pixels, not a multiple of 64; a BIL or BIP file's 5
+        # kept components are gathered in band blocks of 2 and 3 planes.
+        values = np.rint(np.random.default_rng(29).normal(size=(9, 7, 6)) * 40.0)
+        cube = make_mnf_cube(values)
+        write_cube_file(cube, tmp_path / "c.hdr", interleave=interleave, data_type=data_type)
+        monkeypatch.setattr(cube_blocks, "BAND_BLOCK_BYTES", 2 * 63 * 8)
+        params = PpiParams(n_iterations=150, threshold=20.0, seed=7)
+        on_disk = run_ppi(CubeFile(tmp_path / "c.hdr"), params, use_k_components=5,
+                          trace=True)
+        in_memory = run_ppi(cube, params, use_k_components=5, trace=True)
+        assert on_disk.counts.tobytes() == in_memory.counts.tobytes()
+        assert on_disk.trace == in_memory.trace
+        assert on_disk.counts.sum() > 2 * params.n_iterations  # thresholds are hit
 
     def test_identical_pixels_count_both_ends(self):
         cube = make_mnf_cube(np.ones((2, 2, 3)))
