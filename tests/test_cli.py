@@ -18,11 +18,13 @@ import pytest
 
 from conftest import write_scenario_config, write_scenario_inputs
 from hypermap import artifacts, cli, envi_io
+from hypermap.cube_blocks import CubeFile, first_planes
 from hypermap.envi_io import (
     SpectralCube,
     SpectralLibrary,
     SpectrumRecord,
     parse_envi_header,
+    serialize_envi_header,
     write_cube,
     write_spectral_library_file,
 )
@@ -571,7 +573,47 @@ class TestFreshProcesses:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
+def write_test_cube(path, interleave, bands=5):
+    """A 3 x 4 cube with a header wavelength, fwhm and bad-band list."""
+    values = np.arange(3 * 4 * bands, dtype=np.float64).reshape(3, 4, bands) / 7.0
+    header_text, payload = write_cube(SpectralCube(
+        values=values, wavelengths=np.linspace(500.0, 900.0, bands),
+        bad_band_mask=np.arange(bands) % 2 == 0, units_tag="mnf_component"),
+        interleave=interleave)
+    header = parse_envi_header(header_text)
+    header.fwhm = [10.0 + i for i in range(bands)]
+    (path / "cube.hdr").write_text(serialize_envi_header(header))
+    (path / "cube.img").write_bytes(payload)
+    return str(path / "cube.hdr")
+
+
 class TestBandPrefixRead:
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_first_bands_equal_full_read(self, tmp_path, interleave):
+        # `ppi` takes its first components from a `CubeFile`; `report`
+        # reads the whole cube.
+        hdr = write_test_cube(tmp_path, interleave)
+        full = cli._read_cube(hdr)
+        cube = CubeFile(hdr)
+        assert cube.wavelengths.tobytes() == full.wavelengths.tobytes()
+        assert cube.bad_band_mask.tolist() == full.bad_band_mask.tolist()
+        assert cube.units_tag == full.units_tag
+        for k in (1, 3, 5):
+            planes = first_planes(cube, k)
+            assert planes.shape == (k, 3, 4) and planes.flags.c_contiguous
+            assert planes.tobytes() == full.values[:, :, :k].transpose(2, 0, 1).tobytes()
+
+    def test_cube_file_keeps_the_whole_header(self, tmp_path):
+        # The first bands are read without a header of their own: the
+        # band lists stay whole.
+        hdr = write_test_cube(tmp_path, "bsq")
+        cube = CubeFile(hdr)
+        first_planes(cube, 2)
+        assert cube.header == parse_envi_header(Path(hdr).read_text())
+        assert cube.header.bands == 5
+        assert cube.header.fwhm == [10.0, 11.0, 12.0, 13.0, 14.0]
+        assert cube.header.bad_band_multiplier == [1, 0, 1, 0, 1]
+
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     def test_only_the_kept_components_are_checked(self, tmp_path, capsys, interleave):
         # `ppi` reads the first mnf_keep_k components: a NaN past them

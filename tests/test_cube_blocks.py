@@ -90,6 +90,63 @@ class TestCubeFile:
         # The bands a prefix pass reads hold no NaN.
         assert [b0 for b0, _ in band_blocks(cube, 6)] == [0, 2, 4]
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("data_type, byte_order", [
+        ("float64", "little"), ("int16", "little"), ("float32", "big")])
+    @pytest.mark.parametrize("keep", [[1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 1], 3])
+    @pytest.mark.parametrize("with_wavelengths", [True, False])
+    def test_selected_bands_equal_whole_read_then_mask(self, tmp_path, monkeypatch, interleave,
+                                                       data_type, byte_order, keep,
+                                                       with_wavelengths):
+        # A band mask is taken from line blocks (as `preprocess` keeps
+        # bands), a band count from the first planes (as `ppi` reads its
+        # components); both equal the whole read with the bands dropped.
+        from hypermap import preprocess
+
+        values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
+        # The bands are numbered 1..7 without wavelengths, and the kept ones keep their numbers.
+        path = write_offset_cube(tmp_path, values, np.arange(7) % 3 != 0, interleave, data_type,
+                                 byte_order, offset=24, wavelengths=with_wavelengths,
+                                 fwhm=[10.0 + i for i in range(7)] if with_wavelengths else None)
+        mask = np.arange(7) < keep if isinstance(keep, int) else np.array(keep, dtype=bool)
+        expected = preprocess.remove_bad_bands(read_cube(*read_payload(path)), mask)
+        # Blocks of 2 lines of 42 values, and band blocks of 2 or 3 planes.
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 2 * 42 * 8)
+        monkeypatch.setattr(cube_blocks, "BAND_BLOCK_BYTES", 2 * 30 * 8)
+        cube = CubeFile(path)
+        assert cube.wavelengths[mask].tobytes() == expected.wavelengths.tobytes()
+        assert cube.bad_band_mask[mask].tolist() == expected.bad_band_mask.tolist()
+        assert cube.units_tag == expected.units_tag
+        if isinstance(keep, int):
+            planes = cube_blocks.first_planes(cube, keep)
+            assert planes.flags.c_contiguous
+            assert planes.tobytes() == expected.values.transpose(2, 0, 1).tobytes()
+        else:
+            kept = np.concatenate([block[:, :, mask] for _, block in line_blocks(cube)])
+            assert kept.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_non_finite_value_in_the_last_dropped_block(self, tmp_path, monkeypatch, interleave):
+        path = write_offset_cube(tmp_path, np.ones((5, 6, 7)), np.ones(7, bool), interleave)
+        monkeypatch.setattr(envi_io, "BLOCK_BYTES", 2 * 42 * 8)
+        assert envi_io._line_ranges(5, 42) == [(0, 2), (2, 4), (4, 5)]
+        # Line 4 (the last block), sample 5, band 6 (the last plane).
+        index = {"bsq": (6 * 5 + 4) * 6 + 5, "bil": (4 * 7 + 6) * 6 + 5,
+                 "bip": (4 * 6 + 5) * 7 + 6}[interleave]
+        payload = bytearray((tmp_path / "cube.img").read_bytes())
+        payload[8 * index:8 * index + 8] = np.array([np.nan]).tobytes()
+        (tmp_path / "cube.img").write_bytes(payload)
+        cube = CubeFile(path)
+        # A pass over the lines checks every band it reads, the dropped ones
+        # too, as `preprocess` does when its mask drops the band.
+        with pytest.raises(ValueError, match="cube contains non-finite values"):
+            for _ in line_blocks(cube):
+                pass
+        # The first planes check only the bands they hold, whatever the interleave.
+        assert cube_blocks.first_planes(cube, 3).tolist() == np.ones((3, 5, 6)).tolist()
+        with pytest.raises(ValueError, match="cube contains non-finite values"):
+            cube_blocks.first_planes(cube, 7)
+
     def test_size_and_header_checked_on_open(self, tmp_path):
         path = self.write(tmp_path, "bil")
         img = tmp_path / "cube.img"

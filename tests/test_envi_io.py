@@ -173,21 +173,23 @@ class TestReadPayload:
 
 class TestReadBlocks:
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
-    @pytest.mark.parametrize("data_type", ["int16", "float64"])
+    @pytest.mark.parametrize("data_type", ["int16", "float64", "float32"])
     @pytest.mark.parametrize("bands", [range(2), range(3, 6), range(7)])
     def test_band_subsets_of_every_interleave(self, tmp_path, interleave, data_type, bands):
         from hypermap.envi_io import _read_blocks
 
         values = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7) - 90.0
+        # The float32 file is big-endian: converted from a non-native type.
         path = write_offset_cube(tmp_path, values, np.ones(7, bool), interleave,
-                                 data_type=data_type, offset=24)
+                                 data_type=data_type, offset=24,
+                                 byte_order="big" if data_type == "float32" else "little")
         header = parse_envi_header(path.read_text())
         blocks = [(0, 4, bands), (4, 5, bands), (1, 3, range(7)), (2, 5, bands)]
         buffer = None
         for (l0, l1, named), (first, block) in zip(
                 blocks, _read_blocks(tmp_path / "cube.img", header, blocks)):
             assert first == l0
-            assert block.dtype == np.float64  # an int16 file is converted
+            assert block.dtype == np.float64  # an int16 or float32 file is converted
             assert block.tolist() == values[l0:l1, :, named.start:named.stop].tolist()
             buffer = block if buffer is None else buffer
             assert np.shares_memory(block, buffer)  # one buffer for every block
