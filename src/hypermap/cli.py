@@ -364,17 +364,25 @@ def stage_mnf(cfg: PipelineConfig) -> None:
     if cfg.standardize_before_mnf:
         standard = band_statistics(cube)
         artifacts.write_band_stats(cfg.artifact("band_stats.csv"), *standard)
-    model = fit_forward_to_file(cube, cfg.artifact("mnf_cube.hdr"), standard)
+    model = fit_forward_to_file(cube, cfg.artifact("mnf_cube.hdr"), standard,
+                                keep_k=cfg.mnf_keep_k)
     save_mnf_model(model, cfg.artifact("mnf_model"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")
 
 
-def stage_ppi(cfg: PipelineConfig) -> None:
-    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))  # run_ppi reads the kept components
+def _check_keep_k(cfg: PipelineConfig, mnf_cube) -> None:
+    """The MNF cube holds only the components `mnf` kept, so a larger
+    `mnf_keep_k` than that needs `mnf` to run again."""
     if not 1 <= cfg.mnf_keep_k <= mnf_cube.bands:
         raise ConfigError(
-            f"config key 'mnf_keep_k': must be in 1..{mnf_cube.bands} for this cube")
+            f"config key 'mnf_keep_k': must be in 1..{mnf_cube.bands} for this cube; "
+            "re-run mnf to keep more components")
+
+
+def stage_ppi(cfg: PipelineConfig) -> None:
+    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))  # run_ppi reads the kept components
+    _check_keep_k(cfg, mnf_cube)
     params = PpiParams(n_iterations=cfg.ppi_iterations,
                        threshold=cfg.ppi_threshold, seed=cfg.seed)
     image = run_ppi(mnf_cube, params, use_k_components=cfg.mnf_keep_k,
@@ -395,6 +403,7 @@ def stage_endmembers(cfg: PipelineConfig) -> None:
     # Both cubes are read a block of bands at a time by derive_endmembers.
     corrected = CubeFile(cfg.artifact("reflectance.hdr"))
     mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))
+    _check_keep_k(cfg, mnf_cube)
     pixels = artifacts.read_pure_pixels(cfg.artifact("pure_pixels.csv"))
     if not pixels:
         raise ValueError("no pure pixels were selected; lower ppi_min_count")

@@ -23,9 +23,10 @@ _RIDGE = 1e-10
 
 # Bytes of one block of lines as read, and of one block of the
 # projection, `forward @ centred[p0:p1].T` over a range of pixels of a
-# block of lines: a fresh (bands, m) array. So the stage holds a few such
-# blocks (a block of lines, its shift differences or its projection)
-# whatever the scene's size. m is a multiple of 64 pixels, so that
+# block of lines: a fresh (rows, m) array, at most (bands, m). So the
+# stage holds a few such blocks (a block of lines, its shift differences
+# or its projection) whatever the scene's size. m is a multiple of 64
+# pixels, set by the band count and not by the rows projected, so that
 # OpenBLAS computes every value with the same operations as one product
 # over the line block (a 2674-pixel range changed the bits of its last
 # two columns); a short remainder joins the last range.
@@ -144,26 +145,31 @@ def _fit(noise: NoiseEstimate, data: Moments, cube: SpectralCube | CubeFile) -> 
                     source_wavelengths=cube.wavelengths.copy())
 
 
-def _pixel_blocks(model: MnfModel, centred: np.ndarray):
-    """MNF components of the centred (n, b) pixels, `forward @ centred.T`
-    computed over a range of pixels at a time: (first pixel, C-contiguous
-    (b, m) array) pairs in pixel order, where row j of a block is part of
-    band plane j of the component cube."""
+def _pixel_blocks(model: MnfModel, centred: np.ndarray, keep_k: int | None = None):
+    """The first `keep_k` MNF components (default every one) of the
+    centred (n, b) pixels, `forward[:keep_k] @ centred.T` computed over a
+    range of pixels at a time: (first pixel, C-contiguous (keep_k, m)
+    array) pairs in pixel order, where row j of a block is part of band
+    plane j of the component cube. At least two rows are projected, as a
+    one-row product (gemv) may differ from a block's in its last bits."""
+    keep_k = model.bands if keep_k is None else keep_k
+    forward = model.forward[:max(keep_k, 2)]
     n = centred.shape[0]
     step = max(64, _BLOCK_BYTES // (8 * model.bands) // 64 * 64)
     starts = range(0, max(1, n // step) * step, step)
     for p0, p1 in zip(starts, [*starts[1:], n]):
-        yield p0, model.forward @ centred[p0:p1].T
+        yield p0, (forward @ centred[p0:p1].T)[:keep_k]
 
 
-def _components(model: MnfModel, cube: SpectralCube | CubeFile, standard=None):
+def _components(model: MnfModel, cube: SpectralCube | CubeFile, standard=None,
+                keep_k: int | None = None):
     """`_pixel_blocks` of each block of lines of the cube (standardized as
     by `_standardized`), centred on the model's band means, with the first
     pixel of each range counted from the cube's first pixel."""
     for l0, planes in _standardized(cube, standard):
         centred = planes.reshape(model.bands, -1)
         centred -= model.band_mean[:, None]
-        for p0, block in _pixel_blocks(model, centred.T):
+        for p0, block in _pixel_blocks(model, centred.T, keep_k):
             yield l0 * cube.samples + p0, block
 
 
@@ -203,23 +209,31 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
                         units_tag="mnf_component")
 
 
-def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=None) -> MnfModel:
+def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=None,
+                        keep_k: int | None = None) -> MnfModel:
     """:func:`estimate_noise_covariance`, :func:`fit_mnf` and
     :func:`forward_mnf` of the cube (standardized first by the band means
-    and deviations `standard`, when given), writing the components as a
-    float64 BSQ cube at `header_path` with the bytes `write_cube_file`
-    gives that result. One pass over the cube's blocks of lines takes the
-    noise and data sums, a second projects each block and writes its band
-    rows, so a ~1 MiB block of lines and one ~1 MiB block of components
-    are its largest arrays."""
+    and deviations `standard`, when given), writing the first `keep_k`
+    components (default every one) as a `keep_k`-band float64 BSQ cube at
+    `header_path`. Its image is the first `keep_k` band planes of the one
+    `write_cube_file` writes for the whole `forward_mnf` result, so a
+    reader of those components reads the same bits; the returned model
+    keeps every component. One pass over the cube's blocks of lines takes
+    the noise and data sums, a second projects each block onto the kept
+    components only and writes its band rows, so a ~1 MiB block of lines
+    and one block of components of at most ~1 MiB are its largest
+    arrays."""
+    if keep_k is not None and not 1 <= keep_k <= cube.bands:
+        raise ValueError(f"keep_k must be in 1..{cube.bands}, got {keep_k}")
     noise, data = Moments(cube.bands), Moments(cube.bands)
     for _, planes in _standardized(cube, standard):
         noise.add(_noise_samples(planes))
         data.add(planes.reshape(cube.bands, -1))
     model = _fit(NoiseEstimate(cov=noise.covariance()), data, cube)
-    write_bsq_pixel_blocks(_components(model, cube, standard), header_path, cube.lines,
-                           cube.samples, _component_wavelengths(model.bands),
-                           np.ones(model.bands, dtype=bool), "mnf_component")
+    keep_k = model.bands if keep_k is None else keep_k
+    write_bsq_pixel_blocks(_components(model, cube, standard, keep_k), header_path,
+                           cube.lines, cube.samples, _component_wavelengths(keep_k),
+                           np.ones(keep_k, dtype=bool), "mnf_component")
     return model
 
 

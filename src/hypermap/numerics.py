@@ -65,14 +65,22 @@ def _mix_u64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-@functools.cache
-def _gamma_steps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """step × γ (mod 2^64) for the steps 1.._DRAW_BLOCK, added to a
-    stream's state to give its next states; and the same table's odd and
-    even steps, each contiguous, for the two halves of a Box-Muller pair."""
-    steps = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64)
+def _gamma_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """step × γ (mod 2^64) for the steps 1..n, added to a stream's state to
+    give its next states; and the same table's odd and even steps, each
+    contiguous, for the two halves of a Box-Muller pair. A table is a
+    prefix of any larger one, so the size built does not change a draw."""
+    steps = np.arange(1, n + 1, dtype=np.uint64)
     steps *= _GAMMA_U64
     return steps, steps[0::2].copy(), steps[1::2].copy()
+
+
+# A draw from one stream (`uniforms`, `gaussians`) shares this table of
+# every step of a block (1 MB, built on first use): building it costs as
+# much as the draw. A draw from many streams (`spawned_gaussians`, `ppi`'s
+# 64 skewers of k components) builds a table of the steps it takes, at
+# about the cost of one of its rows, and so holds no 1 MB table.
+_block_steps = functools.cache(functools.partial(_gamma_steps, _DRAW_BLOCK))
 
 
 def _unit_floats(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -117,7 +125,8 @@ def _gaussian_rows(states: np.ndarray, n: int) -> np.ndarray:
     radius in place in the result and each half from contiguous states.
     """
     out = np.empty((states.size, n), dtype=np.float64)
-    _, odd, even = _gamma_steps()
+    _, odd, even = _block_steps() if states.size == 1 else \
+        _gamma_steps(2 * min(n, _GAUSSIAN_BLOCK))
     z = np.empty((states.size, min(n, _GAUSSIAN_BLOCK)), dtype=np.uint64)
     scratch = np.empty_like(z)
     angle = np.empty(z.shape, dtype=np.float64)
@@ -165,7 +174,7 @@ class RandomSource:
         as repeated :meth:`next_uniform` calls; drawn `_DRAW_BLOCK` at a
         time into the result, through two reused uint64 buffers."""
         out = np.empty(n, dtype=np.float64)
-        steps = _gamma_steps()[0]
+        steps = _block_steps()[0]
         z = np.empty(min(n, _DRAW_BLOCK), dtype=np.uint64)
         scratch = np.empty_like(z)
         for start in range(0, n, _DRAW_BLOCK):

@@ -650,17 +650,20 @@ class TestBandPrefixRead:
         assert run([stage, "--config", cfg]) == cli.EXIT_DATA
         assert "payload size mismatch" in capsys.readouterr().err
 
-    def test_keep_k_above_band_count_is_config_error(self, scenario_dir, capsys):
+    @pytest.mark.parametrize("stage", ["ppi", "endmembers"])
+    def test_keep_k_above_band_count_is_config_error(self, scenario_dir, capsys, stage):
+        # `mnf` wrote the 8 components it kept; resuming with more must not
+        # run on those 8, and names the stage that makes more.
         cfg_path = scenario_dir / "pipeline.cfg"
         cfg = str(cfg_path)
-        for s in ("synth", "preprocess", "mnf"):
+        for s in ("synth", "preprocess", "mnf", "ppi"):
             assert run([s, "--config", cfg]) == 0
         bands = parse_envi_header((scenario_dir / "out" / "mnf_cube.hdr").read_text()).bands
         cfg_path.write_text(cfg_path.read_text().replace(
             "mnf_keep_k = 8", f"mnf_keep_k = {bands + 1}"))
         capsys.readouterr()
-        assert run(["ppi", "--config", cfg]) == cli.EXIT_CONFIG
-        assert f"config key 'mnf_keep_k': must be in 1..{bands} for this cube" in \
+        assert run([stage, "--config", cfg]) == cli.EXIT_CONFIG
+        assert f"config key 'mnf_keep_k': must be in 1..{bands} for this cube; re-run mnf" in \
             capsys.readouterr().err
 
 
@@ -749,7 +752,9 @@ class TestPreprocessInputs:
 
 class TestMnfStage:
     @pytest.mark.parametrize("standardize", [False, True])
-    def test_components_equal_public_fit_and_forward(self, tmp_path, standardize):
+    def test_kept_components_equal_public_fit_and_forward(self, tmp_path, standardize):
+        # The file holds the first mnf_keep_k band planes of the whole
+        # component cube, under a header of mnf_keep_k bands.
         from hypermap import mnf, preprocess
 
         values = np.random.default_rng(9).normal(size=(12, 10, 6)) + np.linspace(1.0, 6.0, 6)
@@ -766,7 +771,9 @@ class TestMnfStage:
             cube, _, _ = preprocess.standardize(cube)
         model = mnf.fit_mnf(cube, mnf.estimate_noise_covariance(cube))
         _, payload = write_cube(mnf.forward_mnf(model, cube))
-        assert (tmp_path / "out" / "mnf_cube.img").read_bytes() == payload
+        assert (tmp_path / "out" / "mnf_cube.img").read_bytes() == payload[:3 * 12 * 10 * 8]
+        header = parse_envi_header((tmp_path / "out" / "mnf_cube.hdr").read_text())
+        assert (header.bands, header.wavelengths) == (3, [1.0, 2.0, 3.0])
         assert (tmp_path / "out" / "band_stats.csv").exists() == standardize
 
 
@@ -812,10 +819,10 @@ class TestStageMemory:
             "band_mask_csv = mask.csv\ngains_csv = gains.csv\n")
         return cli.load_config(str(tmp_path / "p.cfg"))
 
-    def write_mnf_inputs(self, tmp_path, shape, standardize=False):
+    def write_mnf_inputs(self, tmp_path, shape, standardize=False, keep_k=8):
         """A reflectance cube of `shape` and a config; returns the config."""
         self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance", shape)
-        (tmp_path / "p.cfg").write_text("output_dir = out\nmnf_keep_k = 8\n"
+        (tmp_path / "p.cfg").write_text(f"output_dir = out\nmnf_keep_k = {keep_k}\n"
                                         f"standardize_before_mnf = {str(standardize).lower()}\n")
         return cli.load_config(str(tmp_path / "p.cfg"))
 
@@ -830,6 +837,18 @@ class TestStageMemory:
         budget = 3 * envi_io.BLOCK_BYTES + (1 << 20) + 8 * 8 * self.LARGE[2] ** 2
         assert budget < 8 * np.prod(self.LARGE)
         assert traced_peak(cli.run_stage, "mnf", cfg) <= budget
+
+    def test_mnf_stage_projects_only_the_kept_components(self, tmp_path):
+        # A block of 150 components is ~1 MiB beside a block of lines; a
+        # block of 3 is 2% of that, and so is all `mnf` projects at
+        # mnf_keep_k = 3.
+        shape = self.LARGE[:2] + (150,)
+        peaks = {}
+        for keep_k in (3, 150):
+            cfg = self.write_mnf_inputs(tmp_path / str(keep_k), shape, keep_k=keep_k)
+            cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
+            peaks[keep_k] = traced_peak(cli.run_stage, "mnf", cfg)
+        assert peaks[3] + (1 << 19) < peaks[150]
 
     @pytest.mark.parametrize("stage", ["preprocess", "mnf"])
     def test_stage_holds_no_more_for_a_taller_cube(self, tmp_path, stage):

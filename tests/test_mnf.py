@@ -202,6 +202,29 @@ class TestFitForwardInPlace:
         blocked = forward_mnf(model, cube).pixels()
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
+    @pytest.mark.parametrize("keep_k", [1, 2, 10, None])
+    def test_kept_components_equal_leading_planes(self, keep_k, monkeypatch, tmp_path):
+        # Ranges of 128 pixels over 30 x 21, a count that is not a multiple
+        # of 64. One kept component is projected with a second, as a
+        # one-row product may differ from a block's in its last bits; 10
+        # (every band) and None keep every component.
+        monkeypatch.setattr(mnf, "_BLOCK_BYTES", 8 * 10 * 128)
+        cube = make_cube(noise_cube(71, 30, 21, 10).values * np.linspace(1.0, 9.0, 10) + 3.0)
+        model = fit_forward_to_file(cube, tmp_path / "mnf.hdr", keep_k=keep_k)
+        header, payload = write_cube(forward_mnf(model, cube))
+        kept = 10 if keep_k is None else keep_k
+        assert (tmp_path / "mnf.img").read_bytes() == payload[:kept * 30 * 21 * 8]
+        written = envi_io.parse_envi_header((tmp_path / "mnf.hdr").read_text())
+        assert (written.bands, written.wavelengths) == (kept, list(range(1, kept + 1)))
+        if kept == 10:
+            assert (tmp_path / "mnf.hdr").read_text() == header
+
+    @pytest.mark.parametrize("keep_k", [0, 11])
+    def test_keep_k_outside_the_bands_is_rejected(self, keep_k, tmp_path):
+        with pytest.raises(ValueError, match="keep_k must be in 1..10"):
+            fit_forward_to_file(noise_cube(3, 4, 5, 10), tmp_path / "mnf.hdr", keep_k=keep_k)
+        assert not (tmp_path / "mnf.hdr").exists()
+
     def test_component_file_keeps_its_bytes(self, tmp_path):
         # `fit_forward_to_file` on a seeded cube of 96 x 128 pixels and 150
         # bands: 16 blocks of 6 lines (~1 MiB each), whose noise and data

@@ -160,6 +160,30 @@ class TestDrawBlocks:
         assert rs.next_uniform() == unblocked_uniforms(5, 2 * n, 1)[0]
 
 
+class TestGammaSteps:
+    def test_many_streams_build_a_table_of_their_steps(self, monkeypatch):
+        # `ppi` draws 64 skewers of 20 components: 40 stream positions a
+        # row, so a table of 40 steps, and not the shared 1 MB block table.
+        sizes = []
+        build = numerics._gamma_steps
+
+        def record(n):
+            sizes.append(n)
+            return build(n)
+
+        monkeypatch.setattr(numerics, "_gamma_steps", record)
+        numerics._block_steps.cache_clear()
+        g = numerics.spawned_gaussians(11, 0, 64, 20)
+        assert sizes == [40] and numerics._block_steps.cache_info().currsize == 0
+        assert g[5].tobytes() == RandomSource(11).spawn(5).gaussians(20).tobytes()
+
+    def test_tables_are_prefixes_of_the_block_table(self):
+        full = numerics._block_steps()
+        for n in (1, 2, 40, 4097):
+            for part, whole in zip(numerics._gamma_steps(n), full):
+                assert part.tobytes() == whole[:part.size].tobytes()
+
+
 class TestUnitFloats:
     def test_equals_the_direct_cast(self):
         # Ties at the 53-bit rounding point (round half to even, up and
