@@ -145,14 +145,13 @@ def _fit(noise: NoiseEstimate, data: Moments, cube: SpectralCube | CubeFile) -> 
                     source_wavelengths=cube.wavelengths.copy())
 
 
-def _pixel_blocks(model: MnfModel, centred: np.ndarray, keep_k: int | None = None):
-    """The first `keep_k` MNF components (default every one) of the
-    centred (n, b) pixels, `forward[:keep_k] @ centred.T` computed over a
-    range of pixels at a time: (first pixel, C-contiguous (keep_k, m)
-    array) pairs in pixel order, where row j of a block is part of band
-    plane j of the component cube. At least two rows are projected, as a
-    one-row product (gemv) may differ from a block's in its last bits."""
-    keep_k = model.bands if keep_k is None else keep_k
+def _pixel_blocks(model: MnfModel, centred: np.ndarray, keep_k: int):
+    """The first `keep_k` MNF components of the centred (n, b) pixels,
+    `forward[:keep_k] @ centred.T` computed over a range of pixels at a
+    time: (first pixel, C-contiguous (keep_k, m) array) pairs in pixel
+    order, where row j of a block is part of band plane j of the component
+    cube. At least two rows are projected, as a one-row product (gemv) may
+    differ from a block's in its last bits."""
     forward = model.forward[:max(keep_k, 2)]
     n = centred.shape[0]
     step = max(64, _BLOCK_BYTES // (8 * model.bands) // 64 * 64)
@@ -161,8 +160,8 @@ def _pixel_blocks(model: MnfModel, centred: np.ndarray, keep_k: int | None = Non
         yield p0, (forward @ centred[p0:p1].T)[:keep_k]
 
 
-def _components(model: MnfModel, cube: SpectralCube | CubeFile, standard=None,
-                keep_k: int | None = None):
+def _components(model: MnfModel, cube: SpectralCube | CubeFile, keep_k: int,
+                standard=None):
     """`_pixel_blocks` of each block of lines of the cube (standardized as
     by `_standardized`), centred on the model's band means, with the first
     pixel of each range counted from the cube's first pixel."""
@@ -201,7 +200,7 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
     if cube.bands != model.bands:
         raise ValueError(f"cube has {cube.bands} bands, model expects {model.bands}")
     planes = np.empty((model.bands, cube.lines * cube.samples))
-    for p0, block in _components(model, cube):
+    for p0, block in _components(model, cube, model.bands):
         planes[:, p0:p0 + block.shape[1]] = block
     return SpectralCube(values=planes.reshape(-1, cube.lines, cube.samples).transpose(1, 2, 0),
                         wavelengths=_component_wavelengths(model.bands),
@@ -209,13 +208,13 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
                         units_tag="mnf_component")
 
 
-def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=None,
-                        keep_k: int | None = None) -> MnfModel:
+def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=None, *,
+                        keep_k: int) -> MnfModel:
     """:func:`estimate_noise_covariance`, :func:`fit_mnf` and
     :func:`forward_mnf` of the cube (standardized first by the band means
     and deviations `standard`, when given), writing the first `keep_k`
-    components (default every one) as a `keep_k`-band float64 BSQ cube at
-    `header_path`. Its image is the first `keep_k` band planes of the one
+    components as a `keep_k`-band float64 BSQ cube at `header_path`. Its
+    image is the first `keep_k` band planes of the one
     `write_cube_file` writes for the whole `forward_mnf` result, so a
     reader of those components reads the same bits; the returned model
     keeps every component. One pass over the cube's blocks of lines takes
@@ -223,15 +222,14 @@ def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=Non
     components only and writes its band rows, so a ~1 MiB block of lines
     and one block of components of at most ~1 MiB are its largest
     arrays."""
-    if keep_k is not None and not 1 <= keep_k <= cube.bands:
+    if not 1 <= keep_k <= cube.bands:
         raise ValueError(f"keep_k must be in 1..{cube.bands}, got {keep_k}")
     noise, data = Moments(cube.bands), Moments(cube.bands)
     for _, planes in _standardized(cube, standard):
         noise.add(_noise_samples(planes))
         data.add(planes.reshape(cube.bands, -1))
     model = _fit(NoiseEstimate(cov=noise.covariance()), data, cube)
-    keep_k = model.bands if keep_k is None else keep_k
-    write_bsq_pixel_blocks(_components(model, cube, standard, keep_k), header_path,
+    write_bsq_pixel_blocks(_components(model, cube, keep_k, standard), header_path,
                            cube.lines, cube.samples, _component_wavelengths(keep_k),
                            np.ones(keep_k, dtype=bool), "mnf_component")
     return model

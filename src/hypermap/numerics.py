@@ -75,11 +75,12 @@ def _gamma_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return steps, steps[0::2].copy(), steps[1::2].copy()
 
 
-# A draw from one stream (`uniforms`, `gaussians`) shares this table of
-# every step of a block (1 MB, built on first use): building it costs as
-# much as the draw. A draw from many streams (`spawned_gaussians`, `ppi`'s
-# 64 skewers of k components) builds a table of the steps it takes, at
-# about the cost of one of its rows, and so holds no 1 MB table.
+# A draw of a whole block or more (`uniforms`, and `synth`'s wide
+# `gaussians`) shares this table of every step of a block (1 MB, built on
+# first use): building it costs as much as a block's draw. A narrower
+# draw (`ppi`'s 64 skewers of k components) builds a table of the steps
+# it takes, at about the cost of one of its rows, and so holds no 1 MB
+# table.
 _block_steps = functools.cache(functools.partial(_gamma_steps, _DRAW_BLOCK))
 
 
@@ -125,8 +126,8 @@ def _gaussian_rows(states: np.ndarray, n: int) -> np.ndarray:
     radius in place in the result and each half from contiguous states.
     """
     out = np.empty((states.size, n), dtype=np.float64)
-    _, odd, even = _block_steps() if states.size == 1 else \
-        _gamma_steps(2 * min(n, _GAUSSIAN_BLOCK))
+    width = 2 * min(n, _GAUSSIAN_BLOCK)
+    _, odd, even = _block_steps() if width == _DRAW_BLOCK else _gamma_steps(width)
     z = np.empty((states.size, min(n, _GAUSSIAN_BLOCK)), dtype=np.uint64)
     scratch = np.empty_like(z)
     angle = np.empty(z.shape, dtype=np.float64)

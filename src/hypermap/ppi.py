@@ -9,7 +9,6 @@ count; workers only change how the iteration range is partitioned.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,20 +17,14 @@ from .cube_blocks import CubeFile, first_planes
 from .envi_io import SpectralCube
 from .numerics import spawned_gaussians
 
-# Skewers per chunk, the unit of one matrix product and of `progress`:
-# at most _CHUNK, and fewer when the chunk's (skewers, pixels)
-# projections would pass _CHUNK_BYTES, but not fewer than _MIN_CHUNK. A
-# product reads every kept component once, whatever its
+# Skewers per chunk, the unit of one matrix product, of a worker's work
+# and of `progress`: at most _CHUNK, and fewer when the chunk's (skewers,
+# pixels) projections would pass _CHUNK_BYTES, but not fewer than
+# _MIN_CHUNK. A product reads every kept component once, whatever its
 # skewer count, so one of a single skewer is much slower per skewer.
 _CHUNK = 64
 _CHUNK_BYTES = 2 << 20
 _MIN_CHUNK = 4
-# Skewers whose directions one call of `_skewer_directions` draws, the
-# unit of a worker's work: the most consecutive chunks with at most _DRAW
-# skewers in all, so a draw's ~75 us fixed cost is not paid per chunk
-# when the chunks are small. Each direction comes from its own child
-# stream, so its bits do not depend on the draw it is part of.
-_DRAW = 64
 
 
 @dataclass(frozen=True)
@@ -71,15 +64,6 @@ def _skewer_directions(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def _hits(proj: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """(skewer, pixel) of every hit of a chunk's (skewers, pixels)
-    projections: the flat indices of the high and then of the low mask."""
-    mask = proj >= (proj.max(axis=1) - threshold)[:, None]
-    hi = np.flatnonzero(mask)
-    np.less_equal(proj, (proj.min(axis=1) + threshold)[:, None], out=mask)
-    return np.divmod(np.concatenate((hi, np.flatnonzero(mask))), proj.shape[1])
-
-
 def run_ppi(mnf_cube: SpectralCube | CubeFile, params: PpiParams | None = None,
             use_k_components: int | None = None, n_workers: int = 1,
             progress=None, trace: bool = False) -> PpiImage:
@@ -99,8 +83,7 @@ def run_ppi(mnf_cube: SpectralCube | CubeFile, params: PpiParams | None = None,
     carries, per iteration, the cumulative number of distinct pixels
     counted at least once.
 
-    Per chunk of skewers, one matrix product of the chunk's directions
-    (drawn with the other chunks of their draw) gives a `(skewers, pixels)`
+    Per chunk of skewers, one matrix product gives a `(skewers, pixels)`
     block of projections, so each skewer's maximum and minimum are taken
     along a contiguous row. The hits (pixels within the threshold of
     either end) are a small share of the block: they are listed as flat
@@ -127,23 +110,20 @@ def run_ppi(mnf_cube: SpectralCube | CubeFile, params: PpiParams | None = None,
     parts = -(-n_iter // chunk)
     edges = [-(-n_iter * i // parts) for i in range(parts + 1)]
     chunks = list(zip(edges, edges[1:]))
-    per_draw = max(1, _DRAW // chunk)
-    draws = [chunks[i:i + per_draw] for i in range(0, parts, per_draw)]
 
-    def hits(draw):
-        """(start, stop, *`_hits`) of each chunk of `draw`, from one draw of
-        the directions of all its skewers."""
-        first = draw[0][0]
-        directions = _skewer_directions(params.seed, first, draw[-1][1], k)
-        for start, stop in draw:  # no name holds a chunk's projections past `_hits`
-            yield (start, stop,
-                   *_hits(directions[start - first:stop - first] @ planes, params.threshold))
+    def process(bounds):
+        start, stop = bounds
+        proj = _skewer_directions(params.seed, start, stop, k) @ planes
+        mask = proj >= (proj.max(axis=1) - params.threshold)[:, None]
+        hi = np.flatnonzero(mask)
+        np.less_equal(proj, (proj.min(axis=1) + params.threshold)[:, None], out=mask)
+        # (skewer within the chunk, pixel) of every hit
+        return np.divmod(np.concatenate((hi, np.flatnonzero(mask))), n_pixels)
 
     totals = np.zeros(n_pixels, dtype=np.int64)
     first_touched = np.full(n_pixels, n_iter, dtype=np.int64) if trace else None
 
-    # A worker takes a draw's chunks at a time. The serial path takes one
-    # chunk at a time in the calling thread and does not import
+    # The serial path runs in the calling thread and does not import
     # `concurrent.futures` (nor the `logging`, `threading` and `queue` it
     # loads), which a `ppi` process would spend 7-12 ms on.
     pool = contextlib.nullcontext()
@@ -151,13 +131,10 @@ def run_ppi(mnf_cube: SpectralCube | CubeFile, params: PpiParams | None = None,
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(max_workers=n_workers)
     with pool:
-        if n_workers > 1:
-            results = pool.map(lambda draw: list(hits(draw)), draws)
-        else:
-            results = map(hits, draws)
+        results = pool.map(process, chunks) if n_workers > 1 else map(process, chunks)
         # Chunk boundaries are fixed, so accumulating in submission order
         # makes the output independent of scheduling.
-        for start, stop, skewer, pixel in itertools.chain.from_iterable(results):
+        for (start, stop), (skewer, pixel) in zip(chunks, results):
             totals += np.bincount(pixel, minlength=n_pixels)
             if trace:
                 np.minimum.at(first_touched, pixel, start + skewer)

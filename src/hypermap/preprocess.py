@@ -130,20 +130,20 @@ def _region_part(region: Roi, first_line: int, block: np.ndarray) -> tuple[int, 
 class _RowSum:
     """Per-band sum of pixel spectra added a block at a time, one pixel row
     after another, as NumPy sums a C-ordered (pixels, bands) matrix: each
-    block's rows are copied behind a first row that holds the running
-    total, and summed with it."""
+    line's pixels are copied behind a first row that holds the running
+    total, and summed with it, so a line and not a block is copied."""
 
     def __init__(self, bands: int):
         self.rows = np.zeros((1, bands))
 
     def add(self, pixels: np.ndarray) -> None:
-        m = pixels.shape[0] * pixels.shape[1]
-        if len(self.rows) <= m:
-            rows = np.empty((1 + m, pixels.shape[2]))
+        if len(self.rows) != 1 + pixels.shape[1]:
+            rows = np.empty((1 + pixels.shape[1], pixels.shape[2]))
             rows[0] = self.rows[0]
             self.rows = rows
-        self.rows[1:1 + m].reshape(pixels.shape)[...] = pixels
-        self.rows[0] = self.rows[:1 + m].sum(axis=0)
+        for line in pixels:
+            self.rows[1:] = line
+            self.rows[0] = self.rows.sum(axis=0)
 
     def total(self) -> np.ndarray:
         return self.rows[0]

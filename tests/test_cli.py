@@ -805,9 +805,9 @@ class TestStageMemory:
         payload = self.write_cube_file(tmp_path / "cube.hdr", "reflectance")
         assert traced_peak(cli._read_cube, str(tmp_path / "cube.hdr")) <= 1.05 * payload
 
-    def write_preprocess_inputs(self, tmp_path, shape, interleave="bsq"):
+    def write_preprocess_inputs(self, tmp_path, shape, interleave="bsq", mask=True):
         """A radiance scene of `shape` (320 bands), a mask that keeps 4 bands
-        of 5, a gains table and a config; returns the config."""
+        of 5 (or none), a gains table and a config; returns the config."""
         self.write_cube_file(tmp_path / "scene.hdr", "radiance", shape, interleave=interleave)
         keep = np.arange(320) % 5 != 2
         (tmp_path / "mask.csv").write_text(
@@ -816,7 +816,7 @@ class TestStageMemory:
             "band_index,gain\n" + "".join(f"{i},{1.0 + i / 320}\n" for i in range(1, 321)))
         (tmp_path / "p.cfg").write_text(
             "input_header = scene.hdr\ninput_image = scene.img\noutput_dir = out\n"
-            "band_mask_csv = mask.csv\ngains_csv = gains.csv\n")
+            f"band_mask_csv = {'mask.csv' if mask else ''}\ngains_csv = gains.csv\n")
         return cli.load_config(str(tmp_path / "p.cfg"))
 
     def write_mnf_inputs(self, tmp_path, shape, standardize=False, keep_k=8):
@@ -867,14 +867,18 @@ class TestStageMemory:
             peaks.append(traced_peak(cli.run_stage, stage, cfg))
         assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
-    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
-    def test_preprocess_stage_holds_blocks(self, tmp_path, interleave):
+    @pytest.mark.parametrize("interleave, mask", [
+        pytest.param("bsq", True, id="bsq"), pytest.param("bil", True, id="bil"),
+        pytest.param("bil", False, id="bil-no-mask"), pytest.param("bip", False, id="bip-no-mask")])
+    def test_preprocess_stage_holds_blocks(self, tmp_path, interleave, mask):
         shape = self.LARGE[:2] + (320,)
-        cfg = self.write_preprocess_inputs(tmp_path, shape, interleave)
+        cfg = self.write_preprocess_inputs(tmp_path, shape, interleave, mask)
         cli.run_stage("preprocess", cfg)
         # A block of lines as read and its kept bands, divided in place by
         # their gains and then by the mean; the kept bands of the 40 MiB
-        # scene would pass this, as would a copy of each block for its sums.
+        # scene would fail this, as would a copy of each block for its sums
+        # (a BIL or BIP scene without a mask sums one pixel row after
+        # another, a line at a time).
         budget = 2 * envi_io.BLOCK_BYTES + (1 << 20)
         assert budget < 8 * np.prod(shape) * 4 // 5
         assert traced_peak(cli.run_stage, "preprocess", cfg) <= budget

@@ -156,7 +156,7 @@ class TestFitForwardInPlace:
         components = forward_mnf(model, cube)
         assert cube.values.tobytes() == before.tobytes()
 
-        model2 = fit_forward_to_file(cube, tmp_path / "mnf.hdr")
+        model2 = fit_forward_to_file(cube, tmp_path / "mnf.hdr", keep_k=cube.bands)
         assert cube.values.tobytes() == before.tobytes()
         for name in ("band_mean", "noise_cov", "data_cov", "eigenvalues", "forward",
                      "inverse", "source_wavelengths"):
@@ -180,7 +180,8 @@ class TestFitForwardInPlace:
         write_cube_file(cube, tmp_path / "refl.hdr", interleave=interleave)
         on_disk = CubeFile(tmp_path / "refl.hdr")
         standard = band_statistics(on_disk)
-        model = fit_forward_to_file(on_disk, tmp_path / "mnf.hdr", standard)
+        model = fit_forward_to_file(on_disk, tmp_path / "mnf.hdr", standard,
+                                    keep_k=on_disk.bands)
 
         shifted, means, stds = standardize(cube)
         assert (means.tobytes(), stds.tobytes()) == (standard[0].tobytes(),
@@ -196,27 +197,26 @@ class TestFitForwardInPlace:
         cube = noise_cube(71, 30, 21, 10)
         model = fit_mnf(cube, estimate_noise_covariance(cube))
         centred = cube.pixels() - model.band_mean
-        spans = [(p0, block.shape[1]) for p0, block in mnf._pixel_blocks(model, centred)]
+        spans = [(p0, block.shape[1]) for p0, block in mnf._pixel_blocks(model, centred, 10)]
         assert spans == [(0, 128), (128, 128), (256, 128), (384, 246)]
         whole = centred @ model.forward.T
         blocked = forward_mnf(model, cube).pixels()
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
-    @pytest.mark.parametrize("keep_k", [1, 2, 10, None])
+    @pytest.mark.parametrize("keep_k", [1, 2, 10])
     def test_kept_components_equal_leading_planes(self, keep_k, monkeypatch, tmp_path):
         # Ranges of 128 pixels over 30 x 21, a count that is not a multiple
         # of 64. One kept component is projected with a second, as a
         # one-row product may differ from a block's in its last bits; 10
-        # (every band) and None keep every component.
+        # (every band) keeps every component.
         monkeypatch.setattr(mnf, "_BLOCK_BYTES", 8 * 10 * 128)
         cube = make_cube(noise_cube(71, 30, 21, 10).values * np.linspace(1.0, 9.0, 10) + 3.0)
         model = fit_forward_to_file(cube, tmp_path / "mnf.hdr", keep_k=keep_k)
         header, payload = write_cube(forward_mnf(model, cube))
-        kept = 10 if keep_k is None else keep_k
-        assert (tmp_path / "mnf.img").read_bytes() == payload[:kept * 30 * 21 * 8]
+        assert (tmp_path / "mnf.img").read_bytes() == payload[:keep_k * 30 * 21 * 8]
         written = envi_io.parse_envi_header((tmp_path / "mnf.hdr").read_text())
-        assert (written.bands, written.wavelengths) == (kept, list(range(1, kept + 1)))
-        if kept == 10:
+        assert (written.bands, written.wavelengths) == (keep_k, list(range(1, keep_k + 1)))
+        if keep_k == 10:
             assert (tmp_path / "mnf.hdr").read_text() == header
 
     @pytest.mark.parametrize("keep_k", [0, 11])
@@ -252,7 +252,7 @@ def fit_seeded_cube(header_path):
     planes = RandomSource(29).gaussians(150 * 96 * 128).reshape(150, 96, 128)
     planes += np.linspace(1.0, 3.0, 150)[:, None, None] * np.sin(np.arange(128) / 9.0)
     cube = make_cube(planes.transpose(1, 2, 0))
-    fit_forward_to_file(cube, header_path)
+    fit_forward_to_file(cube, header_path, keep_k=150)
 
 
 class TestForwardInverse:

@@ -161,9 +161,10 @@ class TestDrawBlocks:
 
 
 class TestGammaSteps:
-    def test_many_streams_build_a_table_of_their_steps(self, monkeypatch):
-        # `ppi` draws 64 skewers of 20 components: 40 stream positions a
-        # row, so a table of 40 steps, and not the shared 1 MB block table.
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The sizes of the tables built outside the cached block table,
+        which starts empty."""
         sizes = []
         build = numerics._gamma_steps
 
@@ -173,9 +174,25 @@ class TestGammaSteps:
 
         monkeypatch.setattr(numerics, "_gamma_steps", record)
         numerics._block_steps.cache_clear()
+        return sizes
+
+    def test_narrow_draws_build_a_table_of_their_steps(self, sizes):
+        # `ppi` draws 64 skewers of 20 components: 40 stream positions a
+        # row, so a table of 40 steps, and not the shared 1 MB block table;
+        # so does one stream's draw of 20.
         g = numerics.spawned_gaussians(11, 0, 64, 20)
-        assert sizes == [40] and numerics._block_steps.cache_info().currsize == 0
-        assert g[5].tobytes() == RandomSource(11).spawn(5).gaussians(20).tobytes()
+        one = RandomSource(11).spawn(5).gaussians(20)
+        assert sizes == [40, 40] and numerics._block_steps.cache_info().currsize == 0
+        assert g[5].tobytes() == one.tobytes()
+
+    def test_wide_draws_share_the_block_table(self, sizes):
+        # A block or more of draws, from one stream or from several, reads
+        # the cached table and builds none.
+        n = numerics._GAUSSIAN_BLOCK + 1
+        g = numerics.spawned_gaussians(11, 0, 2, n)
+        one = RandomSource(11).spawn(1).gaussians(n)
+        assert sizes == [] and numerics._block_steps.cache_info().hits == 1
+        assert g[1].tobytes() == one.tobytes()
 
     def test_tables_are_prefixes_of_the_block_table(self):
         full = numerics._block_steps()

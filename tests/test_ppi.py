@@ -130,30 +130,6 @@ class TestRunPpi:
         assert np.array_equal(small.counts, image.counts)
         assert small.trace == image.trace
 
-    @pytest.mark.parametrize("lines, spans", [(128, [(0, 58), (58, 100)]),
-                                              (1024, [(0, 64), (64, 100)])])
-    def test_directions_are_drawn_64_skewers_at_a_time(self, monkeypatch, lines, spans):
-        # Chunks of 16 (edges 0, 15, 29, 43, 58, ...) and of 4 skewers: one
-        # draw for the most consecutive chunks of at most 64 skewers, with
-        # the counts and trace of a draw per chunk.
-        values = np.random.default_rng(3).normal(size=(lines, 128, 2))
-        cube = make_mnf_cube(values)
-        params = PpiParams(n_iterations=100, threshold=0.5, seed=2)
-        drawn, draw = [], ppi._skewer_directions
-
-        def record(seed, start, stop, k):
-            drawn.append((start, stop))
-            return draw(seed, start, stop, k)
-
-        monkeypatch.setattr(ppi, "_skewer_directions", record)
-        image = run_ppi(cube, params, trace=True)
-        assert drawn == spans
-        monkeypatch.setattr(ppi, "_DRAW", 1)
-        per_chunk = run_ppi(cube, params, trace=True)
-        assert len(drawn) == 2 + (25 if lines == 1024 else 7)
-        assert per_chunk.counts.tobytes() == image.counts.tobytes()
-        assert per_chunk.trace == image.trace
-
     @pytest.mark.parametrize("shape", [(20, 16, 5), (13, 11, 4)])
     @pytest.mark.parametrize("rows", [1, 7, "chunk"])
     @pytest.mark.parametrize("n_workers", [1, 2])
