@@ -15,14 +15,9 @@ import numpy as np
 
 from .artifacts import read_band_table
 from .cube_blocks import CubeFile, line_blocks
-from .envi_io import _FILE_AXES, BLOCK_BYTES, SpectralCube, check_keep_mask, \
-    write_bsq_pixel_blocks
+from .envi_io import SpectralCube, check_keep_mask, write_bsq_pixel_blocks
 
 _MEAN_EPS = 1e-12
-
-# NumPy sums a run of at most this many contiguous values as one leaf of
-# its pairwise summation, and splits a longer run (`_PairwiseSum`).
-_PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -84,40 +79,6 @@ def scale_radiance(cube: SpectralCube, gains) -> SpectralCube:
     return cube.copy_with(values=cube.values / _checked_gains(gains, cube.bands))
 
 
-# The mean spectrum that reflectance divides by is summed a block of lines
-# at a time, with the bits NumPy gives `values[region].reshape(-1,
-# bands).mean(axis=0)` of the whole cube held in a given memory order.
-# That depends on the order: NumPy sums each band's values pairwise when
-# they lie closer together than the bands (BSQ planes), and otherwise adds
-# the pixel rows one after another (`_sums_pairwise`).
-
-
-def _sums_pairwise(strides, lines: int, samples: int, bands: int) -> bool:
-    """Whether NumPy sums `values.reshape(-1, bands)` over its pixels band
-    by band, pairwise, for an (lines, samples, bands) array `values` with
-    these strides: when the reshape is a view whose step from pixel to
-    pixel is shorter than from band to band, or there is one band. When
-    the reshape is a C-ordered copy, or bands lie closer together than
-    pixels, NumPy adds one pixel row after another."""
-    line, sample, band = (abs(s) for s in strides)
-    if bands == 1 or lines * samples == 1:
-        return True
-    if lines == 1 or line == samples * sample:
-        return sample < band
-    if samples == 1:
-        return line < band
-    return False
-
-
-def _layout_strides(interleave: str, dims) -> tuple[int, ...]:
-    """Strides, in values, of the (line, sample, band) view of a C-ordered
-    array of `dims` values in `interleave` order."""
-    strides, step = [0, 0, 0], 1
-    for axis in reversed(_FILE_AXES[interleave]):
-        strides[axis], step = step, step * dims[axis]
-    return tuple(strides)
-
-
 def _region_part(region: Roi, first_line: int, block: np.ndarray) -> tuple[int, np.ndarray]:
     """(first line within `region`, the region's part of `block`), for a
     block of lines of the cube that starts at `first_line`."""
@@ -127,113 +88,29 @@ def _region_part(region: Roi, first_line: int, block: np.ndarray) -> tuple[int, 
                                          region.first_sample:region.first_sample + region.n_samples]
 
 
-class _RowSum:
-    """Per-band sum of pixel spectra added a block at a time, one pixel row
-    after another, as NumPy sums a C-ordered (pixels, bands) matrix: each
-    line's pixels are copied behind a first row that holds the running
-    total, and summed with it, so a line and not a block is copied."""
-
-    def __init__(self, bands: int):
-        self.rows = np.zeros((1, bands))
-
-    def add(self, pixels: np.ndarray) -> None:
-        if len(self.rows) != 1 + pixels.shape[1]:
-            rows = np.empty((1 + pixels.shape[1], pixels.shape[2]))
-            rows[0] = self.rows[0]
-            self.rows = rows
-        for line in pixels:
-            self.rows[1:] = line
-            self.rows[0] = self.rows.sum(axis=0)
-
-    def total(self) -> np.ndarray:
-        return self.rows[0]
-
-
-def _halves(n: int) -> tuple[int, int]:
-    """The lengths NumPy splits a pairwise sum of n > `_PAIRWISE_LEAF`
-    values into: half of n rounded down to a multiple of 8, and the rest."""
-    half = n // 2 - n // 2 % 8
-    return half, n - half
-
-
-def _pairwise_runs(first: int, stop: int, size: int) -> list[tuple[int, int]]:
-    """(first, stop) of the runs of at most `size` values that NumPy's
-    pairwise split of the values first to stop reaches, in order."""
-    if stop - first <= size:
-        return [(first, stop)]
-    half = _halves(stop - first)[0]
-    return _pairwise_runs(first, first + half, size) + \
-        _pairwise_runs(first + half, stop, size)
-
-
-class _PairwiseSum:
-    """Per-band sum of `n` pixel spectra added a block at a time in raster
-    order, with the bits of NumPy's pairwise sum of each band's n values.
-    The split is cut off at runs of at most `size` (>= `_PAIRWISE_LEAF`)
-    values, which NumPy sums itself: in place when a run lies in one block,
-    and from a copy of its first values, held until the block that ends
-    it, when it spans blocks. The run sums are then added as the split
-    pairs them."""
-
-    def __init__(self, n: int, bands: int, size: int):
-        self.n, self.size = n, max(size, _PAIRWISE_LEAF)
-        self.runs = _pairwise_runs(0, n, self.size)
-        self.sums: list[np.ndarray] = []
-        self.rest = np.empty((bands, self.size))
-        self.next = self.held = 0  # the block's first pixel; values in `rest`
-
-    def add(self, pixels: np.ndarray) -> None:
-        values = pixels.transpose(2, 0, 1).reshape(pixels.shape[2], -1)
-        p, m = self.next, values.shape[1]
-        while len(self.sums) < len(self.runs):
-            r0, r1 = self.runs[len(self.sums)]
-            if r1 > p + m:  # the run goes on in the next block
-                a = max(r0, p) - p
-                self.rest[:, self.held:self.held + m - a] = values[:, a:]
-                self.held += m - a
-                break
-            if self.held:
-                self.rest[:, self.held:r1 - r0] = values[:, :r1 - p]
-                self.sums.append(np.add.reduce(self.rest[:, :r1 - r0], axis=1))
-                self.held = 0
-            else:
-                self.sums.append(np.add.reduce(values[:, r0 - p:r1 - p], axis=1))
-        self.next = p + m
-
-    def total(self) -> np.ndarray:
-        sums = iter(self.sums)
-
-        def node(n):
-            if n <= self.size:
-                return next(sums)
-            left, right = _halves(n)
-            return node(left) + node(right)
-
-        return node(self.n)
-
-
-def _region_sum(blocks, region: Roi, pairwise: bool) -> np.ndarray:
+def _region_sum(blocks, region: Roi) -> np.ndarray:
     """Per-band sum over the pixels of `region`, from the (first line,
-    block of lines) pairs of a cube in line order: each band pairwise or
-    one pixel row after another (see `_sums_pairwise`). Every block is
-    taken, inside the region or not."""
-    total = None
+    block of lines) pairs of a cube in line order: each block's part of
+    the region is summed in one reduction over its view and added to a
+    running total, as `numerics.Moments.add` adds its blocks, with the
+    rounding error of each addition carried beside it (Neumaier 1974), so
+    that a cube of many blocks is summed as closely as NumPy sums one.
+    Every block is taken, inside the region or not."""
+    total = error = 0.0
     for l0, block in blocks:
-        part = _region_part(region, l0, block)[1]
-        if total is None:
-            n, bands = region.n_lines * region.n_samples, block.shape[2]
-            total = _PairwiseSum(n, bands, BLOCK_BYTES // (32 * bands)) if pairwise \
-                else _RowSum(bands)
-        if part.size:
-            total.add(part)
-        del block, part  # the next block is not made while this one is held
-    return total.total()
+        part_sum = _region_part(region, l0, block)[1].sum(axis=(0, 1))
+        new = total + part_sum
+        error = error + np.where(np.abs(total) >= np.abs(part_sum), (total - new) + part_sum,
+                                 (part_sum - new) + total)
+        total = new
+        del block  # the next block is not made while this one is held
+    return total + error
 
 
-def _mean_spectrum(blocks, region: Roi, pairwise: bool, what: str) -> np.ndarray:
+def _mean_spectrum(blocks, region: Roi, what: str) -> np.ndarray:
     """`_region_sum` over the region's pixel count, checked to have no
     band near zero."""
-    mean = _region_sum(blocks, region, pairwise) / (region.n_lines * region.n_samples)
+    mean = _region_sum(blocks, region) / (region.n_lines * region.n_samples)
     if np.any(np.abs(mean) < _MEAN_EPS):
         raise ValueError(f"{what} spectrum has a near-zero band; cannot normalize")
     return mean
@@ -242,9 +119,7 @@ def _mean_spectrum(blocks, region: Roi, pairwise: bool, what: str) -> np.ndarray
 def _reflectance(cube: SpectralCube, region: Roi, what: str) -> SpectralCube:
     _check_radiance(cube)
     region.check_within(cube.lines, cube.samples)
-    pairwise = _sums_pairwise(cube.values.strides, region.n_lines, region.n_samples,
-                              cube.bands)
-    mean = _mean_spectrum(line_blocks(cube), region, pairwise, what)
+    mean = _mean_spectrum(line_blocks(cube), region, what)
     return cube.copy_with(values=cube.values / mean, units_tag="reflectance")
 
 
@@ -280,12 +155,11 @@ def write_reflectance(scene: CubeFile, header_path, keep=None, gains=None,
     `roi`. Returns its (samples, lines, bands).
 
     The cube is read twice, a block of lines at a time: once for the mean
-    spectrum, once to divide and write each block's band rows. The file
-    has the bytes that `write_cube_file` gives the result of
+    spectrum, summed block by block as `_region_sum` sums it, and once to
+    divide and write each block's band rows. The values are those of
     `scale_radiance`, `reflectance_flat_field` or `reflectance_iarr` and
     `subset_roi` (in that order for a flat field, with the crop first for
-    IARR) on the cube as read with its kept bands band-major, the way a
-    band selection is read, or in the file's interleave without `keep`.
+    IARR) up to the rounding of that sum.
     """
     _check_radiance(scene)
     full = Roi(0, 0, scene.lines, scene.samples)
@@ -295,54 +169,44 @@ def write_reflectance(scene: CubeFile, header_path, keep=None, gains=None,
         gains = _checked_gains(gains, scene.bands)[kept]
     out = full if roi is None else roi
     out.check_within(scene.lines, scene.samples)
-    dims = (scene.lines, scene.samples, int(kept.sum()))
-    strides = _layout_strides(scene.header.interleave if keep is None else "bsq", dims)
     if field is not None:
         field.check_within(scene.lines, scene.samples)
         region, what = field, "flat-field mean"
-    elif roi is not None:  # the crop is a C-ordered copy
-        region, what = roi, "scene-mean"
-        strides = _layout_strides("bip", (roi.n_lines, roi.n_samples, dims[2]))
     else:
-        region, what = full, "scene-mean"
-    pairwise = _sums_pairwise(strides, region.n_lines, region.n_samples, dims[2])
-    mean = _mean_spectrum(_radiance_blocks(scene, kept, gains), region, pairwise, what)
+        region, what = out, "scene-mean"
+    mean = _mean_spectrum(_radiance_blocks(scene, kept, gains), region, what)
 
     def rows():
         for l0, block in _radiance_blocks(scene, kept, gains):
             first, part = _region_part(out, l0, block)
             if part.size:
                 part /= mean
-                yield first * out.n_samples, part.transpose(2, 0, 1).reshape(dims[2], -1)
+                yield first * out.n_samples, part.transpose(2, 0, 1).reshape(mean.size, -1)
             del block, part
 
     write_bsq_pixel_blocks(rows(), header_path, out.n_lines, out.n_samples,
                            scene.wavelengths[kept], scene.bad_band_mask[kept], "reflectance")
-    return out.n_samples, out.n_lines, dims[2]
+    return out.n_samples, out.n_lines, mean.size
 
 
 def band_statistics(cube: SpectralCube | CubeFile) -> tuple[np.ndarray, np.ndarray]:
-    """Each band's mean and standard deviation over the pixels, taken a
-    block of lines at a time in two passes, with the bits of NumPy's
-    `pixels.mean(axis=0)` and `pixels.std(axis=0)` of the cube in memory
-    (a `CubeFile` as its interleave orders it). A constant band's deviation
-    is recorded as 1 so that standardizing stays invertible."""
+    """Each band's mean and (population) standard deviation over the
+    pixels, taken a block of lines at a time in two passes: the mean, then
+    the mean squared deviation from it, each summed by `_region_sum`. A
+    constant band's deviation is recorded as 1 so that standardizing stays
+    invertible."""
     n = cube.lines * cube.samples
     if n < 2:
         raise ValueError("standardize needs at least 2 pixels")
     full = Roi(0, 0, cube.lines, cube.samples)
-    dims = (cube.lines, cube.samples, cube.bands)
-    strides = cube.values.strides if isinstance(cube, SpectralCube) else \
-        _layout_strides(cube.header.interleave, dims)
-    pairwise = _sums_pairwise(strides, *dims)
-    means = _region_sum(line_blocks(cube), full, pairwise) / n
+    means = _region_sum(line_blocks(cube), full) / n
 
     def squares():
         for l0, block in line_blocks(cube):
             deviations = block - means
             yield l0, np.square(deviations, out=deviations)
 
-    stds = np.sqrt(_region_sum(squares(), full, pairwise) / n)
+    stds = np.sqrt(_region_sum(squares(), full) / n)
     return means, np.where(stds == 0.0, 1.0, stds)
 
 

@@ -100,12 +100,8 @@ def sam_angle(a, b) -> float:
 
 
 def _sam_scores(angles):
+    """Map angles to [0, 1] scores: 1 at 0 rad, 0 at >= pi/2."""
     return np.clip(1.0 - angles / _HALF_PI, 0.0, 1.0)
-
-
-def sam_score_from_angle(angle: float) -> float:
-    """Map an angle to a [0, 1] score: 1 at 0 rad, 0 at >= pi/2."""
-    return float(_sam_scores(angle))
 
 
 def _upper_hull_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Preprocess tests: band masking, ROI crops, scaling, reflectance
 retrieval and standardization."""
 
+import math
 import re
 
 import numpy as np
@@ -181,8 +182,13 @@ class TestStandardize:
 
 
 # (line, sample, band) order, band planes outermost (BSQ, or masked bands),
-# and lines outermost with bands inside them (BIL, whose pixels are no view).
+# and lines outermost with bands inside them (BIL): NumPy sums each band's
+# values in an order that depends on the layout.
 LAYOUTS = [(0, 1, 2), (2, 0, 1), (0, 2, 1)]
+
+# The largest relative error allowed against a mean from `math.fsum`, the
+# correctly rounded sum: the blocked sums reach less than 1e-15.
+EXACT_RTOL = 4e-15
 
 
 def laid_out(values, axes):
@@ -191,34 +197,52 @@ def laid_out(values, axes):
     return np.ascontiguousarray(values.transpose(axes)).transpose(np.argsort(axes))
 
 
+def window(values, region):
+    return values[region.first_line:region.first_line + region.n_lines,
+                  region.first_sample:region.first_sample + region.n_samples]
+
+
+def fsum_bands(pixels):
+    """Each band's correctly rounded sum over the pixels of `pixels`."""
+    return np.array([math.fsum(band) for band in pixels.reshape(-1, pixels.shape[-1]).T])
+
+
+def fsum_mean(pixels):
+    return fsum_bands(pixels) / (pixels.size // pixels.shape[-1])
+
+
+def relative_error(actual, reference):
+    assert actual.shape == reference.shape
+    return np.max(np.abs(actual - reference) / np.abs(reference))
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # A few lines per block, so every pass takes several, and pairwise sums
-    # cut at the shortest runs NumPy sums as one.
+    # A few lines per block, so every pass takes several.
     monkeypatch.setattr(envi_io, "BLOCK_BYTES", 3 * 8 * 11 * 6)
-    monkeypatch.setattr(preprocess, "BLOCK_BYTES", 3 * 8 * 11 * 6)
 
 
 @pytest.mark.usefixtures("small_blocks")
 class TestBlockedPasses:
-    """The block-wise mean and standard deviation have the bits of the
-    whole-array formulas."""
+    """The block-wise mean and standard deviation are within rounding of
+    the exact ones, whatever the layout of the cube."""
 
     @pytest.mark.parametrize("axes", LAYOUTS)
-    def test_iarr_bits_equal_formula(self, axes):
+    def test_iarr_within_rounding_of_the_exact_mean(self, axes):
         values = laid_out(np.random.default_rng(3).uniform(1.0, 9.0, size=(13, 11, 6)), axes)
         out = reflectance_iarr(make_cube(values))
-        expected = values / values.reshape(-1, 6).mean(axis=0)
-        assert out.values.tobytes() == expected.tobytes()
-        assert out.values.strides == expected.strides
+        assert relative_error(out.values, values / fsum_mean(values)) < EXACT_RTOL
+        assert out.values.strides == values.strides
 
     @pytest.mark.parametrize("axes", LAYOUTS)
-    def test_standardize_bits_equal_formula(self, axes):
+    def test_standardize_within_rounding_of_the_exact_moments(self, axes):
         values = laid_out(np.random.default_rng(4).uniform(1.0, 9.0, size=(13, 11, 7)), axes)
-        flat = values.reshape(-1, 7)
         out, means, stds = standardize(make_cube(values))
-        assert stds.tobytes() == flat.std(axis=0).tobytes()
-        assert out.values.tobytes() == ((values - flat.mean(axis=0)) / stds).tobytes()
+        exact_means = fsum_mean(values)
+        exact_stds = np.sqrt(fsum_mean(np.square(values - exact_means)))
+        assert relative_error(means, exact_means) < EXACT_RTOL
+        assert relative_error(stds, exact_stds) < EXACT_RTOL
+        assert out.values.tobytes() == ((values - means) / stds).tobytes()
 
     # The whole cube, one line, one sample, whole lines, and a window.
     REGIONS = [Roi(0, 0, 40, 23), Roi(7, 2, 1, 19), Roi(4, 6, 30, 1), Roi(5, 0, 20, 23),
@@ -226,50 +250,44 @@ class TestBlockedPasses:
 
     @pytest.mark.parametrize("axes", LAYOUTS + [(1, 0, 2), (2, 1, 0)])
     @pytest.mark.parametrize("bands", [1, 2, 6])
-    def test_region_sums_have_the_bits_of_the_pixel_matrix(self, axes, bands):
+    def test_region_sums_within_rounding_of_the_exact_sums(self, axes, bands):
         values = laid_out(np.random.default_rng(6).uniform(1.0, 9.0, size=(40, 23, bands)),
                           axes)
         cube = make_cube(values)
         for region in self.REGIONS:
-            pairwise = preprocess._sums_pairwise(values.strides, region.n_lines,
-                                                 region.n_samples, bands)
-            blocked = preprocess._region_sum(line_blocks(cube), region, pairwise)
-            window = values[region.first_line:region.first_line + region.n_lines,
-                            region.first_sample:region.first_sample + region.n_samples]
-            assert blocked.tobytes() == window.reshape(-1, bands).sum(axis=0).tobytes(), region
+            blocked = preprocess._region_sum(line_blocks(cube), region)
+            assert relative_error(blocked, fsum_bands(window(values, region))) < EXACT_RTOL, \
+                region
+
+    def test_region_sum_carries_the_rounding_error_of_each_block(self):
+        # One line per block: a running total alone would lose both 1s.
+        lines = [1.0, 1e100, 1.0, -1e100]
+        blocks = [(i, np.full((1, 1, 1), v)) for i, v in enumerate(lines)]
+        assert preprocess._region_sum(blocks, Roi(0, 0, 4, 1))[0] == 2.0
 
 
-def stage_reflectance(values, interleave, keep=None, gains=None, roi=None, field=None):
-    """The reflectance `preprocess` gave when it held the whole cube: the
-    kept bands band-major (as a band selection is read) or the file's
-    interleave, divided by the gains, then by the flat-field mean and
-    cropped, or cropped (a C-ordered copy) and divided by the scene mean."""
-    if keep is None:
-        keep = np.ones(values.shape[2], dtype=bool)
-        held = laid_out(values, envi_io._FILE_AXES[interleave])
-    else:
-        held = laid_out(values[:, :, keep], (2, 0, 1))
-    bands = held.shape[2]
+def exact_reflectance(values, keep=None, gains=None, roi=None, field=None):
+    """The reflectance `write_reflectance` writes, with each mean taken
+    from `math.fsum`: the kept bands divided by the gains, then by the
+    flat-field mean and cropped, or cropped and divided by the scene mean."""
+    if keep is not None:
+        values = values[:, :, keep]
     if gains is not None:
-        held = held / gains[keep]
-
-    def window(v, r):
-        return v[r.first_line:r.first_line + r.n_lines,
-                 r.first_sample:r.first_sample + r.n_samples]
-
+        values = values / gains[keep]
     if field is not None:
-        held = held / window(held, field).reshape(-1, bands).mean(axis=0)
+        values = values / fsum_mean(window(values, field))
     if roi is not None:
-        held = window(held, roi).copy()
+        values = window(values, roi)
     if field is None:
-        held = held / held.reshape(-1, bands).mean(axis=0)
-    return held
+        values = values / fsum_mean(values)
+    return values
 
 
 @pytest.mark.usefixtures("small_blocks")
 class TestWriteReflectance:
     """`write_reflectance` reads the scene a block of lines at a time and
-    writes the bytes of the reflectance computed from the whole cube."""
+    writes the reflectance of the whole cube, within rounding of the
+    exact mean."""
 
     KEEP = np.arange(7) % 3 != 1
     GAINS = np.linspace(1.5, 3.0, 7)
@@ -283,7 +301,7 @@ class TestWriteReflectance:
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_file_has_the_bytes_of_the_whole_cube(self, tmp_path, interleave, case):
+    def test_file_within_rounding_of_the_whole_cube(self, tmp_path, interleave, case):
         values = np.random.default_rng(12).uniform(1.0, 9.0, size=(40, 23, 7))
         cube = SpectralCube(values=values, wavelengths=np.linspace(500.0, 900.0, 7),
                             bad_band_mask=np.arange(7) != 3)
@@ -294,12 +312,15 @@ class TestWriteReflectance:
         shape = preprocess.write_reflectance(scene, tmp_path / "refl.hdr", **options)
 
         keep = options.get("keep", np.ones(7, dtype=bool))
-        expected = stage_reflectance(values, interleave, **options)
-        header, payload = write_cube(SpectralCube(
+        expected = exact_reflectance(values, **options)
+        header, _ = write_cube(SpectralCube(
             values=expected, wavelengths=cube.wavelengths[keep],
             bad_band_mask=cube.bad_band_mask[keep], units_tag="reflectance"))
-        assert shape == (expected.shape[1], expected.shape[0], expected.shape[2])
-        assert (tmp_path / "refl.img").read_bytes() == payload
+        lines, samples, bands = expected.shape
+        assert shape == (samples, lines, bands)
+        written = np.frombuffer((tmp_path / "refl.img").read_bytes(), dtype="<f8")
+        written = written.reshape(bands, lines, samples).transpose(1, 2, 0)
+        assert relative_error(written, expected) < EXACT_RTOL
         assert (tmp_path / "refl.hdr").read_text() == header
 
     def test_non_finite_dropped_band_fails_before_writing(self, tmp_path):

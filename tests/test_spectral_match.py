@@ -16,7 +16,6 @@ from hypermap.spectral_match import (
     rank_matches,
     resample_library,
     sam_angle,
-    sam_score_from_angle,
     sff_score,
 )
 from hypermap.synthcube import synthetic_mineral_library
@@ -106,10 +105,11 @@ class TestSamAngle:
             sam_angle([0.0, 0.0], [1.0, 1.0])
 
     def test_score_mapping(self):
-        assert sam_score_from_angle(0.0) == 1.0
-        assert sam_score_from_angle(np.pi / 2) == 0.0
-        assert sam_score_from_angle(np.pi) == 0.0
-        assert sam_score_from_angle(np.pi / 4) == pytest.approx(0.5)
+        scores = spectral_match._sam_scores(np.array([0.0, np.pi / 2, np.pi, np.pi / 4]))
+        assert scores[0] == 1.0
+        assert scores[1] == 0.0
+        assert scores[2] == 0.0
+        assert scores[3] == pytest.approx(0.5)
 
 
 class TestContinuumRemoval:
