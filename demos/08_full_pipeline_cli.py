@@ -41,7 +41,6 @@ synth_noise_relative = 0.005
 synth_pure_per_endmember = 5
 synth_library_csv = scene_endmembers.csv
 synth_panel_lines = 4
-synth_panel_level = 1.0
 """
 
 with tempfile.TemporaryDirectory(prefix="hypermap_demo_") as tmp:

@@ -208,12 +208,6 @@ def parse_spectra(source, label: str) -> tuple[list[str], np.ndarray, np.ndarray
 # per-artifact tables
 
 
-def write_band_stats(path, means, stds) -> None:
-    write_table(path, ["band", "mean", "std"],
-                ([str(i + 1), m, s]
-                 for i, (m, s) in enumerate(zip(_floats(means), _floats(stds)))))
-
-
 def write_pure_pixels(path, ppi: PpiImage, pixels: list[tuple[int, int]]) -> None:
     """Selected pure pixels with their PPI counts: line,sample,count."""
     counts = ppi.counts[tuple(np.array(pixels, dtype=np.int64).reshape(-1, 2).T)].tolist()

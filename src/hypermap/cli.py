@@ -46,9 +46,9 @@ from .envi_io import (
 # so a stage process imports only what it uses; a name already bound (a
 # test double or a timing wrapper) stays.
 _STAGE_ONLY = {
-    "fit_forward_to_file": "mnf", "band_statistics": "preprocess",
-    "write_reflectance": "preprocess", "read_band_mask_csv": "preprocess",
-    "read_gains_csv": "preprocess", "add_noise": "synthcube",
+    "fit_forward_to_file": "mnf", "write_reflectance": "preprocess",
+    "read_band_mask_csv": "preprocess", "read_gains_csv": "preprocess",
+    "add_noise": "synthcube",
 }
 
 
@@ -115,7 +115,6 @@ class PipelineConfig:
     flat_field_first_sample: int = 0
     flat_field_n_lines: int = 0
     flat_field_n_samples: int = 0
-    standardize_before_mnf: bool = False
 
     mnf_keep_k: int = _key(48, count=True, section="noise reduction")
 
@@ -137,12 +136,10 @@ class PipelineConfig:
     synth_lines: int = _key(64, count=True, section="synthetic scene generation")
     synth_samples: int = _key(64, count=True)
     synth_block_size: int = _key(1, count=True)
-    synth_noise_sigma: float = 0.0
     synth_noise_relative: float = 0.0
     synth_pure_per_endmember: int = _key(5, count=True)
     synth_library_csv: str = ""
     synth_panel_lines: int = 0
-    synth_panel_level: float = 1.0
 
     base_dir: str = "."
 
@@ -209,17 +206,16 @@ def config_from_text(text: str, base_dir: str = ".") -> PipelineConfig:
 
 
 def _validate_config(cfg: PipelineConfig) -> None:
-    # Counts must be >= 1, every other int or float key >= 0
-    # (`synth_panel_level` > 0) and every float key finite. Keys are checked
-    # in declaration order, so of several bad keys the same one is named.
+    # Counts must be >= 1, every other int or float key >= 0 and every
+    # float key finite. Keys are checked in declaration order, so of
+    # several bad keys the same one is named.
     numbers = [f for f in fields(PipelineConfig) if f.type in ("int", "float")]
     for f in numbers:
         if f.metadata.get("count") and getattr(cfg, f.name) < 1:
             raise ConfigError(f"config key '{f.name}': must be an integer >= 1")
     for kind, noun in (("int", "an integer"), ("float", "a number")):
         for f in numbers:
-            if f.type == kind and not f.metadata.get("count") \
-                    and f.name != "synth_panel_level" and getattr(cfg, f.name) < 0:
+            if f.type == kind and not f.metadata.get("count") and getattr(cfg, f.name) < 0:
                 raise ConfigError(f"config key '{f.name}': must be {noun} >= 0")
     if cfg.seed >= 2 ** 64:  # the seed is one 64-bit splitmix64 state
         raise ConfigError("config key 'seed': must be an integer below 2^64")
@@ -234,8 +230,6 @@ def _validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(
             "config keys 'flat_field_n_lines'/'flat_field_n_samples': must be >= 1 "
             "when reflectance_method = flat_field")
-    if cfg.synth_panel_level <= 0:
-        raise ConfigError("config key 'synth_panel_level': must be > 0")
     for f in numbers:
         if f.type == "float" and not np.isfinite(getattr(cfg, f.name)):
             raise ConfigError(f"config key '{f.name}': must be a finite number")
@@ -291,7 +285,8 @@ def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
 
 
 def _remove_previous(cfg: PipelineConfig, pattern: str) -> None:
-    """Delete a stage's per-class outputs from an earlier, wider run."""
+    """Delete a stage's outputs from an earlier run that this run does
+    not write: per-class files of more classes, or a trace turned off."""
     for path in glob.glob(os.path.join(glob.escape(cfg.out), pattern)):
         os.remove(path)
 
@@ -360,12 +355,7 @@ def stage_mnf(cfg: PipelineConfig) -> None:
     if not 1 <= cfg.mnf_keep_k <= cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
-    standard = None
-    if cfg.standardize_before_mnf:
-        standard = band_statistics(cube)
-        artifacts.write_band_stats(cfg.artifact("band_stats.csv"), *standard)
-    model = fit_forward_to_file(cube, cfg.artifact("mnf_cube.hdr"), standard,
-                                keep_k=cfg.mnf_keep_k)
+    model = fit_forward_to_file(cube, cfg.artifact("mnf_cube.hdr"), keep_k=cfg.mnf_keep_k)
     save_mnf_model(model, cfg.artifact("mnf_model"))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")
@@ -394,6 +384,8 @@ def stage_ppi(cfg: PipelineConfig) -> None:
     artifacts.write_pure_pixels(cfg.artifact("pure_pixels.csv"), image, pixels)
     if cfg.ppi_trace:
         artifacts.write_ppi_trace(cfg.artifact("ppi_trace.csv"), image.trace)
+    else:
+        _remove_previous(cfg, "ppi_trace.csv")
     nonzero = int(np.count_nonzero(image.counts))
     print(f"ppi: {nonzero} pixels counted at least once; "
           f"{len(pixels)} selected as pure candidates")
@@ -498,8 +490,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
     field = plant_pure_pixels(field, plan)
 
     scenario = MixingScenario(endmembers=endmembers, wavelengths=wavelengths,
-                              abundance_field=field, noise_sigma=cfg.synth_noise_sigma,
-                              noise_relative=cfg.synth_noise_relative,
+                              abundance_field=field, noise_relative=cfg.synth_noise_relative,
                               pure_pixel_plan=plan, seed=root.spawn(1).seed)
     cube, truth = generate(scenario)
     sigma = truth.noise_sigma
@@ -508,8 +499,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
     if cfg.synth_panel_lines > 0:
         # Spectrally flat calibration strip written below the scene; used
         # as the flat-field region for absolute-reflectance recovery.
-        strip = np.full((cfg.synth_panel_lines, samples, endmembers.shape[1]),
-                        cfg.synth_panel_level)
+        strip = np.ones((cfg.synth_panel_lines, samples, endmembers.shape[1]))
         if sigma > 0:
             add_noise(strip, sigma, root.spawn(2))
         strip = cube.copy_with(values=strip)

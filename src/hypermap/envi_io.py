@@ -214,12 +214,6 @@ class SpectralLibrary:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def get(self, name: str) -> SpectrumRecord:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # header parsing / serialization

@@ -35,10 +35,9 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class NoiseEstimate:
-    """Noise covariance plus the estimator it came from."""
+    """A noise covariance, checked symmetric and positive semi-definite."""
 
     cov: np.ndarray
-    method_tag: str = "shift_difference_horizontal"
 
     def __post_init__(self):
         self.cov = check_symmetric(self.cov)
@@ -102,17 +101,6 @@ def estimate_noise_covariance(cube: SpectralCube | CubeFile) -> NoiseEstimate:
     return NoiseEstimate(cov=noise.covariance())
 
 
-def _standardized(cube: SpectralCube | CubeFile, standard):
-    """`plane_blocks` of the cube, shifted by the band means and scaled by
-    the band deviations of `standard` when it is given, as `standardize`
-    shifts and scales the values."""
-    for l0, planes in plane_blocks(cube, block_bytes=_BLOCK_BYTES):
-        if standard is not None:
-            planes -= standard[0][:, None, None]
-            planes /= standard[1][:, None, None]
-        yield l0, planes
-
-
 def _fit(noise: NoiseEstimate, data: Moments, cube: SpectralCube | CubeFile) -> MnfModel:
     """The MNF fit from the noise estimate and the pixels' sums of `cube`;
     :func:`fit_mnf` documents the steps."""
@@ -160,12 +148,11 @@ def _pixel_blocks(model: MnfModel, centred: np.ndarray, keep_k: int):
         yield p0, (forward @ centred[p0:p1].T)[:keep_k]
 
 
-def _components(model: MnfModel, cube: SpectralCube | CubeFile, keep_k: int,
-                standard=None):
-    """`_pixel_blocks` of each block of lines of the cube (standardized as
-    by `_standardized`), centred on the model's band means, with the first
-    pixel of each range counted from the cube's first pixel."""
-    for l0, planes in _standardized(cube, standard):
+def _components(model: MnfModel, cube: SpectralCube | CubeFile, keep_k: int):
+    """`_pixel_blocks` of each block of lines of the cube, centred on the
+    model's band means, with the first pixel of each range counted from
+    the cube's first pixel."""
+    for l0, planes in plane_blocks(cube, block_bytes=_BLOCK_BYTES):
         centred = planes.reshape(model.bands, -1)
         centred -= model.band_mean[:, None]
         for p0, block in _pixel_blocks(model, centred.T, keep_k):
@@ -208,11 +195,10 @@ def forward_mnf(model: MnfModel, cube: SpectralCube) -> SpectralCube:
                         units_tag="mnf_component")
 
 
-def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=None, *,
+def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, *,
                         keep_k: int) -> MnfModel:
     """:func:`estimate_noise_covariance`, :func:`fit_mnf` and
-    :func:`forward_mnf` of the cube (standardized first by the band means
-    and deviations `standard`, when given), writing the first `keep_k`
+    :func:`forward_mnf` of the cube, writing the first `keep_k`
     components as a `keep_k`-band float64 BSQ cube at `header_path`. Its
     image is the first `keep_k` band planes of the one
     `write_cube_file` writes for the whole `forward_mnf` result, so a
@@ -221,15 +207,17 @@ def fit_forward_to_file(cube: SpectralCube | CubeFile, header_path, standard=Non
     the noise and data sums, a second projects each block onto the kept
     components only and writes its band rows, so a ~1 MiB block of lines
     and one block of components of at most ~1 MiB are its largest
-    arrays."""
+    arrays. The cube is fitted as it is: shifting or rescaling a band
+    changes no component's signal-to-noise ratio, so the eigenvalues and
+    the components (up to sign) move only by the noise ridge's share."""
     if not 1 <= keep_k <= cube.bands:
         raise ValueError(f"keep_k must be in 1..{cube.bands}, got {keep_k}")
     noise, data = Moments(cube.bands), Moments(cube.bands)
-    for _, planes in _standardized(cube, standard):
+    for _, planes in plane_blocks(cube, block_bytes=_BLOCK_BYTES):
         noise.add(_noise_samples(planes))
         data.add(planes.reshape(cube.bands, -1))
     model = _fit(NoiseEstimate(cov=noise.covariance()), data, cube)
-    write_bsq_pixel_blocks(_components(model, cube, keep_k, standard), header_path,
+    write_bsq_pixel_blocks(_components(model, cube, keep_k), header_path,
                            cube.lines, cube.samples, _component_wavelengths(keep_k),
                            np.ones(keep_k, dtype=bool), "mnf_component")
     return model

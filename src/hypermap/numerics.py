@@ -211,16 +211,6 @@ def spawned_gaussians(parent_seed: int, start: int, stop: int, n: int) -> np.nda
     return _gaussian_rows(_child_seeds(parent_seed, np.arange(start, stop, dtype=np.uint64)), n)
 
 
-def centre_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and n-1 sample covariance of the rows of `x` (n, b),
-    centring `x` in place: the whole-matrix reference for
-    :class:`Moments`. A caller that keeps using the centred rows needs no
-    second copy of them."""
-    mu = x.mean(axis=0)
-    x -= mu
-    return mu, x.T @ x / max(x.shape[0] - 1, 1)
-
-
 class Moments:
     """Count, mean and sums of centred cross products of samples that
     arrive a block at a time, as the columns of (bands, m) arrays: the

@@ -189,12 +189,15 @@ def write_reflectance(scene: CubeFile, header_path, keep=None, gains=None,
     return out.n_samples, out.n_lines, mean.size
 
 
-def band_statistics(cube: SpectralCube | CubeFile) -> tuple[np.ndarray, np.ndarray]:
-    """Each band's mean and (population) standard deviation over the
-    pixels, taken a block of lines at a time in two passes: the mean, then
-    the mean squared deviation from it, each summed by `_region_sum`. A
-    constant band's deviation is recorded as 1 so that standardizing stays
-    invertible."""
+def standardize(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
+    """Shift each band to mean 0 and scale to standard deviation 1.
+
+    The mean and (population) standard deviation are taken a block of
+    lines at a time in two passes, the mean and then the mean squared
+    deviation from it, each summed by `_region_sum`. Constant bands map to
+    0 with their std recorded as 1 so the transform stays invertible.
+    Returns (cube, band means, band stds).
+    """
     n = cube.lines * cube.samples
     if n < 2:
         raise ValueError("standardize needs at least 2 pixels")
@@ -207,16 +210,7 @@ def band_statistics(cube: SpectralCube | CubeFile) -> tuple[np.ndarray, np.ndarr
             yield l0, np.square(deviations, out=deviations)
 
     stds = np.sqrt(_region_sum(squares(), full) / n)
-    return means, np.where(stds == 0.0, 1.0, stds)
-
-
-def standardize(cube: SpectralCube) -> tuple[SpectralCube, np.ndarray, np.ndarray]:
-    """Shift each band to mean 0 and scale to standard deviation 1.
-
-    Constant bands map to 0 with their std recorded as 1 so the transform
-    stays invertible. Returns (cube, band means, band stds).
-    """
-    means, stds = band_statistics(cube)
+    stds = np.where(stds == 0.0, 1.0, stds)
     return cube.copy_with(values=(cube.values - means) / stds), means, stds
 
 

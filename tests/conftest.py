@@ -1,5 +1,6 @@
-"""Shared fixtures: the synthetic mineral library and the end-to-end
-scenario used by the CLI and acceptance tests."""
+"""Shared fixtures: the synthetic mineral library, the end-to-end
+scenario used by the CLI and acceptance tests, and the whole-matrix
+covariance reference."""
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def write_offset_cube(directory, values, bad_band_mask, interleave, data_type="f
     (directory / "cube.hdr").write_text(serialize_envi_header(header))
     (directory / "cube.img").write_bytes(bytes(range(offset)) + payload)
     return directory / "cube.hdr"
+
+
+def centre_and_covariance(x):
+    """Column mean and n-1 sample covariance of the rows of `x` (n, b),
+    centring `x` in place: the whole-matrix reference for
+    `numerics.Moments`."""
+    mu = x.mean(axis=0)
+    x -= mu
+    return mu, x.T @ x / max(x.shape[0] - 1, 1)
 
 
 @pytest.fixture(scope="session")
@@ -110,7 +120,6 @@ synth_noise_relative = 0.005
 synth_pure_per_endmember = 5
 synth_library_csv = scene_library.csv
 synth_panel_lines = 4
-synth_panel_level = 1.0
 """
 
 

