@@ -54,10 +54,14 @@ def read_tree(root):
 
 
 class TestConfig:
-    def test_unknown_key_is_config_error(self, tmp_path):
+    # The last three are keys an older `init` wrote; no shim accepts them.
+    @pytest.mark.parametrize("line", ["no_such_key = 1", "standardize_before_mnf = false",
+                                      "synth_noise_sigma = 0.0", "synth_panel_level = 1.0"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
-        path.write_text("no_such_key = 1\n")
+        path.write_text(line + "\n")
         assert run(["info", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
 
     def test_bad_value_names_key_and_range(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -251,8 +251,8 @@ class TestBandScaleInvariance:
     """MNF ranks components by signal-to-noise ratio, which no per-band
     shift or rescale changes, so `fit_forward_to_file` fits a cube as it
     is. Only the noise ridge (1e-10 * trace / b) breaks the invariance, so
-    the scales stay within [0.5, 2]: at 100x apart the ridge moves the
-    eigenvalues by ~3e-3."""
+    the scales stay within [0.5, 2]: spread over 1 to 100 they moved this
+    scene's eigenvalues by 1.3e-6, past the bound."""
 
     def test_shifted_and_scaled_bands_give_the_same_components(self, tmp_path):
         # A patchy scene as `hypermap synth` makes it (5 x 4 patches of
