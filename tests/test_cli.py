@@ -110,6 +110,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, message", [
         ("ppi_threshold = -1", "config key 'ppi_threshold': must be a number >= 0"),
+        ("synth_noise_relative = -0.1",
+         "config key 'synth_noise_relative': must be a number >= 0"),
+        ("weight_sam = 0\nweight_sff = 0\nweight_be = 0",
+         "config keys 'weight_sam'/'weight_sff'/'weight_be': at least one must be > 0"),
+        ("reflectance_method = flat_field\nflat_field_n_lines = 0\nflat_field_n_samples = 4",
+         "'flat_field_n_samples': must be >= 1 when reflectance_method = flat_field"),
+        ("reflectance_method = flat_field\nflat_field_n_lines = 4\nflat_field_n_samples = 0",
+         "'flat_field_n_samples': must be >= 1 when reflectance_method = flat_field"),
         ("seed = -1", "config key 'seed': must be an integer >= 0"),
         ("seed = 18446744073709551616", "config key 'seed': must be an integer below 2^64"),
         ("seed = 18446744073709551621", "config key 'seed': must be an integer below 2^64"),
