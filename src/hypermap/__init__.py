@@ -26,17 +26,18 @@ _EXPORTS = {name: module for module, names in {
                 "write_spectral_library_file"),
     "mapping": ("ClassMap", "MtmfResult", "class_statistics", "matched_filter", "mtmf",
                 "sam_classify"),
-    "mnf": ("MnfModel", "NoiseEstimate", "estimate_noise_covariance", "fit_mnf",
-            "forward_mnf", "inverse_mnf", "load_mnf_model", "save_mnf_model"),
+    "mnf": ("MnfModel", "NoiseEstimate", "estimate_noise_covariance", "fit_forward_to_file",
+            "fit_mnf", "forward_mnf", "inverse_mnf", "load_mnf_model", "save_mnf_model"),
     "numerics": ("RandomSource", "splitmix64", "symmetric_eig"),
     "ppi": ("PpiImage", "PpiParams", "run_ppi", "select_pure_pixels"),
-    "preprocess": ("Roi", "reflectance_flat_field", "reflectance_iarr", "remove_bad_bands",
-                   "scale_radiance", "standardize", "subset_roi"),
+    "preprocess": ("Roi", "read_band_mask_csv", "read_gains_csv", "reflectance_flat_field",
+                   "reflectance_iarr", "remove_bad_bands", "scale_radiance", "standardize",
+                   "subset_roi", "write_reflectance"),
     "spectral_match": ("AnalystWeights", "MatchScore", "be_score", "binary_encode",
                        "continuum_remove", "prepare_library", "rank_matches",
                        "resample_library", "sam_angle", "sff_score"),
-    "synthcube": ("GroundTruth", "MixingScenario", "generate", "plant_pure_pixels",
-                  "random_abundance_field"),
+    "synthcube": ("GroundTruth", "MixingScenario", "add_noise", "generate",
+                  "plant_pure_pixels", "random_abundance_field"),
 }.items() for name in names}
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import importlib
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -40,24 +39,14 @@ from .envi_io import (
     write_cube_file,
 )
 
-# Names resolve through the package's `_EXPORTS`, plus the names only
-# stages call (`preprocess` and `mnf` stream their cube from file to file).
-# `run_stage` binds the names a stage's code looks up just before it runs,
-# so a stage process imports only what it uses; a name already bound (a
-# test double or a timing wrapper) stays.
-_STAGE_ONLY = {
-    "fit_forward_to_file": "mnf", "write_reflectance": "preprocess",
-    "read_band_mask_csv": "preprocess", "read_gains_csv": "preprocess",
-    "add_noise": "synthcube",
-}
-
-
+# Names resolve through the package's `_EXPORTS`. `run_stage` binds the
+# names a stage's code looks up just before it runs, so a stage process
+# imports only what it uses; a name already bound (a test double or a
+# timing wrapper) stays.
 def __getattr__(name: str):
-    module = _STAGE_ONLY.get(name) or _EXPORTS.get(name)
-    if module is None:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    return globals().setdefault(name, value)
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 EXIT_OK = 0
@@ -270,11 +259,6 @@ def write_default_configs(directory: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # stages
-
-
-def _read_cube(header_path) -> SpectralCube:
-    """`envi_io.read_payload` decoded by this module's `read_cube`."""
-    return read_cube(*read_payload(header_path))
 
 
 def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
@@ -521,7 +505,7 @@ def stage_report(cfg: PipelineConfig) -> None:
     artifacts.write_report(cfg.artifact("report.csv"), top, stats)
     artifacts.write_text(cfg.artifact("plot_endmember_spectra.csv"),
                          artifacts.read_text(cfg.artifact("endmembers.csv")))
-    counts_cube = _read_cube(cfg.artifact("ppi_counts.hdr"))
+    counts_cube = read_cube(*read_payload(cfg.artifact("ppi_counts.hdr")))
     artifacts.write_ppi_histogram(cfg.artifact("plot_ppi_histogram.csv"),
                                   counts_cube.values[:, :, 0].astype(np.int64))
     artifacts.write_eigenvalue_curve(cfg.artifact("plot_eigenvalues.csv"),
@@ -585,7 +569,7 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
         for code in codes:
             codes += [c for c in code.co_consts if hasattr(c, "co_names")]
             for name in set(code.co_names) - globals().keys():
-                if name in _STAGE_ONLY or name in _EXPORTS:
+                if name in _EXPORTS:
                     __getattr__(name)
         s.run(cfg)
 

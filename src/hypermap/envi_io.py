@@ -13,7 +13,7 @@ trip loses nothing. A library's CSV layout is read and written by
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,10 +163,7 @@ class SpectralCube:
         return self.values.reshape(-1, self.bands)
 
     def copy_with(self, **kwargs) -> "SpectralCube":
-        fields = dict(values=self.values, wavelengths=self.wavelengths,
-                      bad_band_mask=self.bad_band_mask, units_tag=self.units_tag)
-        fields.update(kwargs)
-        return SpectralCube(**fields)
+        return replace(self, **kwargs)
 
 
 @dataclass
@@ -301,8 +298,6 @@ def parse_envi_header(text: str) -> EnviHeader:
     if dt_code not in _CODE_TO_DATA_TYPE:
         raise ValueError(f"unsupported ENVI data type code {dt_code}")
     interleave = raw.pop("interleave").strip().lower()
-    if interleave not in INTERLEAVES:
-        raise ValueError(f"unknown interleave {interleave!r}")
 
     byte_order = "little"
     if "byte order" in raw:
@@ -444,27 +439,34 @@ def read_payload(header_path, image_path=None) -> tuple[EnviHeader, np.ndarray]:
         return header, raw[:fp.readinto(raw)]
 
 
-def _line_ranges(lines: int, line: int, block_bytes: int | None = None) -> list[tuple[int, int]]:
-    """(first, stop) of the fewest blocks of at most `block_bytes` (default
-    BLOCK_BYTES) of float64 lines (at least one) over `lines` lines of
-    `line` values, as even as they can be, so that none is much shorter
-    (see `mapping._best_angles`)."""
-    step = max(1, (BLOCK_BYTES if block_bytes is None else block_bytes) // (8 * line))
-    n = -(-lines // step)
-    edges = [-(-lines * i // n) for i in range(n + 1)]
+def _even_ranges(total: int, step: int) -> list[tuple[int, int]]:
+    """(first, stop) of the fewest ranges of at most `step` over `total`,
+    as even as they can be, so that none is much shorter: a short block
+    can take another BLAS kernel, whose sums may differ in their last bits
+    (a one-row product, gemv, from a block's; see `mapping._best_angles`)."""
+    n = -(-total // step)
+    edges = [-(-total * i // n) for i in range(n + 1)]
     return list(zip(edges, edges[1:]))
+
+
+def _line_ranges(lines: int, line: int, block_bytes: int | None = None) -> list[tuple[int, int]]:
+    """`_even_ranges` over `lines` lines of `line` values, in blocks of at
+    most `block_bytes` (default BLOCK_BYTES) of float64 lines, at least one."""
+    block_bytes = BLOCK_BYTES if block_bytes is None else block_bytes
+    return _even_ranges(lines, max(1, block_bytes // (8 * line)))
 
 
 def _read_blocks(image_path, header: EnviHeader, blocks=None):
     """Yield (first line, an ``(n, samples, k)`` float64 block) for each
     (first line, stop line, `range` of k bands) block of an image, by
     default every band of every line in the blocks of `_line_ranges`,
-    unchecked. Each is read in the file's memory order, a BSQ band plane
-    at a time, into one buffer that the next block overwrites (and
-    converted into a second one when the file holds another type), so a
-    single block is an array of its own. A BIL or BIP image has no band
-    planes: its blocks read whole lines, and a block of some bands is a
-    view of those."""
+    unchecked for non-finite values. Each is read in the file's memory
+    order, a BSQ band plane at a time, into one buffer that the next block
+    overwrites (and converted into a second one when the file holds
+    another type), so a single block is an array of its own. A BIL or BIP
+    image has no band planes: its blocks read whole lines, and a block of
+    some bands is a view of those. An image cut short since it was opened
+    is a ValueError, not a block of what the buffer held before."""
     lines, samples, line = header.lines, header.samples, header.samples * header.bands
     if blocks is None:
         blocks = [(l0, l1, range(header.bands)) for l0, l1 in _line_ranges(lines, line)]
@@ -479,7 +481,9 @@ def _read_blocks(image_path, header: EnviHeader, blocks=None):
             firsts = [(b * lines + l0) * samples for b in bands] if bsq else [l0 * line]
             for first, segment in zip(firsts, raw[:n].reshape(len(firsts), -1)):
                 fp.seek(header.header_offset + first * raw.itemsize)
-                fp.readinto(segment)
+                if fp.readinto(segment) != segment.nbytes:
+                    raise ValueError(f"image {str(image_path)!r} ends before the "
+                                     "size its header gives")
             if values is not raw:
                 values[:n] = raw[:n]
             block = _canonical(values[:n], header.interleave, dims)
@@ -499,14 +503,12 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str, byte_order
                  lines: int | None = None) -> tuple[str, np.ndarray, np.dtype]:
     """Header text (for `lines` lines, by default the cube's), the values
     as a view in the file's interleave order (outermost axis first) and
-    the file's dtype. Integer types are range-checked here; rounding is
-    left to the caller."""
+    the file's dtype. The header is built first, so that its checks of
+    the layout come before any value is read; integer types are
+    range-checked here; rounding is left to the caller."""
     interleave = interleave.lower()
-    if interleave not in INTERLEAVES:
-        raise ValueError(f"unknown interleave {interleave!r}")
-    if data_type not in DATA_TYPE_CODES:
-        raise ValueError(f"unsupported data type {data_type!r}")
-
+    header = _header_text(lines or cube.lines, cube.samples, cube.wavelengths,
+                          cube.bad_band_mask, cube.units_tag, interleave, data_type, byte_order)
     values = cube.values
     if data_type in _INT_RANGES:
         lo, hi = _INT_RANGES[data_type]
@@ -517,9 +519,6 @@ def _encode_cube(cube: SpectralCube, interleave: str, data_type: str, byte_order
 
     dtype = np.dtype(data_type).newbyteorder("<" if byte_order == "little" else ">")
     arranged = values.transpose(_FILE_AXES[interleave])
-
-    header = _header_text(lines or cube.lines, cube.samples, cube.wavelengths,
-                          cube.bad_band_mask, cube.units_tag, interleave, data_type, byte_order)
     return header, arranged, dtype
 
 

@@ -60,8 +60,8 @@ class MnfModel:
     eigenvalues: np.ndarray
     forward: np.ndarray
     inverse: np.ndarray
-    source_units_tag: str = "reflectance"
-    source_wavelengths: np.ndarray | None = None
+    source_units_tag: str
+    source_wavelengths: np.ndarray
 
     @property
     def bands(self) -> int:
@@ -233,10 +233,7 @@ def inverse_mnf(model: MnfModel, mnf_cube: SpectralCube, keep_k: int) -> Spectra
     components[:, keep_k:] = 0.0
     flat = components @ model.inverse.T + model.band_mean
     values = flat.reshape(mnf_cube.lines, mnf_cube.samples, model.bands)
-    wavelengths = model.source_wavelengths
-    if wavelengths is None:
-        wavelengths = np.arange(1, model.bands + 1, dtype=np.float64)
-    return SpectralCube(values=values, wavelengths=wavelengths,
+    return SpectralCube(values=values, wavelengths=model.source_wavelengths,
                         bad_band_mask=np.ones(model.bands, dtype=bool),
                         units_tag=model.source_units_tag)
 
@@ -259,8 +256,7 @@ def save_mnf_model(model: MnfModel, directory) -> None:
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
     for name, attr in _BUNDLE:
-        if getattr(model, attr) is not None:
-            artifacts.write_matrix(os.path.join(directory, name), getattr(model, attr))
+        artifacts.write_matrix(os.path.join(directory, name), getattr(model, attr))
     artifacts.write_table(os.path.join(directory, "meta.csv"), _META_HEADER,
                           [["source_units_tag", model.source_units_tag]])
 
@@ -270,12 +266,7 @@ def load_mnf_model(directory) -> MnfModel:
     directory = str(directory)
     fields = {}
     for name, attr in _BUNDLE:
-        path = os.path.join(directory, name)
-        if attr != "source_wavelengths" or os.path.exists(path):
-            m = artifacts.read_matrix(path)
-            fields[attr] = m.ravel() if attr in _VECTORS else m
-    meta_path = os.path.join(directory, "meta.csv")
-    if os.path.exists(meta_path):
-        meta = dict(artifacts.read_table(meta_path, _META_HEADER)[1:])
-        fields["source_units_tag"] = meta.get("source_units_tag", "reflectance")
-    return MnfModel(**fields)
+        m = artifacts.read_matrix(os.path.join(directory, name))
+        fields[attr] = m.ravel() if attr in _VECTORS else m
+    meta = dict(artifacts.read_table(os.path.join(directory, "meta.csv"), _META_HEADER)[1:])
+    return MnfModel(**fields, source_units_tag=meta["source_units_tag"])

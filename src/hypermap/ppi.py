@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube_blocks import CubeFile, first_planes
-from .envi_io import SpectralCube
+from .envi_io import SpectralCube, _even_ranges
 from .numerics import spawned_gaussians
 
 # Skewers per chunk, the unit of one matrix product, of a worker's work
@@ -105,11 +105,7 @@ def run_ppi(mnf_cube: SpectralCube | CubeFile, params: PpiParams | None = None,
     n_pixels = planes.shape[1]
     n_iter = params.n_iterations
     chunk = min(_CHUNK, max(_MIN_CHUNK, _CHUNK_BYTES // (8 * n_pixels)))
-    # Chunks as even in size as they can be, so that none is much shorter:
-    # a one-skewer product (gemv) may differ from a block's in its last bits.
-    parts = -(-n_iter // chunk)
-    edges = [-(-n_iter * i // parts) for i in range(parts + 1)]
-    chunks = list(zip(edges, edges[1:]))
+    chunks = _even_ranges(n_iter, chunk)
 
     def process(bounds):
         start, stop = bounds

@@ -403,6 +403,98 @@ class TestLibraryInputs:
         assert f"spectral library {str(tmp_path / 'library.csv')!r} has no wavelength rows" in err
 
 
+class TestExitMessages:
+    """Exits no other test reaches, each with its code and whole message."""
+
+    def expect(self, capsys, args, code, message):
+        capsys.readouterr()
+        assert run(args) == code
+        assert capsys.readouterr().err == message + "\n"
+
+    @staticmethod
+    def append(cfg, line):
+        with open(cfg, "a", encoding="utf-8") as fp:
+            fp.write(line + "\n")
+
+    @pytest.mark.parametrize("stage, missing", [("info", "scene.hdr"),
+                                                ("preprocess", "scene.hdr"),
+                                                ("preprocess", "scene.img")])
+    def test_missing_input_file(self, tmp_path, capsys, stage, missing):
+        cfg = write_radiance_scene(tmp_path, [1] * 5, [1.0] * 5)
+        os.remove(tmp_path / missing)
+        self.expect(capsys, [stage, "--config", cfg], cli.EXIT_CONFIG,
+                    f"config error: input file {str(tmp_path / missing)!r} does not exist")
+
+    @pytest.mark.parametrize("stage, key, noun", [("match", "library_csv", "library"),
+                                                  ("synth", "synth_library_csv", "synth library")])
+    def test_missing_library(self, scenario_dir, capsys, stage, key, noun):
+        cfg = scenario_dir / "pipeline.cfg"
+        self.append(cfg, f"{key} = none.csv")
+        (scenario_dir / "out").mkdir()
+        for name in cli._STAGES["endmembers"].artifacts:  # what `match` needs to start
+            (scenario_dir / "out" / name).write_text("")
+        self.expect(capsys, [stage, "--config", str(cfg)], cli.EXIT_CONFIG,
+                    f"config error: {noun} file {str(scenario_dir / 'none.csv')!r} does not exist")
+
+    def test_one_roi_extent_zero(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [1] * 5, [1.0] * 5)
+        self.append(cfg, "roi_n_lines = 3")
+        self.expect(capsys, ["preprocess", "--config", cfg], cli.EXIT_CONFIG,
+                    "config error: config keys 'roi_n_lines'/'roi_n_samples': "
+                    "set both >= 1 or both 0")
+
+    @pytest.mark.parametrize("line, message", [
+        ("synth_block_size = 5",
+         "config key 'synth_block_size': must divide synth_lines and synth_samples"),
+        ("synth_pure_per_endmember = 5000",
+         "config key 'synth_pure_per_endmember': too many pure pixels for the scene extent"),
+    ])
+    def test_synth_layout_checked(self, scenario_dir, capsys, line, message):
+        cfg = scenario_dir / "pipeline.cfg"
+        self.append(cfg, line)
+        self.expect(capsys, ["synth", "--config", str(cfg)], cli.EXIT_CONFIG,
+                    "config error: " + message)
+        assert not (scenario_dir / "scene.img").exists()
+
+    def test_keep_k_above_reflectance_bands(self, tmp_path, capsys):
+        cfg = write_radiance_scene(tmp_path, [1] * 5, [1.0] * 5)
+        assert run(["preprocess", "--config", cfg]) == 0
+        self.append(cfg, "mnf_keep_k = 6")
+        self.expect(capsys, ["mnf", "--config", cfg], cli.EXIT_CONFIG,
+                    "config error: config key 'mnf_keep_k': must be in 1..5 for this cube")
+
+    def test_unknown_stage(self):
+        with pytest.raises(cli.ConfigError, match=r"^unknown stage 'nope'$"):
+            cli.run_stage("nope", cli.PipelineConfig())
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 3\nno equals sign\n", "config line 2: expected 'key = value'"),
+        ("ppi_trace = maybe\n", "config key 'ppi_trace': cannot parse 'maybe' as bool"),
+    ])
+    def test_bad_config_line(self, tmp_path, capsys, text, message):
+        (tmp_path / "bad.cfg").write_text(text)
+        self.expect(capsys, ["info", "--config", str(tmp_path / "bad.cfg")], cli.EXIT_CONFIG,
+                    "config error: " + message)
+
+    def test_header_only_pure_pixels(self, scenario_dir, capsys):
+        cfg = str(scenario_dir / "pipeline.cfg")
+        for stage in ("synth", "preprocess", "mnf", "ppi"):
+            assert run([stage, "--config", cfg]) == 0
+        (scenario_dir / "out" / "pure_pixels.csv").write_text("line,sample,count\n")
+        self.expect(capsys, ["endmembers", "--config", cfg], cli.EXIT_DATA,
+                    "data error: no pure pixels were selected; lower ppi_min_count")
+
+    def test_mtmf_after_mnf_keeps_fewer_components(self, scenario_dir, capsys):
+        cfg_path = scenario_dir / "pipeline.cfg"
+        cfg = str(cfg_path)
+        for stage in ("synth", "preprocess", "mnf", "ppi", "endmembers"):
+            assert run([stage, "--config", cfg]) == 0
+        cfg_path.write_text(cfg_path.read_text().replace("mnf_keep_k = 8", "mnf_keep_k = 4"))
+        assert run(["mnf", "--config", cfg]) == 0
+        self.expect(capsys, ["mtmf", "--config", cfg], cli.EXIT_DATA,
+                    "data error: endmember MNF means have more components than the cube")
+
+
 class TestSynthBytes:
     """`synth`'s outputs on a config that takes every path (patches of one
     pixel or of 2 x 2, relative noise over more than one block of draws, a
@@ -556,8 +648,8 @@ class TestFreshProcesses:
     def test_cli_resolves_the_package_names_and_the_stage_only_names(self, monkeypatch):
         import hypermap
 
-        for name in [*hypermap.__all__, *cli._STAGE_ONLY]:
-            module = cli._STAGE_ONLY.get(name) or hypermap._EXPORTS[name]
+        for name in hypermap.__all__:
+            module = hypermap._EXPORTS[name]
             # Unbound first, so the module `__getattr__` resolves it.
             monkeypatch.delitem(vars(cli), name, raising=False)
             assert getattr(cli, name) is getattr(
@@ -621,7 +713,7 @@ class TestBandPrefixRead:
         # `ppi` takes its first components from a `CubeFile`; `report`
         # reads the whole cube.
         hdr = write_test_cube(tmp_path, interleave)
-        full = cli._read_cube(hdr)
+        full = envi_io.read_cube(*envi_io.read_payload(hdr))
         cube = CubeFile(hdr)
         assert cube.wavelengths.tobytes() == full.wavelengths.tobytes()
         assert cube.bad_band_mask.tolist() == full.bad_band_mask.tolist()
@@ -721,7 +813,7 @@ class TestPreprocessInputs:
         mask, gains = [1, 0, 1, 1, 0], [40.0, 3.0, 80.0, 7.0, 0.5]
         cfg = write_radiance_scene(tmp_path, mask, gains)
         assert run(["preprocess", "--config", cfg]) == 0
-        cube = cli._read_cube(str(tmp_path / "scene.hdr"))
+        cube = envi_io.read_cube(*envi_io.read_payload(str(tmp_path / "scene.hdr")))
         expected = preprocess.reflectance_iarr(preprocess.remove_bad_bands(
             preprocess.scale_radiance(cube, gains), np.array(mask, dtype=bool)))
         _, payload = write_cube(expected)
@@ -792,7 +884,7 @@ class TestMnfStage:
         cfg.write_text("output_dir = out\nmnf_keep_k = 3\n")
         assert run(["mnf", "--config", str(cfg)]) == 0
 
-        cube = cli._read_cube(str(tmp_path / "out" / "reflectance.hdr"))
+        cube = envi_io.read_cube(*envi_io.read_payload(tmp_path / "out" / "reflectance.hdr"))
         model = mnf.fit_mnf(cube, mnf.estimate_noise_covariance(cube))
         _, payload = write_cube(mnf.forward_mnf(model, cube))
         assert (tmp_path / "out" / "mnf_cube.img").read_bytes() == payload[:3 * 12 * 10 * 8]
@@ -826,7 +918,8 @@ class TestStageMemory:
 
     def test_read_holds_one_payload(self, tmp_path):
         payload = self.write_cube_file(tmp_path / "cube.hdr", "reflectance")
-        assert traced_peak(cli._read_cube, str(tmp_path / "cube.hdr")) <= 1.05 * payload
+        assert traced_peak(lambda path: envi_io.read_cube(*envi_io.read_payload(path)),
+                           str(tmp_path / "cube.hdr")) <= 1.05 * payload
 
     def write_preprocess_inputs(self, tmp_path, shape, interleave="bsq", mask=True):
         """A radiance scene of `shape` (320 bands), a mask that keeps 4 bands

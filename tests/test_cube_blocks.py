@@ -2,6 +2,8 @@
 `read_cube` for every interleave, data type, byte order and header
 offset, the finite check as blocks pass, and the band-block sizes."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,19 @@ class TestCubeFile:
         img.unlink()
         with pytest.raises(FileNotFoundError):
             CubeFile(path)
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    @pytest.mark.parametrize("read", [lambda cube: cube_blocks.first_planes(cube, 4),
+                                      lambda cube: list(line_blocks(cube))],
+                             ids=["first_planes", "line_blocks"])
+    def test_image_cut_after_open_is_a_data_error(self, tmp_path, interleave, read):
+        # Opening checked the size; a read that comes back short must not
+        # hand on what the buffer held before.
+        values = np.arange(6 * 5 * 4, dtype=np.float64).reshape(6, 5, 4)
+        cube = CubeFile(write_offset_cube(tmp_path, values, np.ones(4, bool), interleave))
+        os.truncate(tmp_path / "cube.img", 2 * 6 * 5 * 8)
+        with pytest.raises(ValueError, match="cube.img' ends before the size its header gives"):
+            read(cube)
 
     @pytest.mark.parametrize("bands", range(1, 12))
     @pytest.mark.parametrize("planes", [1, 2, 3, 5])

@@ -1,12 +1,15 @@
 """Endmember tests: k-means against an exhaustive 2-partition oracle and
 class-mean derivation on planted scenes."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
 from hypermap import cube_blocks
 from hypermap.cube_blocks import CubeFile
-from hypermap.endmember import derive_endmembers, kmeans
+from hypermap.endmember import _distinct_rows, derive_endmembers, kmeans
 from hypermap.envi_io import SpectralCube, write_cube_file
 from hypermap.spectral_match import sam_angle
 
@@ -47,6 +50,65 @@ def make_cube(values, units="reflectance"):
     bands = values.shape[2]
     return SpectralCube(values=values, wavelengths=np.arange(1.0, bands + 1),
                         bad_band_mask=np.ones(bands, dtype=bool), units_tag=units)
+
+
+# 31 points about 4 centres, drawn from RandomSource(256): n = 8 + int(u * 60),
+# k = max(2, min(n // 2, 3 + int(u * 12))) = 14, centres gaussians(8) * 4,
+# labels (uniforms(n) * 4).astype(int), spread gaussians(2n) * (0.2 + u).
+# With kmeans(seed=256) one class is empty after an assignment.
+RESEED_POINTS = [
+    [-8.024837159804756, 4.6412187815265655],
+    [-2.6728835153878485, -4.070086193423665],
+    [0.1605990819560717, -2.979481968086981],
+    [-0.16283439598104482, -3.215093243806047],
+    [-8.095967968655724, 5.233051188933526],
+    [-4.143112286802762, -3.5702884440063336],
+    [-8.65540156282365, 5.284818293057213],
+    [0.5759903301960203, -3.169193159328842],
+    [-7.7400762797088944, 4.564185770250423],
+    [-7.592991369859354, 4.811093843258684],
+    [-3.517881942275512, -3.6109797837913384],
+    [-8.595718232085291, 4.559875453334373],
+    [-0.16185973842079798, -3.2223107712031607],
+    [-3.8246017309342384, -4.1370855973288805],
+    [-8.178337765132536, 5.123375469599261],
+    [-4.34336718527573, -4.2517715103958755],
+    [-2.7208601582687675, -3.865282651925589],
+    [-4.40264980791379, -4.035962420648913],
+    [-7.702473656336699, 4.930165546759483],
+    [-4.058112402851723, -4.212140658314904],
+    [0.2276501204195019, -3.2133889085266447],
+    [-2.6396889421031347, -4.243011801554488],
+    [0.6554481638472545, -2.767056190797115],
+    [-4.37125487648233, -4.130442333183543],
+    [-0.0651517169681736, -3.3765759369226624],
+    [-3.730744841169256, -4.358765509629472],
+    [-7.706438974338625, 4.922620155447016],
+    [-3.025411014556302, -5.178548713116815],
+    [-0.26256218532713554, -3.5800999978042114],
+    [-2.911259413271817, -4.228649060379679],
+    [-3.3034016051167954, -5.163250223298238],
+]
+
+
+def lines_run(fn, *args, **kwargs):
+    """The line numbers of `fn`'s own code that run during `fn(*args)`."""
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return ran
 
 
 class TestKmeans:
@@ -104,6 +166,28 @@ class TestKmeans:
         points = rng.normal(size=(40, 3))
         assignments, _, _ = kmeans(points, 7, seed=2)
         assert set(assignments.tolist()) == set(range(7))
+
+    def test_empty_class_is_reseeded(self):
+        points = np.array(RESEED_POINTS)
+        source, first = inspect.getsourcelines(kmeans)
+        reseed = first + next(i for i, line in enumerate(source)
+                              if "centroids[empty[0]] = points[far]" in line)
+        assert reseed in lines_run(kmeans, points, 14, seed=256)
+        # Returning at all means the SSE never rose between iterations.
+        assignments, centroids, sse = kmeans(points, 14, seed=256)
+        assert set(assignments.tolist()) == set(range(14))
+        again = kmeans(points, 14, seed=256)
+        assert again[0].tobytes() == assignments.tobytes()
+        assert again[1].tobytes() == centroids.tobytes()
+        assert again[2] == sse
+
+    def test_zero_width_points_are_one_distinct_row(self):
+        points = np.empty((3, 0))
+        assert _distinct_rows(points) == np.unique(points, axis=0).shape[0] == 1
+        assignments, centroids, sse = kmeans(points, 1)
+        assert assignments.tolist() == [0, 0, 0] and centroids.shape == (1, 0) and sse == 0.0
+        with pytest.raises(ValueError, match=r"^k=2 exceeds the 1 distinct points$"):
+            kmeans(points, 2)
 
 
 class TestDeriveEndmembers:

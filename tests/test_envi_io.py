@@ -110,6 +110,50 @@ class TestHeaderParsing:
         with pytest.raises(ValueError, match="bbl"):
             parse_envi_header(MINIMAL + "\nbbl = { 1, 2, 1 }")
 
+    def test_comment_blank_and_bare_lines_skipped(self):
+        text = MINIMAL.replace("bands = 3", "; comment = 5\n\n  bare line\nbands = 3")
+        assert parse_envi_header(text) == parse_envi_header(MINIMAL)
+
+    def test_empty_list_entries_skipped(self):
+        h = parse_envi_header(MINIMAL + "\nwavelength = { 500.0, , 600.0, 700.0, }")
+        assert h.wavelengths == [500.0, 600.0, 700.0]
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL + "\nwavelength = { 500.0,\n 600.0",
+         "unterminated '{' list for header key 'wavelength'"),
+        (MINIMAL + "\nwavelength = { 500.0, six, 700.0 }",
+         "header key 'wavelength': unparseable number 'six'"),
+        (MINIMAL.replace("data type = 4", "data type = 6"), "unsupported ENVI data type code 6"),
+        (MINIMAL.replace("interleave = bsq", "interleave = xyz"), "unknown interleave 'xyz'"),
+        (MINIMAL.replace("byte order = 0", "byte order = 2"), "byte order must be 0 or 1, got 2"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_envi_header(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("change, message", [
+        ({"samples": 0}, "samples, lines and bands must all be positive"),
+        ({"interleave": "xyz"}, "unknown interleave 'xyz'"),
+        ({"data_type": "complex64"}, "unsupported data type 'complex64'"),
+        ({"byte_order": "middle"}, "byte order must be 'little' or 'big', got 'middle'"),
+        ({"header_offset": -1}, "header offset must be non-negative"),
+        ({"fwhm": [10.0, 10.0]}, "fwhm list has 2 entries, expected 3"),
+        ({"bad_band_multiplier": [1, 2, 1]}, "bbl entries must be 0 or 1"),
+    ])
+    def test_header_fields_checked(self, change, message):
+        fields = dict(samples=2, lines=1, bands=3, interleave="bsq", data_type="float32")
+        with pytest.raises(ValueError) as err:
+            EnviHeader(**{**fields, **change})
+        assert str(err.value) == message
+
+    def test_unknown_units_tag_reads_as_radiance(self):
+        text, raw = write_cube(make_cube(np.ones((1, 2, 3)), units="reflectance"))
+        header = parse_envi_header(text.replace("data units = reflectance",
+                                                "data units = furlongs"))
+        assert header.extra["data units"] == "furlongs"
+        assert read_cube(header, raw).units_tag == "radiance"
+
 
 class TestReadCube:
     def test_single_pixel_bsq(self):
@@ -226,6 +270,17 @@ class TestWriteCube:
         with pytest.raises(ValueError, match="uint16"):
             write_cube(cube, "bsq", "uint16")
 
+    @pytest.mark.parametrize("layout, message", [
+        ({"interleave": "xyz"}, "unknown interleave 'xyz'"),
+        ({"interleave": "XYZ"}, "unknown interleave 'xyz'"),
+        ({"data_type": "complex64"}, "unsupported data type 'complex64'"),
+        ({"byte_order": "middle"}, "byte order must be 'little' or 'big', got 'middle'"),
+    ])
+    def test_unknown_layout_rejected(self, layout, message):
+        with pytest.raises(ValueError) as err:
+            write_cube(make_cube(np.ones((1, 2, 3))), **layout)
+        assert str(err.value) == message
+
     def test_all_interleave_pairs_round_trip(self):
         rng = np.random.default_rng(12)
         values = rng.normal(size=(3, 4, 5))
@@ -320,6 +375,16 @@ class TestWriteCubeFile:
         assert (tmp_path / "cube.img").read_bytes() == payload
         with pytest.raises(ValueError, match="share samples and bands"):
             write_cube_file(top, tmp_path / "x.hdr", below=make_cube(np.ones((2, 4, 4))))
+
+    @pytest.mark.parametrize("layout, message", [
+        ({"interleave": "xyz"}, "unknown interleave 'xyz'"),
+        ({"data_type": "complex64"}, "unsupported data type 'complex64'"),
+    ])
+    def test_unknown_layout_writes_nothing(self, tmp_path, layout, message):
+        with pytest.raises(ValueError) as err:
+            write_cube_file(make_cube(np.ones((1, 2, 3))), tmp_path / "cube.hdr", **layout)
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
 
     def test_creates_missing_directories(self, tmp_path):
         header_path = tmp_path / "new" / "sub" / "cube.hdr"

@@ -371,3 +371,11 @@ class TestPersistence:
         assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
         assert loaded.source_units_tag == model.source_units_tag
         assert np.array_equal(loaded.source_wavelengths, model.source_wavelengths)
+
+    @pytest.mark.parametrize("name", ["wavelengths.csv", "meta.csv"])
+    def test_every_bundle_file_is_required(self, tmp_path, name):
+        cube = noise_cube(61, 10, 10, 5)
+        save_mnf_model(fit_mnf(cube, estimate_noise_covariance(cube)), tmp_path / "model")
+        (tmp_path / "model" / name).unlink()
+        with pytest.raises(FileNotFoundError, match=name):
+            load_mnf_model(tmp_path / "model")
