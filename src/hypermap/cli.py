@@ -1,8 +1,9 @@
 """Staged pipeline driver.
 
-Each stage reads the artifacts of the stages before it from the output
-directory and persists its own under fixed names, so every intermediate
-is inspectable and a run can resume anywhere. Invocation:
+Each stage declares in `_STAGES` the files it reads from the output
+directory, which must exist, and those it writes there, which it first
+removes, so every intermediate is inspectable and a run can resume
+anywhere. Invocation:
 
     hypermap <stage> --config <path> [--seed N] [--out DIR]
 
@@ -15,6 +16,7 @@ plus the stock Hyperion band-mask and gain tables. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import glob
 import os
 import sys
@@ -268,21 +270,15 @@ def _single_band_cube(grid: np.ndarray, units: str = "score") -> SpectralCube:
                         units_tag=units)
 
 
-def _remove_previous(cfg: PipelineConfig, pattern: str) -> None:
-    """Delete a stage's outputs from an earlier run that this run does
-    not write: per-class files of more classes, or a trace turned off."""
-    for path in glob.glob(os.path.join(glob.escape(cfg.out), pattern)):
-        os.remove(path)
-
-
-def _match_summary(cfg: PipelineConfig, k: int) -> dict[int, tuple[str, float]]:
-    """match_summary.csv, checked to cover exactly the k current classes."""
-    top = artifacts.read_match_summary(cfg.artifact("match_summary.csv"))
-    if sorted(top) != list(range(1, k + 1)):
+def _read_classes(read, path: str, first: int, k: int, producer: str) -> dict:
+    """`read(path)`, a table by class id, checked to list exactly classes
+    first..k, where k is the class count of endmembers.csv."""
+    table = read(path)
+    if sorted(table) != list(range(first, k + 1)):
         raise DependencyError(
-            f"match_summary.csv does not list classes 1..{k} of endmembers.csv; "
-            "re-run 'hypermap match'")
-    return top
+            f"{os.path.basename(path)} does not list classes {first}..{k} of endmembers.csv; "
+            f"re-run 'hypermap {producer}'")
+    return table
 
 
 def stage_info(cfg: PipelineConfig) -> None:
@@ -301,7 +297,7 @@ def stage_info(cfg: PipelineConfig) -> None:
         print(f"extra keys: {', '.join(sorted(header.extra))}")
 
 
-def stage_preprocess(cfg: PipelineConfig) -> None:
+def stage_preprocess(cfg: PipelineConfig, reflectance: str) -> None:
     header_path = cfg.resolve(cfg.input_header)
     image_path = cfg.resolve(cfg.input_image)
     for path in (header_path, image_path):
@@ -329,18 +325,17 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
         field = Roi(cfg.flat_field_first_line, cfg.flat_field_first_sample,
                     cfg.flat_field_n_lines, cfg.flat_field_n_samples)
 
-    samples, lines, bands = write_reflectance(scene, cfg.artifact("reflectance.hdr"),
-                                              keep, gains, roi, field)
+    samples, lines, bands = write_reflectance(scene, reflectance, keep, gains, roi, field)
     print(f"preprocess: wrote reflectance cube {samples} x {lines} x {bands}")
 
 
-def stage_mnf(cfg: PipelineConfig) -> None:
-    cube = CubeFile(cfg.artifact("reflectance.hdr"))  # read a block of lines at a time
+def stage_mnf(cfg: PipelineConfig, reflectance: str, mnf_cube: str, mnf_model: str) -> None:
+    cube = CubeFile(reflectance)  # read a block of lines at a time
     if not 1 <= cfg.mnf_keep_k <= cube.bands:
         raise ConfigError(
             f"config key 'mnf_keep_k': must be in 1..{cube.bands} for this cube")
-    model = fit_forward_to_file(cube, cfg.artifact("mnf_cube.hdr"), keep_k=cfg.mnf_keep_k)
-    save_mnf_model(model, cfg.artifact("mnf_model"))
+    model = fit_forward_to_file(cube, mnf_cube, keep_k=cfg.mnf_keep_k)
+    save_mnf_model(model, os.path.dirname(mnf_model))
     print(f"mnf: eigenvalue range [{model.eigenvalues[-1]:.4g}, "
           f"{model.eigenvalues[0]:.4g}], keep_k = {cfg.mnf_keep_k}")
 
@@ -354,93 +349,90 @@ def _check_keep_k(cfg: PipelineConfig, mnf_cube) -> None:
             "re-run mnf to keep more components")
 
 
-def stage_ppi(cfg: PipelineConfig) -> None:
-    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))  # run_ppi reads the kept components
-    _check_keep_k(cfg, mnf_cube)
+def stage_ppi(cfg: PipelineConfig, mnf_cube: str, ppi_counts: str, pure_pixels: str,
+              ppi_trace: str) -> None:
+    cube = CubeFile(mnf_cube)  # run_ppi reads the kept components
+    _check_keep_k(cfg, cube)
     params = PpiParams(n_iterations=cfg.ppi_iterations,
                        threshold=cfg.ppi_threshold, seed=cfg.seed)
-    image = run_ppi(mnf_cube, params, use_k_components=cfg.mnf_keep_k,
+    image = run_ppi(cube, params, use_k_components=cfg.mnf_keep_k,
                     n_workers=cfg.ppi_workers, trace=cfg.ppi_trace)
     pixels = select_pure_pixels(image, min_count=cfg.ppi_min_count,
                                 max_pixels=cfg.ppi_max_pixels)
-    write_cube_file(_single_band_cube(image.counts), cfg.artifact("ppi_counts.hdr"),
-                    data_type="int32")
-    artifacts.write_pure_pixels(cfg.artifact("pure_pixels.csv"), image, pixels)
+    write_cube_file(_single_band_cube(image.counts), ppi_counts, data_type="int32")
+    artifacts.write_pure_pixels(pure_pixels, image, pixels)
     if cfg.ppi_trace:
-        artifacts.write_ppi_trace(cfg.artifact("ppi_trace.csv"), image.trace)
-    else:
-        _remove_previous(cfg, "ppi_trace.csv")
+        artifacts.write_ppi_trace(ppi_trace, image.trace)
     nonzero = int(np.count_nonzero(image.counts))
     print(f"ppi: {nonzero} pixels counted at least once; "
           f"{len(pixels)} selected as pure candidates")
 
 
-def stage_endmembers(cfg: PipelineConfig) -> None:
+def stage_endmembers(cfg: PipelineConfig, reflectance: str, mnf_cube: str, pure_pixels: str,
+                     endmembers: str, manifest: str, mnf_means: str) -> None:
     # Both cubes are read a block of bands at a time by derive_endmembers.
-    corrected = CubeFile(cfg.artifact("reflectance.hdr"))
-    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))
-    _check_keep_k(cfg, mnf_cube)
-    pixels = artifacts.read_pure_pixels(cfg.artifact("pure_pixels.csv"))
+    corrected, components = CubeFile(reflectance), CubeFile(mnf_cube)
+    _check_keep_k(cfg, components)
+    pixels = artifacts.read_pure_pixels(pure_pixels)
     if not pixels:
         raise ValueError("no pure pixels were selected; lower ppi_min_count")
-    es = derive_endmembers(corrected, mnf_cube, pixels, k=cfg.endmember_k,
+    es = derive_endmembers(corrected, components, pixels, k=cfg.endmember_k,
                            seed=cfg.seed, use_k_components=cfg.mnf_keep_k)
-    artifacts.write_endmembers(cfg.artifact("endmembers.csv"), es)
-    artifacts.write_manifest(cfg.artifact("endmember_manifest.csv"), es)
-    artifacts.write_mnf_means(cfg.artifact("endmember_mnf_means.csv"), es)
+    artifacts.write_endmembers(endmembers, es)
+    artifacts.write_manifest(manifest, es)
+    artifacts.write_mnf_means(mnf_means, es)
     print(f"endmembers: derived {es.k} classes from {len(pixels)} pure pixels")
 
 
-def stage_match(cfg: PipelineConfig) -> None:
+def stage_match(cfg: PipelineConfig, endmembers: str, rankings: str, summary: str) -> None:
     library_path = cfg.resolve(cfg.library_csv)
     if not os.path.exists(library_path):
         raise ConfigError(f"library file {library_path!r} does not exist")
     lib = read_spectral_library_file(library_path)
-    _, wavelengths, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
+    _, wavelengths, spectra = artifacts.read_endmembers(endmembers)
     resampled = resample_library(lib, wavelengths)
     del lib  # the table as read is not needed once resampled
     library = prepare_library(resampled)
     weights = AnalystWeights(cfg.weight_sam, cfg.weight_sff, cfg.weight_be)
 
-    _remove_previous(cfg, "match_class_*.csv")
+    head, tail = rankings.rsplit("*", 1)
     tops = []
     for class_id, unknown in enumerate(spectra, start=1):
         scores = rank_matches(unknown, library, weights)
-        artifacts.write_rankings(cfg.artifact(f"match_class_{class_id}.csv"), scores)
+        artifacts.write_rankings(f"{head}{class_id}{tail}", scores)
         tops.append(scores[0])
-    artifacts.write_match_summary(cfg.artifact("match_summary.csv"), tops)
+    artifacts.write_match_summary(summary, tops)
     print(f"match: ranked {len(library.entries)} library entries "
           f"against {len(spectra)} classes")
 
 
-def stage_classify(cfg: PipelineConfig) -> None:
-    corrected = CubeFile(cfg.artifact("reflectance.hdr"))  # read by sam_classify
-    _, _, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
-    top = _match_summary(cfg, spectra.shape[0])
+def stage_classify(cfg: PipelineConfig, reflectance: str, endmembers: str, summary: str,
+                   class_map: str, statistics: str, legend: str) -> None:
+    corrected = CubeFile(reflectance)  # read by sam_classify
+    _, _, spectra = artifacts.read_endmembers(endmembers)
+    top = _read_classes(artifacts.read_match_summary, summary, 1, spectra.shape[0], "match")
     cmap = sam_classify(corrected, spectra, max_angle=cfg.sam_max_angle)
     write_cube_file(_single_band_cube(cmap.class_index.astype(np.float64)),
-                    cfg.artifact("sam_class_map.hdr"), data_type="int32")
-    artifacts.write_class_statistics(cfg.artifact("class_statistics.csv"), cmap)
-    artifacts.write_class_legend(cfg.artifact("class_legend.csv"), top)
+                    class_map, data_type="int32")
+    artifacts.write_class_statistics(statistics, cmap)
+    artifacts.write_class_legend(legend, top)
     classified = int(np.count_nonzero(cmap.class_index))
     print(f"classify: {classified}/{cmap.class_index.size} pixels classified "
           f"at max angle {cfg.sam_max_angle}")
 
 
-def stage_mtmf(cfg: PipelineConfig) -> None:
-    mnf_means = artifacts.read_mnf_means(cfg.artifact("endmember_mnf_means.csv"))
-    mnf_cube = CubeFile(cfg.artifact("mnf_cube.hdr"))  # mtmf reads the components it uses
-    if mnf_means.shape[1] > mnf_cube.bands:
+def stage_mtmf(cfg: PipelineConfig, mnf_cube: str, mnf_means: str, images: str) -> None:
+    means = artifacts.read_mnf_means(mnf_means)
+    cube = CubeFile(mnf_cube)  # mtmf reads the components it uses
+    if means.shape[1] > cube.bands:
         raise ValueError("endmember MNF means have more components than the cube")
-    _remove_previous(cfg, "mtmf_class_*.hdr")
-    _remove_previous(cfg, "mtmf_class_*.img")
+    head, tail = images.rsplit("*", 1)
     # Each class's MF and infeasibility images are written a block at a time.
-    mtmf(mnf_cube, mnf_means, [cfg.artifact(f"mtmf_class_{class_id}.hdr")
-                               for class_id in range(1, mnf_means.shape[0] + 1)])
-    print(f"mtmf: wrote MF/infeasibility images for {mnf_means.shape[0]} classes")
+    mtmf(cube, means, [f"{head}{class_id}{tail}" for class_id in range(1, means.shape[0] + 1)])
+    print(f"mtmf: wrote MF/infeasibility images for {means.shape[0]} classes")
 
 
-def stage_synth(cfg: PipelineConfig) -> None:
+def stage_synth(cfg: PipelineConfig, abundances: str, pure_pixels: str) -> None:
     library_path = cfg.resolve(cfg.synth_library_csv or cfg.library_csv)
     if not os.path.exists(library_path):
         raise ConfigError(f"synth library file {library_path!r} does not exist")
@@ -491,72 +483,71 @@ def stage_synth(cfg: PipelineConfig) -> None:
     write_cube_file(cube, cfg.resolve(cfg.input_header), cfg.resolve(cfg.input_image),
                     interleave="bil", data_type="float64", below=strip)
 
-    artifacts.write_truth_abundances(cfg.artifact("truth_abundances.csv"), truth.abundances)
-    artifacts.write_truth_pure_pixels(cfg.artifact("truth_pure_pixels.csv"),
-                                      truth.pure_pixels, [e.name for e in lib.entries])
+    artifacts.write_truth_abundances(abundances, truth.abundances)
+    artifacts.write_truth_pure_pixels(pure_pixels, truth.pure_pixels,
+                                      [e.name for e in lib.entries])
     print(f"synth: wrote {cube.samples} x {lines + cfg.synth_panel_lines} x {cube.bands} scene "
           f"with {len(plan)} pure pixels (sigma = {sigma:.6g})")
 
 
-def stage_report(cfg: PipelineConfig) -> None:
-    _, _, spectra = artifacts.read_endmembers(cfg.artifact("endmembers.csv"))
-    top = _match_summary(cfg, spectra.shape[0])
-    stats = artifacts.read_class_statistics(cfg.artifact("class_statistics.csv"))
-    artifacts.write_report(cfg.artifact("report.csv"), top, stats)
-    artifacts.write_text(cfg.artifact("plot_endmember_spectra.csv"),
-                         artifacts.read_text(cfg.artifact("endmembers.csv")))
-    counts_cube = read_cube(*read_payload(cfg.artifact("ppi_counts.hdr")))
-    artifacts.write_ppi_histogram(cfg.artifact("plot_ppi_histogram.csv"),
-                                  counts_cube.values[:, :, 0].astype(np.int64))
-    artifacts.write_eigenvalue_curve(cfg.artifact("plot_eigenvalues.csv"),
-                                     os.path.join(cfg.artifact("mnf_model"), "eigenvalues.csv"))
+def stage_report(cfg: PipelineConfig, eigenvalues: str, ppi_counts: str, endmembers: str,
+                 summary: str, statistics: str, report: str, plot_spectra: str,
+                 plot_histogram: str, plot_eigenvalues: str) -> None:
+    _, _, spectra = artifacts.read_endmembers(endmembers)
+    top = _read_classes(artifacts.read_match_summary, summary, 1, spectra.shape[0], "match")
+    stats = _read_classes(artifacts.read_class_statistics, statistics, 0, len(top), "classify")
+    artifacts.write_report(report, top, stats)
+    artifacts.write_text(plot_spectra, artifacts.read_text(endmembers))
+    counts_cube = read_cube(*read_payload(ppi_counts))
+    artifacts.write_ppi_histogram(plot_histogram, counts_cube.values[:, :, 0].astype(np.int64))
+    artifacts.write_eigenvalue_curve(plot_eigenvalues, eigenvalues)
     print(f"report: wrote report.csv with {len(top)} classes")
 
 
 @dataclass(frozen=True)
 class Stage:
-    """A CLI stage: the stages whose artifacts it reads, and the artifacts
-    a later stage's dependency check looks for."""
+    """A CLI stage and the files under the output directory it reads and
+    writes; `run` takes the config, then each one's path. A `.hdr` name
+    brings its `.img`; a write may be a glob, its `*` a class id."""
 
     name: str
-    run: Callable[[PipelineConfig], None]
-    needs: tuple[str, ...] = ()
-    artifacts: tuple[str, ...] = ()
+    run: Callable[..., None]
+    reads: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
     in_all: bool = True
 
 
-# In subcommand order; `all` runs the `in_all` stages in this order.
+# In subcommand order; `all` runs the `in_all` stages in this order. Reads
+# are in pipeline order, so a check names the earliest stage to re-run.
 _STAGES = {s.name: s for s in (
     Stage("info", stage_info, in_all=False),
-    Stage("preprocess", stage_preprocess, artifacts=("reflectance.hdr", "reflectance.img")),
-    Stage("mnf", stage_mnf, needs=("preprocess",),
-          artifacts=("mnf_cube.hdr", "mnf_cube.img", *(os.path.join("mnf_model", name)
-                     for name in ("forward.csv", "eigenvalues.csv")))),
-    Stage("ppi", stage_ppi, needs=("mnf",),
-          artifacts=("ppi_counts.hdr", "ppi_counts.img", "pure_pixels.csv")),
-    Stage("endmembers", stage_endmembers, needs=("preprocess", "mnf", "ppi"),
-          artifacts=("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv")),
-    Stage("match", stage_match, needs=("endmembers",), artifacts=("match_summary.csv",)),
-    Stage("classify", stage_classify, needs=("preprocess", "endmembers", "match"),
-          artifacts=("sam_class_map.hdr", "sam_class_map.img", "class_statistics.csv",
-                     "class_legend.csv")),
-    Stage("mtmf", stage_mtmf, needs=("mnf", "endmembers")),
-    Stage("synth", stage_synth, in_all=False),
-    Stage("report", stage_report, needs=("mnf", "ppi", "endmembers", "match", "classify")),
+    Stage("preprocess", stage_preprocess, writes=("reflectance.hdr",)),
+    Stage("mnf", stage_mnf, ("reflectance.hdr",), ("mnf_cube.hdr", "mnf_model/*.csv")),
+    Stage("ppi", stage_ppi, ("mnf_cube.hdr",),
+          ("ppi_counts.hdr", "pure_pixels.csv", "ppi_trace.csv")),
+    Stage("endmembers", stage_endmembers, ("reflectance.hdr", "mnf_cube.hdr", "pure_pixels.csv"),
+          ("endmembers.csv", "endmember_manifest.csv", "endmember_mnf_means.csv")),
+    Stage("match", stage_match, ("endmembers.csv",), ("match_class_*.csv", "match_summary.csv")),
+    Stage("classify", stage_classify, ("reflectance.hdr", "endmembers.csv", "match_summary.csv"),
+          ("sam_class_map.hdr", "class_statistics.csv", "class_legend.csv")),
+    Stage("mtmf", stage_mtmf, ("mnf_cube.hdr", "endmember_mnf_means.csv"), ("mtmf_class_*.hdr",)),
+    Stage("synth", stage_synth, writes=("truth_abundances.csv", "truth_pure_pixels.csv"),
+          in_all=False),
+    Stage("report", stage_report, ("mnf_model/eigenvalues.csv", "ppi_counts.hdr", "endmembers.csv",
+                                   "match_summary.csv", "class_statistics.csv"),
+          ("report.csv", "plot_endmember_spectra.csv", "plot_ppi_histogram.csv",
+           "plot_eigenvalues.csv")),
 )}
 
 
-def _check_needs(stage: Stage, cfg: PipelineConfig) -> None:
-    for producer in stage.needs:
-        for name in _STAGES[producer].artifacts:
-            if not os.path.exists(cfg.artifact(name)):
-                raise DependencyError(
-                    f"missing artifact '{name}' from stage '{producer}'; "
-                    f"run 'hypermap {producer}' first")
+def _files(name: str) -> tuple[str, ...]:
+    return (name, name[:-4] + ".img") if name.endswith(".hdr") else (name,)
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> None:
-    """Run one pipeline stage (or `all`); raises on failure."""
+    """Run one pipeline stage (or `all`); raises on failure. Before a stage
+    runs, each file it reads must exist, and every file that matches one
+    of its writes is removed, so a failed run leaves none of them."""
     if stage == "all":
         stages = [s for s in _STAGES.values() if s.in_all]
     elif stage in _STAGES:
@@ -564,14 +555,24 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
     else:
         raise ConfigError(f"unknown stage '{stage}'")
     for s in stages:
-        _check_needs(s, cfg)
+        for read in s.reads:
+            for name in _files(read):
+                if not os.path.exists(cfg.artifact(name)):
+                    producer = next(p.name for p in _STAGES.values()
+                                    if any(fnmatch.fnmatchcase(read, w) for w in p.writes))
+                    raise DependencyError(
+                        f"missing artifact '{name}' from stage '{producer}'; "
+                        f"run 'hypermap {producer}' first")
+        for name in (n for write in s.writes for n in _files(write)):
+            for path in glob.glob(name, root_dir=cfg.out):
+                os.remove(cfg.artifact(path))
         codes = [s.run.__code__]  # and the code objects nested in it
         for code in codes:
             codes += [c for c in code.co_consts if hasattr(c, "co_names")]
             for name in set(code.co_names) - globals().keys():
                 if name in _EXPORTS:
                     __getattr__(name)
-        s.run(cfg)
+        s.run(cfg, *(cfg.artifact(n) for n in s.reads + s.writes))
 
 
 # ---------------------------------------------------------------------------

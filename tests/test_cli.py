@@ -3,8 +3,10 @@ determinism, and staged-vs-all equivalence."""
 
 import csv
 import dataclasses
+import fnmatch
 import hashlib
 import importlib.util
+import inspect
 import os
 import shutil
 import subprocess
@@ -237,9 +239,12 @@ class TestStages:
         cfg_path.write_text(text.replace("endmember_k = 5", "endmember_k = 3"))
         assert run(["endmembers", "--config", cfg]) == 0
         capsys.readouterr()
-        for stage in ("classify", "report"):
-            assert run([stage, "--config", cfg]) == cli.EXIT_DEPENDENCY
-            assert "re-run 'hypermap match'" in capsys.readouterr().err
+        assert run(["classify", "--config", cfg]) == cli.EXIT_DEPENDENCY
+        assert "re-run 'hypermap match'" in capsys.readouterr().err
+        # The failed `classify` removed its earlier outputs.
+        assert run(["report", "--config", cfg]) == cli.EXIT_DEPENDENCY
+        assert "missing artifact 'class_statistics.csv' from stage 'classify'; " \
+            "run 'hypermap classify' first" in capsys.readouterr().err
         for stage in ("match", "mtmf", "classify", "report"):
             assert run([stage, "--config", cfg]) == 0
         out = scenario_dir / "out"
@@ -431,7 +436,7 @@ class TestExitMessages:
         cfg = scenario_dir / "pipeline.cfg"
         self.append(cfg, f"{key} = none.csv")
         (scenario_dir / "out").mkdir()
-        for name in cli._STAGES["endmembers"].artifacts:  # what `match` needs to start
+        for name in cli._STAGES["match"].reads:  # what `match` needs to start
             (scenario_dir / "out" / name).write_text("")
         self.expect(capsys, [stage, "--config", str(cfg)], cli.EXIT_CONFIG,
                     f"config error: {noun} file {str(scenario_dir / 'none.csv')!r} does not exist")
@@ -493,6 +498,135 @@ class TestExitMessages:
         assert run(["mnf", "--config", cfg]) == 0
         self.expect(capsys, ["mtmf", "--config", cfg], cli.EXIT_DATA,
                     "data error: endmember MNF means have more components than the cube")
+
+
+@pytest.fixture(scope="class")
+def finished_run(tmp_path_factory, mineral_library, scene_endmember_library):
+    """A scenario directory after `synth` and `all`, with the PPI trace on."""
+    root = tmp_path_factory.mktemp("finished")
+    write_scenario_inputs(root, mineral_library, scene_endmember_library)
+    write_scenario_config(root, ppi_iterations=400, ppi_trace=True)
+    assert run(["synth", "--config", str(root / "pipeline.cfg")]) == 0
+    assert run(["all", "--config", str(root / "pipeline.cfg")]) == 0
+    return root
+
+
+class TestStageFiles:
+    """The files each stage reads and writes."""
+
+    # Each stage with one file it reads (the `.img` of a `.hdr` too) and
+    # the stage that writes that file.
+    READS = [
+        ("mnf", "reflectance.hdr", "preprocess"),
+        ("mnf", "reflectance.img", "preprocess"),
+        ("ppi", "mnf_cube.hdr", "mnf"),
+        ("ppi", "mnf_cube.img", "mnf"),
+        ("endmembers", "reflectance.hdr", "preprocess"),
+        ("endmembers", "reflectance.img", "preprocess"),
+        ("endmembers", "mnf_cube.hdr", "mnf"),
+        ("endmembers", "mnf_cube.img", "mnf"),
+        ("endmembers", "pure_pixels.csv", "ppi"),
+        ("match", "endmembers.csv", "endmembers"),
+        ("classify", "reflectance.hdr", "preprocess"),
+        ("classify", "reflectance.img", "preprocess"),
+        ("classify", "endmembers.csv", "endmembers"),
+        ("classify", "match_summary.csv", "match"),
+        ("mtmf", "mnf_cube.hdr", "mnf"),
+        ("mtmf", "mnf_cube.img", "mnf"),
+        ("mtmf", "endmember_mnf_means.csv", "endmembers"),
+        ("report", "mnf_model/eigenvalues.csv", "mnf"),
+        ("report", "ppi_counts.hdr", "ppi"),
+        ("report", "ppi_counts.img", "ppi"),
+        ("report", "endmembers.csv", "endmembers"),
+        ("report", "match_summary.csv", "match"),
+        ("report", "class_statistics.csv", "classify"),
+    ]
+
+    @staticmethod
+    def copy(finished_run, tmp_path):
+        shutil.copytree(finished_run, tmp_path / "run")
+        return tmp_path / "run", str(tmp_path / "run" / "pipeline.cfg")
+
+    @staticmethod
+    def missing(name, producer):
+        return (f"dependency error: missing artifact '{name}' from stage '{producer}'; "
+                f"run 'hypermap {producer}' first\n")
+
+    @pytest.mark.parametrize("stage, name, producer", READS)
+    def test_missing_read_names_its_producer(self, finished_run, tmp_path, capsys,
+                                             stage, name, producer):
+        root, cfg = self.copy(finished_run, tmp_path)
+        os.remove(root / "out" / name)
+        capsys.readouterr()
+        assert run([stage, "--config", cfg]) == cli.EXIT_DEPENDENCY
+        assert capsys.readouterr().err == self.missing(name, producer)
+
+    def test_the_reads_are_the_declared_ones(self):
+        assert sorted((stage, name) for stage, name, _ in self.READS) == sorted(
+            (s.name, n) for s in cli._STAGES.values() for r in s.reads for n in cli._files(r))
+
+    def test_outputs_are_the_declared_writes(self, finished_run):
+        out = finished_run / "out"
+        files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        declared = set()
+        for s in cli._STAGES.values():
+            for write in s.writes:
+                for name in cli._files(write):
+                    matched = {str(p.relative_to(out)) for p in out.glob(name)}
+                    assert matched, (s.name, name)
+                    declared |= matched
+        assert files == declared
+
+    def test_each_read_is_an_earlier_stage_write(self):
+        written = []
+        for s in cli._STAGES.values():
+            for read in s.reads:
+                assert any(fnmatch.fnmatchcase(read, w) for w in written), (s.name, read)
+            if s.in_all:
+                written += s.writes
+
+    def test_each_stage_takes_its_config_reads_and_writes(self):
+        for s in cli._STAGES.values():
+            params = inspect.signature(s.run).parameters
+            assert len(params) == 1 + len(s.reads) + len(s.writes), s.name
+
+    def test_a_failed_stage_leaves_none_of_its_outputs(self, finished_run, tmp_path, capsys):
+        root, cfg = self.copy(finished_run, tmp_path)
+        with open(cfg, "a", encoding="utf-8") as fp:
+            fp.write("mnf_keep_k = 9\n")  # the MNF cube holds 8 components
+        assert run(["ppi", "--config", cfg]) == cli.EXIT_CONFIG
+        left = [p.name for p in (root / "out").iterdir()
+                if p.name.startswith("ppi_") or p.name == "pure_pixels.csv"]
+        assert left == []
+        capsys.readouterr()
+        assert run(["endmembers", "--config", cfg]) == cli.EXIT_DEPENDENCY
+        assert capsys.readouterr().err == self.missing("pure_pixels.csv", "ppi")
+
+    @pytest.mark.parametrize("stage, name", [("match", "endmember_manifest.csv"),
+                                             ("ppi", "mnf_model/forward.csv")])
+    def test_a_file_the_stage_does_not_read_does_not_block_it(self, finished_run, tmp_path,
+                                                              stage, name):
+        root, cfg = self.copy(finished_run, tmp_path)
+        os.remove(root / "out" / name)
+        assert run([stage, "--config", cfg]) == 0
+
+    def test_report_refuses_stale_class_statistics(self, finished_run, tmp_path, capsys):
+        # Five classes when `classify` ran; `endmembers` and `match` then
+        # ran again for three.
+        root, cfg = self.copy(finished_run, tmp_path)
+        with open(cfg, "a", encoding="utf-8") as fp:
+            fp.write("endmember_k = 3\n")
+        for stage in ("endmembers", "match"):
+            assert run([stage, "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run(["report", "--config", cfg]) == cli.EXIT_DEPENDENCY
+        assert capsys.readouterr().err == (
+            "dependency error: class_statistics.csv does not list classes 0..3 of "
+            "endmembers.csv; re-run 'hypermap classify'\n")
+        assert not (root / "out" / "report.csv").exists()
+        for stage in ("classify", "report"):
+            assert run([stage, "--config", cfg]) == 0
+        assert len((root / "out" / "report.csv").read_text().splitlines()) == 1 + 3
 
 
 class TestSynthBytes:
